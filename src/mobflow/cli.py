@@ -1,7 +1,13 @@
 """Command-line entry point: scenario synthesis, OD building, and all analysis tables.
 
+`report` is one in-memory pass: it builds the municipality and province ODs
+once, stores them under <out>/od-store and derives every table from them
+without reading back anything it wrote. Every other subcommand loads its inputs
+from an OD store and calls the same stage function, so each table has one path.
+
 Exit codes: 0 success, 1 usage error, 2 data error. Outputs newly created by a
-failing command are removed so a crash never leaves a half-written result tree.
+failing command (under --out; in the OD store for `aggregate`) are removed so a
+crash never leaves a half-written result tree.
 """
 
 from __future__ import annotations
@@ -124,6 +130,10 @@ def _in_range(day: date, lo: date | None, hi: date | None) -> bool:
     return (lo is None or day >= lo) and (hi is None or day <= hi)
 
 
+def _date_range(args) -> tuple[date | None, date | None]:
+    return _parse_date(args.from_date), _parse_date(args.to_date)
+
+
 def _load_territory(store: Path) -> od.TerritoryIndex:
     path = store / "territory.json"
     if not path.exists():
@@ -133,9 +143,16 @@ def _load_territory(store: Path) -> od.TerritoryIndex:
     return od.TerritoryIndex(muni_to_province=mapping)
 
 
-def _load_province_ods(store: Path, lo: date | None, hi: date | None) -> list[od.DailyOD]:
-    days = [d for d in od.list_od_dates(store, "province") if _in_range(d, lo, hi)]
-    return [od.load_daily_od(store, d, "province") for d in days]
+def _load_ods(
+    store: Path, granularity: str, lo: date | None = None, hi: date | None = None
+) -> list[od.DailyOD]:
+    days = [d for d in od.list_od_dates(store, granularity) if _in_range(d, lo, hi)]
+    return [od.load_daily_od(store, d, granularity) for d in days]
+
+
+def _province_inputs(args) -> tuple[od.TerritoryIndex, list[od.DailyOD]]:
+    store = Path(args.in_dir)
+    return _load_territory(store), _load_ods(store, "province", *_date_range(args))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -188,28 +205,33 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_build_od(args) -> int:
-    in_dir = Path(args.in_dir)
-    out_dir = Path(args.out)
+def _build_od(
+    in_dir: Path,
+    store: Path,
+    dwell_seconds: int,
+    tz: str,
+    lo: date | None = None,
+    hi: date | None = None,
+) -> tuple[od.TerritoryIndex, list[od.DailyOD]]:
+    """Records -> daily municipality ODs, stored with territory.json and returned."""
     registry = ingest.load_registry(in_dir / "registry.csv")
     cdr_files = sorted((in_dir / "cdr").glob("*.csv")) if (in_dir / "cdr").is_dir() else []
     xdr_files = sorted((in_dir / "xdr").glob("*.csv")) if (in_dir / "xdr").is_dir() else []
     parsed = ingest.parse_records(cdr_files, xdr_files, registry)
-    trips_by_day = ingest.daily_trips(parsed.events_by_user, args.dwell_seconds, args.tz)
-    lo, hi = _parse_date(args.from_date), _parse_date(args.to_date)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stored = 0
-    for day in sorted(trips_by_day):
-        if not _in_range(day, lo, hi):
-            continue
-        od.store_daily_od(od.build_daily_od(trips_by_day[day], day), out_dir)
-        stored += 1
-    _write_json(
-        out_dir / "territory.json",
-        {"muni_to_province": dict(sorted(registry.muni_to_province.items()))},
-    )
+    trips_by_day = ingest.daily_trips(parsed.events_by_user, dwell_seconds, tz)
+    events = parsed.event_count
+    parsed.events_by_user.clear()  # free the events before the ODs are built and kept
+    ods = [
+        od.build_daily_od(trips_by_day.pop(day), day)
+        for day in sorted(trips_by_day)
+        if _in_range(day, lo, hi)
+    ]
+    for muni_od in ods:
+        od.store_daily_od(muni_od, store)
+    index = od.TerritoryIndex.from_registry(registry)
+    _write_json(store / "territory.json", {"muni_to_province": index.muni_to_province})
     rejected = parsed.rejected_count
-    print(f"build-od: {parsed.event_count} events, {stored} days stored, {rejected} records rejected")
+    print(f"build-od: {events} events, {len(ods)} days stored, {rejected} records rejected")
     if rejected:
         for name in sorted(parsed.rejections):
             tally = parsed.rejections[name]
@@ -218,7 +240,24 @@ def cmd_build_od(args) -> int:
                     f"  {name}: {tally.malformed} malformed, {tally.unknown_antenna} unknown antenna",
                     file=sys.stderr,
                 )
+    return index, ods
+
+
+def cmd_build_od(args) -> int:
+    _build_od(Path(args.in_dir), Path(args.out), args.dwell_seconds, args.tz, *_date_range(args))
     return 0
+
+
+def _aggregate(
+    muni_ods: list[od.DailyOD], index: od.TerritoryIndex, store: Path
+) -> list[od.DailyOD]:
+    """Municipality ODs -> province ODs, stored and returned."""
+    province_ods = []
+    for muni_od in muni_ods:
+        province_ods.append(od.aggregate_to_province(muni_od, index))
+        od.store_daily_od(province_ods[-1], store)
+    print(f"aggregate: {len(province_ods)} days -> province granularity")
+    return province_ods
 
 
 def cmd_aggregate(args) -> int:
@@ -227,46 +266,41 @@ def cmd_aggregate(args) -> int:
         index = od.TerritoryIndex.from_registry(ingest.load_registry(args.registry))
     else:
         index = _load_territory(store)
-    days = od.list_od_dates(store, "municipality")
-    for day in days:
-        muni_od = od.load_daily_od(store, day, "municipality")
-        od.store_daily_od(od.aggregate_to_province(muni_od, index), store)
-    print(f"aggregate: {len(days)} days -> province granularity")
+    _aggregate(_load_ods(store, "municipality"), index, store)
     return 0
+
+
+def _write_flows(province_ods: list[od.DailyOD], index: od.TerritoryIndex, out: Path) -> None:
+    out_dir = out / "flows"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for province in sorted(index.provinces):
+        series = flows_mod.compute_flows(province_ods, province, index)
+        flows_mod.write_flow_series_csv(series, out_dir / f"{province}.csv")
+    print(f"flows: {len(index.provinces)} provinces x {len(province_ods)} days -> {out_dir}")
 
 
 def cmd_flows(args) -> int:
-    store = Path(args.in_dir)
-    index = _load_territory(store)
-    ods = _load_province_ods(store, _parse_date(args.from_date), _parse_date(args.to_date))
-    out_dir = Path(args.out) / "flows"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for province in sorted(index.provinces):
-        series = flows_mod.compute_flows(ods, province, index)
-        flows_mod.write_flow_series_csv(series, out_dir / f"{province}.csv")
-    print(f"flows: {len(index.provinces)} provinces x {len(ods)} days -> {out_dir}")
+    index, ods = _province_inputs(args)
+    _write_flows(ods, index, Path(args.out))
     return 0
 
 
-def _diversity_series(store: Path, args) -> tuple[dict[str, list], od.TerritoryIndex]:
-    index = _load_territory(store)
-    ods = _load_province_ods(store, _parse_date(args.from_date), _parse_date(args.to_date))
-    include_self = bool(getattr(args, "include_self_flow_in_diversity", False))
-    by_direction: dict[str, list] = {}
-    for direction in diversity_mod.DIRECTIONS:
-        by_direction[direction] = [
+def _diversity_series(
+    province_ods: list[od.DailyOD], index: od.TerritoryIndex, include_self: bool
+) -> dict[str, list[diversity_mod.DiversitySeries]]:
+    """Per direction, one diversity series per province in province order."""
+    return {
+        direction: [
             diversity_mod.diversity_series(
-                ods, province, direction, index.province_count, include_self
+                province_ods, province, direction, index.province_count, include_self
             )
             for province in sorted(index.provinces)
         ]
-    return by_direction, index
+        for direction in diversity_mod.DIRECTIONS
+    }
 
 
-def cmd_diversity(args) -> int:
-    store = Path(args.in_dir)
-    by_direction, _index = _diversity_series(store, args)
-    out_dir = Path(args.out)
+def _write_diversity(by_direction: dict[str, list], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     diversity_mod.write_diversity_csv(
         by_direction["in"] + by_direction["out"], out_dir / "diversity.csv"
@@ -276,42 +310,59 @@ def cmd_diversity(args) -> int:
             series_list, out_dir / f"diversity_{direction}_wide.csv"
         )
     print(f"diversity: tables -> {out_dir}")
+
+
+def cmd_diversity(args) -> int:
+    index, ods = _province_inputs(args)
+    by_direction = _diversity_series(ods, index, args.include_self_flow_in_diversity)
+    _write_diversity(by_direction, Path(args.out))
     return 0
 
 
-def cmd_cluster(args) -> int:
-    store = Path(args.in_dir)
-    by_direction, index = _diversity_series(store, args)
-    k_range = _parse_k_range(args.k_range)
-    out_dir = Path(args.out)
+def _write_clusters(
+    by_direction: dict[str, list], k_range: range, seed: int, out_dir: Path
+) -> dict[str, cluster_mod.KSelection]:
+    """Select k and cluster each direction's series; returns the selections by direction."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    selections = {}
     for direction, series_list in by_direction.items():
         matrix = cluster_mod.SeriesMatrix.from_series(series_list)
         ks = range(k_range.start, min(k_range.stop - 1, len(matrix.provinces)) + 1)
-        selection = cluster_mod.select_k(matrix, ks, seed=args.seed)
-        chosen = None
-        if not selection.degenerate:
-            chosen = cluster_mod.kmeans(matrix, selection.k_star, seed=args.seed)
-        report = cluster_mod.clustering_report(selection, chosen)
+        selection = selections[direction] = cluster_mod.select_k(matrix, ks, seed=seed)
+        report = cluster_mod.clustering_report(selection)
         report["dropped_provinces"] = matrix.dropped
         cluster_mod.write_clustering_json(report, out_dir / f"cluster_{direction}.json")
-        if chosen is not None:
-            cluster_mod.write_members_csv(chosen, out_dir / f"cluster_{direction}_members.csv")
+        if selection.clustering is not None:
+            cluster_mod.write_members_csv(
+                selection.clustering, out_dir / f"cluster_{direction}_members.csv"
+            )
         print(f"cluster[{direction}]: k*={selection.k_star} -> {out_dir}")
+    return selections
+
+
+def cmd_cluster(args) -> int:
+    k_range = _parse_k_range(args.k_range)
+    index, ods = _province_inputs(args)
+    by_direction = _diversity_series(ods, index, args.include_self_flow_in_diversity)
+    _write_clusters(by_direction, k_range, args.seed, Path(args.out))
     return 0
+
+
+def _write_communities(series: list[community_mod.DayCommunities], out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    community_mod.write_community_counts_csv(series, out_dir / "communities.csv")
+    community_mod.write_partition_dumps(series, out_dir / "partitions.json")
+    print(f"communities: {len(series)} days -> {out_dir}")
 
 
 def cmd_communities(args) -> int:
     store = Path(args.in_dir)
-    granularity = getattr(args, "granularity", "municipality")
-    lo, hi = _parse_date(args.from_date), _parse_date(args.to_date)
-    days = [d for d in od.list_od_dates(store, granularity) if _in_range(d, lo, hi)]
-    ods = [od.load_daily_od(store, d, granularity) for d in days]
+    ods = _load_ods(store, args.granularity, *_date_range(args))
     registry_nodes: list[str] = []
     if args.attach_registry:
         index = _load_territory(store)
         registry_nodes = sorted(
-            index.municipalities if granularity == "municipality" else index.provinces
+            index.municipalities if args.granularity == "municipality" else index.provinces
         )
     series = community_mod.community_count_series(
         ods,
@@ -322,16 +373,13 @@ def cmd_communities(args) -> int:
         window=args.window,
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    community_mod.write_community_counts_csv(series, out_dir / "communities.csv")
-    community_mod.write_partition_dumps(series, out_dir / "partitions.json")
+    _write_communities(series, out_dir)
     if args.provinces:
         wanted = set(args.provinces.split(","))
         index = _load_territory(store)
         keep = [m for m, p in index.muni_to_province.items() if p in wanted]
         name = "_".join(sorted(wanted))
         community_mod.write_partition_dumps(series, out_dir / f"partitions_{name}.json", keep)
-    print(f"communities: {len(series)} days -> {out_dir}")
     return 0
 
 
@@ -354,22 +402,18 @@ def cmd_report(args) -> int:
             split = date.fromisoformat(regimes[-1]["start_date"])
     if split is None:
         raise UsageError("report needs --split-date (no regime schedule found in ground_truth.json)")
+    k_range = _parse_k_range(args.k_range)
 
-    ns = argparse.Namespace(
-        in_dir=str(in_dir), out=str(store), dwell_seconds=args.dwell_seconds,
-        tz=args.tz, from_date=None, to_date=None,
+    index, muni_ods = _build_od(in_dir, store, args.dwell_seconds, args.tz)
+    province_ods = _aggregate(muni_ods, index, store)
+    _write_flows(province_ods, index, out_dir)
+    by_direction = _diversity_series(province_ods, index, args.include_self_flow_in_diversity)
+    _write_diversity(by_direction, out_dir)
+    selections = _write_clusters(by_direction, k_range, args.seed, out_dir)
+    communities = community_mod.community_count_series(
+        muni_ods, seed=args.seed, trials=args.trials, tau=args.tau
     )
-    cmd_build_od(ns)
-    cmd_aggregate(argparse.Namespace(in_dir=str(store), registry=None))
-    cmd_flows(argparse.Namespace(in_dir=str(store), out=str(out_dir), from_date=None, to_date=None))
-    div_ns = argparse.Namespace(
-        in_dir=str(store), out=str(out_dir), from_date=None, to_date=None,
-        include_self_flow_in_diversity=args.include_self_flow_in_diversity,
-    )
-    cmd_diversity(div_ns)
-
-    index = _load_territory(store)
-    province_ods = _load_province_ods(store, None, None)
+    _write_communities(communities, out_dir)
 
     # flow drop: mean daily inter-province volume, post vs pre split
     pre = [flows_mod.inter_province_total(o) for o in province_ods if o.date < split]
@@ -379,7 +423,6 @@ def cmd_report(args) -> int:
         flow_drop_pct = 100.0 * (1.0 - (sum(post) / len(post)) / (sum(pre) / len(pre)))
 
     # weekend-vs-weekday diversity deltas, averaged over provinces (out-flows)
-    by_direction, _ = _diversity_series(store, div_ns)
     deltas_pre, deltas_post = [], []
     for series in by_direction["out"]:
         contrast = diversity_mod.weekend_contrast(series, split)
@@ -388,32 +431,15 @@ def cmd_report(args) -> int:
         if contrast.post_weekend_mean is not None and contrast.post_weekday_mean is not None:
             deltas_post.append(contrast.post_weekend_mean - contrast.post_weekday_mean)
 
-    cmd_cluster(argparse.Namespace(
-        in_dir=str(store), out=str(out_dir), seed=args.seed, k_range=args.k_range,
-        include_self_flow_in_diversity=args.include_self_flow_in_diversity,
-        from_date=None, to_date=None,
-    ))
-    with (out_dir / "cluster_out.json").open() as fh:
-        k_star = json.load(fh)["k_star"]
-
-    cmd_communities(argparse.Namespace(
-        in_dir=str(store), out=str(out_dir), seed=args.seed, trials=args.trials,
-        tau=args.tau, window=1, attach_registry=False, provinces=None,
-        from_date=None, to_date=None,
-    ))
-    counts_pre, counts_post = [], []
-    with (out_dir / "communities.csv").open() as fh:
-        next(fh)
-        for line in fh:
-            day_raw, count_raw, _ = line.strip().split(",")
-            (counts_pre if date.fromisoformat(day_raw) < split else counts_post).append(int(count_raw))
+    counts_pre = [d.community_count for d in communities if d.date < split]
+    counts_post = [d.community_count for d in communities if d.date >= split]
 
     summary = {
         "split_date": split.isoformat(),
         "flow_drop_pct": flow_drop_pct,
         "weekend_diversity_delta_pre": _mean(deltas_pre),
         "weekend_diversity_delta_post": _mean(deltas_post),
-        "k_star": k_star,
+        "k_star": selections["out"].k_star,
         "community_count_pre_median": statistics.median(counts_pre) if counts_pre else None,
         "community_count_post_median": statistics.median(counts_post) if counts_post else None,
     }
@@ -458,7 +484,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        out_root = Path(args.out) if getattr(args, "out", None) else None
+        # aggregate writes into the store it reads, so that store is its output root
+        out = args.in_dir if args.command == "aggregate" else getattr(args, "out", None)
+        out_root = Path(out) if out else None
         before = _files_under(out_root) if out_root else set()
         try:
             return _COMMANDS[args.command](args)

@@ -209,6 +209,7 @@ class KSelection:
     degenerate: bool
     diagnostics: list[KDiagnostic]
     elbow_k: int | None
+    clustering: Clustering | None  # the run at k_star; None when degenerate
 
     def by_k(self) -> dict[int, KDiagnostic]:
         return {d.k: d for d in self.diagnostics}
@@ -224,17 +225,18 @@ def select_k(
 
     The elbow of the inertia curve (largest second difference) is reported as a
     diagnostic. An input of identical series makes the silhouette undefined;
-    that degenerate case reports k_star = 1 with the flag set.
+    that degenerate case reports k_star = 1 with the flag set and no clustering.
     """
     ks = sorted(set(k_range))
     n = matrix.values.shape[0]
     if not ks or ks[0] < 2 or ks[-1] > n:
         raise ValueError(f"k_range must lie within [2, {n}]")
     if np.allclose(matrix.values, matrix.values[0], rtol=0.0, atol=0.0):
-        return KSelection(k_star=1, degenerate=True, diagnostics=[], elbow_k=None)
+        return KSelection(k_star=1, degenerate=True, diagnostics=[], elbow_k=None, clustering=None)
     diagnostics: list[KDiagnostic] = []
+    clusterings: dict[int, Clustering] = {}
     for k in ks:
-        clustering = kmeans(matrix, k, seed=seed, restarts=restarts)
+        clustering = clusterings[k] = kmeans(matrix, k, seed=seed, restarts=restarts)
         diagnostics.append(
             KDiagnostic(
                 k=k,
@@ -253,11 +255,18 @@ def select_k(
             for i in range(1, len(inertias) - 1)
         ]
         elbow_k = ks[int(np.argmax(second_diff))]
-    return KSelection(k_star=best.k, degenerate=False, diagnostics=diagnostics, elbow_k=elbow_k)
+    return KSelection(
+        k_star=best.k,
+        degenerate=False,
+        diagnostics=diagnostics,
+        elbow_k=elbow_k,
+        clustering=clusterings[best.k],
+    )
 
 
-def clustering_report(selection: KSelection, clustering: Clustering | None) -> dict:
+def clustering_report(selection: KSelection) -> dict:
     """JSON-ready report: per-k diagnostics plus the chosen clustering's content."""
+    clustering = selection.clustering
     report: dict = {
         "k_star": selection.k_star,
         "degenerate": selection.degenerate,

@@ -57,14 +57,6 @@ class FlowGraph:
                 raise ValueError(f"edge ({u},{v}) references an unknown node")
 
     @classmethod
-    def from_daily_od(cls, od: DailyOD, extra_nodes: Iterable[str] = ()) -> "FlowGraph":
-        if od.granularity != "municipality":
-            raise ValueError("local job markets are detected on municipality matrices")
-        nodes = sorted(od.territory_ids() | set(extra_nodes))
-        edges = {pair: float(count) for pair, count in od.cells.items()}
-        return cls(nodes=nodes, edges=edges)
-
-    @classmethod
     def from_cells(
         cls, cells: dict[tuple[str, str], float], extra_nodes: Iterable[str] = ()
     ) -> "FlowGraph":

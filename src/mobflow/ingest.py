@@ -49,10 +49,6 @@ class AntennaRegistry:
     def muni_to_province(self) -> dict[str, str]:
         return {site.municipality_id: site.province_id for site in self.entries.values()}
 
-    def municipality_of(self, antenna_id: str) -> str | None:
-        site = self.entries.get(antenna_id)
-        return site.municipality_id if site is not None else None
-
 
 @dataclass(frozen=True, slots=True)
 class RecordEvent:

@@ -9,7 +9,6 @@ internal mobility.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import tempfile
@@ -62,7 +61,12 @@ class TerritoryIndex:
 
 @dataclass(frozen=True)
 class DailyOD:
-    """Sparse daily OD matrix; cells hold strictly positive trip counts."""
+    """Sparse daily OD matrix; cells hold strictly positive trip counts.
+
+    Cells are kept sorted by (origin, destination), so a matrix built in memory
+    iterates in the same order as one loaded from the store, and order-dependent
+    float sums over its cells give the same bits either way.
+    """
 
     date: date
     granularity: str
@@ -76,17 +80,11 @@ class DailyOD:
                 raise ValueError(f"cell ({origin},{destination}) has non-positive count {count}")
             if self.granularity == "municipality" and origin == destination:
                 raise ValueError(f"municipality matrix may not hold self-loop {origin!r}")
+        object.__setattr__(self, "cells", dict(sorted(self.cells.items())))
 
     @property
     def total_trips(self) -> int:
         return sum(self.cells.values())
-
-    def territory_ids(self) -> set[str]:
-        ids: set[str] = set()
-        for origin, destination in self.cells:
-            ids.add(origin)
-            ids.add(destination)
-        return ids
 
 
 def build_daily_od(trips: Iterable[Trip], day: date) -> DailyOD:
@@ -135,20 +133,6 @@ def _atomic_write(path: Path, payload: str) -> None:
         raise
 
 
-def _territory_checksum(directory: Path, dates: list[str]) -> str:
-    ids: set[str] = set()
-    for day in dates:
-        with (directory / f"{day}.csv").open(newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for row in reader:
-                if row:
-                    ids.add(row[0])
-                    ids.add(row[1])
-    digest = hashlib.sha256("\n".join(sorted(ids)).encode()).hexdigest()
-    return digest
-
-
 def store_daily_od(od: DailyOD, root: str | Path) -> Path:
     """Persist one matrix under od/<granularity>/<date>.csv, updating the manifest.
 
@@ -160,7 +144,7 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
     path = directory / f"{day}.csv"
 
     lines = ["origin,destination,count"]
-    for (origin, destination), count in sorted(od.cells.items()):
+    for (origin, destination), count in od.cells.items():
         lines.append(f"{origin},{destination},{count}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -169,12 +153,10 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
     if manifest_path.exists():
         dates.update(_read_manifest(manifest_path, od.granularity)["dates"])
     dates.add(day)
-    ordered = sorted(dates)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "granularity": od.granularity,
-        "dates": ordered,
-        "territory_checksum": _territory_checksum(directory, ordered),
+        "dates": sorted(dates),
     }
     _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -217,17 +199,8 @@ def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
 
 
 def list_od_dates(root: str | Path, granularity: str) -> list[date]:
-    """Sorted dates with a stored matrix at the given granularity."""
-    directory = _granularity_dir(root, granularity)
-    if not directory.is_dir():
+    """Sorted dates the store's manifest lists at the given granularity; [] without one."""
+    manifest_path = _granularity_dir(root, granularity) / "manifest.json"
+    if not manifest_path.exists():
         return []
-    days = [
-        date.fromisoformat(p.stem)
-        for p in directory.glob("*.csv")
-    ]
-    return sorted(days)
-
-
-def load_all_daily_od(root: str | Path, granularity: str) -> list[DailyOD]:
-    """Load every stored matrix at the given granularity, date-ordered."""
-    return [load_daily_od(root, day, granularity) for day in list_od_dates(root, granularity)]
+    return [date.fromisoformat(day) for day in _read_manifest(manifest_path, granularity)["dates"]]

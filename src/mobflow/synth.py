@@ -25,7 +25,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .ingest import DEFAULT_TIMEZONE, AntennaRegistry, AntennaSite
+from .ingest import DEFAULT_TIMEZONE
 from .od import DailyOD, TerritoryIndex, aggregate_to_province
 
 GRAVITY_EXPONENT = 2.0  # distance decay of inter-province attraction
@@ -362,14 +362,6 @@ def _registry_rows(config: ScenarioConfig, territory: Territory) -> list[tuple]:
                 rows.append((f"A{antenna_index:06d}", lat, lon, muni, province))
                 antenna_index += 1
     return rows
-
-
-def build_registry(config: ScenarioConfig, territory: Territory) -> AntennaRegistry:
-    entries = {
-        antenna: AntennaSite(lat, lon, muni, province)
-        for antenna, lat, lon, muni, province in _registry_rows(config, territory)
-    }
-    return AntennaRegistry(entries=entries)
 
 
 def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:

@@ -32,6 +32,10 @@ def write_config(path, **overrides):
     return path
 
 
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def _tree_digest(root):
     digest = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
@@ -102,6 +106,20 @@ class TestSmokePath:
         munis = {m for entry in dump for mod in entry["modules"] for m in mod["municipalities"]}
         assert munis and all(m.startswith("M000") for m in munis)
 
+    def test_stagewise_chain_writes_the_report_tables(self, scenario_dir, tmp_path):
+        report = tmp_path / "report"
+        assert main(["report", "--in", str(scenario_dir), "--out", str(report),
+                     "--seed", "5", "--trials", "2"]) == 0
+        stages = tmp_path / "stages"
+        store = str(stages / "od-store")
+        assert main(["build-od", "--in", str(scenario_dir), "--out", store]) == 0
+        assert main(["aggregate", "--in", store]) == 0
+        for command in (["flows"], ["diversity"], ["cluster", "--seed", "5"],
+                        ["communities", "--seed", "5", "--trials", "2"]):
+            assert main([*command, "--in", store, "--out", str(stages)]) == 0
+        (report / "summary.json").unlink()
+        assert _tree_bytes(stages) == _tree_bytes(report)
+
     def test_communities_on_province_graphs(self, scenario_dir, tmp_path):
         store = tmp_path / "store"
         assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
@@ -153,6 +171,32 @@ class TestExitCodes:
         (out / "territory.json").unlink()
         rc = main(["aggregate", "--in", str(out)])
         assert rc == 2
+
+    def test_failed_aggregate_removes_new_store_files(self, tmp_path):
+        data = tmp_path / "data"
+        (data / "xdr").mkdir(parents=True)
+        (data / "registry.csv").write_text(
+            "antenna_id,lat,lon,municipality_id,province_id\n"
+            "A1,45.0,9.0,M1,P1\n"
+            "A2,45.1,9.1,M2,P2\n"
+            "A3,45.2,9.2,M3,P2\n"
+        )
+        # M1 -> M2 on 2020-03-02 and M1 -> M3 on 2020-03-03, 10:00 and 12:00 Europe/Rome
+        (data / "xdr" / "x.csv").write_text(
+            "user_id,timestamp,antenna,kilobytes\n"
+            "u1,1583139600,A1,5\n"
+            "u1,1583146800,A2,5\n"
+            "u1,1583226000,A1,5\n"
+            "u1,1583233200,A3,5\n"
+        )
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
+        # day 2's M3 is unknown to the store's territory: day 1 is aggregated and
+        # stored before the data error
+        (store / "territory.json").write_text(json.dumps({"muni_to_province": {"M1": "P1", "M2": "P2"}}))
+        before = _tree_bytes(store)
+        assert main(["aggregate", "--in", str(store)]) == 2
+        assert _tree_bytes(store) == before
 
     def test_synth_without_seed_is_usage_error(self, tmp_path):
         config = tmp_path / "c.json"

@@ -109,6 +109,9 @@ class TestSelectK:
         matrix, _ = planted([0.1, 0.3, 0.5, 0.7, 0.9], per_group=8, seed=8)
         selection = select_k(matrix, range(2, 13), seed=0)
         assert selection.k_star == 5
+        direct = kmeans(matrix, 5, seed=0)
+        for name in ("k", "provinces", "labels", "centroids", "band_std", "inertia"):
+            np.testing.assert_array_equal(getattr(selection.clustering, name), getattr(direct, name))
 
     def test_two_planted_levels_elbow_agrees(self):
         matrix, _ = planted([0.2, 0.8], per_group=10, seed=9)
@@ -122,6 +125,7 @@ class TestSelectK:
         assert selection.k_star == 1
         assert selection.degenerate
         assert selection.diagnostics == []
+        assert selection.clustering is None
 
     def test_inertia_non_increasing_in_k(self):
         rng = np.random.default_rng(10)

@@ -163,7 +163,9 @@ class TestPersistence:
         od = DailyOD(DAY, "municipality", cells)
         root = tmp_path_factory.mktemp("store")
         store_daily_od(od, root)
-        assert load_daily_od(root, DAY, "municipality") == od
+        loaded = load_daily_od(root, DAY, "municipality")
+        assert loaded == od
+        assert list(loaded.cells) == list(od.cells)
 
     def test_manifest_contents(self, tmp_path):
         import json
@@ -173,4 +175,9 @@ class TestPersistence:
         assert manifest["schema_version"] == 1
         assert manifest["granularity"] == "province"
         assert manifest["dates"] == [DAY.isoformat()]
-        assert len(manifest["territory_checksum"]) == 64
+
+    def test_dates_come_from_the_manifest(self, tmp_path):
+        assert list_od_dates(tmp_path, "municipality") == []
+        store_daily_od(DailyOD(DAY, "municipality", {("M1", "M2"): 1}), tmp_path)
+        (tmp_path / "od" / "municipality" / "notes.csv").write_text("a stray file\n")
+        assert list_od_dates(tmp_path, "municipality") == [DAY]
