@@ -174,12 +174,25 @@ def kmeans(
     )
 
 
-def mean_silhouette(x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette coefficient; points with zero separation score 0."""
-    n = x.shape[0]
-    dists = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
-    scores = np.zeros(n)
+def _pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every pair of rows of x."""
+    return np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+
+
+def mean_silhouette(
+    x: np.ndarray, labels: np.ndarray, distances: np.ndarray | None = None
+) -> float:
+    """Mean silhouette coefficient; points with zero separation score 0.
+
+    `distances` may pass in the pairwise Euclidean distances between the rows
+    of x, so that several labelings of the same points share one matrix.
+    """
     cluster_ids = np.unique(labels)
+    if len(cluster_ids) < 2:
+        raise ValueError(f"silhouette needs at least 2 clusters, got {len(cluster_ids)}")
+    dists = _pairwise_distances(x) if distances is None else distances
+    n = x.shape[0]
+    scores = np.zeros(n)
     masks = {j: labels == j for j in cluster_ids}
     for i in range(n):
         own = masks[labels[i]]
@@ -233,6 +246,7 @@ def select_k(
         raise ValueError(f"k_range must lie within [2, {n}]")
     if np.allclose(matrix.values, matrix.values[0], rtol=0.0, atol=0.0):
         return KSelection(k_star=1, degenerate=True, diagnostics=[], elbow_k=None, clustering=None)
+    distances = _pairwise_distances(matrix.values)
     diagnostics: list[KDiagnostic] = []
     clusterings: dict[int, Clustering] = {}
     for k in ks:
@@ -241,7 +255,7 @@ def select_k(
             KDiagnostic(
                 k=k,
                 inertia=clustering.inertia,
-                silhouette=mean_silhouette(matrix.values, clustering.labels),
+                silhouette=mean_silhouette(matrix.values, clustering.labels, distances),
             )
         )
     best = max(diagnostics, key=lambda d: d.silhouette)

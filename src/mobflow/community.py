@@ -118,16 +118,14 @@ def stationary_flow(
     else:
         src = dst = np.empty(0, dtype=np.intp)
         weight = np.empty(0, dtype=float)
-    out_weight = np.zeros(n)
-    np.add.at(out_weight, src, weight)
+    out_weight = np.bincount(src, weights=weight, minlength=n)
     transition = weight / out_weight[src] if len(weight) else weight
     dangling = out_weight == 0.0
 
     p = np.full(n, 1.0 / n)
     residual = math.inf
     for _ in range(max_iter):
-        pushed = np.zeros(n)
-        np.add.at(pushed, dst, p[src] * transition)
+        pushed = np.bincount(dst, weights=p[src] * transition, minlength=n)
         spread = (tau + (1.0 - tau) * p[dangling].sum()) / n
         new_p = (1.0 - tau) * pushed + spread
         residual = float(np.abs(new_p - p).sum())
@@ -197,9 +195,11 @@ class _Level:
 class _MapState:
     """Partition bookkeeping with incrementally maintained codelength terms.
 
-    The flat-node entropy term is constant under moves at every level, so the
-    maintained value always equals the map equation of the induced flat
-    partition.
+    Per module it keeps the exit flow, the visit flow, the size and the two
+    plogp terms of the map equation, plogp(exit) and plogp(exit + flow), so a
+    move is scored by evaluating only the terms it changes. The flat-node
+    entropy term is constant under moves at every level, so the maintained
+    value always equals the map equation of the induced flat partition.
     """
 
     def __init__(self, level: _Level, module_of: list[int], node_term: float):
@@ -218,10 +218,12 @@ class _MapState:
             for target, q in level.out_adj[node]:
                 if self.module_of[target] != module:
                     self.exit[module] += q
+        self.plogp_exit = [_plogp(e) for e in self.exit]
+        self.plogp_circ = [_plogp(e + f) for e, f in zip(self.exit, self.flow)]
         modules = set(self.module_of)
         self.sum_exit = sum(self.exit[m] for m in modules)
-        self.s1 = sum(_plogp(self.exit[m]) for m in modules)
-        self.s2 = sum(_plogp(self.exit[m] + self.flow[m]) for m in modules)
+        self.s1 = sum(self.plogp_exit[m] for m in modules)
+        self.s2 = sum(self.plogp_circ[m] for m in modules)
         self._empty = [m for m in range(n - 1, -1, -1) if self.size[m] == 0]
 
     def empty_module(self) -> int | None:
@@ -230,39 +232,21 @@ class _MapState:
     def codelength(self) -> float:
         return _plogp(self.sum_exit) - 2.0 * self.s1 + self.s2 - self.node_term
 
-    def gain(
-        self, node: int, target_module: int, wm_out: dict, wm_in: dict
-    ) -> tuple[float, float, float]:
-        """Codelength delta for moving `node` to `target_module`, plus both new exit flows."""
-        level = self.level
-        current = self.module_of[node]
-        p = level.node_flow[node]
-        exit_a, exit_b = self.exit[current], self.exit[target_module]
-        new_exit_a = exit_a - level.s_out[node] + wm_out.get(current, 0.0) + wm_in.get(current, 0.0)
-        new_exit_b = exit_b + level.s_out[node] - wm_out.get(target_module, 0.0) - wm_in.get(target_module, 0.0)
-        new_exit_a = max(new_exit_a, 0.0)  # guards float cancellation only
-        new_exit_b = max(new_exit_b, 0.0)
-        delta_s1 = _plogp(new_exit_a) + _plogp(new_exit_b) - _plogp(exit_a) - _plogp(exit_b)
-        delta_s2 = (
-            _plogp(new_exit_a + self.flow[current] - p)
-            + _plogp(new_exit_b + self.flow[target_module] + p)
-            - _plogp(exit_a + self.flow[current])
-            - _plogp(exit_b + self.flow[target_module])
-        )
-        new_sum = self.sum_exit + (new_exit_a + new_exit_b) - (exit_a + exit_b)
-        delta = _plogp(new_sum) - _plogp(self.sum_exit) - 2.0 * delta_s1 + delta_s2
-        return delta, new_exit_a, new_exit_b
-
     def apply(self, node: int, target_module: int, new_exit_a: float, new_exit_b: float) -> None:
         current = self.module_of[node]
         p = self.level.node_flow[node]
         exit_a, exit_b = self.exit[current], self.exit[target_module]
-        self.s1 += _plogp(new_exit_a) + _plogp(new_exit_b) - _plogp(exit_a) - _plogp(exit_b)
+        self.s1 += (
+            _plogp(new_exit_a)
+            + _plogp(new_exit_b)
+            - self.plogp_exit[current]
+            - self.plogp_exit[target_module]
+        )
         self.s2 += (
             _plogp(new_exit_a + self.flow[current] - p)
             + _plogp(new_exit_b + self.flow[target_module] + p)
-            - _plogp(exit_a + self.flow[current])
-            - _plogp(exit_b + self.flow[target_module])
+            - self.plogp_circ[current]
+            - self.plogp_circ[target_module]
         )
         self.sum_exit += (new_exit_a + new_exit_b) - (exit_a + exit_b)
         self.exit[current] = new_exit_a
@@ -280,41 +264,80 @@ class _MapState:
             self.flow[current] = 0.0
             self.exit[current] = 0.0
             self._empty.append(current)
+        for module in (current, target_module):
+            self.plogp_exit[module] = _plogp(self.exit[module])
+            self.plogp_circ[module] = _plogp(self.exit[module] + self.flow[module])
 
 
 def _sweep_until_stable(state: _MapState, rng: np.random.Generator) -> bool:
-    """Sweep nodes in fresh seeded random order until a full sweep makes no move."""
+    """Sweep nodes in fresh seeded random order until a full sweep makes no move.
+
+    A move of `node` from module a to module b changes the plogp terms of a, b
+    and the total exit flow. Every candidate b is scored with the same float
+    expression, in the same operand order, as a full re-score of those terms;
+    the terms of a and of the old state are evaluated once per node, and the
+    old terms of b come from the state's per-module plogp cache.
+    """
     level = state.level
-    n = level.size
+    out_adj, in_adj, node_flow, s_out = level.out_adj, level.in_adj, level.node_flow, level.s_out
+    module_of, exit_flow, module_flow, size = state.module_of, state.exit, state.flow, state.size
+    plogp_exit, plogp_circ = state.plogp_exit, state.plogp_circ
+    plogp = _plogp
     moved_any = False
     while True:
         moved_in_sweep = False
-        for node in rng.permutation(n):
-            node = int(node)
-            wm_out: dict[int, float] = defaultdict(float)
-            for target, q in level.out_adj[node]:
-                wm_out[state.module_of[target]] += q
-            wm_in: dict[int, float] = defaultdict(float)
-            for source, q in level.in_adj[node]:
-                wm_in[state.module_of[source]] += q
-            current = state.module_of[node]
-            candidates = sorted((set(wm_out) | set(wm_in)) - {current})
-            if state.size[current] > 1:
+        for node in rng.permutation(level.size).tolist():
+            wm_out: dict[int, float] = {}
+            for target, q in out_adj[node]:
+                module = module_of[target]
+                wm_out[module] = wm_out.get(module, 0.0) + q
+            wm_in: dict[int, float] = {}
+            for source, q in in_adj[node]:
+                module = module_of[source]
+                wm_in[module] = wm_in.get(module, 0.0) + q
+            current = module_of[node]
+            candidates = sorted((wm_out.keys() | wm_in.keys()) - {current})
+            if size[current] > 1:
                 # Leaving into a fresh module can free a misplaced node for a
                 # better merge on a later sweep or level.
                 empty = state.empty_module()
                 if empty is not None:
                     candidates.append(empty)
+            if not candidates:
+                continue
+            p = node_flow[node]
+            node_out = s_out[node]
+            exit_a = exit_flow[current]
+            new_exit_a = exit_a - node_out + wm_out.get(current, 0.0) + wm_in.get(current, 0.0)
+            if new_exit_a < 0.0:
+                new_exit_a = 0.0  # guards float cancellation only
+            new_exit_term_a = plogp(new_exit_a)
+            old_exit_term_a = plogp_exit[current]
+            new_circ_term_a = plogp(new_exit_a + module_flow[current] - p)
+            old_circ_term_a = plogp_circ[current]
+            sum_exit = state.sum_exit
+            sum_term = plogp(sum_exit)
+            best_delta = -GAIN_EPS  # only strictly negative gains move a node
             best = None
             for candidate in candidates:
-                delta, new_a, new_b = state.gain(node, candidate, wm_out, wm_in)
-                if delta < -GAIN_EPS and (best is None or delta < best[0]):
-                    best = (delta, candidate, new_a, new_b)
+                exit_b = exit_flow[candidate]
+                new_exit_b = exit_b + node_out - wm_out.get(candidate, 0.0) - wm_in.get(candidate, 0.0)
+                if new_exit_b < 0.0:
+                    new_exit_b = 0.0
+                delta_s1 = new_exit_term_a + plogp(new_exit_b) - old_exit_term_a - plogp_exit[candidate]
+                delta_s2 = (
+                    new_circ_term_a
+                    + plogp(new_exit_b + module_flow[candidate] + p)
+                    - old_circ_term_a
+                    - plogp_circ[candidate]
+                )
+                new_sum = sum_exit + (new_exit_a + new_exit_b) - (exit_a + exit_b)
+                delta = plogp(new_sum) - sum_term - 2.0 * delta_s1 + delta_s2
+                if delta < best_delta:
+                    best_delta, best = delta, (candidate, new_exit_b)
             if best is not None:
-                _, candidate, new_a, new_b = best
-                state.apply(node, candidate, new_a, new_b)
-                moved_in_sweep = True
-                moved_any = True
+                state.apply(node, best[0], new_exit_a, best[1])
+                moved_in_sweep = moved_any = True
         if not moved_in_sweep:
             return moved_any
 
@@ -390,9 +413,9 @@ def _one_trial(
         level_modules = _compact(flat_assignment)
         while True:
             state = _MapState(level, level_modules, node_term)
+            moved = _sweep_until_stable(state, rng)
             if consistency_check:
                 _assert_consistent(state)
-            moved = _sweep_until_stable(state, rng)
             module_count = len(set(state.module_of))
             flat_assignment = [state.module_of[to_level[i]] for i in range(n)]
             current_length = state.codelength()
@@ -406,6 +429,16 @@ def _one_trial(
 
 
 def _assert_consistent(state: _MapState) -> None:
+    """Check a swept state's maintained terms against a fresh state of its partition.
+
+    The plogp cache must hold exactly the terms of the state's own exit and
+    visit flows. Those flows, and so the codelength, are updated move by move
+    and match a from-scratch rebuild to rounding only.
+    """
+    if state.plogp_exit != [_plogp(e) for e in state.exit] or state.plogp_circ != [
+        _plogp(e + f) for e, f in zip(state.exit, state.flow)
+    ]:
+        raise AssertionError("per-module plogp cache is stale")
     fresh = _MapState(state.level, state.module_of, state.node_term)
     if abs(fresh.codelength() - state.codelength()) > 1e-9:
         raise AssertionError("maintained codelength diverged from recomputation")

@@ -6,9 +6,21 @@ dense linear algebra, exhaustive enumeration, straight-line formulas.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
+from mobflow.community import (
+    DEFAULT_TELEPORT,
+    GAIN_EPS,
+    Partition,
+    _MapState,
+    _aggregate,
+    _compact,
+    _flat_level,
+    _plogp,
+    stationary_flow,
+)
 from mobflow.ingest import Trip
 
 
@@ -138,3 +150,145 @@ def random_flow_graph(rng, n, density=0.45, max_weight=10):
             if u != v and rng.random() < density:
                 edges[(nodes[u], nodes[v])] = float(rng.integers(1, max_weight))
     return nodes, edges
+
+
+class _ReferenceMapState(_MapState):
+    """Partition bookkeeping that scores every candidate move from scratch.
+
+    `gain` and `apply` evaluate all eight plogp terms of the two touched
+    modules afresh and never read the per-module plogp cache of `_MapState`.
+    The fast sweep in `mobflow.community` must reproduce its deltas bit for bit.
+    """
+
+    def gain(self, node, target_module, wm_out, wm_in):
+        """Codelength delta for moving `node` to `target_module`, plus both new exit flows."""
+        level = self.level
+        current = self.module_of[node]
+        p = level.node_flow[node]
+        exit_a, exit_b = self.exit[current], self.exit[target_module]
+        new_exit_a = exit_a - level.s_out[node] + wm_out.get(current, 0.0) + wm_in.get(current, 0.0)
+        new_exit_b = exit_b + level.s_out[node] - wm_out.get(target_module, 0.0) - wm_in.get(target_module, 0.0)
+        new_exit_a = max(new_exit_a, 0.0)  # guards float cancellation only
+        new_exit_b = max(new_exit_b, 0.0)
+        delta_s1 = _plogp(new_exit_a) + _plogp(new_exit_b) - _plogp(exit_a) - _plogp(exit_b)
+        delta_s2 = (
+            _plogp(new_exit_a + self.flow[current] - p)
+            + _plogp(new_exit_b + self.flow[target_module] + p)
+            - _plogp(exit_a + self.flow[current])
+            - _plogp(exit_b + self.flow[target_module])
+        )
+        new_sum = self.sum_exit + (new_exit_a + new_exit_b) - (exit_a + exit_b)
+        delta = _plogp(new_sum) - _plogp(self.sum_exit) - 2.0 * delta_s1 + delta_s2
+        return delta, new_exit_a, new_exit_b
+
+    def apply(self, node, target_module, new_exit_a, new_exit_b):
+        current = self.module_of[node]
+        p = self.level.node_flow[node]
+        exit_a, exit_b = self.exit[current], self.exit[target_module]
+        self.s1 += _plogp(new_exit_a) + _plogp(new_exit_b) - _plogp(exit_a) - _plogp(exit_b)
+        self.s2 += (
+            _plogp(new_exit_a + self.flow[current] - p)
+            + _plogp(new_exit_b + self.flow[target_module] + p)
+            - _plogp(exit_a + self.flow[current])
+            - _plogp(exit_b + self.flow[target_module])
+        )
+        self.sum_exit += (new_exit_a + new_exit_b) - (exit_a + exit_b)
+        self.exit[current] = new_exit_a
+        self.exit[target_module] = new_exit_b
+        self.flow[current] -= p
+        self.flow[target_module] += p
+        self.module_of[node] = target_module
+        if self.size[target_module] == 0 and self._empty and self._empty[-1] == target_module:
+            self._empty.pop()
+        self.size[current] -= 1
+        self.size[target_module] += 1
+        if self.size[current] == 0:
+            self.sum_exit -= self.exit[current]
+            self.flow[current] = 0.0
+            self.exit[current] = 0.0
+            self._empty.append(current)
+
+
+def _reference_sweep(state, rng):
+    """Sweep nodes in fresh seeded random order until a full sweep makes no move."""
+    level = state.level
+    n = level.size
+    moved_any = False
+    while True:
+        moved_in_sweep = False
+        for node in rng.permutation(n):
+            node = int(node)
+            wm_out = defaultdict(float)
+            for target, q in level.out_adj[node]:
+                wm_out[state.module_of[target]] += q
+            wm_in = defaultdict(float)
+            for source, q in level.in_adj[node]:
+                wm_in[state.module_of[source]] += q
+            current = state.module_of[node]
+            candidates = sorted((set(wm_out) | set(wm_in)) - {current})
+            if state.size[current] > 1:
+                empty = state.empty_module()
+                if empty is not None:
+                    candidates.append(empty)
+            best = None
+            for candidate in candidates:
+                delta, new_a, new_b = state.gain(node, candidate, wm_out, wm_in)
+                if delta < -GAIN_EPS and (best is None or delta < best[0]):
+                    best = (delta, candidate, new_a, new_b)
+            if best is not None:
+                _, candidate, new_a, new_b = best
+                state.apply(node, candidate, new_a, new_b)
+                moved_in_sweep = True
+                moved_any = True
+        if not moved_in_sweep:
+            return moved_any
+
+
+def _reference_trial(flat, node_term, rng):
+    n = flat.size
+    flat_assignment = list(range(n))
+    current_length = _ReferenceMapState(flat, flat_assignment, node_term).codelength()
+    while True:
+        length_before = current_length
+        level = flat
+        to_level = list(range(n))
+        level_modules = _compact(flat_assignment)
+        while True:
+            state = _ReferenceMapState(level, level_modules, node_term)
+            moved = _reference_sweep(state, rng)
+            module_count = len(set(state.module_of))
+            flat_assignment = [state.module_of[to_level[i]] for i in range(n)]
+            current_length = state.codelength()
+            if not moved and module_count == level.size:
+                break
+            level, collapse = _aggregate(level, state.module_of)
+            to_level = [collapse[to_level[i]] for i in range(n)]
+            level_modules = list(range(level.size))
+        if current_length >= length_before - GAIN_EPS:
+            return _compact(flat_assignment), current_length
+
+
+def infomap_reference(g, seed, trials=10, tau=DEFAULT_TELEPORT, flow=None):
+    """The multilevel greedy optimizer with every move scored by a full `gain` call.
+
+    Same seeds, move order, tie-breaking and float expressions as
+    `mobflow.community.infomap`, so both must return identical partitions and
+    codelengths; only the bookkeeping of the plogp terms differs.
+    """
+    if flow is None:
+        flow = stationary_flow(g, tau=tau)
+    nodes = sorted(g.nodes)
+    flat = _flat_level(nodes, flow)
+    node_term = sum(_plogp(p) for p in flow.visit_rates.values())
+    best = None
+    for trial in range(max(1, trials)):
+        rng = np.random.default_rng([seed, trial])
+        assignment, length = _reference_trial(flat, node_term, rng)
+        if best is None or length < best[0] - GAIN_EPS:
+            best = (length, assignment)
+    length, raw = best
+    compacted = _compact(raw)
+    return Partition(
+        assignment={node: compacted[i] for i, node in enumerate(nodes)},
+        codelength=length,
+    )

@@ -151,6 +151,18 @@ class TestSilhouette:
         labels = np.array([0, 0, 1, 1])
         assert mean_silhouette(x, labels) == 0.0
 
+    def test_single_cluster_rejected(self):
+        x = np.arange(12, dtype=float).reshape(4, 3)
+        with pytest.raises(ValueError, match="at least 2 clusters"):
+            mean_silhouette(x, np.zeros(4, dtype=int))
+
+    def test_select_k_scores_equal_standalone_silhouettes(self):
+        matrix, _ = planted([0.2, 0.5, 0.8], per_group=6, seed=4)
+        selection = select_k(matrix, range(2, 8), seed=1)
+        for d in selection.diagnostics:
+            labels = kmeans(matrix, d.k, seed=1).labels
+            assert d.silhouette == mean_silhouette(matrix.values, labels)
+
 
 class TestSeriesMatrix:
     def _series(self, province, values):

@@ -5,7 +5,10 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mobflow import synth
 from mobflow.community import (
     FlowGraph,
     Partition,
@@ -21,6 +24,7 @@ from mobflow.od import DailyOD
 
 from oracles import (
     exhaustive_min_codelength,
+    infomap_reference,
     map_equation_entropy_form,
     random_flow_graph,
     stationary_dense,
@@ -89,6 +93,11 @@ class TestStationaryFlow:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             stationary_flow(FlowGraph(nodes=[], edges={}))
+
+    def test_edgeless_graph_is_uniform(self):
+        flow = stationary_flow(FlowGraph(nodes=["a", "b", "c", "d"], edges={}))
+        assert flow.visit_rates == {node: 0.25 for node in "abcd"}
+        assert flow.edge_flows == {}
 
 
 class TestMapEquation:
@@ -237,6 +246,45 @@ class TestInfomap:
         assert part.assignment["iso1"] != part.assignment["iso2"]
         assert part.assignment["iso1"] not in (part.assignment["a"], part.assignment["b"])
         assert part.module_count == 3
+
+
+@st.composite
+def flow_graphs(draw):
+    """Directed weighted graphs on 2-40 nodes; sparse enough to leave isolated and dangling nodes."""
+    n = draw(st.integers(2, 40))
+    nodes = [f"n{i:02d}" for i in range(n)]
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 60))
+    edges = {}
+    for u, v, w in draw(st.lists(edge, max_size=4 * n)):
+        edges[(nodes[u], nodes[v])] = float(w)
+    return FlowGraph(nodes=nodes, edges=edges)
+
+
+class TestInfomapMatchesReference:
+    """The cached-term sweep makes exactly the moves of the full-rescore reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(flow_graphs())
+    def test_random_graphs_identical_partition_and_codelength(self, g):
+        flow = stationary_flow(g)
+        for seed, trials in ((0, 1), (7, 3), (123, 5)):
+            fast = infomap(g, seed=seed, trials=trials, flow=flow)
+            reference = infomap_reference(g, seed=seed, trials=trials, flow=flow)
+            assert fast.assignment == reference.assignment
+            assert fast.codelength == reference.codelength
+
+    def test_synthetic_municipality_days_identical(self):
+        config = synth.lockdown_scenario_config(
+            seed=3, n_provinces=6, municipalities_per_province=8, n_days=2, lockdown_day=1
+        )
+        for od in synth.generate_plan(config).municipality_ods():
+            g = FlowGraph.from_cells({pair: float(c) for pair, c in od.cells.items()})
+            flow = stationary_flow(g)
+            fast = infomap(g, seed=5, trials=4, flow=flow, consistency_check=True)
+            reference = infomap_reference(g, seed=5, trials=4, flow=flow)
+            assert fast.module_count > 1
+            assert fast.assignment == reference.assignment
+            assert fast.codelength == reference.codelength
 
 
 def _od(cells, day=DAY):
