@@ -16,6 +16,7 @@ from collections import Counter
 from mobflow import synth
 from mobflow.cluster import SeriesMatrix, select_k
 from mobflow.diversity import diversity_series
+from mobflow.od import ProvinceCube
 
 
 def main() -> int:
@@ -30,13 +31,8 @@ def main() -> int:
     for seed in range(args.seeds):
         config = synth.planted_levels_config(seed=seed, levels=levels, n_days=args.days)
         plan = synth.generate_plan(config)
-        ods = plan.province_ods()
-        index = plan.territory_index()
-        series = [
-            diversity_series(ods, p, "out", index.province_count)
-            for p in sorted(index.provinces)
-        ]
-        matrix = SeriesMatrix.from_series(series)
+        cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory_index().provinces)
+        matrix = SeriesMatrix.from_series(diversity_series(cube, "out"))
         selection = select_k(matrix, range(2, 21), seed=seed)
         picks[selection.k_star] += 1
         print(f"seed {seed:2d}: k* = {selection.k_star:2d}  (elbow {selection.elbow_k})")

@@ -150,9 +150,10 @@ def _load_ods(
     return [od.load_daily_od(store, d, granularity) for d in days]
 
 
-def _province_inputs(args) -> tuple[od.TerritoryIndex, list[od.DailyOD]]:
+def _province_inputs(args) -> od.ProvinceCube:
     store = Path(args.in_dir)
-    return _load_territory(store), _load_ods(store, "province", *_date_range(args))
+    index = _load_territory(store)
+    return od.ProvinceCube.from_ods(_load_ods(store, "province", *_date_range(args)), index.provinces)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -270,32 +271,25 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
-def _write_flows(province_ods: list[od.DailyOD], index: od.TerritoryIndex, out: Path) -> None:
+def _write_flows(cube: od.ProvinceCube, out: Path) -> None:
     out_dir = out / "flows"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for province in sorted(index.provinces):
-        series = flows_mod.compute_flows(province_ods, province, index)
-        flows_mod.write_flow_series_csv(series, out_dir / f"{province}.csv")
-    print(f"flows: {len(index.provinces)} provinces x {len(province_ods)} days -> {out_dir}")
+    for series in flows_mod.compute_flows(cube):
+        flows_mod.write_flow_series_csv(series, out_dir / f"{series.province_id}.csv")
+    print(f"flows: {len(cube.provinces)} provinces x {len(cube.dates)} days -> {out_dir}")
 
 
 def cmd_flows(args) -> int:
-    index, ods = _province_inputs(args)
-    _write_flows(ods, index, Path(args.out))
+    _write_flows(_province_inputs(args), Path(args.out))
     return 0
 
 
 def _diversity_series(
-    province_ods: list[od.DailyOD], index: od.TerritoryIndex, include_self: bool
+    cube: od.ProvinceCube, include_self: bool
 ) -> dict[str, list[diversity_mod.DiversitySeries]]:
     """Per direction, one diversity series per province in province order."""
     return {
-        direction: [
-            diversity_mod.diversity_series(
-                province_ods, province, direction, index.province_count, include_self
-            )
-            for province in sorted(index.provinces)
-        ]
+        direction: diversity_mod.diversity_series(cube, direction, include_self)
         for direction in diversity_mod.DIRECTIONS
     }
 
@@ -313,8 +307,7 @@ def _write_diversity(by_direction: dict[str, list], out_dir: Path) -> None:
 
 
 def cmd_diversity(args) -> int:
-    index, ods = _province_inputs(args)
-    by_direction = _diversity_series(ods, index, args.include_self_flow_in_diversity)
+    by_direction = _diversity_series(_province_inputs(args), args.include_self_flow_in_diversity)
     _write_diversity(by_direction, Path(args.out))
     return 0
 
@@ -342,8 +335,7 @@ def _write_clusters(
 
 def cmd_cluster(args) -> int:
     k_range = _parse_k_range(args.k_range)
-    index, ods = _province_inputs(args)
-    by_direction = _diversity_series(ods, index, args.include_self_flow_in_diversity)
+    by_direction = _diversity_series(_province_inputs(args), args.include_self_flow_in_diversity)
     _write_clusters(by_direction, k_range, args.seed, Path(args.out))
     return 0
 
@@ -405,9 +397,9 @@ def cmd_report(args) -> int:
     k_range = _parse_k_range(args.k_range)
 
     index, muni_ods = _build_od(in_dir, store, args.dwell_seconds, args.tz)
-    province_ods = _aggregate(muni_ods, index, store)
-    _write_flows(province_ods, index, out_dir)
-    by_direction = _diversity_series(province_ods, index, args.include_self_flow_in_diversity)
+    cube = od.ProvinceCube.from_ods(_aggregate(muni_ods, index, store), index.provinces)
+    _write_flows(cube, out_dir)
+    by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
     _write_diversity(by_direction, out_dir)
     selections = _write_clusters(by_direction, k_range, args.seed, out_dir)
     communities = community_mod.community_count_series(
@@ -415,9 +407,10 @@ def cmd_report(args) -> int:
     )
     _write_communities(communities, out_dir)
 
-    # flow drop: mean daily inter-province volume, post vs pre split
-    pre = [flows_mod.inter_province_total(o) for o in province_ods if o.date < split]
-    post = [flows_mod.inter_province_total(o) for o in province_ods if o.date >= split]
+    # flow drop: mean daily inter-province volume (all trips minus self-loops), post vs pre split
+    inter = (cube.counts.sum(axis=(1, 2)) - cube.counts.trace(axis1=1, axis2=2)).tolist()
+    pre = [total for day, total in zip(cube.dates, inter) if day < split]
+    post = [total for day, total in zip(cube.dates, inter) if day >= split]
     flow_drop_pct = None
     if pre and post and sum(pre) > 0:
         flow_drop_pct = 100.0 * (1.0 - (sum(post) / len(post)) / (sum(pre) / len(pre)))
@@ -464,6 +457,7 @@ _DATA_ERRORS = (
     od.ODNotFoundError,
     od.ODSchemaError,
     od.UnmappedMunicipalityError,
+    od.UnknownProvinceError,
     synth.ScenarioConfigError,
     community_mod.PowerIterationError,
     FileNotFoundError,

@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -503,17 +504,21 @@ def community_count_series(
 ) -> list[DayCommunities]:
     """Per-day module counts of the daily flow graphs, date-ordered.
 
-    With window > 1 each day's graph sums the cells of the trailing `window`
-    days (rolling-window smoothing). A day with no flow has no partition; its
-    count falls back to the number of attached registry nodes (each isolated)
-    and the day is flagged.
+    With window > 1 each day's graph sums the cells of the ODs dated within the
+    trailing `window` calendar days, that day included (rolling-window
+    smoothing). A day with no flow has no partition; its count falls back to
+    the number of attached registry nodes (each isolated) and the day is flagged.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1 day, got {window}")
     registry_nodes = sorted(set(registry_nodes))
     ordered = sorted(ods, key=lambda od: od.date)
+    dates = [od.date for od in ordered]
     results: list[DayCommunities] = []
     for i, od in enumerate(ordered):
         cells: dict[tuple[str, str], float] = defaultdict(float)
-        for past in ordered[max(0, i - window + 1): i + 1]:
+        first = bisect_left(dates, od.date - timedelta(days=window - 1), 0, i)
+        for past in ordered[first: i + 1]:
             for pair, count in past.cells.items():
                 cells[pair] += float(count)
         if not cells:

@@ -14,10 +14,14 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
-from .od import DailyOD
+import numpy as np
+
+from .od import ProvinceCube
 
 DIRECTIONS = ("in", "out")
 
@@ -28,9 +32,6 @@ class DiversitySeries:
     direction: str
     dates: list
     values: list[float | None]
-
-    def defined(self) -> list[float]:
-        return [v for v in self.values if v is not None]
 
 
 @dataclass(frozen=True)
@@ -48,57 +49,51 @@ class WeekendContrast:
     post_weekend_n: int
 
 
-def flow_diversity(
-    od: DailyOD,
-    province_id: str,
-    direction: str,
-    n_provinces: int,
-    include_self: bool = False,
-) -> float | None:
-    """Normalized entropy of one province's directed flow distribution for one day.
+def flow_diversity(counts: Sequence[int], n_provinces: int) -> float | None:
+    """Normalized entropy of one province's flows over its partners for one day.
 
-    Returns None when the province has no flow in that direction (absent day).
-    Self-loops are excluded unless include_self is set.
+    `counts` holds the flow to or from each partner as Python ints, in ascending
+    partner order; zero entries are skipped. Returns None when they sum to zero
+    (absent day).
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
     if n_provinces < 2:
         raise ValueError("entropy normalization needs at least 2 provinces")
-    if od.granularity != "province":
-        raise ValueError("flow_diversity expects a province-granularity matrix")
-
-    flows: list[int] = []
-    for (origin, destination), count in od.cells.items():
-        if not include_self and origin == destination:
-            continue
-        if direction == "in" and destination == province_id:
-            flows.append(count)
-        elif direction == "out" and origin == province_id:
-            flows.append(count)
-    total = sum(flows)
+    total = sum(counts)
     if total == 0:
         return None
     entropy = 0.0
-    for count in flows:
-        p = count / total
-        entropy -= p * math.log(p)
+    for count in counts:
+        if count:
+            p = count / total
+            entropy -= p * math.log(p)
     return entropy / math.log(n_provinces)
 
 
 def diversity_series(
-    ods: Sequence[DailyOD],
-    province_id: str,
-    direction: str,
-    n_provinces: int,
-    include_self: bool = False,
-) -> DiversitySeries:
-    """Per-day flow_diversity over a run of daily matrices; absent days stay absent."""
-    dates = [od.date for od in ods]
-    values = [
-        flow_diversity(od, province_id, direction, n_provinces, include_self)
-        for od in ods
+    cube: ProvinceCube, direction: str, include_self: bool = False
+) -> list[DiversitySeries]:
+    """Per-day flow_diversity of every province of the cube, in province order.
+
+    Self-loops are excluded unless include_self is set; absent days stay absent.
+    """
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}")
+    n = len(cube.provinces)
+    if n < 2:
+        raise ValueError("entropy normalization needs at least 2 provinces")
+    # flows[d, i, j]: province i's flow with partner j on day d
+    flows = cube.counts if direction == "out" else cube.counts.transpose(0, 2, 1)
+    if not include_self:
+        flows = flows * ~np.eye(n, dtype=bool)
+    values: list[list[float | None]] = [[None] * len(cube.dates) for _ in range(n)]
+    days, rows, partners = np.nonzero(flows)  # row-major: partners ascend within a row
+    cells = zip(days.tolist(), rows.tolist(), flows[days, rows, partners].tolist())
+    for (day, row), group in groupby(cells, key=itemgetter(0, 1)):
+        values[row][day] = flow_diversity([count for _, _, count in group], n)
+    return [
+        DiversitySeries(province_id=province, direction=direction, dates=list(cube.dates), values=row)
+        for province, row in zip(cube.provinces, values)
     ]
-    return DiversitySeries(province_id=province_id, direction=direction, dates=dates, values=values)
 
 
 def _mean(values: list[float]) -> float | None:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-from .od import DailyOD, TerritoryIndex
+from .od import ProvinceCube
 
 
 @dataclass(frozen=True)
@@ -36,52 +35,19 @@ def _normalize(values: list[int]) -> list[float]:
     return [v / peak for v in values]
 
 
-def compute_flows(
-    ods: Sequence[DailyOD],
-    province_id: str,
-    index: TerritoryIndex | None = None,
-) -> FlowSeries:
-    """Compute the three flow series of one province over a run of daily matrices."""
-    if index is not None and province_id not in index.provinces:
-        raise KeyError(f"province {province_id!r} not present in the territory index")
-    dates = []
-    in_flow: list[int] = []
-    out_flow: list[int] = []
-    self_flow: list[int] = []
-    seen = set()
-    for od in ods:
-        if od.granularity != "province":
-            raise ValueError("compute_flows expects province-granularity matrices")
-        if od.date in seen:
-            raise ValueError(f"duplicate date {od.date} in OD sequence")
-        seen.add(od.date)
-        inc = out = 0
-        for (origin, destination), count in od.cells.items():
-            if origin == province_id and destination != province_id:
-                out += count
-            elif destination == province_id and origin != province_id:
-                inc += count
-        dates.append(od.date)
-        in_flow.append(inc)
-        out_flow.append(out)
-        self_flow.append(od.cells.get((province_id, province_id), 0))
-    return FlowSeries(
-        province_id=province_id,
-        dates=dates,
-        in_flow=in_flow,
-        out_flow=out_flow,
-        self_flow=self_flow,
-        in_norm=_normalize(in_flow),
-        out_norm=_normalize(out_flow),
-        self_norm=_normalize(self_flow),
-    )
+def compute_flows(cube: ProvinceCube) -> list[FlowSeries]:
+    """The three flow series of every province of the cube, in province order.
 
-
-def inter_province_total(od: DailyOD) -> int:
-    """Total trips between distinct provinces on one day."""
-    if od.granularity != "province":
-        raise ValueError("inter_province_total expects a province-granularity matrix")
-    return sum(count for (o, d), count in od.cells.items() if o != d)
+    Self-flow is the diagonal; out-flow is the row sum and in-flow the column
+    sum, each without the diagonal.
+    """
+    diagonal = cube.counts.diagonal(axis1=1, axis2=2)
+    in_flow = (cube.counts.sum(axis=1) - diagonal).T.tolist()
+    out_flow = (cube.counts.sum(axis=2) - diagonal).T.tolist()
+    return [
+        FlowSeries(province, list(cube.dates), inc, out, own, *map(_normalize, (inc, out, own)))
+        for province, inc, out, own in zip(cube.provinces, in_flow, out_flow, diagonal.T.tolist())
+    ]
 
 
 def write_flow_series_csv(series: FlowSeries, path: str | Path) -> None:

@@ -16,7 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .ingest import AntennaRegistry, Trip
 
@@ -36,6 +38,10 @@ class UnmappedMunicipalityError(KeyError):
     """Raised when aggregation meets a municipality absent from the territory index."""
 
 
+class UnknownProvinceError(ValueError):
+    """Raised when a province matrix holds a province absent from the territory index."""
+
+
 @dataclass(frozen=True)
 class TerritoryIndex:
     """Municipality/province universe with the municipality -> province mapping."""
@@ -49,10 +55,6 @@ class TerritoryIndex:
     @property
     def provinces(self) -> set[str]:
         return set(self.muni_to_province.values())
-
-    @property
-    def province_count(self) -> int:
-        return len(self.provinces)
 
     @classmethod
     def from_registry(cls, registry: AntennaRegistry) -> "TerritoryIndex":
@@ -85,6 +87,43 @@ class DailyOD:
     @property
     def total_trips(self) -> int:
         return sum(self.cells.values())
+
+
+@dataclass(frozen=True, eq=False)
+class ProvinceCube:
+    """A run of daily province matrices as one read-only int64[D, P, P] array.
+
+    counts[d, o, q] is the number of trips from provinces[o] to provinces[q] on
+    dates[d]; the diagonal holds the self-loops. Provinces are sorted, dates keep
+    the order of the matrices they came from.
+    """
+
+    dates: tuple[date, ...]
+    provinces: tuple[str, ...]
+    counts: np.ndarray
+
+    @classmethod
+    def from_ods(cls, province_ods: Sequence[DailyOD], provinces: Iterable[str]) -> "ProvinceCube":
+        """Stack the matrices; rejects other granularities, repeated dates and unknown provinces."""
+        provinces = tuple(sorted(provinces))
+        position = {province: i for i, province in enumerate(provinces)}
+        counts = np.zeros((len(province_ods), len(provinces), len(provinces)), dtype=np.int64)
+        seen = set()
+        for d, od in enumerate(province_ods):
+            if od.granularity != "province":
+                raise ValueError("a province cube needs province-granularity matrices")
+            if od.date in seen:
+                raise ValueError(f"duplicate date {od.date} in OD sequence")
+            seen.add(od.date)
+            for (origin, destination), count in od.cells.items():
+                try:
+                    counts[d, position[origin], position[destination]] = count
+                except KeyError as exc:
+                    raise UnknownProvinceError(
+                        f"province {exc.args[0]!r} on {od.date} is not present in the territory index"
+                    ) from None
+        counts.flags.writeable = False
+        return cls(dates=tuple(od.date for od in province_ods), provinces=provinces, counts=counts)
 
 
 def build_daily_od(trips: Iterable[Trip], day: date) -> DailyOD:

@@ -21,6 +21,7 @@ from mobflow.community import (
     _plogp,
     stationary_flow,
 )
+from mobflow.flows import FlowSeries
 from mobflow.ingest import Trip
 
 
@@ -54,6 +55,53 @@ def entropy_direct(counts, n):
             p = c / total
             acc += p * math.log(p)
     return -acc / math.log(n)
+
+
+def compute_flows(ods, province):
+    """One province's flow series by scanning every cell of every day."""
+    in_flow, out_flow, self_flow = [], [], []
+    for od in ods:
+        inc = out = 0
+        for (origin, destination), count in od.cells.items():
+            if origin == province and destination != province:
+                out += count
+            elif destination == province and origin != province:
+                inc += count
+        in_flow.append(inc)
+        out_flow.append(out)
+        self_flow.append(od.cells.get((province, province), 0))
+
+    def normalize(values):
+        peak = max(values, default=0)
+        return [v / peak if peak else 0.0 for v in values]
+
+    return FlowSeries(
+        province, [od.date for od in ods], in_flow, out_flow, self_flow,
+        normalize(in_flow), normalize(out_flow), normalize(self_flow),
+    )
+
+
+def flow_diversity(od, province, direction, n, include_self=False):
+    """One province's normalized flow entropy on one day by scanning every cell.
+
+    Partners are visited in the cells' (origin, destination) order and the
+    entropy is summed term by term, the order the library sums in, so results
+    can be compared with ==.
+    """
+    flows = []
+    for (origin, destination), count in od.cells.items():
+        if not include_self and origin == destination:
+            continue
+        if (destination if direction == "in" else origin) == province:
+            flows.append(count)
+    total = sum(flows)
+    if total == 0:
+        return None
+    entropy = 0.0
+    for count in flows:
+        p = count / total
+        entropy -= p * math.log(p)
+    return entropy / math.log(n)
 
 
 def stationary_dense(g, tau=0.15):

@@ -9,7 +9,7 @@ import json
 import math
 import statistics
 import time
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 
@@ -19,7 +19,15 @@ from mobflow.cluster import SeriesMatrix, select_k
 from mobflow.community import FlowGraph, community_count_series, infomap, map_equation, stationary_flow
 from mobflow.diversity import diversity_series, flow_diversity
 from mobflow.ingest import RecordEvent, Trip, extract_trips
-from mobflow.od import DailyOD, TerritoryIndex, aggregate_to_province, build_daily_od, load_daily_od, store_daily_od
+from mobflow.od import (
+    DailyOD,
+    ProvinceCube,
+    TerritoryIndex,
+    aggregate_to_province,
+    build_daily_od,
+    load_daily_od,
+    store_daily_od,
+)
 
 from oracles import (
     entropy_direct,
@@ -30,6 +38,13 @@ from oracles import (
 )
 
 DAY = date(2020, 3, 2)
+TERRITORY_110 = ["A"] + [f"S{i}" for i in range(109)]
+
+
+def _in_diversity(days: list[dict]) -> list[float | None]:
+    """A's in-flow diversity on each day of a 110-province territory, through the cube."""
+    ods = [DailyOD(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
+    return diversity_series(ProvinceCube.from_ods(ods, TERRITORY_110), "in")[0].values
 
 
 def _report(number: int, ok: bool, elapsed: float, budget: float, detail: str) -> None:
@@ -50,18 +65,20 @@ def test_criterion_1_entropy_correctness():
     budget = 1.0
     with Timer() as t:
         rng = np.random.default_rng(100)
-        worst = 0.0
+        vectors = []
         for _ in range(1000):
             k = int(rng.integers(1, 60))
-            counts = [int(c) for c in rng.integers(1, 10**6, size=k)]
-            od = DailyOD(DAY, "province", {(f"S{i}", "A"): c for i, c in enumerate(counts)})
-            got = flow_diversity(od, "A", "in", 110)
-            worst = max(worst, abs(got - entropy_direct(counts, 110)))
-        uniform = DailyOD(DAY, "province", {(f"S{i}", "A"): 3 for i in range(109)})
-        uniform_err = abs(
-            flow_diversity(uniform, "A", "in", 110) - math.log(109) / math.log(110)
-        )
-        point = flow_diversity(DailyOD(DAY, "province", {("B", "A"): 5}), "A", "in", 110)
+            vectors.append([int(c) for c in rng.integers(1, 10**6, size=k)])
+        got = []
+        for start in range(0, len(vectors), 100):  # 100 days per cube
+            batch = vectors[start:start + 100]
+            got += _in_diversity([{(f"S{i}", "A"): c for i, c in enumerate(v)} for v in batch])
+        worst = 0.0
+        for counts, value in zip(vectors, got):
+            worst = max(worst, abs(value - entropy_direct(counts, 110)))
+            worst = max(worst, abs(flow_diversity(counts, 110) - entropy_direct(counts, 110)))
+        uniform, point = _in_diversity([{(f"S{i}", "A"): 3 for i in range(109)}, {("S0", "A"): 5}])
+        uniform_err = abs(uniform - math.log(109) / math.log(110))
     ok = worst <= 1e-12 and uniform_err <= 1e-12 and point == 0.0 and t.elapsed < budget
     _report(1, ok, t.elapsed, budget,
             f"entropy vs direct summation on 1000 vectors, max |err| {worst:.2e}; "
@@ -230,13 +247,8 @@ def test_criterion_7_cluster_selection_recovery():
         for seed in range(20):
             config = synth.planted_levels_config(seed=seed)
             plan = synth.generate_plan(config)
-            ods = plan.province_ods()
-            index = plan.territory_index()
-            series = [
-                diversity_series(ods, p, "out", index.province_count)
-                for p in sorted(index.provinces)
-            ]
-            matrix = SeriesMatrix.from_series(series)
+            cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory_index().provinces)
+            matrix = SeriesMatrix.from_series(diversity_series(cube, "out"))
             if select_k(matrix, range(2, 21), seed=seed).k_star == 5:
                 hits += 1
     ok = hits >= 19 and t.elapsed < budget

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+from datetime import date
 
 import pytest
 
+import oracles
 from mobflow.cli import main
+from mobflow.od import list_od_dates, load_daily_od
 
 SUMMARY_FIELDS = {
     "flow_drop_pct",
@@ -120,6 +123,27 @@ class TestSmokePath:
         (report / "summary.json").unlink()
         assert _tree_bytes(stages) == _tree_bytes(report)
 
+    def test_include_self_flow_in_diversity(self, scenario_dir, tmp_path):
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
+        assert main(["aggregate", "--in", str(store)]) == 0
+        default, with_self = tmp_path / "default", tmp_path / "self"
+        assert main(["diversity", "--in", str(store), "--out", str(default)]) == 0
+        assert main(["diversity", "--in", str(store), "--out", str(with_self),
+                     "--include-self-flow-in-diversity"]) == 0
+        for name in ("diversity.csv", "diversity_in_wide.csv", "diversity_out_wide.csv"):
+            assert (with_self / name).read_bytes() != (default / name).read_bytes()
+        provinces = set(json.loads((store / "territory.json").read_text())["muni_to_province"].values())
+        ods = {d: load_daily_od(store, d, "province") for d in list_od_dates(store, "province")}
+        rows = (with_self / "diversity.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * len(provinces) * len(ods)
+        for row in rows:
+            day, province, direction, value = row.split(",")
+            expected = oracles.flow_diversity(
+                ods[date.fromisoformat(day)], province, direction, len(provinces), include_self=True
+            )
+            assert value == ("" if expected is None else repr(expected))
+
     def test_communities_on_province_graphs(self, scenario_dir, tmp_path):
         store = tmp_path / "store"
         assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
@@ -197,6 +221,36 @@ class TestExitCodes:
         before = _tree_bytes(store)
         assert main(["aggregate", "--in", str(store)]) == 2
         assert _tree_bytes(store) == before
+
+    def test_province_outside_the_territory_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        (data / "xdr").mkdir(parents=True)
+        (data / "registry.csv").write_text(
+            "antenna_id,lat,lon,municipality_id,province_id\n"
+            "A1,45.0,9.0,M1,P1\n"
+            "A2,45.1,9.1,M2,P2\n"
+        )
+        (data / "xdr" / "x.csv").write_text(
+            "user_id,timestamp,antenna,kilobytes\n"
+            "u1,1583139600,A1,5\n"
+            "u1,1583146800,A2,5\n"
+        )
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
+        # a registry that moves M1 to P9 re-aggregates the ODs but keeps territory.json
+        other = tmp_path / "other.csv"
+        other.write_text(
+            "antenna_id,lat,lon,municipality_id,province_id\n"
+            "A1,45.0,9.0,M1,P9\n"
+            "A2,45.1,9.1,M2,P2\n"
+        )
+        assert main(["aggregate", "--in", str(store), "--registry", str(other)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "tables"
+        assert main(["flows", "--in", str(store), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "province 'P9'" in err and "territory index" in err
+        assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
 
     def test_synth_without_seed_is_usage_error(self, tmp_path):
         config = tmp_path / "c.json"

@@ -316,6 +316,22 @@ class TestCommunityCountSeries:
         assert single[1].community_count == 1  # only c<->d present that day
         assert rolled[1].community_count == 2  # a<->b carried into the window
 
+    def test_rolling_window_counts_calendar_days(self):
+        # no OD is stored for the four days between: a 2-day window ending on
+        # the second day covers only that day
+        later = DAY + timedelta(days=5)
+        ods = [
+            _od({("a", "b"): 1, ("b", "a"): 1}, DAY),
+            _od({("c", "d"): 1, ("d", "c"): 1}, later),
+        ]
+        rolled = community_count_series(ods, seed=0, window=2)
+        assert rolled[1].community_count == 1
+        assert rolled[1].partition.assignment.keys() == {"c", "d"}
+        wide = community_count_series(ods, seed=0, window=6)
+        assert wide[1].community_count == 2
+        with pytest.raises(ValueError, match="at least 1 day"):
+            community_count_series(ods, seed=0, window=0)
+
     def test_csv_export_with_sunday_markers(self, tmp_path):
         sunday = date(2020, 3, 8)
         ods = [_od({("a", "b"): 1, ("b", "a"): 1}, d) for d in (sunday, sunday + timedelta(days=1))]

@@ -1,88 +1,113 @@
-"""Entropy flow diversity: frozen values, invariances, and the weekend contrast."""
+"""Entropy flow diversity: frozen values, invariances, the cube against per-province scans, and the weekend contrast."""
 
 import math
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mobflow import synth
 from mobflow.diversity import (
+    DIRECTIONS,
     diversity_series,
     flow_diversity,
     weekend_contrast,
     write_diversity_csv,
 )
-from mobflow.od import DailyOD
+from mobflow.flows import compute_flows
+from mobflow.od import DailyOD, ProvinceCube
 
 DAY = date(2020, 3, 2)
+TERRITORY_110 = ["A"] + [f"S{i:03d}" for i in range(109)]
 
 
 def in_flows_od(flows: dict[str, int], target="A", day=DAY):
     return DailyOD(day, "province", {(src, target): c for src, c in flows.items()})
 
 
-def entropy_oracle(counts: list[int], n: int) -> float | None:
-    """Direct summation over the definition, kept independent of the module."""
-    total = sum(counts)
-    if total == 0:
-        return None
-    acc = 0.0
-    for c in counts:
-        if c:
-            p = c / total
-            acc += p * math.log(p)
-    return -acc / math.log(n)
+def series_of(ods, province, direction, provinces=TERRITORY_110, include_self=False):
+    cube = ProvinceCube.from_ods(ods, provinces)
+    by_province = {s.province_id: s for s in diversity_series(cube, direction, include_self)}
+    return by_province[province]
+
+
+def value_of(od, province, direction, provinces=TERRITORY_110, include_self=False):
+    return series_of([od], province, direction, provinces, include_self).values[0]
 
 
 class TestFlowDiversity:
     def test_uniform_over_109_sources(self):
-        flows = {f"S{i}": 7 for i in range(109)}
-        value = flow_diversity(in_flows_od(flows), "A", "in", 110)
+        value = flow_diversity([7] * 109, 110)
         assert value == pytest.approx(math.log(109) / math.log(110), abs=1e-12)
         assert value == pytest.approx(0.99806, abs=1e-5)
 
     def test_point_mass_is_exactly_zero(self):
-        assert flow_diversity(in_flows_od({"B": 5}), "A", "in", 110) == 0.0
+        assert flow_diversity([5], 110) == 0.0
 
     def test_two_source_frozen_value(self):
-        value = flow_diversity(in_flows_od({"B": 30, "C": 10}), "A", "in", 110)
+        value = flow_diversity([30, 10], 110)
         expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25)) / math.log(110)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.11963, abs=1e-5)
 
-    def test_zero_flow_is_absent_not_zero(self):
-        od = DailyOD(DAY, "province", {("A", "B"): 3})  # only outgoing
-        assert flow_diversity(od, "A", "in", 110) is None
-        assert flow_diversity(od, "A", "out", 110) == 0.0
+    def test_zero_entries_are_skipped(self):
+        assert flow_diversity([0, 30, 0, 10, 0], 110) == flow_diversity([30, 10], 110)
 
-    def test_out_direction_mirrors_in(self):
-        od = DailyOD(DAY, "province", {("A", "B"): 30, ("A", "C"): 10})
-        got = flow_diversity(od, "A", "out", 110)
-        assert got == pytest.approx(entropy_oracle([30, 10], 110), abs=1e-12)
-
-    def test_self_loop_excluded_by_default_included_on_request(self):
-        od = DailyOD(DAY, "province", {("A", "A"): 40, ("B", "A"): 30, ("C", "A"): 10})
-        base = flow_diversity(od, "A", "in", 110)
-        assert base == pytest.approx(entropy_oracle([30, 10], 110), abs=1e-12)
-        with_self = flow_diversity(od, "A", "in", 110, include_self=True)
-        assert with_self == pytest.approx(entropy_oracle([40, 30, 10], 110), abs=1e-12)
+    def test_zero_flow_is_absent(self):
+        assert flow_diversity([], 110) is None
+        assert flow_diversity([0, 0], 110) is None
 
     def test_small_n_normalization_error(self):
         with pytest.raises(ValueError, match="at least 2"):
-            flow_diversity(in_flows_od({"B": 1}), "A", "in", 1)
+            flow_diversity([1], 1)
 
     def test_oracle_agreement_on_random_vectors(self):
-        import numpy as np
-
         rng = np.random.default_rng(8)
         for _ in range(200):
             k = int(rng.integers(1, 30))
             counts = [int(c) for c in rng.integers(1, 1000, size=k)]
-            flows = {f"S{i}": c for i, c in enumerate(counts)}
-            got = flow_diversity(in_flows_od(flows), "A", "in", 110)
-            assert got == pytest.approx(entropy_oracle(counts, 110), abs=1e-12)
+            got = flow_diversity(counts, 110)
+            assert got == pytest.approx(oracles.entropy_direct(counts, 110), abs=1e-12)
+
+    def test_zero_flow_is_absent_not_zero(self):
+        od = DailyOD(DAY, "province", {("A", "S000"): 3})  # only outgoing
+        assert value_of(od, "A", "in") is None
+        assert value_of(od, "A", "out") == 0.0
+
+    def test_out_direction_mirrors_in(self):
+        od = DailyOD(DAY, "province", {("A", "B"): 30, ("A", "C"): 10})
+        got = value_of(od, "A", "out", ["A", "B", "C"])
+        assert got == pytest.approx(oracles.entropy_direct([30, 10], 3), abs=1e-12)
+        assert value_of(od, "B", "in", ["A", "B", "C"]) == 0.0
+
+    def test_normalized_by_the_territory_size(self):
+        # 108 provinces without any cell still count in log(N)
+        value = value_of(in_flows_od({"S000": 30, "S001": 10}), "A", "in")
+        assert value == flow_diversity([30, 10], 110)
+        assert value == pytest.approx(0.11963, abs=1e-5)
+
+    def test_self_loop_excluded_by_default_included_on_request(self):
+        od = DailyOD(DAY, "province", {("A", "A"): 40, ("S000", "A"): 30, ("S001", "A"): 10})
+        base = value_of(od, "A", "in")
+        assert base == pytest.approx(oracles.entropy_direct([30, 10], 110), abs=1e-12)
+        with_self = value_of(od, "A", "in", include_self=True)
+        assert with_self == pytest.approx(oracles.entropy_direct([40, 30, 10], 110), abs=1e-12)
+        only_self = DailyOD(DAY, "province", {("A", "A"): 40})
+        assert value_of(only_self, "A", "out") is None
+        assert value_of(only_self, "A", "out", include_self=True) == 0.0
+
+    def test_single_province_territory_rejected(self):
+        cube = ProvinceCube.from_ods([in_flows_od({})], ["A"])
+        with pytest.raises(ValueError, match="at least 2"):
+            diversity_series(cube, "in")
+
+    def test_unknown_direction_rejected(self):
+        cube = ProvinceCube.from_ods([in_flows_od({})], TERRITORY_110)
+        with pytest.raises(ValueError, match="direction"):
+            diversity_series(cube, "both")
 
 
 flow_vectors = st.lists(st.integers(1, 10**6), min_size=1, max_size=40)
@@ -92,16 +117,14 @@ class TestDiversityProperties:
     @given(flow_vectors, st.integers(2, 1000))
     @settings(max_examples=200, deadline=None)
     def test_scale_invariance(self, counts, factor):
-        base = {f"S{i}": c for i, c in enumerate(counts)}
-        scaled = {src: c * factor for src, c in base.items()}
-        a = flow_diversity(in_flows_od(base), "A", "in", 110)
-        b = flow_diversity(in_flows_od(scaled), "A", "in", 110)
+        a = flow_diversity(counts, 110)
+        b = flow_diversity([c * factor for c in counts], 110)
         assert a == pytest.approx(b, abs=1e-12)
 
     @given(flow_vectors)
     @settings(max_examples=200, deadline=None)
     def test_range_bounds(self, counts):
-        value = flow_diversity(in_flows_od({f"S{i}": c for i, c in enumerate(counts)}), "A", "in", 110)
+        value = flow_diversity(counts, 110)
         upper = math.log(len(counts)) / math.log(110)
         assert -1e-15 <= value <= upper + 1e-12 <= 1.0 + 1e-12
 
@@ -112,38 +135,83 @@ class TestDiversityProperties:
         total = sum(counts)
         acc = -sum((c / total) * math.log2(c / total) for c in counts)
         base2 = acc / math.log2(110)
-        got = flow_diversity(in_flows_od({f"S{i}": c for i, c in enumerate(counts)}), "A", "in", 110)
-        assert got == pytest.approx(base2, abs=1e-12)
+        assert flow_diversity(counts, 110) == pytest.approx(base2, abs=1e-12)
 
     @given(st.lists(st.integers(1, 10**4), min_size=2, max_size=20), st.integers(1, 10**4))
     @settings(max_examples=200, deadline=None)
     def test_merging_equal_sources_strictly_decreases(self, counts, merged):
         # two sources of `merged` each vs one source of 2*merged, same remainder
-        split = counts + [merged, merged]
-        joined = counts + [2 * merged]
-        a = flow_diversity(in_flows_od({f"S{i}": c for i, c in enumerate(split)}), "A", "in", 110)
-        b = flow_diversity(in_flows_od({f"S{i}": c for i, c in enumerate(joined)}), "A", "in", 110)
-        assert b < a
+        split = flow_diversity(counts + [merged, merged], 110)
+        joined = flow_diversity(counts + [2 * merged], 110)
+        assert joined < split
+
+
+@st.composite
+def province_runs(draw):
+    """(provinces, ODs) over 2-12 provinces: self-loops, empty days, idle provinces."""
+    n = draw(st.integers(2, 12))
+    provinces = [f"P{i}" for i in range(n)]  # P10 sorts before P2
+    offsets = draw(st.lists(st.integers(0, 30), max_size=6, unique=True))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    ods = []
+    for offset in offsets:
+        cells = draw(st.dictionaries(pair, st.integers(1, 10**6), max_size=3 * n))
+        ods.append(DailyOD(DAY + timedelta(days=offset), "province",
+                           {(provinces[o], provinces[d]): c for (o, d), c in cells.items()}))
+    return provinces, ods
+
+
+def _run(provinces, days):
+    return provinces, [DailyOD(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
+
+
+class TestCubeMatchesPerProvinceScans:
+    @given(province_runs())
+    @example(_run(["P0", "P1", "P2", "P3"], [
+        {("P0", "P0"): 9, ("P0", "P1"): 3, ("P2", "P0"): 4},  # self-loop, P3 idle
+        {},  # empty day
+        {("P1", "P2"): 5},  # single partner
+        {("P2", "P2"): 2},  # self-loop only
+    ]))
+    @settings(max_examples=300, deadline=None)
+    def test_flows_and_diversity_equal_the_reference(self, run):
+        provinces, ods = run
+        cube = ProvinceCube.from_ods(ods, provinces)
+        dates = [od.date for od in ods]
+        ordered = sorted(provinces)
+        assert compute_flows(cube) == [oracles.compute_flows(ods, p) for p in ordered]
+        for direction in DIRECTIONS:
+            for include_self in (False, True):
+                series = diversity_series(cube, direction, include_self)
+                assert [s.province_id for s in series] == ordered
+                for s in series:
+                    expected = [
+                        oracles.flow_diversity(od, s.province_id, direction, len(provinces), include_self)
+                        for od in ods
+                    ]
+                    assert s.direction == direction
+                    assert s.dates == dates
+                    assert s.values == expected
+                    assert all(type(v) is float for v in s.values if v is not None)
 
 
 class TestDiversitySeries:
     def test_identical_days_identical_values(self):
-        ods = [in_flows_od({"B": 2, "C": 2}, day=DAY + timedelta(days=i)) for i in range(3)]
-        series = diversity_series(ods, "A", "in", 110)
+        ods = [in_flows_od({"S000": 2, "S001": 2}, day=DAY + timedelta(days=i)) for i in range(3)]
+        series = series_of(ods, "A", "in")
         assert len(set(series.values)) == 1
 
     def test_absent_day_preserved(self):
         ods = [
-            in_flows_od({"B": 2}, day=DAY),
+            in_flows_od({"S000": 2}, day=DAY),
             DailyOD(DAY + timedelta(days=1), "province", {}),
         ]
-        series = diversity_series(ods, "A", "in", 110)
+        series = series_of(ods, "A", "in")
         assert series.values[0] == 0.0
         assert series.values[1] is None
 
     def test_csv_blank_for_absent(self, tmp_path):
-        ods = [DailyOD(DAY, "province", {})]
-        series = diversity_series(ods, "A", "in", 110)
+        series = series_of([DailyOD(DAY, "province", {})], "A", "in")
         out = tmp_path / "d.csv"
         write_diversity_csv([series], out)
         assert out.read_text().splitlines()[1] == "2020-03-02,A,in,"
@@ -152,8 +220,8 @@ class TestDiversitySeries:
 class TestWeekendContrast:
     def test_constant_series_all_means_equal(self):
         # 2020-03-02 is a Monday; 14 days cover both weekend and weekdays twice
-        ods = [in_flows_od({"B": 1, "C": 1}, day=DAY + timedelta(days=i)) for i in range(14)]
-        series = diversity_series(ods, "A", "in", 110)
+        ods = [in_flows_od({"S000": 1, "S001": 1}, day=DAY + timedelta(days=i)) for i in range(14)]
+        series = series_of(ods, "A", "in")
         contrast = weekend_contrast(series, DAY + timedelta(days=7))
         assert (
             contrast.pre_weekday_mean
@@ -166,9 +234,9 @@ class TestWeekendContrast:
         ods = []
         for i in range(14):
             day = DAY + timedelta(days=i)
-            flows = {"B": 5} if day.weekday() >= 5 else {"B": 1, "C": 1, "D": 1, "E": 1}
+            flows = {"S000": 5} if day.weekday() >= 5 else {"S000": 1, "S001": 1, "S002": 1, "S003": 1}
             ods.append(in_flows_od(flows, day=day))
-        series = diversity_series(ods, "A", "in", 110)
+        series = series_of(ods, "A", "in")
         contrast = weekend_contrast(series, DAY + timedelta(days=7))
         assert contrast.pre_weekend_mean == 0.0
         assert contrast.post_weekend_mean == 0.0
@@ -177,8 +245,8 @@ class TestWeekendContrast:
         assert contrast.pre_weekend_n == 2
 
     def test_empty_cell_reported_absent(self):
-        ods = [in_flows_od({"B": 1, "C": 1}, day=DAY)]  # a single Monday
-        series = diversity_series(ods, "A", "in", 110)
+        ods = [in_flows_od({"S000": 1, "S001": 1}, day=DAY)]  # a single Monday
+        series = series_of(ods, "A", "in")
         contrast = weekend_contrast(series, DAY)
         assert contrast.post_weekend_mean is None
         assert contrast.post_weekend_n == 0
@@ -190,12 +258,10 @@ class TestLockdownScenario:
             seed=9, n_provinces=10, municipalities_per_province=4, n_days=42, lockdown_day=21
         )
         plan = synth.generate_plan(config)
-        ods = plan.province_ods()
-        index = plan.territory_index()
+        cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory_index().provinces)
         split = config.regimes[-1].start_date
         deltas_pre, deltas_post = [], []
-        for province in sorted(index.provinces):
-            series = diversity_series(ods, province, "out", index.province_count)
+        for series in diversity_series(cube, "out"):
             contrast = weekend_contrast(series, split)
             deltas_pre.append(contrast.pre_weekend_mean - contrast.pre_weekday_mean)
             deltas_post.append(contrast.post_weekend_mean - contrast.post_weekday_mean)

@@ -7,8 +7,9 @@ from datetime import date, timedelta
 import pytest
 
 from mobflow import synth
+from mobflow.diversity import diversity_series
 from mobflow.ingest import daily_trips, load_registry, parse_records
-from mobflow.od import build_daily_od
+from mobflow.od import ProvinceCube, build_daily_od
 
 
 def small_config(seed=0, **overrides):
@@ -113,14 +114,10 @@ class TestPlantedEffects:
         plan = synth.generate_plan(config)
         groups = plan.planted_cluster_groups
         assert set(groups.values()) == {0, 1, 2, 3, 4}
-        index = plan.territory_index()
-        ods = plan.province_ods()
-        from mobflow.diversity import flow_diversity
-
+        cube = ProvinceCube.from_ods(plan.province_ods()[:1], plan.territory_index().provinces)
         by_group = {}
-        for province, group in groups.items():
-            value = flow_diversity(ods[0], province, "out", index.province_count)
-            by_group.setdefault(group, []).append(value)
+        for series in diversity_series(cube, "out"):
+            by_group.setdefault(groups[series.province_id], []).append(series.values[0])
         means = sorted(sum(v) / len(v) for v in by_group.values())
         assert all(b - a > 0.05 for a, b in zip(means, means[1:]))
 
