@@ -53,7 +53,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("aggregate", help="municipality ODs -> province ODs")
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
-    p.add_argument("--registry", help="registry.csv overriding the stored territory mapping")
 
     p = sub.add_parser("flows", help="per-province flow volume tables")
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
@@ -137,7 +136,7 @@ def _date_range(args) -> tuple[date | None, date | None]:
 def _load_territory(store: Path) -> od.TerritoryIndex:
     path = store / "territory.json"
     if not path.exists():
-        raise FileNotFoundError(f"{path} missing; run build-od first or pass --registry")
+        raise FileNotFoundError(f"{path} missing; run build-od first")
     with path.open() as fh:
         mapping = json.load(fh)["muni_to_province"]
     return od.TerritoryIndex(muni_to_province=mapping)
@@ -219,9 +218,7 @@ def _build_od(
     cdr_files = sorted((in_dir / "cdr").glob("*.csv")) if (in_dir / "cdr").is_dir() else []
     xdr_files = sorted((in_dir / "xdr").glob("*.csv")) if (in_dir / "xdr").is_dir() else []
     parsed = ingest.parse_records(cdr_files, xdr_files, registry)
-    trips_by_day = ingest.daily_trips(parsed.events_by_user, dwell_seconds, tz)
-    events = parsed.event_count
-    parsed.events_by_user.clear()  # free the events before the ODs are built and kept
+    trips_by_day = ingest.daily_trips(parsed, dwell_seconds, tz)
     ods = [
         od.build_daily_od(trips_by_day.pop(day), day)
         for day in sorted(trips_by_day)
@@ -232,7 +229,7 @@ def _build_od(
     index = od.TerritoryIndex.from_registry(registry)
     _write_json(store / "territory.json", {"muni_to_province": index.muni_to_province})
     rejected = parsed.rejected_count
-    print(f"build-od: {events} events, {len(ods)} days stored, {rejected} records rejected")
+    print(f"build-od: {parsed.event_count} events, {len(ods)} days stored, {rejected} records rejected")
     if rejected:
         for name in sorted(parsed.rejections):
             tally = parsed.rejections[name]
@@ -263,11 +260,7 @@ def _aggregate(
 
 def cmd_aggregate(args) -> int:
     store = Path(args.in_dir)
-    if args.registry:
-        index = od.TerritoryIndex.from_registry(ingest.load_registry(args.registry))
-    else:
-        index = _load_territory(store)
-    _aggregate(_load_ods(store, "municipality"), index, store)
+    _aggregate(_load_ods(store, "municipality"), _load_territory(store), store)
     return 0
 
 

@@ -224,9 +224,6 @@ class KSelection:
     elbow_k: int | None
     clustering: Clustering | None  # the run at k_star; None when degenerate
 
-    def by_k(self) -> dict[int, KDiagnostic]:
-        return {d.k: d for d in self.diagnostics}
-
 
 def select_k(
     matrix: SeriesMatrix,

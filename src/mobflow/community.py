@@ -148,34 +148,6 @@ def _plogp(x: float) -> float:
     return x * math.log2(x) if x > 1e-15 else 0.0
 
 
-def map_equation(assignment: dict[str, int], flow: StationaryFlow) -> float:
-    """Two-level description length (bits per step) of a partition.
-
-    L = q * H(exit distribution) + sum_i (q_i + P_i) * H(module codebook i),
-    where q_i sums the edge flows leaving module i and P_i the member visit
-    rates; evaluated in the equivalent plogp form.
-    """
-    missing = set(flow.visit_rates) - set(assignment)
-    if missing:
-        raise ValueError(f"partition misses nodes: {sorted(missing)[:5]}")
-    exit_flow: dict[int, float] = defaultdict(float)
-    module_flow: dict[int, float] = defaultdict(float)
-    for node, p in flow.visit_rates.items():
-        module_flow[assignment[node]] += p
-        exit_flow.setdefault(assignment[node], 0.0)
-    for (u, v), q in flow.edge_flows.items():
-        if u != v and assignment[u] != assignment[v]:
-            exit_flow[assignment[u]] += q
-    total_exit = sum(exit_flow.values())
-    length = _plogp(total_exit)
-    for module, q_exit in exit_flow.items():
-        length -= 2.0 * _plogp(q_exit)
-        length += _plogp(q_exit + module_flow[module])
-    for p in flow.visit_rates.values():
-        length -= _plogp(p)
-    return length
-
-
 @dataclass
 class _Level:
     """One optimization level: node flows plus self-loop-free adjacency."""

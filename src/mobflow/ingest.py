@@ -1,19 +1,24 @@
-"""Parse CDR/XDR record files into per-user event streams and extract dwell-validated trips.
+"""Parse CDR/XDR record files into one event table and extract dwell-validated trips.
 
 A CDR row logs one phone call: caller, callee, timestamp, start/end antennas and
 duration. An XDR row logs one data session: user, timestamp, antenna, kilobytes.
-Both are reduced to a unified stream of (user, timestamp, municipality, province)
-events; a movement between two municipalities becomes a trip only if the user
-then stays at the destination long enough (one hour by default).
+Both are reduced to rows of one columnar table of (user, timestamp,
+municipality) events, sorted by user and time. Trips are read off the table's
+runs: sequences are cut at local midnight, and a change of municipality is a
+trip only if the user then stays at the destination long enough (one hour by
+default) or is not seen elsewhere again that day.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone, tzinfo
+from datetime import date, datetime, timedelta, timezone, tzinfo
 from pathlib import Path
 from zoneinfo import ZoneInfo
+
+import numpy as np
 
 DEFAULT_DWELL_SECONDS = 3600
 DEFAULT_TIMEZONE = "Europe/Rome"
@@ -50,33 +55,6 @@ class AntennaRegistry:
         return {site.municipality_id: site.province_id for site in self.entries.values()}
 
 
-@dataclass(frozen=True, slots=True)
-class RecordEvent:
-    """One spatio-temporal observation of a pseudonymous user."""
-
-    user_id: str
-    timestamp: int
-    municipality_id: str
-    province_id: str
-
-
-@dataclass(frozen=True, slots=True)
-class Trip:
-    """A movement between two municipalities with a confirmed destination dwell."""
-
-    user_id: str
-    origin_municipality: str
-    destination_municipality: str
-    departure_event_time: int
-    arrival_event_time: int
-
-    def __post_init__(self) -> None:
-        if self.origin_municipality == self.destination_municipality:
-            raise ValueError("trip origin and destination must differ")
-        if self.arrival_event_time < self.departure_event_time:
-            raise ValueError("trip arrival precedes departure")
-
-
 @dataclass
 class RejectionTally:
     """Per-file count of skipped records, by reason."""
@@ -91,18 +69,37 @@ class RejectionTally:
 
 @dataclass
 class ParseResult:
-    """Events grouped by user (each list sorted by timestamp) plus per-file rejections."""
+    """The event table: one row per accepted event, in three int64 columns.
 
-    events_by_user: dict[str, list[RecordEvent]]
+    `user` and `municipality` hold codes into `users` and `municipalities`.
+    Users are coded in name order and the rows are sorted by (user, timestamp),
+    so each user's events form one run in time order; timestamp ties keep
+    input order.
+    """
+
+    users: list[str]
+    municipalities: list[str]
+    user: np.ndarray
+    timestamp: np.ndarray
+    municipality: np.ndarray
     rejections: dict[str, RejectionTally] = field(default_factory=dict)
 
     @property
     def event_count(self) -> int:
-        return sum(len(evs) for evs in self.events_by_user.values())
+        return len(self.timestamp)
 
     @property
     def rejected_count(self) -> int:
         return sum(t.total for t in self.rejections.values())
+
+    @property
+    def events_by_user(self) -> dict[str, list[tuple[int, str]]]:
+        """Each user's (timestamp, municipality) events in table order, built from the columns."""
+        out: dict[str, list[tuple[int, str]]] = {}
+        names = self.municipalities
+        for code, ts, muni in zip(self.user.tolist(), self.timestamp.tolist(), self.municipality.tolist()):
+            out.setdefault(self.users[code], []).append((ts, names[muni]))
+        return out
 
 
 def load_registry(path: str | Path) -> AntennaRegistry:
@@ -151,43 +148,32 @@ def _parse_timestamp(raw: str) -> int:
     return int(dt.timestamp())
 
 
-def _timestamp_parser(sample: str):
-    # Auto-detect the column format from its first value: epoch seconds or ISO-8601.
-    try:
-        int(sample)
-        return lambda raw: int(raw)
-    except ValueError:
-        return _parse_timestamp
-
-
 def parse_records(
     cdr_files: list[str | Path],
     xdr_files: list[str | Path],
     registry: AntennaRegistry,
 ) -> ParseResult:
-    """Parse record files into per-user, timestamp-sorted event lists.
+    """Parse record files into the event table.
 
     One event per XDR row. Two events per CDR row, both for the caller: one at
     the start antenna at the call timestamp and one at the end antenna at
     timestamp + duration (the callee antenna is not recorded, so the callee
-    yields no event). Rows referencing unregistered antennas or failing to
-    parse are skipped and counted in the per-file rejection tally. Timestamp
-    ties keep stable input order.
+    yields no event). Each timestamp is epoch seconds or ISO-8601, detected
+    per value. Rows referencing unregistered antennas or failing to parse are
+    skipped and counted in the per-file rejection tally.
     """
-    events_by_user: dict[str, list[RecordEvent]] = {}
+    municipalities = sorted({site.municipality_id for site in registry.entries.values()})
+    code = {muni: i for i, muni in enumerate(municipalities)}
+    muni_of = {antenna: code[site.municipality_id] for antenna, site in registry.entries.items()}
+    user_code: dict[str, int] = {}
+    users, stamps, munis = array("q"), array("q"), array("q")
     rejections: dict[str, RejectionTally] = {}
-
-    def emit(user: str, ts: int, site: AntennaSite) -> None:
-        events_by_user.setdefault(user, []).append(
-            RecordEvent(user, ts, site.municipality_id, site.province_id)
-        )
 
     for path in cdr_files:
         tally = rejections.setdefault(str(path), RejectionTally())
-        for row, ts_of in _data_rows(path, CDR_COLUMNS, tally):
-            caller, _callee, ts_raw, a_start, a_end, dur_raw = row
+        for caller, _callee, ts_raw, a_start, a_end, dur_raw in _data_rows(path, CDR_COLUMNS, tally):
             try:
-                ts = ts_of(ts_raw)
+                ts = _parse_timestamp(ts_raw)
                 duration_min = int(dur_raw)
             except (ValueError, OverflowError):
                 tally.malformed += 1
@@ -195,20 +181,21 @@ def parse_records(
             if duration_min < 0:
                 tally.malformed += 1
                 continue
-            start = registry.entries.get(a_start)
-            end = registry.entries.get(a_end)
+            start = muni_of.get(a_start)
+            end = muni_of.get(a_end)
             if start is None or end is None:
                 tally.unknown_antenna += 1
                 continue
-            emit(caller, ts, start)
-            emit(caller, ts + duration_min * 60, end)
+            user = user_code.setdefault(caller, len(user_code))
+            users.extend((user, user))
+            stamps.extend((ts, ts + duration_min * 60))
+            munis.extend((start, end))
 
     for path in xdr_files:
         tally = rejections.setdefault(str(path), RejectionTally())
-        for row, ts_of in _data_rows(path, XDR_COLUMNS, tally):
-            user, ts_raw, antenna, kb_raw = row
+        for user_id, ts_raw, antenna, kb_raw in _data_rows(path, XDR_COLUMNS, tally):
             try:
-                ts = ts_of(ts_raw)
+                ts = _parse_timestamp(ts_raw)
                 kilobytes = int(kb_raw)
             except (ValueError, OverflowError):
                 tally.malformed += 1
@@ -216,21 +203,32 @@ def parse_records(
             if kilobytes < 0:
                 tally.malformed += 1
                 continue
-            site = registry.entries.get(antenna)
-            if site is None:
+            muni = muni_of.get(antenna)
+            if muni is None:
                 tally.unknown_antenna += 1
                 continue
-            emit(user, ts, site)
+            users.append(user_code.setdefault(user_id, len(user_code)))
+            stamps.append(ts)
+            munis.append(muni)
 
-    for events in events_by_user.values():
-        events.sort(key=lambda e: e.timestamp)  # stable: input order breaks ties
-    return ParseResult(events_by_user=events_by_user, rejections=rejections)
+    names = sorted(user_code)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[user_code[name] for name in names]] = np.arange(len(names))
+    user = rank[np.frombuffer(users, dtype=np.int64)]
+    timestamp = np.frombuffer(stamps, dtype=np.int64)
+    order = np.lexsort((timestamp, user))  # stable: input order breaks ties
+    return ParseResult(
+        users=names,
+        municipalities=municipalities,
+        user=user[order],
+        timestamp=timestamp[order],
+        municipality=np.frombuffer(munis, dtype=np.int64)[order],
+        rejections=rejections,
+    )
 
 
 def _data_rows(path: str | Path, columns: list[str], tally: RejectionTally):
-    """Yield (fields, timestamp_parser) for well-shaped data rows of a record file."""
-    ts_index = columns.index("timestamp")
-    ts_of = None
+    """Yield the stripped fields of each well-shaped data row of a record file."""
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -242,86 +240,61 @@ def _data_rows(path: str | Path, columns: list[str], tally: RejectionTally):
             if len(row) != len(columns):
                 tally.malformed += 1
                 continue
-            row = [f.strip() for f in row]
-            if ts_of is None:
-                ts_of = _timestamp_parser(row[ts_index])
-            yield row, ts_of
+            yield [f.strip() for f in row]
 
 
-def extract_trips(
-    events: list[RecordEvent],
-    dwell_threshold: int = DEFAULT_DWELL_SECONDS,
-) -> list[Trip]:
-    """Extract trips from one user's timestamp-sorted events within one processing window.
+def _local_days(timestamp: np.ndarray, tz: tzinfo) -> tuple[list[date], np.ndarray]:
+    """The local dates from the first to the last event, and each event's index into them.
 
-    Every pair of consecutive events in different municipalities (A at t1, B at
-    t2) raises a candidate trip A->B arriving at t2. The candidate is kept iff
-    the user's next event in a municipality other than B comes at least
-    `dwell_threshold` seconds after t2; events inside B extend the dwell, and a
-    candidate still open at the end of the window counts as satisfied
-    (last-known position held).
+    An event's day is the last local midnight at or before it, found by binary
+    search in a table of midnight epochs. A midnight that a DST switch skips
+    resolves to the switch instant, the first second of that day.
     """
-    trips: list[Trip] = []
-    candidate: Trip | None = None
-    prev: RecordEvent | None = None
-    for ev in events:
-        if prev is None:
-            prev = ev
-            continue
-        if ev.municipality_id == prev.municipality_id:
-            prev = ev
-            continue
-        if candidate is not None:
-            # ev is the first event outside the candidate's destination.
-            if ev.timestamp - candidate.arrival_event_time >= dwell_threshold:
-                trips.append(candidate)
-        candidate = Trip(
-            user_id=ev.user_id,
-            origin_municipality=prev.municipality_id,
-            destination_municipality=ev.municipality_id,
-            departure_event_time=prev.timestamp,
-            arrival_event_time=ev.timestamp,
-        )
-        prev = ev
-    if candidate is not None:
-        trips.append(candidate)
-    return trips
-
-
-def split_events_by_day(
-    events: list[RecordEvent],
-    tz: tzinfo | str = DEFAULT_TIMEZONE,
-) -> list[tuple[date, list[RecordEvent]]]:
-    """Cut one user's sorted events at calendar-day boundaries in the given timezone."""
-    if isinstance(tz, str):
-        tz = ZoneInfo(tz)
-    chunks: list[tuple[date, list[RecordEvent]]] = []
-    current_day: date | None = None
-    current: list[RecordEvent] = []
-    for ev in events:
-        day = datetime.fromtimestamp(ev.timestamp, tz).date()
-        if day != current_day:
-            if current:
-                chunks.append((current_day, current))
-            current_day, current = day, []
-        current.append(ev)
-    if current:
-        chunks.append((current_day, current))
-    return chunks
+    first = datetime.fromtimestamp(int(timestamp.min()), tz).date()
+    last = datetime.fromtimestamp(int(timestamp.max()), tz).date()
+    days = [first + timedelta(days=n) for n in range((last - first).days + 1)]
+    midnights = np.array(
+        [int(datetime(d.year, d.month, d.day, tzinfo=tz).timestamp()) for d in days], dtype=np.int64
+    )
+    return days, np.searchsorted(midnights, timestamp, side="right") - 1
 
 
 def daily_trips(
-    events_by_user: dict[str, list[RecordEvent]],
+    parsed: ParseResult,
     dwell_threshold: int = DEFAULT_DWELL_SECONDS,
     tz: tzinfo | str = DEFAULT_TIMEZONE,
-) -> dict[date, list[Trip]]:
-    """Extract trips per user per calendar day; cross-midnight dwells end with the day."""
+) -> dict[date, list[tuple[str, str]]]:
+    """Per local calendar day, the (origin, destination) municipalities of its trips.
+
+    Events are grouped by (user, local day in `tz`). Within a group, each
+    change of municipality between consecutive events is a candidate trip
+    arriving at the later event. It is a trip if it is the group's last
+    change, or if the group's next change comes at least `dwell_threshold`
+    seconds after it. Days come in date order, each day's trips in (user,
+    arrival) order; days without trips are left out.
+    """
     if isinstance(tz, str):
         tz = ZoneInfo(tz)
-    out: dict[date, list[Trip]] = {}
-    for user in sorted(events_by_user):
-        for day, chunk in split_events_by_day(events_by_user[user], tz):
-            trips = extract_trips(chunk, dwell_threshold)
-            if trips:
-                out.setdefault(day, []).extend(trips)
+    if parsed.event_count == 0:
+        return {}
+    ts, muni = parsed.timestamp, parsed.municipality
+    days, day = _local_days(ts, tz)
+    new_group = np.ones(len(ts), dtype=bool)
+    new_group[1:] = (parsed.user[1:] != parsed.user[:-1]) | (day[1:] != day[:-1])
+    group = np.cumsum(new_group)
+    change = np.flatnonzero(~new_group[1:] & (muni[1:] != muni[:-1])) + 1
+    keep = np.ones(len(change), dtype=bool)
+    keep[:-1] = (group[change[1:]] != group[change[:-1]]) | (
+        ts[change[1:]] - ts[change[:-1]] >= dwell_threshold
+    )
+    arrival = change[keep]
+    arrival = arrival[np.argsort(day[arrival], kind="stable")]
+    names = np.array(parsed.municipalities, dtype=object)
+    pairs = list(zip(names[muni[arrival - 1]].tolist(), names[muni[arrival]].tolist()))
+    out: dict[date, list[tuple[str, str]]] = {}
+    stop = 0
+    for d, n in enumerate(np.bincount(day[arrival], minlength=len(days)).tolist()):
+        if n:
+            out[days[d]] = pairs[stop:stop + n]
+            stop += n
     return out

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import AntennaRegistry, Trip
+from .ingest import AntennaRegistry
 
 SCHEMA_VERSION = 1
 GRANULARITIES = ("municipality", "province")
@@ -126,12 +126,9 @@ class ProvinceCube:
         return cls(dates=tuple(od.date for od in province_ods), provinces=provinces, counts=counts)
 
 
-def build_daily_od(trips: Iterable[Trip], day: date) -> DailyOD:
-    """Count trips into a municipality-granularity matrix for one day."""
-    cells = Counter(
-        (t.origin_municipality, t.destination_municipality) for t in trips
-    )
-    return DailyOD(date=day, granularity="municipality", cells=dict(cells))
+def build_daily_od(trips: Iterable[tuple[str, str]], day: date) -> DailyOD:
+    """Count (origin, destination) trips into a municipality-granularity matrix for one day."""
+    return DailyOD(date=day, granularity="municipality", cells=dict(Counter(trips)))
 
 
 def aggregate_to_province(od: DailyOD, index: TerritoryIndex) -> DailyOD:

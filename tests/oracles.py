@@ -1,12 +1,15 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and shared test helpers.
 
 Everything here is written as directly as possible from the definitions and
 stays independent of the library code paths it checks: brute-force scans,
 dense linear algebra, exhaustive enumeration, straight-line formulas.
 """
 
+import hashlib
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
+from datetime import datetime
+from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -22,7 +25,73 @@ from mobflow.community import (
     stationary_flow,
 )
 from mobflow.flows import FlowSeries
-from mobflow.ingest import Trip
+from mobflow.ingest import ParseResult
+
+Event = namedtuple("Event", "user_id timestamp municipality_id")
+
+
+def tree_digest(root):
+    """SHA-256 over every file's relative path and bytes under `root`, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def event_table(events):
+    """The library's event table holding `events`, built directly from its definition.
+
+    Users and municipalities are coded in name order; rows are sorted by
+    (user, timestamp), ties keeping list order.
+    """
+    users = sorted({e.user_id for e in events})
+    municipalities = sorted({e.municipality_id for e in events})
+    user_code = {user: i for i, user in enumerate(users)}
+    muni_code = {muni: i for i, muni in enumerate(municipalities)}
+    rows = sorted(events, key=lambda e: (e.user_id, e.timestamp))
+    return ParseResult(
+        users=users,
+        municipalities=municipalities,
+        user=np.array([user_code[e.user_id] for e in rows], dtype=np.int64),
+        timestamp=np.array([e.timestamp for e in rows], dtype=np.int64),
+        municipality=np.array([muni_code[e.municipality_id] for e in rows], dtype=np.int64),
+    )
+
+
+def split_events_by_day(events, tz):
+    """Cut one user's time-sorted events into (local date, events) chunks, one date at a time."""
+    tz = ZoneInfo(tz) if isinstance(tz, str) else tz
+    chunks = []
+    for ev in events:
+        day = datetime.fromtimestamp(ev.timestamp, tz).date()
+        if not chunks or chunks[-1][0] != day:
+            chunks.append((day, []))
+        chunks[-1][1].append(ev)
+    return chunks
+
+
+def extract_trips(events, dwell_threshold=3600):
+    """Streaming trip extraction over one user's time-sorted events of one day.
+
+    Every pair of consecutive events in different municipalities (A at t1, B at
+    t2) raises a candidate trip A->B arriving at t2. The candidate is kept iff
+    the user's next event in a municipality other than B comes at least
+    `dwell_threshold` seconds after t2; a candidate still open at the end of
+    the events counts as satisfied. Returns (origin, destination) pairs.
+    """
+    trips = []
+    candidate = None  # (origin, destination, arrival)
+    for prev, ev in zip(events, events[1:]):
+        if ev.municipality_id == prev.municipality_id:
+            continue
+        # ev is the first event outside the open candidate's destination
+        if candidate is not None and ev.timestamp - candidate[2] >= dwell_threshold:
+            trips.append(candidate[:2])
+        candidate = (prev.municipality_id, ev.municipality_id, ev.timestamp)
+    if candidate is not None:
+        trips.append(candidate[:2])
+    return trips
 
 
 def trips_bruteforce(events, dwell_threshold=3600):
@@ -38,9 +107,7 @@ def trips_bruteforce(events, dwell_threshold=3600):
                 dwell = later.timestamp - b.timestamp
                 break
         if dwell is None or dwell >= dwell_threshold:
-            out.append(
-                Trip(a.user_id, a.municipality_id, b.municipality_id, a.timestamp, b.timestamp)
-            )
+            out.append((a.municipality_id, b.municipality_id))
     return out
 
 
@@ -125,6 +192,34 @@ def stationary_dense(g, tau=0.15):
     b[-1] = 1.0
     p = np.linalg.solve(A, b)
     return {node: p[index[node]] for node in nodes}
+
+
+def map_equation(assignment, flow):
+    """Two-level description length (bits per step) of a partition, from dicts.
+
+    L = q * H(exit distribution) + sum_i (q_i + P_i) * H(module codebook i),
+    where q_i sums the edge flows leaving module i and P_i the member visit
+    rates; evaluated in the equivalent plogp form.
+    """
+    missing = set(flow.visit_rates) - set(assignment)
+    if missing:
+        raise ValueError(f"partition misses nodes: {sorted(missing)[:5]}")
+    exit_flow = defaultdict(float)
+    module_flow = defaultdict(float)
+    for node, p in flow.visit_rates.items():
+        module_flow[assignment[node]] += p
+        exit_flow.setdefault(assignment[node], 0.0)
+    for (u, v), q in flow.edge_flows.items():
+        if u != v and assignment[u] != assignment[v]:
+            exit_flow[assignment[u]] += q
+    total_exit = sum(exit_flow.values())
+    length = _plogp(total_exit)
+    for module, q_exit in exit_flow.items():
+        length -= 2.0 * _plogp(q_exit)
+        length += _plogp(q_exit + module_flow[module])
+    for p in flow.visit_rates.values():
+        length -= _plogp(p)
+    return length
 
 
 def map_equation_entropy_form(assignment, flow):

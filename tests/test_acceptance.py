@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py -v` to see the lines as they
 complete. Tolerances and runtime budgets are asserted, not just reported.
 """
 
-import hashlib
 import json
 import math
 import statistics
@@ -16,9 +15,9 @@ import numpy as np
 from mobflow import synth
 from mobflow.cli import main as cli_main
 from mobflow.cluster import SeriesMatrix, select_k
-from mobflow.community import FlowGraph, community_count_series, infomap, map_equation, stationary_flow
+from mobflow.community import FlowGraph, community_count_series, infomap, stationary_flow
 from mobflow.diversity import diversity_series, flow_diversity
-from mobflow.ingest import RecordEvent, Trip, extract_trips
+from mobflow.ingest import daily_trips
 from mobflow.od import (
     DailyOD,
     ProvinceCube,
@@ -30,10 +29,14 @@ from mobflow.od import (
 )
 
 from oracles import (
+    Event,
     entropy_direct,
+    event_table,
     exhaustive_min_codelength,
+    map_equation,
     random_flow_graph,
     stationary_dense,
+    tree_digest,
     trips_bruteforce,
 )
 
@@ -156,8 +159,7 @@ def test_criterion_4_od_conservation(tmp_path):
         offsets = rng.integers(1, n_munis, size=n_trips)
         dests = (origins + offsets) % n_munis
         pairs = list(zip(origins.tolist(), dests.tolist()))
-        trips = [Trip("u", munis[o], munis[d], 0, 0) for o, d in pairs]
-        muni_od = build_daily_od(trips, DAY)
+        muni_od = build_daily_od([(munis[o], munis[d]) for o, d in pairs], DAY)
         province_od = aggregate_to_province(muni_od, TerritoryIndex(muni_to_province=mapping))
         conserved = muni_od.total_trips == province_od.total_trips == n_trips
         store_daily_od(muni_od, tmp_path)
@@ -181,16 +183,15 @@ def test_criterion_5_trip_rule_oracle():
             n = int(rng.integers(1, 51))
             times = np.sort(rng.integers(0, 86400, size=n))
             munis = rng.integers(0, 6, size=n)
-            events = [
-                RecordEvent("u", int(ts), f"M{m}", "P0")
-                for ts, m in zip(times, munis)
-            ]
+            events = [Event("u", int(ts), f"M{m}") for ts, m in zip(times, munis)]
             threshold = thresholds[stream % len(thresholds)]
-            if extract_trips(events, threshold) != trips_bruteforce(events, threshold):
+            # in UTC every stream lies within 1970-01-01
+            got = daily_trips(event_table(events), threshold, tz="UTC").get(date(1970, 1, 1), [])
+            if got != trips_bruteforce(events, threshold):
                 mismatches += 1
     ok = mismatches == 0 and t.elapsed < budget
     _report(5, ok, t.elapsed, budget,
-            f"streaming vs brute force on 10000 streams x thresholds {thresholds}, "
+            f"daily_trips vs brute force on 10000 streams x thresholds {thresholds}, "
             f"{mismatches} mismatches")
     assert mismatches == 0
     assert t.elapsed < budget
@@ -260,14 +261,6 @@ def test_criterion_7_cluster_selection_recovery():
 
 def test_criterion_8_report_determinism(tmp_path):
     budget = 300.0
-
-    def tree_digest(root):
-        digest = hashlib.sha256()
-        for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
-        return digest.hexdigest()
-
     with Timer() as t:
         config = synth.lockdown_scenario_config(
             seed=21, n_provinces=8, municipalities_per_province=5, n_days=28,

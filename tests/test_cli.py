@@ -1,6 +1,5 @@
 """Command-line surface: smoke path, composition, exit codes, cleanup, determinism."""
 
-import hashlib
 import json
 from datetime import date
 
@@ -37,14 +36,6 @@ def write_config(path, **overrides):
 
 def _tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
-def _tree_digest(root):
-    digest = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +218,7 @@ class TestExitCodes:
         (data / "xdr").mkdir(parents=True)
         (data / "registry.csv").write_text(
             "antenna_id,lat,lon,municipality_id,province_id\n"
-            "A1,45.0,9.0,M1,P1\n"
+            "A1,45.0,9.0,M1,P9\n"
             "A2,45.1,9.1,M2,P2\n"
         )
         (data / "xdr" / "x.csv").write_text(
@@ -237,14 +228,10 @@ class TestExitCodes:
         )
         store = tmp_path / "store"
         assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
-        # a registry that moves M1 to P9 re-aggregates the ODs but keeps territory.json
-        other = tmp_path / "other.csv"
-        other.write_text(
-            "antenna_id,lat,lon,municipality_id,province_id\n"
-            "A1,45.0,9.0,M1,P9\n"
-            "A2,45.1,9.1,M2,P2\n"
-        )
-        assert main(["aggregate", "--in", str(store), "--registry", str(other)]) == 0
+        assert main(["aggregate", "--in", str(store)]) == 0
+        # the province ODs name P9, but the edited territory.json moves M1 to P1
+        territory = store / "territory.json"
+        territory.write_text(json.dumps({"muni_to_province": {"M1": "P1", "M2": "P2"}}))
         capsys.readouterr()
         out = tmp_path / "tables"
         assert main(["flows", "--in", str(store), "--out", str(out)]) == 2
@@ -269,7 +256,7 @@ class TestDeterminism:
             rc = main(["report", "--in", str(scenario_dir), "--out", str(out),
                        "--seed", "17", "--trials", "2"])
             assert rc == 0
-            outs.append(_tree_digest(out))
+            outs.append(oracles.tree_digest(out))
         assert outs[0] == outs[1]
 
     def test_explicit_config_roundtrip(self, tmp_path):

@@ -15,7 +15,6 @@ from mobflow.community import (
     PowerIterationError,
     community_count_series,
     infomap,
-    map_equation,
     stationary_flow,
     write_community_counts_csv,
     partition_dump,
@@ -25,6 +24,7 @@ from mobflow.od import DailyOD
 from oracles import (
     exhaustive_min_codelength,
     infomap_reference,
+    map_equation,
     map_equation_entropy_form,
     random_flow_graph,
     stationary_dense,

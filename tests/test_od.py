@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobflow.ingest import Trip
 from mobflow.od import (
     DailyOD,
     ODNotFoundError,
@@ -25,13 +24,9 @@ from mobflow.od import (
 DAY = date(2020, 3, 2)
 
 
-def trip(o, d, user="u"):
-    return Trip(user, o, d, 0, 0)
-
-
 class TestBuildDailyOD:
     def test_counts_trips_per_cell(self):
-        od = build_daily_od([trip("M1", "M2"), trip("M1", "M2"), trip("M3", "M1")], DAY)
+        od = build_daily_od([("M1", "M2"), ("M1", "M2"), ("M3", "M1")], DAY)
         assert od.cells == {("M1", "M2"): 2, ("M3", "M1"): 1}
         assert od.total_trips == 3
 
@@ -46,7 +41,7 @@ class TestBuildDailyOD:
         for _ in range(10000):
             o, d = rng.choice(40, size=2, replace=False)
             pairs.append((munis[o], munis[d]))
-        od = build_daily_od([trip(o, d) for o, d in pairs], DAY)
+        od = build_daily_od(pairs, DAY)
         assert od.cells == dict(Counter(pairs))
 
     def test_rejects_self_loop_cells(self):

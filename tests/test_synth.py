@@ -1,6 +1,5 @@
 """Scenario generator: determinism, conservation against ingest, planted effects."""
 
-import hashlib
 import json
 from datetime import date, timedelta
 
@@ -10,6 +9,8 @@ from mobflow import synth
 from mobflow.diversity import diversity_series
 from mobflow.ingest import daily_trips, load_registry, parse_records
 from mobflow.od import ProvinceCube, build_daily_od
+
+from oracles import tree_digest
 
 
 def small_config(seed=0, **overrides):
@@ -24,19 +25,11 @@ def small_config(seed=0, **overrides):
     )
 
 
-def _tree_digest(root):
-    digest = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def _pipeline_daily_counts(scenario, dwell_threshold):
     registry = load_registry(scenario.registry_path)
     parsed = parse_records(scenario.cdr_files, scenario.xdr_files, registry)
     assert parsed.rejected_count == 0
-    by_day = daily_trips(parsed.events_by_user, dwell_threshold)
+    by_day = daily_trips(parsed, dwell_threshold)
     return {day: len(trips) for day, trips in by_day.items()}
 
 
@@ -45,12 +38,12 @@ class TestDeterminism:
         config = small_config(seed=5)
         synth.generate(config, tmp_path / "a")
         synth.generate(config, tmp_path / "b")
-        assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+        assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
     def test_different_seed_changes_output(self, tmp_path):
         synth.generate(small_config(seed=1), tmp_path / "a")
         synth.generate(small_config(seed=2), tmp_path / "b")
-        assert _tree_digest(tmp_path / "a") != _tree_digest(tmp_path / "b")
+        assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "b")
 
 
 class TestConservation:
@@ -68,7 +61,7 @@ class TestConservation:
         scenario = synth.generate(config, tmp_path)
         registry = load_registry(scenario.registry_path)
         parsed = parse_records(scenario.cdr_files, scenario.xdr_files, registry)
-        by_day = daily_trips(parsed.events_by_user)
+        by_day = daily_trips(parsed)
         for day, cells in scenario.plan.daily_cells.items():
             got = build_daily_od(by_day[day], day)
             assert got.cells == cells
