@@ -118,21 +118,28 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for _ in range(MAX_ITER):
         dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dists.argmin(axis=1)
-        for j in range(k):
-            if not (new_labels == j).any():
-                # Empty cluster: re-seed it at the point farthest from its
-                # centroid. That point is claimed outright, because duplicate
-                # rows would otherwise tie back to their old centroid.
-                farthest = int(dists[np.arange(n), new_labels].argmax())
-                centroids[j] = x[farthest]
-                dists[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
-                new_labels = dists.argmin(axis=1)
-                new_labels[farthest] = j
+        if np.bincount(new_labels, minlength=k).min() == 0:
+            for j in range(k):
+                if not (new_labels == j).any():
+                    # Empty cluster: re-seed it at the point farthest from its
+                    # centroid. That point is claimed outright, because duplicate
+                    # rows would otherwise tie back to their old centroid.
+                    farthest = int(dists[np.arange(n), new_labels].argmax())
+                    centroids[j] = x[farthest]
+                    dists[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
+                    new_labels = dists.argmin(axis=1)
+                    new_labels[farthest] = j
         if (new_labels == labels).all():
             break
         labels = new_labels
-        for j in range(k):
-            centroids[j] = x[labels == j].mean(axis=0)
+        # A stable sort keeps each cluster's rows in index order, so every
+        # slice holds the rows of x[labels == j] in the same order, and its
+        # sum divided by its size is bit-equal to their mean.
+        members = x[np.argsort(labels, kind="stable")]
+        counts = np.bincount(labels, minlength=k)
+        ends = np.cumsum(counts).tolist()
+        sums = [members[end - size:end].sum(axis=0) for end, size in zip(ends, counts.tolist())]
+        centroids[:] = sums / counts[:, None]
     dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     inertia = float(dists[np.arange(n), labels].sum())
     return labels, centroids, inertia
@@ -187,25 +194,26 @@ def mean_silhouette(
     `distances` may pass in the pairwise Euclidean distances between the rows
     of x, so that several labelings of the same points share one matrix.
     """
-    cluster_ids = np.unique(labels)
+    cluster_ids, own, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if len(cluster_ids) < 2:
         raise ValueError(f"silhouette needs at least 2 clusters, got {len(cluster_ids)}")
     dists = _pairwise_distances(x) if distances is None else distances
     n = x.shape[0]
+    # sums[c, i]: point i's summed distance to cluster c, each the 1-D sum of
+    # one contiguous row of the cluster's gathered columns. A 2-D row-wise sum
+    # adds in another order and would round differently.
+    sums = np.array(
+        [list(map(np.add.reduce, np.ascontiguousarray(dists[:, labels == j]))) for j in cluster_ids]
+    )
+    point = np.arange(n)
+    own_size = sizes[own]
+    a = sums[own, point] / np.maximum(own_size - 1, 1)
+    mean_to = sums / sizes[:, None]
+    mean_to[own, point] = np.inf
+    b = mean_to.min(axis=0)
+    denom = np.maximum(a, b)
     scores = np.zeros(n)
-    masks = {j: labels == j for j in cluster_ids}
-    for i in range(n):
-        own = masks[labels[i]]
-        own_size = own.sum()
-        if own_size <= 1:
-            scores[i] = 0.0
-            continue
-        a = dists[i][own].sum() / (own_size - 1)
-        b = min(
-            dists[i][masks[j]].mean() for j in cluster_ids if j != labels[i]
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    np.divide(b - a, denom, out=scores, where=(own_size > 1) & (denom != 0.0))
     return float(scores.mean())
 
 

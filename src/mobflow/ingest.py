@@ -136,16 +136,30 @@ def load_registry(path: str | Path) -> AntennaRegistry:
     return AntennaRegistry(entries=entries)
 
 
+# Epoch seconds accepted as event times: one day inside `datetime`'s range at
+# each end, so that every event's local date and midnight exist in any zone.
+EPOCH_RANGE = (
+    int(datetime(1, 1, 2, tzinfo=timezone.utc).timestamp()),
+    int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp()),
+)
+
+
+def _check_epoch(ts: int) -> int:
+    if not EPOCH_RANGE[0] <= ts < EPOCH_RANGE[1]:
+        raise ValueError(f"timestamp {ts} outside {EPOCH_RANGE}")
+    return ts
+
+
 def _parse_timestamp(raw: str) -> int:
-    """Parse an epoch-seconds or ISO-8601 timestamp to UTC epoch seconds."""
+    """Parse an epoch-seconds or ISO-8601 timestamp to UTC epoch seconds within EPOCH_RANGE."""
     try:
-        return int(raw)
+        ts = int(raw)
     except ValueError:
-        pass
-    dt = datetime.fromisoformat(raw)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+        dt = datetime.fromisoformat(raw)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        ts = int(dt.timestamp())
+    return _check_epoch(ts)
 
 
 def parse_records(
@@ -159,8 +173,9 @@ def parse_records(
     the start antenna at the call timestamp and one at the end antenna at
     timestamp + duration (the callee antenna is not recorded, so the callee
     yields no event). Each timestamp is epoch seconds or ISO-8601, detected
-    per value. Rows referencing unregistered antennas or failing to parse are
-    skipped and counted in the per-file rejection tally.
+    per value. Rows referencing unregistered antennas, failing to parse or
+    with an event time outside EPOCH_RANGE are skipped and counted in the
+    per-file rejection tally.
     """
     municipalities = sorted({site.municipality_id for site in registry.entries.values()})
     code = {muni: i for i, muni in enumerate(municipalities)}
@@ -168,13 +183,21 @@ def parse_records(
     user_code: dict[str, int] = {}
     users, stamps, munis = array("q"), array("q"), array("q")
     rejections: dict[str, RejectionTally] = {}
+    stamp_of: dict[str, int] = {}  # successful parses by raw value; failures re-parse and re-count
+
+    def parse_timestamp(raw: str) -> int:
+        ts = stamp_of.get(raw)
+        if ts is None:
+            ts = stamp_of[raw] = _parse_timestamp(raw)
+        return ts
 
     for path in cdr_files:
         tally = rejections.setdefault(str(path), RejectionTally())
         for caller, _callee, ts_raw, a_start, a_end, dur_raw in _data_rows(path, CDR_COLUMNS, tally):
             try:
-                ts = _parse_timestamp(ts_raw)
+                ts = parse_timestamp(ts_raw)
                 duration_min = int(dur_raw)
+                ts_end = _check_epoch(ts + duration_min * 60)
             except (ValueError, OverflowError):
                 tally.malformed += 1
                 continue
@@ -188,14 +211,14 @@ def parse_records(
                 continue
             user = user_code.setdefault(caller, len(user_code))
             users.extend((user, user))
-            stamps.extend((ts, ts + duration_min * 60))
+            stamps.extend((ts, ts_end))
             munis.extend((start, end))
 
     for path in xdr_files:
         tally = rejections.setdefault(str(path), RejectionTally())
         for user_id, ts_raw, antenna, kb_raw in _data_rows(path, XDR_COLUMNS, tally):
             try:
-                ts = _parse_timestamp(ts_raw)
+                ts = parse_timestamp(ts_raw)
                 kilobytes = int(kb_raw)
             except (ValueError, OverflowError):
                 tally.malformed += 1

@@ -13,6 +13,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
+from mobflow.cluster import MAX_ITER, _pairwise_distances
 from mobflow.community import (
     DEFAULT_TELEPORT,
     GAIN_EPS,
@@ -435,3 +436,56 @@ def infomap_reference(g, seed, trials=10, tau=DEFAULT_TELEPORT, flow=None):
         assignment={node: compacted[i] for i, node in enumerate(nodes)},
         codelength=length,
     )
+
+
+def lloyd_reference(x, centroids):
+    """Lloyd iterations with one boolean mask per cluster for the update and the empty check.
+
+    The same float operations in the same order as `mobflow.cluster._lloyd`,
+    so labels, centroids and inertia must be bit-equal.
+    """
+    n, k = x.shape[0], centroids.shape[0]
+    labels = np.full(n, -1)
+    for _ in range(MAX_ITER):
+        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        for j in range(k):
+            if not (new_labels == j).any():
+                farthest = int(dists[np.arange(n), new_labels].argmax())
+                centroids[j] = x[farthest]
+                dists[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
+                new_labels = dists.argmin(axis=1)
+                new_labels[farthest] = j
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        for j in range(k):
+            centroids[j] = x[labels == j].mean(axis=0)
+    dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    inertia = float(dists[np.arange(n), labels].sum())
+    return labels, centroids, inertia
+
+
+def mean_silhouette_reference(x, labels, distances=None):
+    """Mean silhouette, one point at a time: a is the mean distance to the rest of its
+    own cluster, b the least mean distance to another cluster; singletons and
+    zero separation score 0.
+    """
+    cluster_ids = np.unique(labels)
+    if len(cluster_ids) < 2:
+        raise ValueError(f"silhouette needs at least 2 clusters, got {len(cluster_ids)}")
+    dists = _pairwise_distances(x) if distances is None else distances
+    n = x.shape[0]
+    scores = np.zeros(n)
+    masks = {j: labels == j for j in cluster_ids}
+    for i in range(n):
+        own = masks[labels[i]]
+        own_size = own.sum()
+        if own_size <= 1:
+            scores[i] = 0.0
+            continue
+        a = dists[i][own].sum() / (own_size - 1)
+        b = min(dists[i][masks[j]].mean() for j in cluster_ids if j != labels[i])
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(scores.mean())

@@ -248,6 +248,46 @@ class TestExitCodes:
         assert rc == 1
 
 
+class TestOutOfRangeTimestamps:
+    """An event time that `datetime` cannot hold is one malformed row, not a failed run."""
+
+    XDR_ROWS = (
+        "user_id,timestamp,antenna,kilobytes\n"
+        "u1,1583139600,A1,5\n"  # M1 -> M2 on 2020-03-02, 10:00 and 12:00 Europe/Rome
+        "u1,1583146800,A2,5\n"
+    )
+
+    def _build_od(self, tmp_path, capsys, kind, rows):
+        data = tmp_path / "data"
+        (data / kind).mkdir(parents=True)
+        (data / "registry.csv").write_text(
+            "antenna_id,lat,lon,municipality_id,province_id\n"
+            "A1,45.0,9.0,M1,P1\n"
+            "A2,45.1,9.1,M2,P2\n"
+        )
+        (data / kind / "r.csv").write_text(rows)
+        store = tmp_path / "store"
+        capsys.readouterr()
+        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
+        assert list_od_dates(store, "municipality") == [date(2020, 3, 2)]
+        assert load_daily_od(store, date(2020, 3, 2), "municipality").cells == {("M1", "M2"): 1}
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("ts", ["99999999999999999999", "99999999999999"])
+    def test_xdr_epoch_beyond_datetime(self, tmp_path, capsys, ts):
+        err = self._build_od(tmp_path, capsys, "xdr", self.XDR_ROWS + f"u3,{ts},A1,5\n")
+        assert "r.csv: 1 malformed, 0 unknown antenna" in err
+
+    def test_cdr_end_time_beyond_datetime(self, tmp_path, capsys):
+        rows = (
+            "caller_id,callee_id,timestamp,antenna_start,antenna_end,duration_min\n"
+            "u1,u2,1583139600,A1,A2,120\n"
+            "u3,u2,1583139600,A1,A2,99999999999999999999\n"
+        )
+        err = self._build_od(tmp_path, capsys, "cdr", rows)
+        assert "r.csv: 1 malformed, 0 unknown antenna" in err
+
+
 class TestDeterminism:
     def test_report_twice_byte_identical(self, scenario_dir, tmp_path):
         outs = []

@@ -5,15 +5,22 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mobflow import cluster, diversity, od, synth
 from mobflow.cluster import (
     Clustering,
     SeriesMatrix,
+    _kmeanspp_init,
+    _lloyd,
     kmeans,
     mean_silhouette,
     select_k,
 )
 from mobflow.diversity import DiversitySeries
+
+import oracles
 
 DATES = [date(2020, 3, 2) + timedelta(days=i) for i in range(10)]
 
@@ -162,6 +169,79 @@ class TestSilhouette:
         for d in selection.diagnostics:
             labels = kmeans(matrix, d.k, seed=1).labels
             assert d.silhouette == mean_silhouette(matrix.values, labels)
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@st.composite
+def cluster_inputs(draw):
+    """(x, k, seed): small matrices with duplicate rows, one column or tied distances."""
+    n = draw(st.integers(1, 24))
+    n_dates = draw(st.sampled_from([1, 1, 2, 3, 8, 10]))
+    distinct = draw(st.integers(1, n))  # fewer distinct rows than points forces duplicates
+    grid = draw(st.booleans())  # small integer values tie many distances
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 3, (distinct, n_dates)).astype(float) if grid else rng.random((distinct, n_dates))
+    return rows[rng.integers(0, distinct, n)], k, seed
+
+
+class TestMatchesOracles:
+    """`_lloyd` and `mean_silhouette` are bit-equal to the per-cluster-mask references."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cluster_inputs())
+    @example((np.vstack([np.full((4, 10), 0.2), np.full((4, 10), 0.8)]), 3, 0))
+    @example((np.arange(6.0).reshape(6, 1), 6, 1))
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+    def test_lloyd_and_silhouette_bit_equal(self, case):
+        x, k, seed = case
+        start = _kmeanspp_init(x, k, np.random.default_rng(seed))
+        labels, centroids, inertia = _lloyd(x, start.copy())
+        ref_labels, ref_centroids, ref_inertia = oracles.lloyd_reference(x, start.copy())
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert centroids.tobytes() == ref_centroids.tobytes()
+        assert bits(inertia) == bits(ref_inertia)
+        n = x.shape[0]
+        rng = np.random.default_rng(seed)
+        for labeling in (labels, rng.integers(0, max(2, k), n), rng.integers(0, 2, n)):
+            if len(np.unique(labeling)) < 2:
+                continue
+            assert bits(mean_silhouette(x, labeling)) == bits(oracles.mean_silhouette_reference(x, labeling))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # The benchmark's two workloads (perfbench/workloads.py), at seed 0.
+            dict(n_days=6, lockdown_day=3),
+            dict(
+                n_provinces=107, municipalities_per_province=2, start_date=date(2020, 3, 23),
+                n_days=14, lockdown_day=7, inter_trips_per_province=20,
+                intra_trips_per_pair=40, dwell_violation_rate=0.05,
+            ),
+        ],
+        ids=["lockdown_ref", "wide_iso_records"],
+    )
+    def test_select_k_on_workload_matrices(self, overrides, monkeypatch):
+        plan = synth.generate_plan(synth.lockdown_scenario_config(0, **overrides))
+        cube = od.ProvinceCube.from_ods(plan.province_ods(), plan.territory_index().provinces)
+        for direction in diversity.DIRECTIONS:
+            matrix = SeriesMatrix.from_series(diversity.diversity_series(cube, direction, False))
+            ks = range(2, min(20, len(matrix.provinces)) + 1)
+            fast = select_k(matrix, ks, seed=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(cluster, "_lloyd", oracles.lloyd_reference)
+                patch.setattr(cluster, "mean_silhouette", oracles.mean_silhouette_reference)
+                reference = select_k(matrix, ks, seed=0)
+            assert [(d.k, bits(d.inertia), bits(d.silhouette)) for d in fast.diagnostics] == [
+                (d.k, bits(d.inertia), bits(d.silhouette)) for d in reference.diagnostics
+            ]
+            assert (fast.k_star, fast.elbow_k) == (reference.k_star, reference.elbow_k)
+            for name in ("labels", "centroids", "band_std"):
+                assert getattr(fast.clustering, name).tobytes() == getattr(reference.clustering, name).tobytes()
 
 
 class TestSeriesMatrix:

@@ -98,6 +98,21 @@ class TestParseRecords:
         assert result.rejections[str(xdr)].malformed == 3
         assert result.events_by_user == {"u2": [(2000, "M4")]}
 
+    def test_repeated_values_parse_and_fail_every_time(self, tmp_path, registry):
+        xdr = tmp_path / "x.csv"
+        xdr.write_text(
+            "user_id,timestamp,antenna,kilobytes\n"
+            "u1,1970-01-01T00:16:40+00:00,A7,1\n"
+            "u1,notatime,A7,1\n"
+            "u1,99999999999999,A9,1\n"
+            "u2,1970-01-01T00:16:40+00:00,A9,1\n"
+            "u2,notatime,A7,1\n"
+            "u2,99999999999999,A9,1\n"
+        )
+        result = parse_records([], [xdr], registry)
+        assert result.rejections[str(xdr)].malformed == 4
+        assert result.events_by_user == {"u1": [(1000, "M3")], "u2": [(1000, "M4")]}
+
     def test_iso_timestamps_are_detected(self, tmp_path, registry):
         xdr = tmp_path / "x.csv"
         xdr.write_text(
