@@ -220,13 +220,13 @@ def _build_od(
     parsed = ingest.parse_records(cdr_files, xdr_files, registry)
     trips_by_day = ingest.daily_trips(parsed, dwell_seconds, tz)
     ods = [
-        od.build_daily_od(trips_by_day.pop(day), day)
+        od.build_daily_od(trips_by_day.pop(day), parsed.municipalities, day)
         for day in sorted(trips_by_day)
         if _in_range(day, lo, hi)
     ]
     for muni_od in ods:
         od.store_daily_od(muni_od, store)
-    index = od.TerritoryIndex.from_registry(registry)
+    index = od.TerritoryIndex(registry.muni_to_province)
     _write_json(store / "territory.json", {"muni_to_province": index.muni_to_province})
     rejected = parsed.rejected_count
     print(f"build-od: {parsed.event_count} events, {len(ods)} days stored, {rejected} records rejected")
@@ -343,12 +343,11 @@ def _write_communities(series: list[community_mod.DayCommunities], out_dir: Path
 def cmd_communities(args) -> int:
     store = Path(args.in_dir)
     ods = _load_ods(store, args.granularity, *_date_range(args))
-    registry_nodes: list[str] = []
+    registry_nodes: set[str] = set()
     if args.attach_registry:
         index = _load_territory(store)
-        registry_nodes = sorted(
-            index.municipalities if args.granularity == "municipality" else index.provinces
-        )
+        municipalities = set(index.muni_to_province)
+        registry_nodes = municipalities if args.granularity == "municipality" else index.provinces
     series = community_mod.community_count_series(
         ods,
         seed=args.seed,

@@ -118,17 +118,20 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for _ in range(MAX_ITER):
         dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dists.argmin(axis=1)
-        if np.bincount(new_labels, minlength=k).min() == 0:
+        claimed: dict[int, int] = {}  # re-seeding point -> its cluster
+        while np.bincount(new_labels, minlength=k).min() == 0:
             for j in range(k):
                 if not (new_labels == j).any():
-                    # Empty cluster: re-seed it at the point farthest from its
-                    # centroid. That point is claimed outright, because duplicate
-                    # rows would otherwise tie back to their old centroid.
-                    farthest = int(dists[np.arange(n), new_labels].argmax())
+                    # Re-seed at the farthest unclaimed point. Claimed points keep their
+                    # clusters, or duplicate rows would tie back and empty one again.
+                    far = dists[np.arange(n), new_labels]
+                    far[list(claimed)] = -1.0
+                    farthest = int(far.argmax())
                     centroids[j] = x[farthest]
                     dists[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
+                    claimed[farthest] = j
                     new_labels = dists.argmin(axis=1)
-                    new_labels[farthest] = j
+                    new_labels[list(claimed)] = list(claimed.values())
         if (new_labels == labels).all():
             break
         labels = new_labels

@@ -1,6 +1,7 @@
 """Local job markets: map-equation community detection on daily flow graphs.
 
-A daily municipality OD matrix is read as a weighted directed graph. A random
+A daily municipality OD matrix is read as a weighted directed graph whose edges
+are the matrix's code rows, renumbered over the graph's sorted nodes. A random
 walk with uniform teleportation yields stationary visit rates per node and flow
 per edge; the two-level map equation scores any node partition by the expected
 description length (bits per step) of that walk under a two-level codebook, and
@@ -19,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,39 +43,30 @@ class PowerIterationError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowGraph:
-    """Weighted directed graph; node set may include isolated nodes."""
+    """Directed graph over `nodes` (some may be isolated): int (E, 2) `edges`, float `weights`."""
 
-    nodes: list[str]
-    edges: dict[tuple[str, str], float]
-
-    def __post_init__(self) -> None:
-        known = set(self.nodes)
-        for (u, v), w in self.edges.items():
-            if w <= 0:
-                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
-            if u not in known or v not in known:
-                raise ValueError(f"edge ({u},{v}) references an unknown node")
+    nodes: tuple[str, ...]
+    edges: np.ndarray
+    weights: np.ndarray
 
     @classmethod
-    def from_cells(
-        cls, cells: dict[tuple[str, str], float], extra_nodes: Iterable[str] = ()
-    ) -> "FlowGraph":
-        nodes = set(extra_nodes)
-        for u, v in cells:
-            nodes.add(u)
-            nodes.add(v)
-        return cls(nodes=sorted(nodes), edges=dict(cells))
+    def from_od(cls, od: DailyOD, extra_nodes: Iterable[str] = ()) -> "FlowGraph":
+        """The graph of a matrix's cells, weighted by trip count, with `extra_nodes` added."""
+        nodes = tuple(sorted(set(od.names).union(extra_nodes)))
+        position = {node: i for i, node in enumerate(nodes)}
+        code = np.array([position[name] for name in od.names], dtype=np.int64)
+        edges = np.stack([code[od.origin], code[od.destination]], axis=1)
+        return cls(nodes=nodes, edges=edges, weights=od.count.astype(float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryFlow:
-    """Stationary visit rates and per-edge walk flows of the teleporting random walk."""
+    """Stationary visit rates per node and walk flows per edge, aligned to a graph's arrays."""
 
-    visit_rates: dict[str, float]
-    edge_flows: dict[tuple[str, str], float]
-    teleport_rate: float
+    visit_rates: np.ndarray
+    edge_flows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,16 +101,8 @@ def stationary_flow(
     """
     if not g.nodes:
         raise ValueError("stationary_flow needs a non-empty graph")
-    nodes = sorted(g.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    if g.edges:
-        src = np.array([index[u] for (u, _v) in g.edges], dtype=np.intp)
-        dst = np.array([index[v] for (_u, v) in g.edges], dtype=np.intp)
-        weight = np.array(list(g.edges.values()), dtype=float)
-    else:
-        src = dst = np.empty(0, dtype=np.intp)
-        weight = np.empty(0, dtype=float)
+    n = len(g.nodes)
+    src, dst, weight = g.edges[:, 0], g.edges[:, 1], g.weights
     out_weight = np.bincount(src, weights=weight, minlength=n)
     transition = weight / out_weight[src] if len(weight) else weight
     dangling = out_weight == 0.0
@@ -136,12 +120,7 @@ def stationary_flow(
     else:
         raise PowerIterationError(residual, max_iter)
 
-    flows = (1.0 - tau) * p[src] * transition
-    return StationaryFlow(
-        visit_rates={node: float(p[index[node]]) for node in nodes},
-        edge_flows={pair: float(q) for pair, q in zip(g.edges, flows)},
-        teleport_rate=tau,
-    )
+    return StationaryFlow(visit_rates=p, edge_flows=(1.0 - tau) * p[src] * transition)
 
 
 def _plogp(x: float) -> float:
@@ -159,6 +138,17 @@ class _Level:
 
     def __post_init__(self) -> None:
         self.s_out = [sum(q for _, q in adj) for adj in self.out_adj]
+
+    @classmethod
+    def from_edges(cls, node_flow: list[float], edges: Iterable) -> "_Level":
+        """The level of ((source, target), flow) edges; self-loops never cross a module boundary."""
+        out_adj: list[list[tuple[int, float]]] = [[] for _ in node_flow]
+        in_adj: list[list[tuple[int, float]]] = [[] for _ in node_flow]
+        for (u, v), q in edges:
+            if u != v:
+                out_adj[u].append((v, q))
+                in_adj[v].append((u, q))
+        return cls(node_flow=node_flow, out_adj=out_adj, in_adj=in_adj)
 
     @property
     def size(self) -> int:
@@ -317,46 +307,20 @@ def _sweep_until_stable(state: _MapState, rng: np.random.Generator) -> bool:
 
 def _aggregate(level: _Level, module_of: list[int]) -> tuple[_Level, list[int]]:
     """Collapse modules into super-nodes; returns the new level and node -> super-node map."""
-    renumber: dict[int, int] = {}
+    collapse = _compact(module_of)
+    node_flow = [0.0] * (max(collapse) + 1)
     for node in range(level.size):
-        module = module_of[node]
-        if module not in renumber:
-            renumber[module] = len(renumber)
-    m = len(renumber)
-    node_flow = [0.0] * m
+        node_flow[collapse[node]] += level.node_flow[node]
+    agg: dict[tuple[int, int], float] = defaultdict(float)  # intra-module flow: a dropped self-loop
     for node in range(level.size):
-        node_flow[renumber[module_of[node]]] += level.node_flow[node]
-    agg: dict[tuple[int, int], float] = defaultdict(float)
-    for node in range(level.size):
-        mu = renumber[module_of[node]]
         for target, q in level.out_adj[node]:
-            mv = renumber[module_of[target]]
-            if mu != mv:  # intra-module flow becomes a self-loop and drops out
-                agg[(mu, mv)] += q
-    out_adj: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-    in_adj: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-    for (mu, mv), q in agg.items():
-        out_adj[mu].append((mv, q))
-        in_adj[mv].append((mu, q))
-    collapse = [renumber[module_of[node]] for node in range(level.size)]
-    return _Level(node_flow=node_flow, out_adj=out_adj, in_adj=in_adj), collapse
+            agg[(collapse[node], collapse[target])] += q
+    return _Level.from_edges(node_flow, agg.items()), collapse
 
 
-def _flat_level(nodes: list[str], flow: StationaryFlow) -> _Level:
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    out_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    in_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (u, v), q in flow.edge_flows.items():
-        if u == v:
-            continue  # a self-loop never crosses a module boundary
-        out_adj[index[u]].append((index[v], q))
-        in_adj[index[v]].append((index[u], q))
-    return _Level(
-        node_flow=[flow.visit_rates[node] for node in nodes],
-        out_adj=out_adj,
-        in_adj=in_adj,
-    )
+def _flat_level(g: FlowGraph, flow: StationaryFlow) -> _Level:
+    edges = zip(g.edges.tolist(), flow.edge_flows.tolist())
+    return _Level.from_edges(flow.visit_rates.tolist(), edges)
 
 
 def _compact(assignment: list[int]) -> list[int]:
@@ -435,9 +399,8 @@ def infomap(
     """
     if flow is None:
         flow = stationary_flow(g, tau=tau)
-    nodes = sorted(g.nodes)
-    flat = _flat_level(nodes, flow)
-    node_term = sum(_plogp(p) for p in flow.visit_rates.values())
+    flat = _flat_level(g, flow)
+    node_term = sum(_plogp(p) for p in flat.node_flow)
     best: tuple[float, list[int]] | None = None
     for trial in range(max(1, trials)):
         rng = np.random.default_rng([seed, trial])
@@ -447,7 +410,7 @@ def infomap(
     length, raw = best
     compacted = _compact(raw)
     return Partition(
-        assignment={node: compacted[i] for i, node in enumerate(nodes)},
+        assignment={node: compacted[i] for i, node in enumerate(g.nodes)},
         codelength=length,
     )
 
@@ -464,6 +427,25 @@ class DayCommunities:
     @property
     def is_sunday(self) -> bool:
         return self.date.weekday() == 6
+
+
+def _window_ods(ods: Sequence[DailyOD], window: int) -> Iterator[DailyOD]:
+    """Each OD in date order, summed with those dated in the `window - 1` days before it."""
+    ordered = sorted(ods, key=lambda od: od.date)
+    dates = [od.date for od in ordered]
+    for i, od in enumerate(ordered):
+        span = ordered[bisect_left(dates, od.date - timedelta(days=window - 1), 0, i): i + 1]
+        # Concatenating the names shifts each OD's codes past the previous
+        # ones'; from_codes then merges the codes of a repeated name.
+        shift = np.cumsum([0] + [len(past.names) for past in span[:-1]])
+        yield DailyOD.from_codes(
+            od.date,
+            od.granularity,
+            [name for past in span for name in past.names],
+            np.concatenate([past.origin + k for past, k in zip(span, shift)]),
+            np.concatenate([past.destination + k for past, k in zip(span, shift)]),
+            np.concatenate([past.count for past in span]),
+        )
 
 
 def community_count_series(
@@ -484,33 +466,18 @@ def community_count_series(
     if window < 1:
         raise ValueError(f"window must be at least 1 day, got {window}")
     registry_nodes = sorted(set(registry_nodes))
-    ordered = sorted(ods, key=lambda od: od.date)
-    dates = [od.date for od in ordered]
     results: list[DayCommunities] = []
-    for i, od in enumerate(ordered):
-        cells: dict[tuple[str, str], float] = defaultdict(float)
-        first = bisect_left(dates, od.date - timedelta(days=window - 1), 0, i)
-        for past in ordered[first: i + 1]:
-            for pair, count in past.cells.items():
-                cells[pair] += float(count)
-        if not cells:
-            results.append(
-                DayCommunities(
-                    date=od.date,
-                    partition=None,
-                    community_count=len(registry_nodes),
-                    empty_day=True,
-                )
-            )
-            continue
-        graph = FlowGraph.from_cells(dict(cells), extra_nodes=registry_nodes)
-        partition = infomap(graph, seed=seed, trials=trials, tau=tau)
+    for od in _window_ods(ods, window):
+        partition = None
+        if len(od.count):
+            graph = FlowGraph.from_od(od, extra_nodes=registry_nodes)
+            partition = infomap(graph, seed=seed, trials=trials, tau=tau)
         results.append(
             DayCommunities(
                 date=od.date,
                 partition=partition,
-                community_count=partition.module_count,
-                empty_day=False,
+                community_count=partition.module_count if partition else len(registry_nodes),
+                empty_day=partition is None,
             )
         )
     return results

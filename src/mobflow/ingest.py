@@ -267,34 +267,38 @@ def _data_rows(path: str | Path, columns: list[str], tally: RejectionTally):
 
 
 def _local_days(timestamp: np.ndarray, tz: tzinfo) -> tuple[list[date], np.ndarray]:
-    """The local dates from the first to the last event, and each event's index into them.
+    """The local dates that hold events, in order, and each event's index into them.
 
-    An event's day is the last local midnight at or before it, found by binary
-    search in a table of midnight epochs. A midnight that a DST switch skips
-    resolves to the switch instant, the first second of that day.
+    A local date is within one day of the UTC date, so the candidates are the
+    events' UTC dates and their neighbours. An event's day is the last candidate
+    midnight at or before it; a midnight that a DST switch skips resolves to
+    the switch instant, the first second of that day.
     """
-    first = datetime.fromtimestamp(int(timestamp.min()), tz).date()
-    last = datetime.fromtimestamp(int(timestamp.max()), tz).date()
-    days = [first + timedelta(days=n) for n in range((last - first).days + 1)]
+    utc = np.unique(timestamp // 86400).tolist()
+    dates = sorted({date(1970, 1, 1) + timedelta(days=d + k) for d in utc for k in (-1, 0, 1)})
     midnights = np.array(
-        [int(datetime(d.year, d.month, d.day, tzinfo=tz).timestamp()) for d in days], dtype=np.int64
+        [int(datetime(d.year, d.month, d.day, tzinfo=tz).timestamp()) for d in dates], dtype=np.int64
     )
-    return days, np.searchsorted(midnights, timestamp, side="right") - 1
+    index = np.searchsorted(midnights, timestamp, side="right") - 1
+    held = np.bincount(index, minlength=len(dates)) > 0
+    days = [d for d, h in zip(dates, held.tolist()) if h]
+    return days, (np.cumsum(held) - 1)[index]
 
 
 def daily_trips(
     parsed: ParseResult,
     dwell_threshold: int = DEFAULT_DWELL_SECONDS,
     tz: tzinfo | str = DEFAULT_TIMEZONE,
-) -> dict[date, list[tuple[str, str]]]:
-    """Per local calendar day, the (origin, destination) municipalities of its trips.
+) -> dict[date, np.ndarray]:
+    """Per local calendar day, its trips as int64 (origin, destination) rows of codes.
 
-    Events are grouped by (user, local day in `tz`). Within a group, each
-    change of municipality between consecutive events is a candidate trip
-    arriving at the later event. It is a trip if it is the group's last
-    change, or if the group's next change comes at least `dwell_threshold`
-    seconds after it. Days come in date order, each day's trips in (user,
-    arrival) order; days without trips are left out.
+    Codes index `parsed.municipalities`. Events are grouped by (user, local
+    day in `tz`). Within a group, each change of municipality between
+    consecutive events is a candidate trip arriving at the later event. It is
+    a trip if it is the group's last change, or if the group's next change
+    comes at least `dwell_threshold` seconds after it. Days come in date
+    order, each day's trips in (user, arrival) order; days without trips are
+    left out.
     """
     if isinstance(tz, str):
         tz = ZoneInfo(tz)
@@ -312,12 +316,6 @@ def daily_trips(
     )
     arrival = change[keep]
     arrival = arrival[np.argsort(day[arrival], kind="stable")]
-    names = np.array(parsed.municipalities, dtype=object)
-    pairs = list(zip(names[muni[arrival - 1]].tolist(), names[muni[arrival]].tolist()))
-    out: dict[date, list[tuple[str, str]]] = {}
-    stop = 0
-    for d, n in enumerate(np.bincount(day[arrival], minlength=len(days)).tolist()):
-        if n:
-            out[days[d]] = pairs[stop:stop + n]
-            stop += n
-    return out
+    pairs = np.stack([muni[arrival - 1], muni[arrival]], axis=1)
+    ends = np.cumsum(np.bincount(day[arrival], minlength=len(days)))
+    return {days[d]: trips for d, trips in enumerate(np.split(pairs, ends[:-1])) if len(trips)}

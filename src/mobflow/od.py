@@ -1,9 +1,10 @@
 """Daily origin-destination matrices: construction, province aggregation, flat-file persistence.
 
-A matrix is stored sparsely as (origin, destination) -> trip count. Municipality
-matrices never contain self-loops (a trip requires two distinct municipalities);
-province matrices carry intra-province trips as self-loops, the province's
-internal mobility.
+A matrix is held sparsely as int64 (origin code, destination code, trip count)
+rows over the sorted names its cells use, from trip counting to the
+map-equation graph. Municipality matrices never contain self-loops (a trip
+requires two distinct municipalities); province matrices carry intra-province
+trips as self-loops, the province's internal mobility.
 """
 
 from __future__ import annotations
@@ -12,15 +13,12 @@ import csv
 import json
 import os
 import tempfile
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .ingest import AntennaRegistry
 
 SCHEMA_VERSION = 1
 GRANULARITIES = ("municipality", "province")
@@ -49,44 +47,73 @@ class TerritoryIndex:
     muni_to_province: dict[str, str]
 
     @property
-    def municipalities(self) -> set[str]:
-        return set(self.muni_to_province)
-
-    @property
     def provinces(self) -> set[str]:
         return set(self.muni_to_province.values())
 
-    @classmethod
-    def from_registry(cls, registry: AntennaRegistry) -> "TerritoryIndex":
-        return cls(muni_to_province=dict(registry.muni_to_province))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DailyOD:
-    """Sparse daily OD matrix; cells hold strictly positive trip counts.
+    """Sparse daily OD matrix: unique (origin, destination) code rows with positive counts.
 
-    Cells are kept sorted by (origin, destination), so a matrix built in memory
-    iterates in the same order as one loaded from the store, and order-dependent
-    float sums over its cells give the same bits either way.
+    Code c names `names[c]`, the sorted tuple of exactly the names the cells
+    use. Rows are sorted by code, and so by name: order-dependent float sums
+    over them give the same bits however the matrix was built.
     """
 
     date: date
     granularity: str
-    cells: dict[tuple[str, str], int] = field(default_factory=dict)
+    names: tuple[str, ...]
+    origin: np.ndarray
+    destination: np.ndarray
+    count: np.ndarray
 
     def __post_init__(self) -> None:
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
-        for (origin, destination), count in self.cells.items():
-            if count < 1:
-                raise ValueError(f"cell ({origin},{destination}) has non-positive count {count}")
-            if self.granularity == "municipality" and origin == destination:
-                raise ValueError(f"municipality matrix may not hold self-loop {origin!r}")
-        object.__setattr__(self, "cells", dict(sorted(self.cells.items())))
+        if (self.count < 1).any():
+            raise ValueError(f"a cell on {self.date} has a non-positive count")
+        if self.granularity == "municipality" and (self.origin == self.destination).any():
+            raise ValueError(f"municipality matrix on {self.date} may not hold a self-loop")
+
+    @classmethod
+    def from_codes(
+        cls,
+        day: date,
+        granularity: str,
+        names: Sequence[str],
+        origin: np.ndarray,
+        destination: np.ndarray,
+        count: np.ndarray | None = None,
+    ) -> "DailyOD":
+        """Sum code pairs weighted by `count` (default 1); code c names `names[c]`.
+
+        Codes of a repeated name merge, so relabelling to coarser names aggregates.
+        """
+        unique, relabel = np.unique(np.array(names, dtype=object), return_inverse=True)
+        n = len(unique)
+        keys, row = np.unique(relabel[origin] * n + relabel[destination], return_inverse=True)
+        summed = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(summed, row, 1 if count is None else count)
+        used, code = np.unique(np.concatenate([keys // n, keys % n]), return_inverse=True)
+        used_names = tuple(unique[used].tolist())
+        return cls(day, granularity, used_names, code[: len(keys)], code[len(keys):], summed)
+
+    @classmethod
+    def from_cells(
+        cls, day: date, granularity: str, cells: Mapping[tuple[str, str], int]
+    ) -> "DailyOD":
+        """The matrix of `cells`, (origin, destination) names -> count, named from the keys."""
+        names = [name for pair in cells for name in pair]
+        codes = np.arange(len(names))
+        counts = np.array(list(cells.values()), dtype=np.int64)
+        return cls.from_codes(day, granularity, names, codes[0::2], codes[1::2], counts)
 
     @property
-    def total_trips(self) -> int:
-        return sum(self.cells.values())
+    def cells(self) -> dict[tuple[str, str], int]:
+        """A new (origin, destination) -> count dict of the rows, in row order."""
+        names = self.names
+        rows = zip(self.origin.tolist(), self.destination.tolist(), self.count.tolist())
+        return {(names[o], names[d]): c for o, d, c in rows}
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,40 +142,36 @@ class ProvinceCube:
             if od.date in seen:
                 raise ValueError(f"duplicate date {od.date} in OD sequence")
             seen.add(od.date)
-            for (origin, destination), count in od.cells.items():
-                try:
-                    counts[d, position[origin], position[destination]] = count
-                except KeyError as exc:
-                    raise UnknownProvinceError(
-                        f"province {exc.args[0]!r} on {od.date} is not present in the territory index"
-                    ) from None
+            try:
+                code = np.array([position[name] for name in od.names], dtype=np.int64)
+            except KeyError as exc:
+                raise UnknownProvinceError(
+                    f"province {exc.args[0]!r} on {od.date} is not present in the territory index"
+                ) from None
+            counts[d, code[od.origin], code[od.destination]] = od.count
         counts.flags.writeable = False
         return cls(dates=tuple(od.date for od in province_ods), provinces=provinces, counts=counts)
 
 
-def build_daily_od(trips: Iterable[tuple[str, str]], day: date) -> DailyOD:
-    """Count (origin, destination) trips into a municipality-granularity matrix for one day."""
-    return DailyOD(date=day, granularity="municipality", cells=dict(Counter(trips)))
+def build_daily_od(trips: np.ndarray, names: Sequence[str], day: date) -> DailyOD:
+    """Count one day's trips, an int (n, 2) array of (origin, destination) codes into `names`."""
+    return DailyOD.from_codes(day, "municipality", names, trips[:, 0], trips[:, 1])
 
 
 def aggregate_to_province(od: DailyOD, index: TerritoryIndex) -> DailyOD:
-    """Group municipality cells by province; intra-province trips become self-loops.
+    """Relabel each municipality as its province; intra-province trips become self-loops.
 
     Total trip mass is conserved exactly. A municipality missing from the index
     is a data-integrity failure and raises UnmappedMunicipalityError. Feeding a
     province matrix back in with an identity mapping is the identity.
     """
-    mapping = index.muni_to_province
-    cells: Counter[tuple[str, str]] = Counter()
-    for (origin, destination), count in od.cells.items():
-        try:
-            p, q = mapping[origin], mapping[destination]
-        except KeyError as exc:
-            raise UnmappedMunicipalityError(
-                f"municipality {exc.args[0]!r} not present in the territory index"
-            ) from None
-        cells[(p, q)] += count
-    return DailyOD(date=od.date, granularity="province", cells=dict(cells))
+    try:
+        provinces = [index.muni_to_province[name] for name in od.names]
+    except KeyError as exc:
+        raise UnmappedMunicipalityError(
+            f"municipality {exc.args[0]!r} not present in the territory index"
+        ) from None
+    return DailyOD.from_codes(od.date, "province", provinces, od.origin, od.destination, od.count)
 
 
 def _granularity_dir(root: str | Path, granularity: str) -> Path:
@@ -211,7 +234,11 @@ def _read_manifest(path: Path, granularity: str) -> dict:
 
 
 def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
-    """Load one stored matrix; round-trips store_daily_od bit-exactly."""
+    """Load one stored matrix; round-trips store_daily_od bit-exactly.
+
+    A repeated (origin, destination) row, a municipality self-loop, or a count
+    that is not a positive integer raises ODSchemaError naming the file.
+    """
     directory = _granularity_dir(root, granularity)
     path = directory / f"{day.isoformat()}.csv"
     if not path.exists():
@@ -230,8 +257,14 @@ def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
                 continue
             if len(row) != 3:
                 raise ODSchemaError(f"{path}: malformed row {row!r}")
+            if (row[0], row[1]) in cells:
+                raise ODSchemaError(f"{path}: repeated row {row!r}")
+            if granularity == "municipality" and row[0] == row[1]:
+                raise ODSchemaError(f"{path}: self-loop row {row!r}")
+            if not row[2].isdecimal() or int(row[2]) < 1:
+                raise ODSchemaError(f"{path}: count in row {row!r} is not a positive integer")
             cells[(row[0], row[1])] = int(row[2])
-    return DailyOD(date=day, granularity=granularity, cells=cells)
+    return DailyOD.from_cells(day, granularity, cells)
 
 
 def list_od_dates(root: str | Path, granularity: str) -> list[date]:

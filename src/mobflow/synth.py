@@ -145,10 +145,7 @@ class ScenarioPlan:
         return TerritoryIndex(muni_to_province=self.territory.muni_to_province)
 
     def municipality_ods(self) -> list[DailyOD]:
-        return [
-            DailyOD(date=day, granularity="municipality", cells=dict(self.daily_cells[day]))
-            for day in self.config.dates
-        ]
+        return [DailyOD.from_cells(day, "municipality", self.daily_cells[day]) for day in self.config.dates]
 
     def province_ods(self) -> list[DailyOD]:
         index = self.territory_index()

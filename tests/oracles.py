@@ -7,8 +7,8 @@ dense linear algebra, exhaustive enumeration, straight-line formulas.
 
 import hashlib
 import math
-from collections import defaultdict, namedtuple
-from datetime import datetime
+from collections import Counter, defaultdict, namedtuple
+from datetime import datetime, timedelta
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -17,6 +17,7 @@ from mobflow.cluster import MAX_ITER, _pairwise_distances
 from mobflow.community import (
     DEFAULT_TELEPORT,
     GAIN_EPS,
+    FlowGraph,
     Partition,
     _MapState,
     _aggregate,
@@ -26,9 +27,10 @@ from mobflow.community import (
     stationary_flow,
 )
 from mobflow.flows import FlowSeries
-from mobflow.ingest import ParseResult
+from mobflow.ingest import ParseResult, daily_trips
 
 Event = namedtuple("Event", "user_id timestamp municipality_id")
+DictFlow = namedtuple("DictFlow", "visit_rates edge_flows")
 
 
 def tree_digest(root):
@@ -58,6 +60,15 @@ def event_table(events):
         timestamp=np.array([e.timestamp for e in rows], dtype=np.int64),
         municipality=np.array([muni_code[e.municipality_id] for e in rows], dtype=np.int64),
     )
+
+
+def named_daily_trips(table, *args):
+    """`daily_trips` of an event table, each day's rows as (origin, destination) name pairs."""
+    names = table.municipalities
+    return {
+        day: [(names[o], names[d]) for o, d in trips.tolist()]
+        for day, trips in daily_trips(table, *args).items()
+    }
 
 
 def split_events_by_day(events, tz):
@@ -110,6 +121,73 @@ def trips_bruteforce(events, dwell_threshold=3600):
         if dwell is None or dwell >= dwell_threshold:
             out.append((a.municipality_id, b.municipality_id))
     return out
+
+
+def count_cells(pairs):
+    """Counter of (origin, destination) name pairs as a dict in sorted cell order."""
+    return dict(sorted(Counter(pairs).items()))
+
+
+def aggregate_cells(cells, mapping):
+    """Cells regrouped by `mapping` of each name, summed through dict lookups, in sorted order."""
+    out = Counter()
+    for (origin, destination), count in cells.items():
+        out[(mapping[origin], mapping[destination])] += count
+    return dict(sorted(out.items()))
+
+
+def window_cells(days, window):
+    """Per (date, cells) day in date order, its trailing-`window` cell sums as floats.
+
+    Each day's dict accumulates the cells of every day dated within its
+    `window` calendar days, day by day from 0.0, and is returned in sorted
+    cell order.
+    """
+    days = sorted(days, key=lambda day: day[0])
+    out = []
+    for day, _cells in days:
+        merged = defaultdict(float)
+        for past, cells in days:
+            if day - timedelta(days=window - 1) <= past <= day:
+                for pair, count in cells.items():
+                    merged[pair] += float(count)
+        out.append(dict(sorted(merged.items())))
+    return out
+
+
+def province_cube(days, provinces):
+    """int64[D, P, P] trip counts of (date, cells) days, filled one cell at a time."""
+    position = {province: i for i, province in enumerate(sorted(provinces))}
+    counts = np.zeros((len(days), len(position), len(position)), dtype=np.int64)
+    for d, (_day, cells) in enumerate(days):
+        for (origin, destination), count in cells.items():
+            counts[d, position[origin], position[destination]] = count
+    return counts
+
+
+def same_od(a, b):
+    """Whether two matrices hold the same date, granularity, names and rows."""
+    columns = ("origin", "destination", "count")
+    return (a.date, a.granularity, a.names) == (b.date, b.granularity, b.names) and all(
+        np.array_equal(getattr(a, column), getattr(b, column)) for column in columns
+    )
+
+
+def flow_graph(cells, extra_nodes=()):
+    """The library graph of a (source, target) -> weight dict, edges in the dict's order."""
+    nodes = tuple(sorted({node for pair in cells for node in pair}.union(extra_nodes)))
+    index = {node: i for i, node in enumerate(nodes)}
+    edges = np.array([(index[u], index[v]) for u, v in cells], dtype=np.int64).reshape(-1, 2)
+    return FlowGraph(nodes=nodes, edges=edges, weights=np.array(list(cells.values()), dtype=float))
+
+
+def flow_dicts(g, flow):
+    """Name-keyed visit rates and (source, target)-keyed edge flows of a stationary flow on g."""
+    nodes = g.nodes
+    return DictFlow(
+        dict(zip(nodes, flow.visit_rates.tolist())),
+        {(nodes[u], nodes[v]): q for (u, v), q in zip(g.edges.tolist(), flow.edge_flows.tolist())},
+    )
 
 
 def entropy_direct(counts, n):
@@ -174,15 +252,15 @@ def flow_diversity(od, province, direction, n, include_self=False):
 
 def stationary_dense(g, tau=0.15):
     """Stationary distribution of the teleporting chain by dense linear solve."""
-    nodes = sorted(g.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
+    nodes = g.nodes
     n = len(nodes)
+    edges = list(zip(g.edges.tolist(), g.weights.tolist()))
     P = np.zeros((n, n))
     out_w = np.zeros(n)
-    for (u, v), w in g.edges.items():
-        out_w[index[u]] += w
-    for (u, v), w in g.edges.items():
-        P[index[u], index[v]] = w / out_w[index[u]]
+    for (u, v), w in edges:
+        out_w[u] += w
+    for (u, v), w in edges:
+        P[u, v] = w / out_w[u]
     for i in range(n):
         if out_w[i] == 0.0:
             P[i, :] = 1.0 / n
@@ -192,7 +270,7 @@ def stationary_dense(g, tau=0.15):
     b = np.zeros(n)
     b[-1] = 1.0
     p = np.linalg.solve(A, b)
-    return {node: p[index[node]] for node in nodes}
+    return dict(zip(nodes, p.tolist()))
 
 
 def map_equation(assignment, flow):
@@ -421,9 +499,8 @@ def infomap_reference(g, seed, trials=10, tau=DEFAULT_TELEPORT, flow=None):
     """
     if flow is None:
         flow = stationary_flow(g, tau=tau)
-    nodes = sorted(g.nodes)
-    flat = _flat_level(nodes, flow)
-    node_term = sum(_plogp(p) for p in flow.visit_rates.values())
+    flat = _flat_level(g, flow)
+    node_term = sum(_plogp(p) for p in flow.visit_rates.tolist())
     best = None
     for trial in range(max(1, trials)):
         rng = np.random.default_rng([seed, trial])
@@ -433,7 +510,7 @@ def infomap_reference(g, seed, trials=10, tau=DEFAULT_TELEPORT, flow=None):
     length, raw = best
     compacted = _compact(raw)
     return Partition(
-        assignment={node: compacted[i] for i, node in enumerate(nodes)},
+        assignment={node: compacted[i] for i, node in enumerate(g.nodes)},
         codelength=length,
     )
 
@@ -449,13 +526,20 @@ def lloyd_reference(x, centroids):
     for _ in range(MAX_ITER):
         dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dists.argmin(axis=1)
-        for j in range(k):
-            if not (new_labels == j).any():
-                farthest = int(dists[np.arange(n), new_labels].argmax())
-                centroids[j] = x[farthest]
-                dists[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
-                new_labels = dists.argmin(axis=1)
-                new_labels[farthest] = j
+        claimed = {}
+        while any(not (new_labels == j).any() for j in range(k)):
+            for j in range(k):
+                if not (new_labels == j).any():
+                    far = dists[np.arange(n), new_labels]
+                    for point in claimed:
+                        far[point] = -1.0
+                    farthest = int(far.argmax())
+                    centroids[j] = x[farthest]
+                    dists[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
+                    claimed[farthest] = j
+                    new_labels = dists.argmin(axis=1)
+                    for point, cluster in claimed.items():
+                        new_labels[point] = cluster
         if (new_labels == labels).all():
             break
         labels = new_labels

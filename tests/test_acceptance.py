@@ -15,9 +15,8 @@ import numpy as np
 from mobflow import synth
 from mobflow.cli import main as cli_main
 from mobflow.cluster import SeriesMatrix, select_k
-from mobflow.community import FlowGraph, community_count_series, infomap, stationary_flow
+from mobflow.community import community_count_series, infomap, stationary_flow
 from mobflow.diversity import diversity_series, flow_diversity
-from mobflow.ingest import daily_trips
 from mobflow.od import (
     DailyOD,
     ProvinceCube,
@@ -33,8 +32,12 @@ from oracles import (
     entropy_direct,
     event_table,
     exhaustive_min_codelength,
+    flow_dicts,
+    flow_graph,
     map_equation,
+    named_daily_trips,
     random_flow_graph,
+    same_od,
     stationary_dense,
     tree_digest,
     trips_bruteforce,
@@ -46,7 +49,7 @@ TERRITORY_110 = ["A"] + [f"S{i}" for i in range(109)]
 
 def _in_diversity(days: list[dict]) -> list[float | None]:
     """A's in-flow diversity on each day of a 110-province territory, through the cube."""
-    ods = [DailyOD(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
+    ods = [DailyOD.from_cells(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
     return diversity_series(ProvinceCube.from_ods(ods, TERRITORY_110), "in")[0].values
 
 
@@ -108,10 +111,10 @@ def test_criterion_2_map_equation_optimality():
             nodes, edges = random_flow_graph(rng, n, density=density)
             if not edges:
                 continue
-            g = FlowGraph(nodes=nodes, edges=edges)
+            g = flow_graph(edges, nodes)
             flow = stationary_flow(g)
             part = infomap(g, seed=graphs, trials=10, flow=flow)
-            best_length, _ = exhaustive_min_codelength(flow, map_equation)
+            best_length, _ = exhaustive_min_codelength(flow_dicts(g, flow), map_equation)
             worst_gap = max(worst_gap, part.codelength - best_length)
             graphs += 1
     ok = worst_gap <= 1e-9 and t.elapsed < budget
@@ -133,8 +136,8 @@ def test_criterion_3_stationary_flow_oracle():
             nodes, edges = random_flow_graph(rng, n, density=float(rng.uniform(0.05, 0.6)))
             if not edges:
                 continue
-            g = FlowGraph(nodes=nodes, edges=edges)
-            flow = stationary_flow(g)
+            g = flow_graph(edges, nodes)
+            flow = flow_dicts(g, stationary_flow(g))
             dense = stationary_dense(g)
             worst_p = max(worst_p, max(abs(flow.visit_rates[v] - dense[v]) for v in nodes))
             worst_sum = max(worst_sum, abs(sum(flow.visit_rates.values()) - 1.0))
@@ -158,16 +161,16 @@ def test_criterion_4_od_conservation(tmp_path):
         origins = rng.integers(0, n_munis, size=n_trips)
         offsets = rng.integers(1, n_munis, size=n_trips)
         dests = (origins + offsets) % n_munis
-        pairs = list(zip(origins.tolist(), dests.tolist()))
-        muni_od = build_daily_od([(munis[o], munis[d]) for o, d in pairs], DAY)
+        muni_od = build_daily_od(np.stack([origins, dests], axis=1), munis, DAY)
         province_od = aggregate_to_province(muni_od, TerritoryIndex(muni_to_province=mapping))
-        conserved = muni_od.total_trips == province_od.total_trips == n_trips
+        muni_sum, province_sum = int(muni_od.count.sum()), int(province_od.count.sum())
+        conserved = muni_sum == province_sum == n_trips
         store_daily_od(muni_od, tmp_path)
-        round_trip = load_daily_od(tmp_path, DAY, "municipality") == muni_od
+        round_trip = same_od(load_daily_od(tmp_path, DAY, "municipality"), muni_od)
     ok = conserved and round_trip and t.elapsed < budget
     _report(4, ok, t.elapsed, budget,
-            f"1e6 trips: municipality sum {muni_od.total_trips}, province sum "
-            f"{province_od.total_trips}, round-trip identity {round_trip}")
+            f"1e6 trips: municipality sum {muni_sum}, province sum "
+            f"{province_sum}, round-trip identity {round_trip}")
     assert conserved
     assert round_trip
     assert t.elapsed < budget
@@ -186,7 +189,7 @@ def test_criterion_5_trip_rule_oracle():
             events = [Event("u", int(ts), f"M{m}") for ts, m in zip(times, munis)]
             threshold = thresholds[stream % len(thresholds)]
             # in UTC every stream lies within 1970-01-01
-            got = daily_trips(event_table(events), threshold, tz="UTC").get(date(1970, 1, 1), [])
+            got = named_daily_trips(event_table(events), threshold, "UTC").get(date(1970, 1, 1), [])
             if got != trips_bruteforce(events, threshold):
                 mismatches += 1
     ok = mismatches == 0 and t.elapsed < budget

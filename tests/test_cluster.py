@@ -79,6 +79,15 @@ class TestKMeans:
         for j in range(3):
             assert (clustering.labels == j).sum() > 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_reseeding_one_empty_cluster_empties_no_other(self):
+        # Re-seeding an empty cluster re-runs the argmin, which can pull the
+        # point claimed for a cluster re-seeded just before back to a duplicate.
+        x = np.array([[2.0, 1.0]] * 6 + [[1.0, 2.0]] + [[0.0, 0.0]] * 3)
+        clustering = kmeans(matrix_from(x), 6, seed=0, restarts=1)
+        assert np.bincount(clustering.labels, minlength=6).min() > 0
+        assert np.isfinite(clustering.centroids).all()
+
     def test_reproducible(self):
         matrix, _ = planted([0.2, 0.5, 0.8], per_group=6, seed=2)
         a = kmeans(matrix, 3, seed=11, restarts=4)
@@ -196,7 +205,8 @@ class TestMatchesOracles:
     @given(cluster_inputs())
     @example((np.vstack([np.full((4, 10), 0.2), np.full((4, 10), 0.8)]), 3, 0))
     @example((np.arange(6.0).reshape(6, 1), 6, 1))
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+    @example((np.array([[2.0, 1.0]] * 6 + [[1.0, 2.0]] + [[0.0, 0.0]] * 3), 6, 0))
+    @pytest.mark.filterwarnings("error")
     def test_lloyd_and_silhouette_bit_equal(self, case):
         x, k, seed = case
         start = _kmeanspp_init(x, k, np.random.default_rng(seed))

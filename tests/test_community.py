@@ -23,6 +23,8 @@ from mobflow.od import DailyOD
 
 from oracles import (
     exhaustive_min_codelength,
+    flow_dicts,
+    flow_graph,
     infomap_reference,
     map_equation,
     map_equation_entropy_form,
@@ -41,15 +43,15 @@ def clique(prefix, k, w=1.0):
 
 class TestStationaryFlow:
     def test_symmetric_two_cycle(self):
-        g = FlowGraph.from_cells({("a", "b"): 1.0, ("b", "a"): 1.0})
-        flow = stationary_flow(g)
-        assert flow.visit_rates["a"] == pytest.approx(0.5, abs=1e-12)
-        assert flow.visit_rates["b"] == pytest.approx(0.5, abs=1e-12)
+        g = flow_graph({("a", "b"): 1.0, ("b", "a"): 1.0})
+        rates = flow_dicts(g, stationary_flow(g)).visit_rates
+        assert rates["a"] == pytest.approx(0.5, abs=1e-12)
+        assert rates["b"] == pytest.approx(0.5, abs=1e-12)
 
     def test_directed_three_cycle_uniform(self):
-        g = FlowGraph.from_cells({("a", "b"): 2.0, ("b", "c"): 2.0, ("c", "a"): 2.0})
+        g = flow_graph({("a", "b"): 2.0, ("b", "c"): 2.0, ("c", "a"): 2.0})
         flow = stationary_flow(g)
-        for p in flow.visit_rates.values():
+        for p in flow.visit_rates.tolist():
             assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_matches_dense_solve_on_random_graphs(self):
@@ -58,44 +60,45 @@ class TestStationaryFlow:
             nodes, edges = random_flow_graph(rng, int(rng.integers(2, 7)))
             if not edges:
                 continue
-            g = FlowGraph(nodes=nodes, edges=edges)
-            flow = stationary_flow(g)
+            g = flow_graph(edges, nodes)
+            rates = flow_dicts(g, stationary_flow(g)).visit_rates
             expected = stationary_dense(g)
             for node in nodes:
-                assert flow.visit_rates[node] == pytest.approx(expected[node], abs=1e-9)
+                assert rates[node] == pytest.approx(expected[node], abs=1e-9)
 
     def test_visit_rates_sum_to_one(self):
         rng = np.random.default_rng(13)
         nodes, edges = random_flow_graph(rng, 12, density=0.2)
-        flow = stationary_flow(FlowGraph(nodes=nodes, edges=edges))
-        assert sum(flow.visit_rates.values()) == pytest.approx(1.0, abs=1e-10)
+        flow = stationary_flow(flow_graph(edges, nodes))
+        assert sum(flow.visit_rates.tolist()) == pytest.approx(1.0, abs=1e-10)
 
     def test_edge_flows_total_without_dangling(self):
         # every node has an out-edge, so recorded flow is exactly 1 - tau
-        g = FlowGraph.from_cells(
+        g = flow_graph(
             {("a", "b"): 3.0, ("b", "c"): 1.0, ("c", "a"): 2.0, ("a", "c"): 1.0}
         )
         flow = stationary_flow(g, tau=0.15)
-        assert sum(flow.edge_flows.values()) == pytest.approx(0.85, abs=1e-10)
+        assert sum(flow.edge_flows.tolist()) == pytest.approx(0.85, abs=1e-10)
 
     def test_dangling_mass_not_recorded_as_edge_flow(self):
-        g = FlowGraph.from_cells({("a", "b"): 1.0})  # b is dangling
-        flow = stationary_flow(g, tau=0.15)
+        g = flow_graph({("a", "b"): 1.0})  # b is dangling
+        flow = flow_dicts(g, stationary_flow(g, tau=0.15))
         expected = 0.85 * flow.visit_rates["a"]
         assert sum(flow.edge_flows.values()) == pytest.approx(expected, abs=1e-12)
 
     def test_non_convergence_error_carries_residual(self):
-        g = FlowGraph.from_cells({("a", "b"): 1.0, ("b", "a"): 1.0, ("a", "c"): 1.0, ("c", "a"): 1.0})
+        g = flow_graph({("a", "b"): 1.0, ("b", "a"): 1.0, ("a", "c"): 1.0, ("c", "a"): 1.0})
         with pytest.raises(PowerIterationError) as err:
             stationary_flow(g, tol=1e-30, max_iter=3)
         assert err.value.residual > 0.0
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            stationary_flow(FlowGraph(nodes=[], edges={}))
+            stationary_flow(flow_graph({}))
 
     def test_edgeless_graph_is_uniform(self):
-        flow = stationary_flow(FlowGraph(nodes=["a", "b", "c", "d"], edges={}))
+        g = flow_graph({}, ["a", "b", "c", "d"])
+        flow = flow_dicts(g, stationary_flow(g))
         assert flow.visit_rates == {node: 0.25 for node in "abcd"}
         assert flow.edge_flows == {}
 
@@ -104,15 +107,15 @@ class TestMapEquation:
     def test_single_module_is_visit_rate_entropy(self):
         rng = np.random.default_rng(14)
         nodes, edges = random_flow_graph(rng, 6)
-        g = FlowGraph(nodes=nodes, edges=edges)
-        flow = stationary_flow(g)
+        g = flow_graph(edges, nodes)
+        flow = flow_dicts(g, stationary_flow(g))
         expected = -sum(p * math.log2(p) for p in flow.visit_rates.values() if p > 0)
         got = map_equation({node: 0 for node in nodes}, flow)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_two_node_singletons_hand_expansion(self):
-        g = FlowGraph.from_cells({("a", "b"): 1.0, ("b", "a"): 1.0})
-        flow = stationary_flow(g, tau=0.15)
+        g = flow_graph({("a", "b"): 1.0, ("b", "a"): 1.0})
+        flow = flow_dicts(g, stationary_flow(g, tau=0.15))
         # p = (1/2, 1/2); each module exits with 0.85 * 1/2
         q_i = 0.85 * 0.5
         q = 2 * q_i
@@ -133,15 +136,16 @@ class TestMapEquation:
             nodes, edges = random_flow_graph(rng, n)
             if not edges:
                 continue
-            flow = stationary_flow(FlowGraph(nodes=nodes, edges=edges))
+            g = flow_graph(edges, nodes)
+            flow = flow_dicts(g, stationary_flow(g))
             assignment = {node: int(rng.integers(0, n)) for node in nodes}
             a = map_equation(assignment, flow)
             b = map_equation_entropy_form(assignment, flow)
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_partition_must_cover_all_nodes(self):
-        g = FlowGraph.from_cells({("a", "b"): 1.0, ("b", "a"): 1.0})
-        flow = stationary_flow(g)
+        g = flow_graph({("a", "b"): 1.0, ("b", "a"): 1.0})
+        flow = flow_dicts(g, stationary_flow(g))
         with pytest.raises(ValueError, match="misses"):
             map_equation({"a": 0}, flow)
 
@@ -151,10 +155,10 @@ class TestInfomap:
         n1, e1 = clique("a", 4)
         n2, e2 = clique("b", 4)
         edges = {**e1, **e2, ("a0", "b0"): 0.1, ("b0", "a0"): 0.1}
-        g = FlowGraph(nodes=n1 + n2, edges=edges)
+        g = flow_graph(edges, n1 + n2)
         flow = stationary_flow(g)
         part = infomap(g, seed=1, trials=10, flow=flow)
-        best_length, _ = exhaustive_min_codelength(flow, map_equation)
+        best_length, _ = exhaustive_min_codelength(flow_dicts(g, flow), map_equation)
         assert part.module_count == 2
         assert part.codelength == pytest.approx(best_length, abs=1e-9)
         groups = sorted(sorted(m) for m in part.modules().values())
@@ -162,10 +166,11 @@ class TestInfomap:
 
     def test_single_clique_stays_one_module(self):
         nodes, edges = clique("c", 5)
-        g = FlowGraph(nodes=nodes, edges=edges)
+        g = flow_graph(edges, nodes)
         flow = stationary_flow(g)
         part = infomap(g, seed=2, trials=10, flow=flow)
         assert part.module_count == 1
+        flow = flow_dicts(g, flow)
         one = map_equation({n: 0 for n in nodes}, flow)
         singletons = map_equation({n: i for i, n in enumerate(nodes)}, flow)
         assert one < singletons
@@ -175,10 +180,10 @@ class TestInfomap:
             ("x0", "x1"): 1.0, ("x1", "x2"): 1.0, ("x2", "x0"): 1.0,
             ("y0", "y1"): 1.0, ("y1", "y2"): 1.0, ("y2", "y0"): 1.0,
         }
-        g = FlowGraph.from_cells(edges)
+        g = flow_graph(edges)
         flow = stationary_flow(g)
         part = infomap(g, seed=3, trials=10, flow=flow)
-        best_length, best_assignment = exhaustive_min_codelength(flow, map_equation)
+        best_length, best_assignment = exhaustive_min_codelength(flow_dicts(g, flow), map_equation)
         assert part.module_count == 2
         assert part.codelength == pytest.approx(best_length, abs=1e-9)
         assert len(set(best_assignment.values())) == 2
@@ -190,9 +195,10 @@ class TestInfomap:
             nodes, edges = random_flow_graph(rng, int(rng.integers(3, 9)))
             if not edges:
                 continue
-            g = FlowGraph(nodes=nodes, edges=edges)
+            g = flow_graph(edges, nodes)
             flow = stationary_flow(g)
             part = infomap(g, seed=trial, trials=10, flow=flow, consistency_check=True)
+            flow = flow_dicts(g, flow)
             best_length, _ = exhaustive_min_codelength(flow, map_equation)
             assert part.codelength == pytest.approx(best_length, abs=1e-9)
             # the maintained codelength must agree with a from-scratch recompute
@@ -208,9 +214,10 @@ class TestInfomap:
             nodes, edges = random_flow_graph(rng, 12, density=0.25)
             if not edges:
                 continue
-            g = FlowGraph(nodes=nodes, edges=edges)
+            g = flow_graph(edges, nodes)
             flow = stationary_flow(g)
             part = infomap(g, seed=trial, trials=4, flow=flow)
+            flow = flow_dicts(g, flow)
             singletons = map_equation({n: i for i, n in enumerate(sorted(nodes))}, flow)
             one_module = map_equation({n: 0 for n in nodes}, flow)
             assert part.codelength <= singletons + 1e-9
@@ -219,12 +226,12 @@ class TestInfomap:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(18)
         nodes, edges = random_flow_graph(rng, 7)
-        g = FlowGraph(nodes=nodes, edges=edges)
+        g = flow_graph(edges, nodes)
         part = infomap(g, seed=5, trials=10)
         relabel = {node: f"z{9 - i}" for i, node in enumerate(nodes)}
-        g2 = FlowGraph(
-            nodes=[relabel[n] for n in nodes],
-            edges={(relabel[u], relabel[v]): w for (u, v), w in edges.items()},
+        g2 = flow_graph(
+            {(relabel[u], relabel[v]): w for (u, v), w in edges.items()},
+            [relabel[n] for n in nodes],
         )
         part2 = infomap(g2, seed=5, trials=10)
         assert part2.codelength == pytest.approx(part.codelength, abs=1e-9)
@@ -232,16 +239,13 @@ class TestInfomap:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(19)
         nodes, edges = random_flow_graph(rng, 10)
-        g = FlowGraph(nodes=nodes, edges=edges)
+        g = flow_graph(edges, nodes)
         a = infomap(g, seed=7, trials=5)
         b = infomap(g, seed=7, trials=5)
         assert a == b
 
     def test_isolated_nodes_become_singletons(self):
-        g = FlowGraph(
-            nodes=["a", "b", "iso1", "iso2"],
-            edges={("a", "b"): 1.0, ("b", "a"): 1.0},
-        )
+        g = flow_graph({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b", "iso1", "iso2"])
         part = infomap(g, seed=1, trials=4)
         assert part.assignment["iso1"] != part.assignment["iso2"]
         assert part.assignment["iso1"] not in (part.assignment["a"], part.assignment["b"])
@@ -257,7 +261,7 @@ def flow_graphs(draw):
     edges = {}
     for u, v, w in draw(st.lists(edge, max_size=4 * n)):
         edges[(nodes[u], nodes[v])] = float(w)
-    return FlowGraph(nodes=nodes, edges=edges)
+    return flow_graph(edges, nodes)
 
 
 class TestInfomapMatchesReference:
@@ -278,7 +282,7 @@ class TestInfomapMatchesReference:
             seed=3, n_provinces=6, municipalities_per_province=8, n_days=2, lockdown_day=1
         )
         for od in synth.generate_plan(config).municipality_ods():
-            g = FlowGraph.from_cells({pair: float(c) for pair, c in od.cells.items()})
+            g = FlowGraph.from_od(od)
             flow = stationary_flow(g)
             fast = infomap(g, seed=5, trials=4, flow=flow, consistency_check=True)
             reference = infomap_reference(g, seed=5, trials=4, flow=flow)
@@ -288,7 +292,7 @@ class TestInfomapMatchesReference:
 
 
 def _od(cells, day=DAY):
-    return DailyOD(day, "municipality", cells)
+    return DailyOD.from_cells(day, "municipality", cells)
 
 
 class TestCommunityCountSeries:

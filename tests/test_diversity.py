@@ -25,7 +25,7 @@ TERRITORY_110 = ["A"] + [f"S{i:03d}" for i in range(109)]
 
 
 def in_flows_od(flows: dict[str, int], target="A", day=DAY):
-    return DailyOD(day, "province", {(src, target): c for src, c in flows.items()})
+    return DailyOD.from_cells(day, "province", {(src, target): c for src, c in flows.items()})
 
 
 def series_of(ods, province, direction, provinces=TERRITORY_110, include_self=False):
@@ -73,12 +73,12 @@ class TestFlowDiversity:
             assert got == pytest.approx(oracles.entropy_direct(counts, 110), abs=1e-12)
 
     def test_zero_flow_is_absent_not_zero(self):
-        od = DailyOD(DAY, "province", {("A", "S000"): 3})  # only outgoing
+        od = DailyOD.from_cells(DAY, "province", {("A", "S000"): 3})  # only outgoing
         assert value_of(od, "A", "in") is None
         assert value_of(od, "A", "out") == 0.0
 
     def test_out_direction_mirrors_in(self):
-        od = DailyOD(DAY, "province", {("A", "B"): 30, ("A", "C"): 10})
+        od = DailyOD.from_cells(DAY, "province", {("A", "B"): 30, ("A", "C"): 10})
         got = value_of(od, "A", "out", ["A", "B", "C"])
         assert got == pytest.approx(oracles.entropy_direct([30, 10], 3), abs=1e-12)
         assert value_of(od, "B", "in", ["A", "B", "C"]) == 0.0
@@ -90,12 +90,12 @@ class TestFlowDiversity:
         assert value == pytest.approx(0.11963, abs=1e-5)
 
     def test_self_loop_excluded_by_default_included_on_request(self):
-        od = DailyOD(DAY, "province", {("A", "A"): 40, ("S000", "A"): 30, ("S001", "A"): 10})
+        od = DailyOD.from_cells(DAY, "province", {("A", "A"): 40, ("S000", "A"): 30, ("S001", "A"): 10})
         base = value_of(od, "A", "in")
         assert base == pytest.approx(oracles.entropy_direct([30, 10], 110), abs=1e-12)
         with_self = value_of(od, "A", "in", include_self=True)
         assert with_self == pytest.approx(oracles.entropy_direct([40, 30, 10], 110), abs=1e-12)
-        only_self = DailyOD(DAY, "province", {("A", "A"): 40})
+        only_self = DailyOD.from_cells(DAY, "province", {("A", "A"): 40})
         assert value_of(only_self, "A", "out") is None
         assert value_of(only_self, "A", "out", include_self=True) == 0.0
 
@@ -156,13 +156,13 @@ def province_runs(draw):
     ods = []
     for offset in offsets:
         cells = draw(st.dictionaries(pair, st.integers(1, 10**6), max_size=3 * n))
-        ods.append(DailyOD(DAY + timedelta(days=offset), "province",
+        ods.append(DailyOD.from_cells(DAY + timedelta(days=offset), "province",
                            {(provinces[o], provinces[d]): c for (o, d), c in cells.items()}))
     return provinces, ods
 
 
 def _run(provinces, days):
-    return provinces, [DailyOD(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
+    return provinces, [DailyOD.from_cells(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
 
 
 class TestCubeMatchesPerProvinceScans:
@@ -204,14 +204,14 @@ class TestDiversitySeries:
     def test_absent_day_preserved(self):
         ods = [
             in_flows_od({"S000": 2}, day=DAY),
-            DailyOD(DAY + timedelta(days=1), "province", {}),
+            DailyOD.from_cells(DAY + timedelta(days=1), "province", {}),
         ]
         series = series_of(ods, "A", "in")
         assert series.values[0] == 0.0
         assert series.values[1] is None
 
     def test_csv_blank_for_absent(self, tmp_path):
-        series = series_of([DailyOD(DAY, "province", {})], "A", "in")
+        series = series_of([DailyOD.from_cells(DAY, "province", {})], "A", "in")
         out = tmp_path / "d.csv"
         write_diversity_csv([series], out)
         assert out.read_text().splitlines()[1] == "2020-03-02,A,in,"

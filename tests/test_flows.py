@@ -15,7 +15,7 @@ PROVINCES = [f"P{i}" for i in range(6)]
 
 
 def province_od(cells, day=DAY):
-    return DailyOD(day, "province", cells)
+    return DailyOD.from_cells(day, "province", cells)
 
 
 def flows_of(ods, province, provinces=PROVINCES):
@@ -88,7 +88,7 @@ class TestProvinceCube:
             ProvinceCube.from_ods([od], PROVINCES)
 
     def test_municipality_matrices_rejected(self):
-        od = DailyOD(DAY, "municipality", {("M1", "M2"): 1})
+        od = DailyOD.from_cells(DAY, "municipality", {("M1", "M2"): 1})
         with pytest.raises(ValueError, match="province-granularity"):
             ProvinceCube.from_ods([od], PROVINCES)
 

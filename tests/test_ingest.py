@@ -9,15 +9,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobflow.ingest import (
+    EPOCH_RANGE,
     AntennaRegistry,
     AntennaSite,
     RegistryError,
+    _local_days,
     daily_trips,
     load_registry,
     parse_records,
 )
 
-from oracles import Event, event_table, extract_trips, split_events_by_day, trips_bruteforce
+from oracles import (
+    Event,
+    event_table,
+    extract_trips,
+    named_daily_trips,
+    split_events_by_day,
+    trips_bruteforce,
+)
 
 H = 3600
 EPOCH_DAY = date(1970, 1, 1)
@@ -224,7 +233,7 @@ class TestRegistry:
 
 def utc_day_trips(events, threshold=H):
     """The library's trips for events of the first UTC day."""
-    return daily_trips(event_table(events), threshold, "UTC").get(EPOCH_DAY, [])
+    return named_daily_trips(event_table(events), threshold, "UTC").get(EPOCH_DAY, [])
 
 
 class TestExtractTrips:
@@ -255,7 +264,7 @@ class TestExtractTrips:
     def test_trip_fields(self):
         # a trip is an (origin, destination) pair filed under the day it happens
         events = [ev("u", 100, "M1"), ev("u", 200, "M1"), ev("u", 5000, "M2")]
-        assert daily_trips(event_table(events), H, "UTC") == {EPOCH_DAY: [("M1", "M2")]}
+        assert named_daily_trips(event_table(events), H, "UTC") == {EPOCH_DAY: [("M1", "M2")]}
 
 
 events_strategy = st.lists(
@@ -269,7 +278,7 @@ class TestTripProperties:
     @given(events_strategy, st.sampled_from([0, 1800, 3600, 7200]))
     @settings(max_examples=300, deadline=None)
     def test_streaming_equals_bruteforce(self, events, threshold):
-        got = daily_trips(event_table(events), threshold, "UTC")
+        got = named_daily_trips(event_table(events), threshold, "UTC")
         assert got == reference_daily_trips(events, threshold, "UTC", trips_bruteforce)
         assert got == reference_daily_trips(events, threshold, "UTC", extract_trips)
 
@@ -313,7 +322,7 @@ class TestTripProperties:
         one = parse_records([], [whole], registry)
         many = parse_records([], parts, registry)
         assert one.events_by_user == many.events_by_user
-        assert daily_trips(one) == daily_trips(many)
+        assert named_daily_trips(one) == named_daily_trips(many)
 
 
 # (zone, local date) pairs whose day holds a DST switch; in Sao Paulo and
@@ -342,7 +351,7 @@ class TestDaySplitting:
         # cut before 00:30, so only the 00:30 -> 01:30 move is a trip
         late = 1583101800
         events = [ev("u", late, "M1"), ev("u", late + H, "M2"), ev("u", late + 2 * H, "M3")]
-        assert daily_trips(event_table(events)) == {date(2020, 3, 2): [("M2", "M3")]}
+        assert named_daily_trips(event_table(events)) == {date(2020, 3, 2): [("M2", "M3")]}
 
     def test_cross_midnight_movement_generates_no_trip(self):
         late = 1583101800
@@ -352,8 +361,30 @@ class TestDaySplitting:
     def test_same_day_movement_binned_by_date(self):
         noon = 1583060400  # 2020-03-01 12:00 Europe/Rome
         events = [ev("u", noon, "M1"), ev("u", noon + 2 * H, "M2")]
-        by_day = daily_trips(event_table(events))
+        by_day = named_daily_trips(event_table(events))
         assert by_day == {date(2020, 3, 1): [("M1", "M2")]}
+
+    def test_only_dates_holding_events_are_built(self):
+        rome = ZoneInfo("Europe/Rome")
+        late = int(datetime(2020, 3, 23, 12, tzinfo=rome).timestamp())
+        table = event_table([ev("u", EPOCH_RANGE[0], "M1"), ev("u", late, "M2")])
+        assert daily_trips(table, H, rome) == {}
+        days, index = _local_days(table.timestamp, rome)
+        assert days == [date(1, 1, 2), date(2020, 3, 23)]
+        assert index.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "zone, first, last",
+        [
+            ("Europe/Rome", date(1, 1, 2), date(9999, 12, 31)),
+            ("America/Los_Angeles", date(1, 1, 1), date(9999, 12, 30)),
+        ],
+    )
+    def test_events_at_both_ends_of_the_epoch_range(self, zone, first, last):
+        table = event_table([ev("u", EPOCH_RANGE[0], "M1"), ev("u", EPOCH_RANGE[1] - 1, "M2")])
+        days, index = _local_days(table.timestamp, ZoneInfo(zone))
+        assert days == [first, last]
+        assert index.tolist() == [0, 1]
 
     @given(
         st.sampled_from(DST_DAYS),
@@ -373,11 +404,11 @@ class TestDaySplitting:
         events = [
             ev(user, midnight + offsets[i % len(offsets)], f"M{m}") for user, i, m in rows
         ]
-        assert daily_trips(event_table(events), threshold, zone) == reference_daily_trips(
+        assert named_daily_trips(event_table(events), threshold, zone) == reference_daily_trips(
             events, threshold, tz
         )
         for user in {e.user_id for e in events}:
             mine = [e for e in events if e.user_id == user]
-            assert daily_trips(event_table(mine), threshold, zone) == reference_daily_trips(
+            assert named_daily_trips(event_table(mine), threshold, zone) == reference_daily_trips(
                 mine, threshold, tz, trips_bruteforce
             )

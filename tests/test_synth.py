@@ -63,7 +63,7 @@ class TestConservation:
         parsed = parse_records(scenario.cdr_files, scenario.xdr_files, registry)
         by_day = daily_trips(parsed)
         for day, cells in scenario.plan.daily_cells.items():
-            got = build_daily_od(by_day[day], day)
+            got = build_daily_od(by_day[day], parsed.municipalities, day)
             assert got.cells == cells
 
     def test_dwell_violations_reverse_trips(self, tmp_path):
