@@ -133,13 +133,12 @@ def _date_range(args) -> tuple[date | None, date | None]:
     return _parse_date(args.from_date), _parse_date(args.to_date)
 
 
-def _load_territory(store: Path) -> od.TerritoryIndex:
+def _load_territory(store: Path) -> dict[str, str]:
     path = store / "territory.json"
     if not path.exists():
         raise FileNotFoundError(f"{path} missing; run build-od first")
     with path.open() as fh:
-        mapping = json.load(fh)["muni_to_province"]
-    return od.TerritoryIndex(muni_to_province=mapping)
+        return json.load(fh)["muni_to_province"]
 
 
 def _load_ods(
@@ -151,8 +150,8 @@ def _load_ods(
 
 def _province_inputs(args) -> od.ProvinceCube:
     store = Path(args.in_dir)
-    index = _load_territory(store)
-    return od.ProvinceCube.from_ods(_load_ods(store, "province", *_date_range(args)), index.provinces)
+    provinces = set(_load_territory(store).values())
+    return od.ProvinceCube.from_ods(_load_ods(store, "province", *_date_range(args)), provinces)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -212,7 +211,7 @@ def _build_od(
     tz: str,
     lo: date | None = None,
     hi: date | None = None,
-) -> tuple[od.TerritoryIndex, list[od.DailyOD]]:
+) -> tuple[dict[str, str], list[od.DailyOD]]:
     """Records -> daily municipality ODs, stored with territory.json and returned."""
     registry = ingest.load_registry(in_dir / "registry.csv")
     cdr_files = sorted((in_dir / "cdr").glob("*.csv")) if (in_dir / "cdr").is_dir() else []
@@ -226,8 +225,8 @@ def _build_od(
     ]
     for muni_od in ods:
         od.store_daily_od(muni_od, store)
-    index = od.TerritoryIndex(registry.muni_to_province)
-    _write_json(store / "territory.json", {"muni_to_province": index.muni_to_province})
+    muni_to_province = registry.muni_to_province
+    _write_json(store / "territory.json", {"muni_to_province": muni_to_province})
     rejected = parsed.rejected_count
     print(f"build-od: {parsed.event_count} events, {len(ods)} days stored, {rejected} records rejected")
     if rejected:
@@ -238,7 +237,7 @@ def _build_od(
                     f"  {name}: {tally.malformed} malformed, {tally.unknown_antenna} unknown antenna",
                     file=sys.stderr,
                 )
-    return index, ods
+    return muni_to_province, ods
 
 
 def cmd_build_od(args) -> int:
@@ -247,12 +246,12 @@ def cmd_build_od(args) -> int:
 
 
 def _aggregate(
-    muni_ods: list[od.DailyOD], index: od.TerritoryIndex, store: Path
+    muni_ods: list[od.DailyOD], muni_to_province: dict[str, str], store: Path
 ) -> list[od.DailyOD]:
     """Municipality ODs -> province ODs, stored and returned."""
     province_ods = []
     for muni_od in muni_ods:
-        province_ods.append(od.aggregate_to_province(muni_od, index))
+        province_ods.append(od.aggregate_to_province(muni_od, muni_to_province))
         od.store_daily_od(province_ods[-1], store)
     print(f"aggregate: {len(province_ods)} days -> province granularity")
     return province_ods
@@ -345,9 +344,8 @@ def cmd_communities(args) -> int:
     ods = _load_ods(store, args.granularity, *_date_range(args))
     registry_nodes: set[str] = set()
     if args.attach_registry:
-        index = _load_territory(store)
-        municipalities = set(index.muni_to_province)
-        registry_nodes = municipalities if args.granularity == "municipality" else index.provinces
+        mapping = _load_territory(store)
+        registry_nodes = set(mapping) if args.granularity == "municipality" else set(mapping.values())
     series = community_mod.community_count_series(
         ods,
         seed=args.seed,
@@ -360,8 +358,7 @@ def cmd_communities(args) -> int:
     _write_communities(series, out_dir)
     if args.provinces:
         wanted = set(args.provinces.split(","))
-        index = _load_territory(store)
-        keep = [m for m, p in index.muni_to_province.items() if p in wanted]
+        keep = [m for m, p in _load_territory(store).items() if p in wanted]
         name = "_".join(sorted(wanted))
         community_mod.write_partition_dumps(series, out_dir / f"partitions_{name}.json", keep)
     return 0
@@ -388,8 +385,8 @@ def cmd_report(args) -> int:
         raise UsageError("report needs --split-date (no regime schedule found in ground_truth.json)")
     k_range = _parse_k_range(args.k_range)
 
-    index, muni_ods = _build_od(in_dir, store, args.dwell_seconds, args.tz)
-    cube = od.ProvinceCube.from_ods(_aggregate(muni_ods, index, store), index.provinces)
+    territory, muni_ods = _build_od(in_dir, store, args.dwell_seconds, args.tz)
+    cube = od.ProvinceCube.from_ods(_aggregate(muni_ods, territory, store), set(territory.values()))
     _write_flows(cube, out_dir)
     by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
     _write_diversity(by_direction, out_dir)

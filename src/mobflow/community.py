@@ -407,12 +407,8 @@ def infomap(
         assignment, length = _one_trial(flat, node_term, rng, consistency_check)
         if best is None or length < best[0] - GAIN_EPS:
             best = (length, assignment)
-    length, raw = best
-    compacted = _compact(raw)
-    return Partition(
-        assignment={node: compacted[i] for i, node in enumerate(g.nodes)},
-        codelength=length,
-    )
+    length, assignment = best
+    return Partition(assignment=dict(zip(g.nodes, assignment)), codelength=length)
 
 
 @dataclass(frozen=True)

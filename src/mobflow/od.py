@@ -40,17 +40,6 @@ class UnknownProvinceError(ValueError):
     """Raised when a province matrix holds a province absent from the territory index."""
 
 
-@dataclass(frozen=True)
-class TerritoryIndex:
-    """Municipality/province universe with the municipality -> province mapping."""
-
-    muni_to_province: dict[str, str]
-
-    @property
-    def provinces(self) -> set[str]:
-        return set(self.muni_to_province.values())
-
-
 @dataclass(frozen=True, eq=False)
 class DailyOD:
     """Sparse daily OD matrix: unique (origin, destination) code rows with positive counts.
@@ -158,15 +147,15 @@ def build_daily_od(trips: np.ndarray, names: Sequence[str], day: date) -> DailyO
     return DailyOD.from_codes(day, "municipality", names, trips[:, 0], trips[:, 1])
 
 
-def aggregate_to_province(od: DailyOD, index: TerritoryIndex) -> DailyOD:
+def aggregate_to_province(od: DailyOD, muni_to_province: Mapping[str, str]) -> DailyOD:
     """Relabel each municipality as its province; intra-province trips become self-loops.
 
-    Total trip mass is conserved exactly. A municipality missing from the index
+    Total trip mass is conserved exactly. A municipality missing from the mapping
     is a data-integrity failure and raises UnmappedMunicipalityError. Feeding a
     province matrix back in with an identity mapping is the identity.
     """
     try:
-        provinces = [index.muni_to_province[name] for name in od.names]
+        provinces = [muni_to_province[name] for name in od.names]
     except KeyError as exc:
         raise UnmappedMunicipalityError(
             f"municipality {exc.args[0]!r} not present in the territory index"

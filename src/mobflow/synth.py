@@ -17,16 +17,16 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from functools import cached_property
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
 from .ingest import DEFAULT_TIMEZONE
-from .od import DailyOD, TerritoryIndex, aggregate_to_province
+from .od import DailyOD, aggregate_to_province, build_daily_od
 
 GRAVITY_EXPONENT = 2.0  # distance decay of inter-province attraction
 CDR_DURATION_RANGE = (62, 180)  # minutes; start >= 62 keeps the dwell rule satisfied
@@ -75,6 +75,17 @@ class ScenarioConfig:
             raise ScenarioConfigError("population must be positive")
         if self.n_days < 1:
             raise ScenarioConfigError("need at least 1 day")
+        for name, least in (
+            ("inter_trips_per_province", 0),
+            ("intra_trips_per_pair", 0),
+            ("bridge_trips_per_pair", 0),
+            ("antennas_per_municipality", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ScenarioConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("cdr_fraction", "dwell_violation_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ScenarioConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not self.regimes:
             raise ScenarioConfigError("need at least one regime phase")
         starts = [r.start_date for r in self.regimes]
@@ -115,6 +126,11 @@ class Territory:
     bridges_by_province: dict[str, list[tuple[str, str]]]
 
     @property
+    def municipalities(self) -> list[str]:
+        """Every municipality, province by province; a plan's codes index this list."""
+        return [muni for province in self.provinces for muni in self.munis_by_province[province]]
+
+    @property
     def muni_to_province(self) -> dict[str, str]:
         return {
             muni: province
@@ -132,24 +148,38 @@ class DayTotals:
 
 @dataclass
 class ScenarioPlan:
-    """Planned trips and their ground truth before any file is written."""
+    """Planned trips and their ground truth before any file is written.
+
+    A day's trips are int64 (n, 2) rows of (origin, destination) codes into
+    `territory.municipalities`, in planning order; `daily_violations` flags the
+    trips whose stay at the destination is cut short.
+    """
 
     config: ScenarioConfig
     territory: Territory
-    daily_trips: dict[date, list[tuple[str, str, bool]]]  # (origin muni, dest muni, violated)
-    daily_cells: dict[date, dict[tuple[str, str], int]]  # post-violation effective OD cells
+    daily_trips: dict[date, np.ndarray]
+    daily_violations: dict[date, np.ndarray]  # bool, parallel to daily_trips
     daily_totals: dict[date, DayTotals]
     planted_cluster_groups: dict[str, int] | None
 
-    def territory_index(self) -> TerritoryIndex:
-        return TerritoryIndex(muni_to_province=self.territory.muni_to_province)
-
     def municipality_ods(self) -> list[DailyOD]:
-        return [DailyOD.from_cells(day, "municipality", self.daily_cells[day]) for day in self.config.dates]
+        names = self.territory.municipalities
+        ods = []
+        for day in self.config.dates:
+            trips, violated = self.daily_trips[day], self.daily_violations[day]
+            # A violated dwell rejects o->d, but the quick return leaves the
+            # user confirmed back at the origin: the extraction rule yields d->o.
+            ods.append(build_daily_od(np.where(violated[:, None], trips[:, ::-1], trips), names, day))
+        return ods
+
+    @cached_property
+    def daily_cells(self) -> dict[date, dict[tuple[str, str], int]]:
+        """Post-violation effective OD cells of each day."""
+        return {od.date: od.cells for od in self.municipality_ods()}
 
     def province_ods(self) -> list[DailyOD]:
-        index = self.territory_index()
-        return [aggregate_to_province(od, index) for od in self.municipality_ods()]
+        mapping = self.territory.muni_to_province
+        return [aggregate_to_province(od, mapping) for od in self.municipality_ods()]
 
 
 @dataclass(frozen=True)
@@ -179,11 +209,7 @@ def _build_territory(config: ScenarioConfig) -> Territory:
     n_comm = max(1, min(config.communities_per_province, config.municipalities_per_province))
     for province in provinces:
         munis = munis_by_province[province]
-        split = [
-            [str(m) for m in chunk]
-            for chunk in np.array_split(munis, n_comm)
-            if len(chunk)
-        ]
+        split = [chunk.tolist() for chunk in np.array_split(munis, n_comm)]
         communities.extend(split)
         bridges = []
         for i in range(len(split) - 1):
@@ -202,82 +228,98 @@ def _build_territory(config: ScenarioConfig) -> Territory:
     )
 
 
-def _gravity_partners(config: ScenarioConfig, territory: Territory) -> dict[str, tuple[list[str], np.ndarray]]:
-    """Per origin province: partner list and gravity choice probabilities."""
+def _gravity_partners(config: ScenarioConfig, territory: Territory) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per origin province index: partner province indices and gravity choice probabilities."""
     pop = config.municipalities_per_province * config.population_per_municipality
-    out: dict[str, tuple[list[str], np.ndarray]] = {}
-    for origin in territory.provinces:
-        ox, oy = territory.coords[origin]
-        partners = [p for p in territory.provinces if p != origin]
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    for origin, name in enumerate(territory.provinces):
+        ox, oy = territory.coords[name]
+        partners = [p for p in range(config.n_provinces) if p != origin]
         weights = []
         for partner in partners:
-            px, py = territory.coords[partner]
+            px, py = territory.coords[territory.provinces[partner]]
             dist = max(1.0, float(np.hypot(px - ox, py - oy)))
             weights.append(pop * pop / dist**GRAVITY_EXPONENT)
         weights = np.array(weights)
-        out[origin] = (partners, weights / weights.sum())
+        out.append((np.array(partners), weights / weights.sum()))
     return out
 
 
 def _planted_partner_sets(
     config: ScenarioConfig, territory: Territory
-) -> tuple[dict[str, list[str]], dict[str, int]]:
-    """Partner subsets whose near-uniform use pins each province's out-flow diversity level."""
+) -> tuple[list[np.ndarray], dict[str, int]]:
+    """Partner index subsets whose near-uniform use pins each province's out-flow diversity level."""
     levels = config.planted_cluster_levels
     assert levels is not None
     n = config.n_provinces
     k = len(levels)
     groups: dict[str, int] = {}
-    partner_sets: dict[str, list[str]] = {}
+    partner_sets: list[np.ndarray] = []
     for p, province in enumerate(territory.provinces):
         group = p * k // n
         groups[province] = group
         # normalized entropy ln(m)/ln(n) == level  =>  m = n**level partners
         m = int(round(n ** levels[group]))
         m = max(1, min(m, n - 1))
-        partner_sets[province] = [
-            territory.provinces[(p + 1 + j) % n] for j in range(m)
-        ]
+        partner_sets.append((p + 1 + np.arange(m)) % n)
     return partner_sets, groups
 
 
-def _allocate_near_uniform(total: int, partners: list[str], rng: np.random.Generator) -> Counter:
-    """Deterministic floor allocation plus one jittered extra trip."""
-    counts: Counter[str] = Counter()
-    base, remainder = divmod(total, len(partners))
-    for i, partner in enumerate(partners):
-        counts[partner] = base + (1 if i < remainder else 0)
-    if total > 0:
-        counts[partners[int(rng.integers(len(partners)))]] += 1
-    return counts
+def _local_pairs(territory: Territory) -> tuple[np.ndarray, np.ndarray]:
+    """Intra-province (origin, destination) code pairs in planning order, and which are bridges.
+
+    Province by province: every ordered pair of distinct members of each of its
+    communities, then its bridges.
+    """
+    code = {name: c for c, name in enumerate(territory.municipalities)}
+    rows: list[tuple[int, int, bool]] = []
+    for province in territory.provinces:
+        members = territory.munis_by_province[province]
+        for community in territory.communities:
+            if community[0] in members:
+                rows.extend((code[a], code[b], False) for a in community for b in community if a != b)
+        rows.extend((code[a], code[b], True) for a, b in territory.bridges_by_province[province])
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return table[:, :2], table[:, 2].astype(bool)
 
 
 def generate_plan(config: ScenarioConfig) -> ScenarioPlan:
-    """Plan every trip of the scenario; no files are touched."""
+    """Plan every trip of the scenario; no files are touched.
+
+    Each day draws from its own generator, in a fixed order: per origin
+    province, its partner allocation, then one (origin, destination)
+    municipality draw per trip to partners in name order; then one violation
+    draw per trip when violations are on.
+    """
     territory = _build_territory(config)
-    gravity = _gravity_partners(config, territory)
-    planted_sets = None
-    planted_groups = None
+    n_munis = config.municipalities_per_province
+    by_name = np.argsort(territory.provinces)
+    local_pairs, is_bridge = _local_pairs(territory)
+    planted_sets = planted_groups = None
     if config.planted_cluster_levels is not None:
         planted_sets, planted_groups = _planted_partner_sets(config, territory)
+    else:
+        gravity = _gravity_partners(config, territory)
 
-    daily_trips: dict[date, list[tuple[str, str, bool]]] = {}
-    daily_cells: dict[date, dict[tuple[str, str], int]] = {}
+    daily_trips: dict[date, np.ndarray] = {}
+    daily_violations: dict[date, np.ndarray] = {}
     daily_totals: dict[date, DayTotals] = {}
 
     for day_index, day in enumerate(config.dates):
         regime = config.regime_for(day)
         rng = np.random.default_rng([config.seed, day_index])
         weekend = day.weekday() >= 5
-        trips: list[tuple[str, str, bool]] = []
-
-        inter = 0
-        for origin in territory.provinces:
-            quota = round(config.inter_trips_per_province * regime.flow_scale)
-            if quota <= 0:
-                continue
+        quota = round(config.inter_trips_per_province * regime.flow_scale)
+        blocks = []
+        for origin in range(config.n_provinces if quota > 0 else 0):
+            counts = np.zeros(config.n_provinces, dtype=np.int64)
             if planted_sets is not None:
-                counts = _allocate_near_uniform(quota, planted_sets[origin], rng)
+                # Near-uniform: an even split, the remainder to the first
+                # partners, and one jittered extra trip.
+                partners = planted_sets[origin]
+                counts[partners] = quota // len(partners)
+                counts[partners[: quota % len(partners)]] += 1
+                counts[partners[rng.integers(len(partners))]] += 1
             else:
                 partners, probs = gravity[origin]
                 if weekend:
@@ -287,61 +329,33 @@ def generate_plan(config: ScenarioConfig) -> ScenarioPlan:
                     c = regime.weekend_concentration
                     mix = np.full(len(partners), c / len(partners))
                     mix[int(np.argmax(probs))] += 1.0 - c
-                    drawn = rng.multinomial(quota, mix)
-                else:
-                    drawn = rng.multinomial(quota, probs)
-                counts = Counter(
-                    {partner: int(cnt) for partner, cnt in zip(partners, drawn) if cnt}
-                )
-            origin_munis = territory.munis_by_province[origin]
-            for partner in sorted(counts):
-                dest_munis = territory.munis_by_province[partner]
-                for _ in range(counts[partner]):
-                    o_muni = origin_munis[int(rng.integers(len(origin_munis)))]
-                    d_muni = dest_munis[int(rng.integers(len(dest_munis)))]
-                    trips.append((o_muni, d_muni, False))
-                    inter += 1
+                    probs = mix
+                counts[partners] = rng.multinomial(quota, probs)
+            destination = np.repeat(by_name, counts[by_name])
+            # municipality m of province p has code p * n_munis + m
+            rows = rng.integers(0, n_munis, size=(len(destination), 2))
+            rows[:, 0] += origin * n_munis
+            rows[:, 1] += destination * n_munis
+            blocks.append(rows)
 
-        intra = 0
-        for province in territory.provinces:
-            munis = set(territory.munis_by_province[province])
-            for community in territory.communities:
-                if community[0] not in munis or len(community) < 2:
-                    continue
-                for a in community:
-                    for b in community:
-                        if a != b:
-                            for _ in range(config.intra_trips_per_pair):
-                                trips.append((a, b, False))
-                                intra += 1
-            bridge_count = round(config.bridge_trips_per_pair * regime.bridge_scale)
-            for a, b in territory.bridges_by_province[province]:
-                for _ in range(bridge_count):
-                    trips.append((a, b, False))
-                    intra += 1
-
+        bridge_count = round(config.bridge_trips_per_pair * regime.bridge_scale)
+        local = np.repeat(local_pairs, np.where(is_bridge, bridge_count, config.intra_trips_per_pair), axis=0)
+        trips = np.concatenate(blocks + [local])
         if config.dwell_violation_rate > 0.0:
-            flags = rng.random(len(trips)) < config.dwell_violation_rate
-            trips = [
-                (o, d, bool(flag)) for (o, d, _), flag in zip(trips, flags)
-            ]
-
-        cells: Counter[tuple[str, str]] = Counter()
-        for o, d, violated in trips:
-            # A violated dwell rejects o->d, but the quick return leaves the
-            # user confirmed back at the origin: the extraction rule yields d->o.
-            cells[(d, o) if violated else (o, d)] += 1
+            violated = rng.random(len(trips)) < config.dwell_violation_rate
+        else:
+            violated = np.zeros(len(trips), dtype=bool)
         daily_trips[day] = trips
-        daily_cells[day] = dict(cells)
+        daily_violations[day] = violated
         daily_totals[day] = DayTotals(
-            total=inter + intra, inter_province=inter, intra_province=intra
+            total=len(trips), inter_province=len(trips) - len(local), intra_province=len(local)
         )
 
     return ScenarioPlan(
         config=config,
         territory=territory,
         daily_trips=daily_trips,
-        daily_cells=daily_cells,
+        daily_violations=daily_violations,
         daily_totals=daily_totals,
         planted_cluster_groups=planted_groups,
     )
@@ -381,9 +395,10 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
         fh.write("antenna_id,lat,lon,municipality_id,province_id\n")
         for antenna, lat, lon, muni, province in registry_rows:
             fh.write(f"{antenna},{lat},{lon},{muni},{province}\n")
-    antennas_of: dict[str, list[str]] = {}
-    for antenna, _lat, _lon, muni, _province in registry_rows:
-        antennas_of.setdefault(muni, []).append(antenna)
+    # registry rows list each municipality's antennas together, in municipality code order
+    antenna_ids = [row[0] for row in registry_rows]
+    per_muni = config.antennas_per_municipality
+    antennas_of = [antenna_ids[i : i + per_muni] for i in range(0, len(antenna_ids), per_muni)]
 
     tz = ZoneInfo(config.timezone)
     cdr_files: list[Path] = []
@@ -396,17 +411,18 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
         with cdr_path.open("w", newline="") as cdr_fh, xdr_path.open("w", newline="") as xdr_fh:
             cdr_fh.write("caller_id,callee_id,timestamp,antenna_start,antenna_end,duration_min\n")
             xdr_fh.write("user_id,timestamp,antenna,kilobytes\n")
-            for i, (o_muni, d_muni, violated) in enumerate(plan.daily_trips[day]):
+            trips = zip(plan.daily_trips[day].tolist(), plan.daily_violations[day].tolist())
+            for i, ((origin, destination), violated) in enumerate(trips):
                 user = f"u{day_index:03d}_{i:06d}"
                 start_min = int(rng.integers(6 * 60, 18 * 60))
                 gap_min = int(rng.integers(*CDR_DURATION_RANGE))
                 t0 = midnight + start_min * 60
                 t1 = t0 + gap_min * 60
-                a_origin = _pick(antennas_of[o_muni], rng)
-                a_dest = _pick(antennas_of[d_muni], rng)
+                a_origin = _pick(antennas_of[origin], rng)
+                a_dest = _pick(antennas_of[destination], rng)
                 if violated:
                     back_min = int(rng.integers(*VIOLATION_RETURN_RANGE))
-                    a_back = _pick(antennas_of[o_muni], rng)
+                    a_back = _pick(antennas_of[origin], rng)
                     kb = int(rng.integers(1, 2048))
                     xdr_fh.write(f"{user},{t0},{a_origin},{kb}\n")
                     xdr_fh.write(f"{user},{t1},{a_dest},{kb}\n")

@@ -28,9 +28,11 @@ from mobflow.community import (
 )
 from mobflow.flows import FlowSeries
 from mobflow.ingest import ParseResult, daily_trips
+from mobflow.synth import GRAVITY_EXPONENT, DayTotals, _build_territory
 
 Event = namedtuple("Event", "user_id timestamp municipality_id")
 DictFlow = namedtuple("DictFlow", "visit_rates edge_flows")
+ReferencePlan = namedtuple("ReferencePlan", "daily_trips daily_cells daily_totals planted_cluster_groups")
 
 
 def tree_digest(root):
@@ -573,3 +575,123 @@ def mean_silhouette_reference(x, labels, distances=None):
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return float(scores.mean())
+
+
+def _gravity_partners_reference(config, territory):
+    """Per origin province name: partner names and gravity choice probabilities."""
+    pop = config.municipalities_per_province * config.population_per_municipality
+    out = {}
+    for origin in territory.provinces:
+        ox, oy = territory.coords[origin]
+        partners = [p for p in territory.provinces if p != origin]
+        weights = []
+        for partner in partners:
+            px, py = territory.coords[partner]
+            dist = max(1.0, float(np.hypot(px - ox, py - oy)))
+            weights.append(pop * pop / dist**GRAVITY_EXPONENT)
+        weights = np.array(weights)
+        out[origin] = (partners, weights / weights.sum())
+    return out
+
+
+def _planted_partner_sets_reference(config, territory):
+    """Per province name: the partner names of its planted diversity level, and its group."""
+    levels = config.planted_cluster_levels
+    n = config.n_provinces
+    k = len(levels)
+    groups = {}
+    partner_sets = {}
+    for p, province in enumerate(territory.provinces):
+        group = p * k // n
+        groups[province] = group
+        m = int(round(n ** levels[group]))
+        m = max(1, min(m, n - 1))
+        partner_sets[province] = [territory.provinces[(p + 1 + j) % n] for j in range(m)]
+    return partner_sets, groups
+
+
+def _allocate_near_uniform_reference(total, partners, rng):
+    """Floor allocation over `partners`, the remainder to the first ones, plus one jittered extra trip."""
+    counts = Counter()
+    base, remainder = divmod(total, len(partners))
+    for i, partner in enumerate(partners):
+        counts[partner] = base + (1 if i < remainder else 0)
+    if total > 0:
+        counts[partners[int(rng.integers(len(partners)))]] += 1
+    return counts
+
+
+def generate_plan_reference(config):
+    """`synth.generate_plan` trip by trip, with names: a ReferencePlan whose days hold
+    (origin, destination, violated) triples in planning order, the post-violation
+    cells counted with a Counter, and the day totals.
+    """
+    territory = _build_territory(config)
+    planted_sets = planted_groups = None
+    if config.planted_cluster_levels is not None:
+        planted_sets, planted_groups = _planted_partner_sets_reference(config, territory)
+    else:
+        gravity = _gravity_partners_reference(config, territory)
+
+    daily_trips, daily_cells, daily_totals = {}, {}, {}
+    for day_index, day in enumerate(config.dates):
+        regime = config.regime_for(day)
+        rng = np.random.default_rng([config.seed, day_index])
+        weekend = day.weekday() >= 5
+        trips = []
+
+        inter = 0
+        for origin in territory.provinces:
+            quota = round(config.inter_trips_per_province * regime.flow_scale)
+            if quota <= 0:
+                continue
+            if planted_sets is not None:
+                counts = _allocate_near_uniform_reference(quota, planted_sets[origin], rng)
+            else:
+                partners, probs = gravity[origin]
+                if weekend:
+                    c = regime.weekend_concentration
+                    mix = np.full(len(partners), c / len(partners))
+                    mix[int(np.argmax(probs))] += 1.0 - c
+                    drawn = rng.multinomial(quota, mix)
+                else:
+                    drawn = rng.multinomial(quota, probs)
+                counts = Counter({partner: int(cnt) for partner, cnt in zip(partners, drawn) if cnt})
+            origin_munis = territory.munis_by_province[origin]
+            for partner in sorted(counts):
+                dest_munis = territory.munis_by_province[partner]
+                for _ in range(counts[partner]):
+                    o_muni = origin_munis[int(rng.integers(len(origin_munis)))]
+                    d_muni = dest_munis[int(rng.integers(len(dest_munis)))]
+                    trips.append((o_muni, d_muni, False))
+                    inter += 1
+
+        intra = 0
+        for province in territory.provinces:
+            munis = set(territory.munis_by_province[province])
+            for community in territory.communities:
+                if community[0] not in munis or len(community) < 2:
+                    continue
+                for a in community:
+                    for b in community:
+                        if a != b:
+                            for _ in range(config.intra_trips_per_pair):
+                                trips.append((a, b, False))
+                                intra += 1
+            bridge_count = round(config.bridge_trips_per_pair * regime.bridge_scale)
+            for a, b in territory.bridges_by_province[province]:
+                for _ in range(bridge_count):
+                    trips.append((a, b, False))
+                    intra += 1
+
+        if config.dwell_violation_rate > 0.0:
+            flags = rng.random(len(trips)) < config.dwell_violation_rate
+            trips = [(o, d, bool(flag)) for (o, d, _), flag in zip(trips, flags)]
+
+        cells = Counter()
+        for o, d, violated in trips:
+            cells[(d, o) if violated else (o, d)] += 1
+        daily_trips[day] = trips
+        daily_cells[day] = dict(cells)
+        daily_totals[day] = DayTotals(total=inter + intra, inter_province=inter, intra_province=intra)
+    return ReferencePlan(daily_trips, daily_cells, daily_totals, planted_groups)

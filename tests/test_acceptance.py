@@ -20,7 +20,6 @@ from mobflow.diversity import diversity_series, flow_diversity
 from mobflow.od import (
     DailyOD,
     ProvinceCube,
-    TerritoryIndex,
     aggregate_to_province,
     build_daily_od,
     load_daily_od,
@@ -162,7 +161,7 @@ def test_criterion_4_od_conservation(tmp_path):
         offsets = rng.integers(1, n_munis, size=n_trips)
         dests = (origins + offsets) % n_munis
         muni_od = build_daily_od(np.stack([origins, dests], axis=1), munis, DAY)
-        province_od = aggregate_to_province(muni_od, TerritoryIndex(muni_to_province=mapping))
+        province_od = aggregate_to_province(muni_od, mapping)
         muni_sum, province_sum = int(muni_od.count.sum()), int(province_od.count.sum())
         conserved = muni_sum == province_sum == n_trips
         store_daily_od(muni_od, tmp_path)
@@ -251,7 +250,7 @@ def test_criterion_7_cluster_selection_recovery():
         for seed in range(20):
             config = synth.planted_levels_config(seed=seed)
             plan = synth.generate_plan(config)
-            cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory_index().provinces)
+            cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
             matrix = SeriesMatrix.from_series(diversity_series(cube, "out"))
             if select_k(matrix, range(2, 21), seed=seed).k_star == 5:
                 hits += 1

@@ -247,6 +247,18 @@ class TestExitCodes:
         rc = main(["synth", "--config", str(config), "--out", str(tmp_path / "d")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("antennas_per_municipality", 0), ("intra_trips_per_pair", -3), ("cdr_fraction", 7)],
+    )
+    def test_synth_out_of_range_config_is_data_error(self, tmp_path, capsys, field, value):
+        config = tmp_path / "c.json"
+        payload = {"preset": "lockdown", "seed": 0, "n_days": 2, "lockdown_day": 1, field: value}
+        config.write_text(json.dumps(payload))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "d").exists() or not any(p.is_file() for p in (tmp_path / "d").rglob("*"))
+
 
 class TestOutOfRangeTimestamps:
     """An event time that `datetime` cannot hold is one malformed row, not a failed run."""

@@ -237,7 +237,7 @@ class TestMatchesOracles:
     )
     def test_select_k_on_workload_matrices(self, overrides, monkeypatch):
         plan = synth.generate_plan(synth.lockdown_scenario_config(0, **overrides))
-        cube = od.ProvinceCube.from_ods(plan.province_ods(), plan.territory_index().provinces)
+        cube = od.ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
         for direction in diversity.DIRECTIONS:
             matrix = SeriesMatrix.from_series(diversity.diversity_series(cube, direction, False))
             ks = range(2, min(20, len(matrix.provinces)) + 1)

@@ -258,7 +258,7 @@ class TestLockdownScenario:
             seed=9, n_provinces=10, municipalities_per_province=4, n_days=42, lockdown_day=21
         )
         plan = synth.generate_plan(config)
-        cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory_index().provinces)
+        cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
         split = config.regimes[-1].start_date
         deltas_pre, deltas_post = [], []
         for series in diversity_series(cube, "out"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mobflow import synth
 from mobflow.flows import compute_flows, write_flow_series_csv
-from mobflow.od import DailyOD, ProvinceCube, TerritoryIndex, UnknownProvinceError
+from mobflow.od import DailyOD, ProvinceCube, UnknownProvinceError
 
 DAY = date(2020, 3, 2)
 PROVINCES = [f"P{i}" for i in range(6)]
@@ -54,10 +54,10 @@ class TestComputeFlows:
         assert series.dates == series.in_flow == series.in_norm == []
 
     def test_unknown_province_rejected_with_index(self):
-        index = TerritoryIndex(muni_to_province={"M1": "P", "M2": "Q"})
+        mapping = {"M1": "P", "M2": "Q"}
         od = province_od({("ZZ", "P"): 1})  # adds to P's in-flow unless rejected
         with pytest.raises(UnknownProvinceError, match="'ZZ'"):
-            ProvinceCube.from_ods([od], index.provinces)
+            ProvinceCube.from_ods([od], set(mapping.values()))
 
     def test_duplicate_dates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -160,7 +160,7 @@ class TestLockdownScenario:
         plan = synth.generate_plan(config)
         ods = plan.province_ods()
         split = config.regimes[-1].start_date
-        series = flows_of(ods, "P000", plan.territory_index().provinces)
+        series = flows_of(ods, "P000", plan.territory.provinces)
         pre = [v for d, v in zip(series.dates, series.out_flow) if d < split]
         post = [v for d, v in zip(series.dates, series.out_flow) if d >= split]
         ratio = (sum(post) / len(post)) / (sum(pre) / len(pre))

@@ -14,7 +14,6 @@ from mobflow.od import (
     ODNotFoundError,
     ODSchemaError,
     ProvinceCube,
-    TerritoryIndex,
     UnmappedMunicipalityError,
     aggregate_to_province,
     build_daily_od,
@@ -58,23 +57,23 @@ class TestBuildDailyOD:
 
 
 @pytest.fixture
-def index():
-    return TerritoryIndex(muni_to_province={"M1": "P1", "M2": "P1", "M3": "P2"})
+def mapping():
+    return {"M1": "P1", "M2": "P1", "M3": "P2"}
 
 
 class TestAggregate:
-    def test_same_province_becomes_self_loop(self, index):
+    def test_same_province_becomes_self_loop(self, mapping):
         od = DailyOD.from_cells(DAY, "municipality", {("M1", "M2"): 2})
-        assert aggregate_to_province(od, index).cells == {("P1", "P1"): 2}
+        assert aggregate_to_province(od, mapping).cells == {("P1", "P1"): 2}
 
-    def test_cross_province_cell(self, index):
+    def test_cross_province_cell(self, mapping):
         od = DailyOD.from_cells(DAY, "municipality", {("M1", "M3"): 5})
-        assert aggregate_to_province(od, index).cells == {("P1", "P2"): 5}
+        assert aggregate_to_province(od, mapping).cells == {("P1", "P2"): 5}
 
-    def test_unmapped_municipality_is_a_hard_error(self, index):
+    def test_unmapped_municipality_is_a_hard_error(self, mapping):
         od = DailyOD.from_cells(DAY, "municipality", {("M1", "M9"): 1})
         with pytest.raises(UnmappedMunicipalityError, match="M9"):
-            aggregate_to_province(od, index)
+            aggregate_to_province(od, mapping)
 
     def test_random_matrix_matches_group_by_oracle(self):
         rng = np.random.default_rng(2)
@@ -86,7 +85,7 @@ class TestAggregate:
             key = (munis[o], munis[d])
             cells[key] = cells.get(key, 0) + int(rng.integers(1, 5))
         od = DailyOD.from_cells(DAY, "municipality", cells)
-        got = aggregate_to_province(od, TerritoryIndex(muni_to_province=mapping))
+        got = aggregate_to_province(od, mapping)
         oracle = Counter()
         for (o, d), count in cells.items():
             oracle[(mapping[o], mapping[d])] += count
@@ -94,7 +93,7 @@ class TestAggregate:
 
     def test_identity_mapping_on_province_matrix_is_identity(self):
         od = DailyOD.from_cells(DAY, "province", {("P1", "P1"): 3, ("P1", "P2"): 1})
-        identity = TerritoryIndex(muni_to_province={"P1": "P1", "P2": "P2"})
+        identity = {"P1": "P1", "P2": "P2"}
         assert aggregate_to_province(od, identity).cells == od.cells
 
     @given(
@@ -109,7 +108,7 @@ class TestAggregate:
         cells = {(f"M{o}", f"M{d}"): c for (o, d), c in raw.items()}
         mapping = {f"M{i}": f"P{i % 7}" for i in range(31)}
         od = DailyOD.from_cells(DAY, "municipality", cells)
-        aggregated = aggregate_to_province(od, TerritoryIndex(muni_to_province=mapping))
+        aggregated = aggregate_to_province(od, mapping)
         assert aggregated.count.sum() == od.count.sum()
 
 
@@ -225,21 +224,21 @@ class TestCodedPathMatchesDictPath:
     @settings(max_examples=200, deadline=None)
     def test_random_code_arrays(self, drawn):
         names, mapping, days = drawn
-        index = TerritoryIndex(muni_to_province=mapping)
         muni_ods, muni_cells, province_ods, province_days = [], [], [], []
         for day, trips in days:
             od = build_daily_od(trips, names, day)
             cells = count_cells([(names[o], names[d]) for o, d in trips.tolist()])
             assert list(od.cells.items()) == list(cells.items())
             assert od.names == tuple(sorted({name for pair in cells for name in pair}))
-            province, province_cells = aggregate_to_province(od, index), aggregate_cells(cells, mapping)
+            province, province_cells = aggregate_to_province(od, mapping), aggregate_cells(cells, mapping)
             assert list(province.cells.items()) == list(province_cells.items())
             muni_ods.append(od)
             muni_cells.append((day, cells))
             province_ods.append(province)
             province_days.append((day, province_cells))
-        cube = ProvinceCube.from_ods(province_ods, index.provinces)
-        assert np.array_equal(cube.counts, province_cube(province_days, index.provinces))
+        provinces = set(mapping.values())
+        cube = ProvinceCube.from_ods(province_ods, provinces)
+        assert np.array_equal(cube.counts, province_cube(province_days, provinces))
         for window, extra in ((1, ()), (3, sorted(mapping))):
             merged = list(_window_ods(muni_ods, window))
             for od, cells in zip(merged, window_cells(muni_cells, window), strict=True):

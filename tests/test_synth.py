@@ -3,14 +3,17 @@
 import json
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mobflow import synth
 from mobflow.diversity import diversity_series
 from mobflow.ingest import daily_trips, load_registry, parse_records
 from mobflow.od import ProvinceCube, build_daily_od
 
-from oracles import tree_digest
+from oracles import generate_plan_reference, tree_digest
 
 
 def small_config(seed=0, **overrides):
@@ -22,6 +25,36 @@ def small_config(seed=0, **overrides):
         lockdown_day=4,
         inter_trips_per_province=30,
         **overrides,
+    )
+
+
+@st.composite
+def small_configs(draw):
+    """Both presets on small territories, weekends included, violations on or off."""
+    n_days = draw(st.integers(1, 9))
+    common = dict(
+        n_provinces=draw(st.integers(2, 8)),
+        municipalities_per_province=draw(st.integers(1, 4)),
+        n_days=n_days,
+        start_date=date(2020, 2, 3) + timedelta(days=draw(st.integers(0, 6))),
+        inter_trips_per_province=draw(st.integers(0, 40)),
+        communities_per_province=draw(st.integers(1, 5)),
+        intra_trips_per_pair=draw(st.integers(0, 4)),
+        bridge_trips_per_pair=draw(st.integers(0, 10)),
+        dwell_violation_rate=draw(st.sampled_from([0.0, 0.3])),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.sampled_from([0.15, 0.35, 0.55, 0.75, 0.92]), min_size=1, max_size=5, unique=True))
+        return synth.planted_levels_config(seed, levels=levels, **common)
+    share = st.sampled_from([0.1, 0.3, 0.5, 1.0])
+    return synth.lockdown_scenario_config(
+        seed,
+        lockdown_day=draw(st.integers(1, n_days)),
+        flow_scale=draw(share),
+        bridge_scale=draw(share),
+        weekend_concentration=draw(share),
+        **common,
     )
 
 
@@ -57,14 +90,20 @@ class TestConservation:
                 assert counts[date.fromisoformat(day_raw)] == totals["total"]
 
     def test_extracted_od_cells_match_plan(self, tmp_path):
-        config = small_config(seed=8)
+        config = small_config(seed=8, dwell_violation_rate=0.3)
         scenario = synth.generate(config, tmp_path)
+        plan = scenario.plan
         registry = load_registry(scenario.registry_path)
         parsed = parse_records(scenario.cdr_files, scenario.xdr_files, registry)
         by_day = daily_trips(parsed)
-        for day, cells in scenario.plan.daily_cells.items():
+        # parsed names and users both sort in plan order here, so extraction
+        # gives back the planned rows, each violated one reversed
+        assert parsed.municipalities == plan.territory.municipalities
+        for day, cells in plan.daily_cells.items():
             got = build_daily_od(by_day[day], parsed.municipalities, day)
             assert got.cells == cells
+            trips, violated = plan.daily_trips[day], plan.daily_violations[day]
+            assert np.array_equal(by_day[day], np.where(violated[:, None], trips[:, ::-1], trips))
 
     def test_dwell_violations_reverse_trips(self, tmp_path):
         config = small_config(seed=9, dwell_violation_rate=0.3)
@@ -76,10 +115,40 @@ class TestConservation:
         # at threshold 0 the rejected candidates come back, strictly inflating counts
         zero_counts = _pipeline_daily_counts(scenario, 0)
         assert sum(zero_counts.values()) > sum(counts.values())
-        violated = sum(
-            1 for trips in scenario.plan.daily_trips.values() for (_, _, v) in trips if v
-        )
+        violated = sum(int(flags.sum()) for flags in scenario.plan.daily_violations.values())
+        assert violated > 0
         assert sum(zero_counts.values()) == sum(counts.values()) + violated
+
+
+def _assert_plan_matches_reference(config):
+    plan, reference = synth.generate_plan(config), generate_plan_reference(config)
+    names = plan.territory.municipalities
+    assert list(plan.daily_trips) == list(plan.daily_violations) == config.dates
+    for day, expected in reference.daily_trips.items():
+        trips, violated = plan.daily_trips[day], plan.daily_violations[day]
+        assert trips.dtype == np.int64 and trips.shape == (len(expected), 2)
+        assert violated.dtype == bool and violated.shape == (len(expected),)
+        rows = zip(trips.tolist(), violated.tolist())
+        assert [(names[o], names[d], v) for (o, d), v in rows] == expected
+    assert plan.daily_totals == reference.daily_totals
+    assert plan.daily_cells == reference.daily_cells
+    assert plan.planted_cluster_groups == reference.planted_cluster_groups
+
+
+class TestPlanMatchesReference:
+    """The coded planner against the trip-by-trip generator it replaced."""
+
+    @given(small_configs())
+    @example(synth.lockdown_scenario_config(0, n_provinces=2, municipalities_per_province=101, n_days=2,
+                                            lockdown_day=1, intra_trips_per_pair=1, dwell_violation_rate=0.3))
+    @settings(max_examples=80, deadline=None)
+    def test_generate_plan_equals_reference(self, config):
+        _assert_plan_matches_reference(config)
+
+    def test_partners_planned_in_name_order_past_a_thousand_provinces(self):
+        # P1000 sorts before P991, so province codes leave name order here
+        config = synth.planted_levels_config(seed=0, n_provinces=1001, n_days=1, inter_trips_per_province=40)
+        _assert_plan_matches_reference(config)
 
 
 class TestPlantedEffects:
@@ -107,7 +176,7 @@ class TestPlantedEffects:
         plan = synth.generate_plan(config)
         groups = plan.planted_cluster_groups
         assert set(groups.values()) == {0, 1, 2, 3, 4}
-        cube = ProvinceCube.from_ods(plan.province_ods()[:1], plan.territory_index().provinces)
+        cube = ProvinceCube.from_ods(plan.province_ods()[:1], plan.territory.provinces)
         by_group = {}
         for series in diversity_series(cube, "out"):
             by_group.setdefault(groups[series.province_id], []).append(series.values[0])
@@ -161,6 +230,23 @@ class TestConfigValidation:
                 seed=0,
                 regimes=[synth.RegimePhase(start_date=start + timedelta(days=1))],
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("inter_trips_per_province", -1),
+            ("intra_trips_per_pair", -3),
+            ("bridge_trips_per_pair", -1),
+            ("antennas_per_municipality", 0),
+            ("cdr_fraction", 7),
+            ("cdr_fraction", -0.1),
+            ("dwell_violation_rate", 1.5),
+            ("dwell_violation_rate", float("nan")),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(synth.ScenarioConfigError, match=field):
+            synth.lockdown_scenario_config(seed=0, **{field: value})
 
     def test_duplicate_levels_rejected(self):
         with pytest.raises(synth.ScenarioConfigError, match="distinct"):
