@@ -32,7 +32,7 @@ def main() -> int:
         config = synth.planted_levels_config(seed=seed, levels=levels, n_days=args.days)
         plan = synth.generate_plan(config)
         cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
-        matrix = SeriesMatrix.from_series(diversity_series(cube, "out"))
+        matrix = SeriesMatrix.from_diversity(diversity_series(cube, "out"))
         selection = select_k(matrix, range(2, 21), seed=seed)
         picks[selection.k_star] += 1
         print(f"seed {seed:2d}: k* = {selection.k_star:2d}  (elbow {selection.elbow_k})")

@@ -5,9 +5,9 @@ once, stores them under <out>/od-store and derives every table from them
 without reading back anything it wrote. Every other subcommand loads its inputs
 from an OD store and calls the same stage function, so each table has one path.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Outputs newly created by a
-failing command (under --out; in the OD store for `aggregate`) are removed so a
-crash never leaves a half-written result tree.
+Exit codes: 0 success, 1 usage error, 2 data error. Files and directories newly
+created by a failing command (under --out, and --out itself; in the OD store for
+`aggregate`) are removed so a crash never leaves a half-written result tree.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=community_mod.DEFAULT_TRIALS)
-    p.add_argument("--tau", type=float, default=community_mod.DEFAULT_TELEPORT)
-    p.add_argument("--window", type=int, default=1, help="rolling OD window in days")
+    p.add_argument("--trials", type=_at_least_one, default=community_mod.DEFAULT_TRIALS)
+    p.add_argument("--tau", type=_teleport_rate, default=community_mod.DEFAULT_TELEPORT)
+    p.add_argument("--window", type=_at_least_one, default=1, help="rolling OD window in days")
     p.add_argument("--granularity", choices=od.GRANULARITIES, default="municipality",
                    help="which stored OD graphs to run detection on")
     p.add_argument("--attach-registry", action="store_true",
@@ -94,8 +94,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dwell-seconds", type=int, default=ingest.DEFAULT_DWELL_SECONDS)
     p.add_argument("--tz", default=ingest.DEFAULT_TIMEZONE)
     p.add_argument("--k-range", default="2:20")
-    p.add_argument("--trials", type=int, default=community_mod.DEFAULT_TRIALS)
-    p.add_argument("--tau", type=float, default=community_mod.DEFAULT_TELEPORT)
+    p.add_argument("--trials", type=_at_least_one, default=community_mod.DEFAULT_TRIALS)
+    p.add_argument("--tau", type=_teleport_rate, default=community_mod.DEFAULT_TELEPORT)
     p.add_argument("--split-date", help="pre/post split; defaults to the last regime start in ground_truth.json")
     p.add_argument("--include-self-flow-in-diversity", action="store_true")
     return parser
@@ -104,6 +104,20 @@ def build_parser() -> _Parser:
 def _add_date_range(p: argparse.ArgumentParser) -> None:
     p.add_argument("--from", dest="from_date", help="first date, inclusive (ISO)")
     p.add_argument("--to", dest="to_date", help="last date, inclusive (ISO)")
+
+
+def _at_least_one(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw}")
+    return value
+
+
+def _teleport_rate(raw: str) -> float:
+    tau = float(raw)
+    if not 0.0 <= tau <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {raw}")
+    return tau
 
 
 def _parse_date(raw: str | None) -> date | None:
@@ -266,8 +280,7 @@ def cmd_aggregate(args) -> int:
 def _write_flows(cube: od.ProvinceCube, out: Path) -> None:
     out_dir = out / "flows"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for series in flows_mod.compute_flows(cube):
-        flows_mod.write_flow_series_csv(series, out_dir / f"{series.province_id}.csv")
+    flows_mod.write_flow_csvs(flows_mod.compute_flows(cube), out_dir)
     print(f"flows: {len(cube.provinces)} provinces x {len(cube.dates)} days -> {out_dir}")
 
 
@@ -278,23 +291,19 @@ def cmd_flows(args) -> int:
 
 def _diversity_series(
     cube: od.ProvinceCube, include_self: bool
-) -> dict[str, list[diversity_mod.DiversitySeries]]:
-    """Per direction, one diversity series per province in province order."""
+) -> dict[str, diversity_mod.ProvinceDiversity]:
+    """Every province's diversity series, by direction."""
     return {
         direction: diversity_mod.diversity_series(cube, direction, include_self)
         for direction in diversity_mod.DIRECTIONS
     }
 
 
-def _write_diversity(by_direction: dict[str, list], out_dir: Path) -> None:
+def _write_diversity(by_direction: dict[str, diversity_mod.ProvinceDiversity], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    diversity_mod.write_diversity_csv(
-        by_direction["in"] + by_direction["out"], out_dir / "diversity.csv"
-    )
-    for direction, series_list in by_direction.items():
-        diversity_mod.write_diversity_wide_csv(
-            series_list, out_dir / f"diversity_{direction}_wide.csv"
-        )
+    diversity_mod.write_diversity_csv(list(by_direction.values()), out_dir / "diversity.csv")
+    for direction, diversity in by_direction.items():
+        diversity_mod.write_diversity_wide_csv(diversity, out_dir / f"diversity_{direction}_wide.csv")
     print(f"diversity: tables -> {out_dir}")
 
 
@@ -305,13 +314,13 @@ def cmd_diversity(args) -> int:
 
 
 def _write_clusters(
-    by_direction: dict[str, list], k_range: range, seed: int, out_dir: Path
+    by_direction: dict[str, diversity_mod.ProvinceDiversity], k_range: range, seed: int, out_dir: Path
 ) -> dict[str, cluster_mod.KSelection]:
     """Select k and cluster each direction's series; returns the selections by direction."""
     out_dir.mkdir(parents=True, exist_ok=True)
     selections = {}
-    for direction, series_list in by_direction.items():
-        matrix = cluster_mod.SeriesMatrix.from_series(series_list)
+    for direction, diversity in by_direction.items():
+        matrix = cluster_mod.SeriesMatrix.from_diversity(diversity)
         ks = range(k_range.start, min(k_range.stop - 1, len(matrix.provinces)) + 1)
         selection = selections[direction] = cluster_mod.select_k(matrix, ks, seed=seed)
         report = cluster_mod.clustering_report(selection)
@@ -364,11 +373,6 @@ def cmd_communities(args) -> int:
     return 0
 
 
-def _mean(values) -> float | None:
-    values = [v for v in values if v is not None]
-    return sum(values) / len(values) if values else None
-
-
 def cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out)
@@ -406,8 +410,7 @@ def cmd_report(args) -> int:
 
     # weekend-vs-weekday diversity deltas, averaged over provinces (out-flows)
     deltas_pre, deltas_post = [], []
-    for series in by_direction["out"]:
-        contrast = diversity_mod.weekend_contrast(series, split)
+    for contrast in diversity_mod.weekend_contrast(by_direction["out"], split):
         if contrast.pre_weekend_mean is not None and contrast.pre_weekday_mean is not None:
             deltas_pre.append(contrast.pre_weekend_mean - contrast.pre_weekday_mean)
         if contrast.post_weekend_mean is not None and contrast.post_weekday_mean is not None:
@@ -419,8 +422,8 @@ def cmd_report(args) -> int:
     summary = {
         "split_date": split.isoformat(),
         "flow_drop_pct": flow_drop_pct,
-        "weekend_diversity_delta_pre": _mean(deltas_pre),
-        "weekend_diversity_delta_post": _mean(deltas_post),
+        "weekend_diversity_delta_pre": diversity_mod._mean(deltas_pre),
+        "weekend_diversity_delta_post": diversity_mod._mean(deltas_post),
         "k_star": selections["out"].k_star,
         "community_count_pre_median": statistics.median(counts_pre) if counts_pre else None,
         "community_count_post_median": statistics.median(counts_post) if counts_post else None,
@@ -456,8 +459,9 @@ _DATA_ERRORS = (
 )
 
 
-def _files_under(root: Path) -> set[Path]:
-    return {p for p in root.rglob("*") if p.is_file()} if root.exists() else set()
+def _paths_at(root: Path) -> set[Path]:
+    """root and every path under it; empty if root does not exist."""
+    return {root, *root.rglob("*")} if root.exists() else set()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -470,15 +474,20 @@ def main(argv: list[str] | None = None) -> int:
         # aggregate writes into the store it reads, so that store is its output root
         out = args.in_dir if args.command == "aggregate" else getattr(args, "out", None)
         out_root = Path(out) if out else None
-        before = _files_under(out_root) if out_root else set()
+        before = _paths_at(out_root) if out_root else set()
         try:
             return _COMMANDS[args.command](args)
         except UsageError:
             raise
         except _DATA_ERRORS as exc:
             if out_root is not None:
-                for leftover in sorted(_files_under(out_root) - before, reverse=True):
-                    leftover.unlink(missing_ok=True)
+                # deepest first, so each new directory is empty when its turn comes
+                new = _paths_at(out_root) - before
+                for path in sorted(new, key=lambda p: len(p.parts), reverse=True):
+                    if path.is_dir():
+                        path.rmdir()
+                    else:
+                        path.unlink()
             print(f"error: {exc}", file=sys.stderr)
             return 2
     except UsageError as exc:

@@ -13,15 +13,16 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .diversity import DiversitySeries
+from .diversity import ProvinceDiversity
 
 MAX_ITER = 300
 DEFAULT_RESTARTS = 8
 DEFAULT_K_RANGE = range(2, 21)
+MAX_ABSENT_FRACTION = 0.5  # a province absent on more of its days is not clustered
 
 
 @dataclass(frozen=True)
@@ -29,46 +30,35 @@ class SeriesMatrix:
     """Rectangular provinces x dates matrix of diversity values, absent days imputed."""
 
     provinces: list[str]
-    dates: list
-    values: np.ndarray  # shape (len(provinces), len(dates))
+    values: np.ndarray  # shape (len(provinces), number of dates)
     dropped: list[str] = field(default_factory=list)  # provinces with too many absent days
 
     @classmethod
-    def from_series(
-        cls,
-        series_list: Sequence[DiversitySeries],
-        max_absent_fraction: float = 0.5,
-    ) -> "SeriesMatrix":
-        """Assemble a matrix from per-province series sharing one date axis.
+    def from_diversity(cls, diversity: ProvinceDiversity) -> "SeriesMatrix":
+        """The diversity array with absent (NaN) days imputed.
 
         Absent values are filled by linear interpolation inside the series and
         edge extension at the ends; provinces with more than
-        max_absent_fraction of days absent are dropped and reported.
+        MAX_ABSENT_FRACTION of days absent are dropped and reported.
         """
-        if not series_list:
-            raise ValueError("no series to assemble")
-        dates = series_list[0].dates
-        for series in series_list:
-            if series.dates != dates:
-                raise ValueError("all series must share the same date axis")
-        n_days = len(dates)
+        n_days = len(diversity.dates)
+        absent = np.isnan(diversity.values).sum(axis=1).tolist()
         provinces: list[str] = []
         rows: list[np.ndarray] = []
         dropped: list[str] = []
-        for series in series_list:
-            absent = sum(1 for v in series.values if v is None)
-            if n_days == 0 or absent / n_days > max_absent_fraction:
-                dropped.append(series.province_id)
+        for province, row, n_absent in zip(diversity.provinces, diversity.values, absent):
+            if n_days == 0 or n_absent / n_days > MAX_ABSENT_FRACTION:
+                dropped.append(province)
                 continue
-            rows.append(_impute(series.values))
-            provinces.append(series.province_id)
+            rows.append(_impute(row))
+            provinces.append(province)
         if not rows:
             raise ValueError("every series was dropped during imputation")
-        return cls(provinces=provinces, dates=list(dates), values=np.vstack(rows), dropped=dropped)
+        return cls(provinces=provinces, values=np.vstack(rows), dropped=dropped)
 
 
-def _impute(values: Sequence[float | None]) -> np.ndarray:
-    arr = np.array([np.nan if v is None else v for v in values], dtype=float)
+def _impute(values: np.ndarray) -> np.ndarray:
+    arr = values.copy()
     defined = np.flatnonzero(~np.isnan(arr))
     if defined.size == 0:
         raise ValueError("cannot impute an all-absent series")

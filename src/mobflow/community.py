@@ -101,6 +101,8 @@ def stationary_flow(
     """
     if not g.nodes:
         raise ValueError("stationary_flow needs a non-empty graph")
+    if not 0.0 <= tau <= 1.0:  # NaN fails too; outside [0, 1] edge flows turn negative
+        raise ValueError(f"teleportation rate tau must be in [0, 1], got {tau}")
     n = len(g.nodes)
     src, dst, weight = g.edges[:, 0], g.edges[:, 1], g.weights
     out_weight = np.bincount(src, weights=weight, minlength=n)
@@ -333,12 +335,7 @@ def _compact(assignment: list[int]) -> list[int]:
     return out
 
 
-def _one_trial(
-    flat: _Level,
-    node_term: float,
-    rng: np.random.Generator,
-    consistency_check: bool = False,
-) -> tuple[list[int], float]:
+def _one_trial(flat: _Level, node_term: float, rng: np.random.Generator) -> tuple[list[int], float]:
     """One seeded multilevel greedy run; returns (flat assignment, codelength)."""
     n = flat.size
     flat_assignment = list(range(n))
@@ -351,8 +348,6 @@ def _one_trial(
         while True:
             state = _MapState(level, level_modules, node_term)
             moved = _sweep_until_stable(state, rng)
-            if consistency_check:
-                _assert_consistent(state)
             module_count = len(set(state.module_of))
             flat_assignment = [state.module_of[to_level[i]] for i in range(n)]
             current_length = state.codelength()
@@ -365,29 +360,12 @@ def _one_trial(
             return _compact(flat_assignment), current_length
 
 
-def _assert_consistent(state: _MapState) -> None:
-    """Check a swept state's maintained terms against a fresh state of its partition.
-
-    The plogp cache must hold exactly the terms of the state's own exit and
-    visit flows. Those flows, and so the codelength, are updated move by move
-    and match a from-scratch rebuild to rounding only.
-    """
-    if state.plogp_exit != [_plogp(e) for e in state.exit] or state.plogp_circ != [
-        _plogp(e + f) for e, f in zip(state.exit, state.flow)
-    ]:
-        raise AssertionError("per-module plogp cache is stale")
-    fresh = _MapState(state.level, state.module_of, state.node_term)
-    if abs(fresh.codelength() - state.codelength()) > 1e-9:
-        raise AssertionError("maintained codelength diverged from recomputation")
-
-
 def infomap(
     g: FlowGraph,
     seed: int,
     trials: int = DEFAULT_TRIALS,
     tau: float = DEFAULT_TELEPORT,
     flow: StationaryFlow | None = None,
-    consistency_check: bool = False,
 ) -> Partition:
     """Best partition over seeded greedy multilevel trials minimizing the map equation.
 
@@ -397,14 +375,16 @@ def infomap(
     repeats until a full multilevel pass stops improving. Deterministic given
     (seed, trials); isolated nodes end up as singleton modules.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if flow is None:
         flow = stationary_flow(g, tau=tau)
     flat = _flat_level(g, flow)
     node_term = sum(_plogp(p) for p in flat.node_flow)
     best: tuple[float, list[int]] | None = None
-    for trial in range(max(1, trials)):
+    for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        assignment, length = _one_trial(flat, node_term, rng, consistency_check)
+        assignment, length = _one_trial(flat, node_term, rng)
         if best is None or length < best[0] - GAIN_EPS:
             best = (length, assignment)
     length, assignment = best

@@ -4,8 +4,8 @@ The in-flow diversity of province A is the entropy of the distribution of A's
 incoming trips over origin provinces, divided by log(N) with N the number of
 provinces in the territory, so values live in [0, 1]. Out-flow diversity is the
 mirror image over destinations. A day with no directed flow at all has no
-diversity value (absent), which is different from a day with a single partner
-(diversity exactly 0).
+diversity value (absent, NaN in the arrays), which is different from a day
+with a single partner (diversity exactly 0).
 """
 
 from __future__ import annotations
@@ -27,11 +27,16 @@ DIRECTIONS = ("in", "out")
 
 
 @dataclass(frozen=True)
-class DiversitySeries:
-    province_id: str
+class ProvinceDiversity:
+    """One direction's diversity on the cube's axes: values[i, d] is provinces[i] on dates[d].
+
+    values is float64[P, D], NaN on an absent day.
+    """
+
     direction: str
-    dates: list
-    values: list[float | None]
+    provinces: tuple[str, ...]
+    dates: tuple[date, ...]
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,10 @@ def flow_diversity(counts: Sequence[int], n_provinces: int) -> float | None:
 
 def diversity_series(
     cube: ProvinceCube, direction: str, include_self: bool = False
-) -> list[DiversitySeries]:
-    """Per-day flow_diversity of every province of the cube, in province order.
+) -> ProvinceDiversity:
+    """Per-day flow_diversity of every province of the cube.
 
-    Self-loops are excluded unless include_self is set; absent days stay absent.
+    Self-loops are excluded unless include_self is set; absent days are NaN.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
@@ -85,81 +90,60 @@ def diversity_series(
     flows = cube.counts if direction == "out" else cube.counts.transpose(0, 2, 1)
     if not include_self:
         flows = flows * ~np.eye(n, dtype=bool)
-    values: list[list[float | None]] = [[None] * len(cube.dates) for _ in range(n)]
     days, rows, partners = np.nonzero(flows)  # row-major: partners ascend within a row
     cells = zip(days.tolist(), rows.tolist(), flows[days, rows, partners].tolist())
+    values = np.full((n, len(cube.dates)), np.nan)
     for (day, row), group in groupby(cells, key=itemgetter(0, 1)):
-        values[row][day] = flow_diversity([count for _, _, count in group], n)
-    return [
-        DiversitySeries(province_id=province, direction=direction, dates=list(cube.dates), values=row)
-        for province, row in zip(cube.provinces, values)
-    ]
+        values[row, day] = flow_diversity([count for _, _, count in group], n)
+    return ProvinceDiversity(direction, cube.provinces, cube.dates, values)
 
 
 def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def weekend_contrast(series: DiversitySeries, split_date: date) -> WeekendContrast:
-    """Four means over defined values: before/from split_date crossed with weekday/weekend."""
-    cells: dict[tuple[bool, bool], list[float]] = {
-        (False, False): [],
-        (False, True): [],
-        (True, False): [],
-        (True, True): [],
-    }
-    for day, value in zip(series.dates, series.values):
-        if value is None:
-            continue
-        post = day >= split_date
-        weekend = day.weekday() >= 5
-        cells[(post, weekend)].append(value)
-    return WeekendContrast(
-        split_date=split_date,
-        pre_weekday_mean=_mean(cells[(False, False)]),
-        pre_weekend_mean=_mean(cells[(False, True)]),
-        post_weekday_mean=_mean(cells[(True, False)]),
-        post_weekend_mean=_mean(cells[(True, True)]),
-        pre_weekday_n=len(cells[(False, False)]),
-        pre_weekend_n=len(cells[(False, True)]),
-        post_weekday_n=len(cells[(True, False)]),
-        post_weekend_n=len(cells[(True, True)]),
-    )
+def weekend_contrast(diversity: ProvinceDiversity, split_date: date) -> list[WeekendContrast]:
+    """Per province, four means over defined values: before/from split_date x weekday/weekend.
+
+    Each mean sums its values in date order.
+    """
+    cell_of = [(day >= split_date, day.weekday() >= 5) for day in diversity.dates]
+    contrasts = []
+    for row in diversity.values.tolist():
+        # (post, weekend) cells in the field order: pre weekday, pre weekend, post weekday, post weekend
+        cells: dict[tuple[bool, bool], list[float]] = {
+            (post, weekend): [] for post in (False, True) for weekend in (False, True)
+        }
+        for cell, value in zip(cell_of, row):
+            if not math.isnan(value):
+                cells[cell].append(value)
+        means = [_mean(values) for values in cells.values()]
+        contrasts.append(WeekendContrast(split_date, *means, *map(len, cells.values())))
+    return contrasts
 
 
-def write_diversity_csv(series_list: Sequence[DiversitySeries], path: str | Path) -> None:
+def _fields(row: list[float]) -> list[str]:
+    # repr of Python floats: numpy 2 prints an np.float64 as 'np.float64(x)'
+    return ["" if math.isnan(value) else repr(value) for value in row]
+
+
+def write_diversity_csv(diversities: Sequence[ProvinceDiversity], path: str | Path) -> None:
     """Long export: date,province,direction,diversity with an empty field for absent days."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "province", "direction", "diversity"])
-        for series in series_list:
-            for day, value in zip(series.dates, series.values):
-                writer.writerow(
-                    [
-                        day.isoformat(),
-                        series.province_id,
-                        series.direction,
-                        "" if value is None else repr(value),
-                    ]
+        for diversity in diversities:
+            days = [day.isoformat() for day in diversity.dates]
+            for province, row in zip(diversity.provinces, diversity.values.tolist()):
+                writer.writerows(
+                    [day, province, diversity.direction, field] for day, field in zip(days, _fields(row))
                 )
 
 
-def write_diversity_wide_csv(series_list: Sequence[DiversitySeries], path: str | Path) -> None:
-    """Wide export (one row per province, one column per date) for horizon-chart tooling.
-
-    All series must share the same date axis and direction.
-    """
-    if not series_list:
-        raise ValueError("nothing to export")
-    dates = series_list[0].dates
-    for series in series_list:
-        if series.dates != dates:
-            raise ValueError("wide export needs a shared date axis")
+def write_diversity_wide_csv(diversity: ProvinceDiversity, path: str | Path) -> None:
+    """Wide export (one row per province, one column per date) for horizon-chart tooling."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["province"] + [d.isoformat() for d in dates])
-        for series in sorted(series_list, key=lambda s: s.province_id):
-            writer.writerow(
-                [series.province_id]
-                + ["" if v is None else repr(v) for v in series.values]
-            )
+        writer.writerow(["province"] + [day.isoformat() for day in diversity.dates])
+        for province, row in zip(diversity.provinces, diversity.values.tolist()):
+            writer.writerow([province] + _fields(row))

@@ -10,60 +10,61 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from .od import ProvinceCube
 
+CSV_HEADER = ["date", "in", "out", "self", "in_norm", "out_norm", "self_norm"]
+
 
 @dataclass(frozen=True)
-class FlowSeries:
-    province_id: str
-    dates: list
-    in_flow: list[int]
-    out_flow: list[int]
-    self_flow: list[int]
-    in_norm: list[float]
-    out_norm: list[float]
-    self_norm: list[float]
+class ProvinceFlows:
+    """Every province's flow series on the cube's axes: row i is provinces[i], column d dates[d].
+
+    The counts are int64[P, D]; each *_norm is float64[P, D], its count row
+    divided by the row maximum, all zero where the row is.
+    """
+
+    provinces: tuple[str, ...]
+    dates: tuple[date, ...]
+    in_flow: np.ndarray
+    out_flow: np.ndarray
+    self_flow: np.ndarray
+    in_norm: np.ndarray
+    out_norm: np.ndarray
+    self_norm: np.ndarray
 
 
-def _normalize(values: list[int]) -> list[float]:
-    # An all-zero series stays all zero rather than dividing by zero.
-    peak = max(values, default=0)
-    if peak == 0:
-        return [0.0 for _ in values]
-    return [v / peak for v in values]
-
-
-def compute_flows(cube: ProvinceCube) -> list[FlowSeries]:
-    """The three flow series of every province of the cube, in province order.
+def compute_flows(cube: ProvinceCube) -> ProvinceFlows:
+    """The three flow series of every province of the cube.
 
     Self-flow is the diagonal; out-flow is the row sum and in-flow the column
     sum, each without the diagonal.
     """
-    diagonal = cube.counts.diagonal(axis1=1, axis2=2)
-    in_flow = (cube.counts.sum(axis=1) - diagonal).T.tolist()
-    out_flow = (cube.counts.sum(axis=2) - diagonal).T.tolist()
-    return [
-        FlowSeries(province, list(cube.dates), inc, out, own, *map(_normalize, (inc, out, own)))
-        for province, inc, out, own in zip(cube.provinces, in_flow, out_flow, diagonal.T.tolist())
+    self_flow = cube.counts.diagonal(axis1=1, axis2=2).T
+    in_flow = cube.counts.sum(axis=1).T - self_flow
+    out_flow = cube.counts.sum(axis=2).T - self_flow
+    norms = []
+    for flow in (in_flow, out_flow, self_flow):
+        # int64 / int64 divides in float64, bit-equal to Python's v / peak below 2**53.
+        peak = flow.max(axis=1, initial=0, keepdims=True)
+        norms.append(np.divide(flow, peak, out=np.zeros(flow.shape), where=peak > 0))
+    return ProvinceFlows(cube.provinces, cube.dates, in_flow, out_flow, self_flow, *norms)
+
+
+def write_flow_csvs(flows: ProvinceFlows, out_dir: str | Path) -> None:
+    """Export one <province>.csv per province: date,in,out,self,in_norm,out_norm,self_norm."""
+    days = [day.isoformat() for day in flows.dates]
+    # Python ints and floats, which csv writes as their repr
+    columns = [
+        getattr(flows, name).tolist()
+        for name in ("in_flow", "out_flow", "self_flow", "in_norm", "out_norm", "self_norm")
     ]
-
-
-def write_flow_series_csv(series: FlowSeries, path: str | Path) -> None:
-    """Export one province's series as date,in,out,self,in_norm,out_norm,self_norm."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "in", "out", "self", "in_norm", "out_norm", "self_norm"])
-        for i, day in enumerate(series.dates):
-            writer.writerow(
-                [
-                    day.isoformat(),
-                    series.in_flow[i],
-                    series.out_flow[i],
-                    series.self_flow[i],
-                    repr(series.in_norm[i]),
-                    repr(series.out_norm[i]),
-                    repr(series.self_norm[i]),
-                ]
-            )
+    for i, province in enumerate(flows.provinces):
+        with (Path(out_dir) / f"{province}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            writer.writerows(zip(days, *(column[i] for column in columns)))

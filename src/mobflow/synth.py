@@ -17,6 +17,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
@@ -67,6 +68,10 @@ class ScenarioConfig:
     timezone: str = DEFAULT_TIMEZONE
 
     def __post_init__(self) -> None:
+        for name in ("n_provinces", "municipalities_per_province", "n_days", "communities_per_province",
+                     "intra_trips_per_pair", "bridge_trips_per_pair", "antennas_per_municipality"):
+            if not isinstance(getattr(self, name), numbers.Integral):  # JSON's 2.0 included
+                raise ScenarioConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_provinces < 2:
             raise ScenarioConfigError("need at least 2 provinces")
         if self.municipalities_per_province < 1:

@@ -9,6 +9,8 @@ import hashlib
 import math
 from collections import Counter, defaultdict, namedtuple
 from datetime import datetime, timedelta
+from itertools import groupby
+from operator import itemgetter
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -26,12 +28,17 @@ from mobflow.community import (
     _plogp,
     stationary_flow,
 )
-from mobflow.flows import FlowSeries
+from mobflow.diversity import flow_diversity as diversity_kernel
 from mobflow.ingest import ParseResult, daily_trips
 from mobflow.synth import GRAVITY_EXPONENT, DayTotals, _build_territory
 
 Event = namedtuple("Event", "user_id timestamp municipality_id")
 DictFlow = namedtuple("DictFlow", "visit_rates edge_flows")
+FlowSeries = namedtuple(
+    "FlowSeries", "province_id dates in_flow out_flow self_flow in_norm out_norm self_norm"
+)
+DiversitySeries = namedtuple("DiversitySeries", "province_id direction dates values")
+ReferenceMatrix = namedtuple("ReferenceMatrix", "provinces dates values dropped")
 ReferencePlan = namedtuple("ReferencePlan", "daily_trips daily_cells daily_totals planted_cluster_groups")
 
 
@@ -252,6 +259,90 @@ def flow_diversity(od, province, direction, n, include_self=False):
     return entropy / math.log(n)
 
 
+def rows_with_none(values):
+    """A float array's rows as lists, NaN (an absent day) as None."""
+    return [[None if math.isnan(v) else v for v in row] for row in values.tolist()]
+
+
+def _normalize(values):
+    # An all-zero series stays all zero rather than dividing by zero.
+    peak = max(values, default=0)
+    if peak == 0:
+        return [0.0 for _ in values]
+    return [v / peak for v in values]
+
+
+def flow_series_reference(cube):
+    """Every province's FlowSeries of Python lists, normalized value by value; reference for compute_flows."""
+    diagonal = cube.counts.diagonal(axis1=1, axis2=2)
+    in_flow = (cube.counts.sum(axis=1) - diagonal).T.tolist()
+    out_flow = (cube.counts.sum(axis=2) - diagonal).T.tolist()
+    return [
+        FlowSeries(province, list(cube.dates), inc, out, own, *map(_normalize, (inc, out, own)))
+        for province, inc, out, own in zip(cube.provinces, in_flow, out_flow, diagonal.T.tolist())
+    ]
+
+
+def diversity_series_reference(cube, direction, include_self=False):
+    """Every province's DiversitySeries, a list with None on absent days; reference for diversity_series."""
+    n = len(cube.provinces)
+    flows = cube.counts if direction == "out" else cube.counts.transpose(0, 2, 1)
+    if not include_self:
+        flows = flows * ~np.eye(n, dtype=bool)
+    values = [[None] * len(cube.dates) for _ in range(n)]
+    days, rows, partners = np.nonzero(flows)
+    cells = zip(days.tolist(), rows.tolist(), flows[days, rows, partners].tolist())
+    for (day, row), group in groupby(cells, key=itemgetter(0, 1)):
+        values[row][day] = diversity_kernel([count for _, _, count in group], n)
+    return [
+        DiversitySeries(province, direction, list(cube.dates), row)
+        for province, row in zip(cube.provinces, values)
+    ]
+
+
+def weekend_contrast_reference(series, split_date):
+    """The four (mean, n) cells of one DiversitySeries, summed in date order."""
+    cells = {(post, weekend): [] for post in (False, True) for weekend in (False, True)}
+    for day, value in zip(series.dates, series.values):
+        if value is not None:
+            cells[(day >= split_date, day.weekday() >= 5)].append(value)
+    return {key: (sum(v) / len(v) if v else None, len(v)) for key, v in cells.items()}
+
+
+def impute_reference(values):
+    """A None-holding series as floats, gaps interpolated and ends extended."""
+    arr = np.array([np.nan if v is None else v for v in values], dtype=float)
+    defined = np.flatnonzero(~np.isnan(arr))
+    if defined.size == 0:
+        raise ValueError("cannot impute an all-absent series")
+    missing = np.flatnonzero(np.isnan(arr))
+    if missing.size:
+        arr[missing] = np.interp(missing, defined, arr[defined])
+    return arr
+
+
+def series_matrix_reference(series_list, max_absent_fraction=0.5):
+    """The k-means input assembled series by series from DiversitySeries; reference for from_diversity."""
+    if not series_list:
+        raise ValueError("no series to assemble")
+    dates = series_list[0].dates
+    for series in series_list:
+        if series.dates != dates:
+            raise ValueError("all series must share the same date axis")
+    n_days = len(dates)
+    provinces, rows, dropped = [], [], []
+    for series in series_list:
+        absent = sum(1 for v in series.values if v is None)
+        if n_days == 0 or absent / n_days > max_absent_fraction:
+            dropped.append(series.province_id)
+            continue
+        rows.append(impute_reference(series.values))
+        provinces.append(series.province_id)
+    if not rows:
+        raise ValueError("every series was dropped during imputation")
+    return ReferenceMatrix(provinces, list(dates), np.vstack(rows), dropped)
+
+
 def stationary_dense(g, tau=0.15):
     """Stationary distribution of the teleporting chain by dense linear solve."""
     nodes = g.nodes
@@ -374,6 +465,22 @@ def random_flow_graph(rng, n, density=0.45, max_weight=10):
             if u != v and rng.random() < density:
                 edges[(nodes[u], nodes[v])] = float(rng.integers(1, max_weight))
     return nodes, edges
+
+
+def assert_consistent(state):
+    """Check a swept state's maintained terms against a fresh state of its partition.
+
+    The plogp cache must hold exactly the terms of the state's own exit and
+    visit flows. Those flows, and so the codelength, are updated move by move
+    and match a from-scratch rebuild to rounding only.
+    """
+    if state.plogp_exit != [_plogp(e) for e in state.exit] or state.plogp_circ != [
+        _plogp(e + f) for e, f in zip(state.exit, state.flow)
+    ]:
+        raise AssertionError("per-module plogp cache is stale")
+    fresh = _MapState(state.level, state.module_of, state.node_term)
+    if abs(fresh.codelength() - state.codelength()) > 1e-9:
+        raise AssertionError("maintained codelength diverged from recomputation")
 
 
 class _ReferenceMapState(_MapState):

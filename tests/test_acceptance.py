@@ -46,10 +46,10 @@ DAY = date(2020, 3, 2)
 TERRITORY_110 = ["A"] + [f"S{i}" for i in range(109)]
 
 
-def _in_diversity(days: list[dict]) -> list[float | None]:
+def _in_diversity(days: list[dict]) -> list[float]:
     """A's in-flow diversity on each day of a 110-province territory, through the cube."""
     ods = [DailyOD.from_cells(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
-    return diversity_series(ProvinceCube.from_ods(ods, TERRITORY_110), "in")[0].values
+    return diversity_series(ProvinceCube.from_ods(ods, TERRITORY_110), "in").values[0].tolist()
 
 
 def _report(number: int, ok: bool, elapsed: float, budget: float, detail: str) -> None:
@@ -251,7 +251,7 @@ def test_criterion_7_cluster_selection_recovery():
             config = synth.planted_levels_config(seed=seed)
             plan = synth.generate_plan(config)
             cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
-            matrix = SeriesMatrix.from_series(diversity_series(cube, "out"))
+            matrix = SeriesMatrix.from_diversity(diversity_series(cube, "out"))
             if select_k(matrix, range(2, 21), seed=seed).k_star == 5:
                 hits += 1
     ok = hits >= 19 and t.elapsed < budget

@@ -162,6 +162,28 @@ class TestExitCodes:
                    "--seed", "1", "--k-range", "nope"])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("communities", "--tau", "-0.5"),
+            ("communities", "--tau", "nan"),
+            ("communities", "--trials", "0"),
+            ("communities", "--trials", "-3"),
+            ("communities", "--window", "0"),
+            ("report", "--tau", "nan"),
+            ("report", "--trials", "0"),
+        ],
+    )
+    def test_out_of_range_option_is_usage_error(self, scenario_dir, tmp_path, capsys, command, option, value):
+        source = scenario_dir
+        if command == "communities":
+            source = tmp_path / "store"
+            assert main(["build-od", "--in", str(scenario_dir), "--out", str(source)]) == 0
+        out = tmp_path / "out"
+        assert main([command, "--in", str(source), "--out", str(out), "--seed", "1", option, value]) == 1
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_registry_is_data_error(self, tmp_path, capsys):
         rc = main(["build-od", "--in", str(tmp_path / "nothing"), "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -184,8 +206,23 @@ class TestExitCodes:
         rc = main(["build-od", "--in", str(data), "--out", str(out)])
         assert rc == 0
         (out / "territory.json").unlink()
+        before = set(out.rglob("*"))
         rc = main(["aggregate", "--in", str(out)])
         assert rc == 2
+        assert set(out.rglob("*")) == before
+        # a k-range above the 3 provinces fails in clustering, after flows/ and the
+        # store's directories were made: every new directory goes, --out included
+        config = write_config(tmp_path / "three.json", n_provinces=3, n_days=4, lockdown_day=2)
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "three")]) == 0
+        report = ["report", "--in", str(tmp_path / "three"), "--seed", "0", "--trials", "1", "--k-range", "5:9"]
+        assert main([*report, "--out", str(tmp_path / "new")]) == 2
+        assert not (tmp_path / "new").exists()
+        existing = tmp_path / "existing"
+        (existing / "flows").mkdir(parents=True)
+        (existing / "flows" / "notes.txt").write_text("kept\n")
+        before = set(existing.rglob("*"))
+        assert main([*report, "--out", str(existing)]) == 2
+        assert set(existing.rglob("*")) == before
 
     def test_failed_aggregate_removes_new_store_files(self, tmp_path):
         data = tmp_path / "data"
@@ -249,7 +286,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("antennas_per_municipality", 0), ("intra_trips_per_pair", -3), ("cdr_fraction", 7)],
+        [
+            ("antennas_per_municipality", 0),
+            ("intra_trips_per_pair", -3),
+            ("cdr_fraction", 7),
+            ("intra_trips_per_pair", 2.5),
+            ("municipalities_per_province", 2.5),
+            ("n_days", 2.0),
+        ],
     )
     def test_synth_out_of_range_config_is_data_error(self, tmp_path, capsys, field, value):
         config = tmp_path / "c.json"

@@ -18,7 +18,7 @@ from mobflow.cluster import (
     mean_silhouette,
     select_k,
 )
-from mobflow.diversity import DiversitySeries
+from mobflow.diversity import ProvinceDiversity
 
 import oracles
 
@@ -27,7 +27,7 @@ DATES = [date(2020, 3, 2) + timedelta(days=i) for i in range(10)]
 
 def matrix_from(values: np.ndarray, names=None) -> SeriesMatrix:
     names = names or [f"P{i:02d}" for i in range(values.shape[0])]
-    return SeriesMatrix(provinces=names, dates=DATES[: values.shape[1]], values=values.astype(float))
+    return SeriesMatrix(provinces=names, values=values.astype(float))
 
 
 def planted(levels, per_group, n_days=10, noise=0.01, seed=0) -> tuple[SeriesMatrix, np.ndarray]:
@@ -239,7 +239,7 @@ class TestMatchesOracles:
         plan = synth.generate_plan(synth.lockdown_scenario_config(0, **overrides))
         cube = od.ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
         for direction in diversity.DIRECTIONS:
-            matrix = SeriesMatrix.from_series(diversity.diversity_series(cube, direction, False))
+            matrix = SeriesMatrix.from_diversity(diversity.diversity_series(cube, direction, False))
             ks = range(2, min(20, len(matrix.provinces)) + 1)
             fast = select_k(matrix, ks, seed=0)
             with monkeypatch.context() as patch:
@@ -255,28 +255,36 @@ class TestMatchesOracles:
 
 
 class TestSeriesMatrix:
-    def _series(self, province, values):
-        return DiversitySeries(province, "in", DATES[: len(values)], values)
+    def _diversity(self, rows):
+        """Diversity of provinces A, B, ... with NaN for the None entries of rows."""
+        values = np.array([[np.nan if v is None else v for v in row] for row in rows], dtype=float)
+        provinces = tuple("ABCDEFGH"[: len(rows)])
+        return ProvinceDiversity("in", provinces, tuple(DATES[: values.shape[1]]), values)
 
     def test_interior_gap_linearly_interpolated(self):
-        series = self._series("A", [0.2, None, 0.6, 0.6])
-        matrix = SeriesMatrix.from_series([series])
+        matrix = SeriesMatrix.from_diversity(self._diversity([[0.2, None, 0.6, 0.6]]))
         assert matrix.values[0].tolist() == [0.2, pytest.approx(0.4), 0.6, 0.6]
 
     def test_edges_extended(self):
-        series = self._series("A", [None, 0.4, 0.5, None])
-        matrix = SeriesMatrix.from_series([series])
+        matrix = SeriesMatrix.from_diversity(self._diversity([[None, 0.4, 0.5, None]]))
         assert matrix.values[0].tolist() == [0.4, 0.4, 0.5, 0.5]
 
     def test_mostly_absent_province_dropped_and_reported(self):
-        good = self._series("A", [0.2, 0.3, 0.4, 0.5])
-        bad = self._series("B", [None, None, None, 0.5])
-        matrix = SeriesMatrix.from_series([good, bad])
+        diversity = self._diversity([[0.2, 0.3, 0.4, 0.5], [None, None, None, 0.5]])
+        matrix = SeriesMatrix.from_diversity(diversity)
         assert matrix.provinces == ["A"]
         assert matrix.dropped == ["B"]
 
-    def test_mismatched_dates_rejected(self):
-        a = self._series("A", [0.2, 0.3])
-        b = DiversitySeries("B", "in", DATES[1:3], [0.2, 0.3])
-        with pytest.raises(ValueError, match="date axis"):
-            SeriesMatrix.from_series([a, b])
+    def test_half_absent_province_kept(self):
+        matrix = SeriesMatrix.from_diversity(self._diversity([[0.2, None, None, 0.5]]))
+        assert matrix.provinces == ["A"]
+
+    def test_input_array_left_unchanged(self):
+        diversity = self._diversity([[0.2, None, 0.6]])
+        SeriesMatrix.from_diversity(diversity)
+        assert np.isnan(diversity.values[0, 1])
+
+    def test_no_days_or_all_dropped_rejected(self):
+        for rows in ([[], []], [[None, None, 0.1]]):
+            with pytest.raises(ValueError, match="every series was dropped"):
+                SeriesMatrix.from_diversity(self._diversity(rows))

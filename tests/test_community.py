@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobflow import synth
+from mobflow import community, synth
 from mobflow.community import (
     FlowGraph,
     Partition,
@@ -22,6 +22,7 @@ from mobflow.community import (
 from mobflow.od import DailyOD
 
 from oracles import (
+    assert_consistent,
     exhaustive_min_codelength,
     flow_dicts,
     flow_graph,
@@ -33,6 +34,22 @@ from oracles import (
 )
 
 DAY = date(2020, 3, 2)
+
+
+@pytest.fixture
+def checked_sweeps(monkeypatch):
+    """Check every swept state with `assert_consistent`; returns the checked levels' sizes."""
+    sweep = community._sweep_until_stable
+    checks = []
+
+    def sweep_then_check(state, rng):
+        moved = sweep(state, rng)
+        assert_consistent(state)
+        checks.append(state.level.size)
+        return moved
+
+    monkeypatch.setattr(community, "_sweep_until_stable", sweep_then_check)
+    return checks
 
 
 def clique(prefix, k, w=1.0):
@@ -95,6 +112,17 @@ class TestStationaryFlow:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             stationary_flow(flow_graph({}))
+
+    @pytest.mark.parametrize("tau", [1.5, -0.5, float("nan")])
+    def test_teleport_rate_outside_unit_interval_rejected(self, tau):
+        g = flow_graph({("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "a"): 2.0})
+        with pytest.raises(ValueError, match="tau must be in"):
+            stationary_flow(g, tau=tau)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_teleport_rate_bounds_accepted(self, tau):
+        g = flow_graph({("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "a"): 2.0})
+        assert sum(stationary_flow(g, tau=tau).visit_rates) == pytest.approx(1.0, abs=1e-12)
 
     def test_edgeless_graph_is_uniform(self):
         g = flow_graph({}, ["a", "b", "c", "d"])
@@ -188,7 +216,7 @@ class TestInfomap:
         assert part.codelength == pytest.approx(best_length, abs=1e-9)
         assert len(set(best_assignment.values())) == 2
 
-    def test_matches_exhaustive_minimum_on_random_corpus(self):
+    def test_matches_exhaustive_minimum_on_random_corpus(self, checked_sweeps):
         rng = np.random.default_rng(16)
         checked = 0
         for trial in range(25):
@@ -197,7 +225,7 @@ class TestInfomap:
                 continue
             g = flow_graph(edges, nodes)
             flow = stationary_flow(g)
-            part = infomap(g, seed=trial, trials=10, flow=flow, consistency_check=True)
+            part = infomap(g, seed=trial, trials=10, flow=flow)
             flow = flow_dicts(g, flow)
             best_length, _ = exhaustive_min_codelength(flow, map_equation)
             assert part.codelength == pytest.approx(best_length, abs=1e-9)
@@ -207,6 +235,8 @@ class TestInfomap:
             )
             checked += 1
         assert checked >= 20
+        assert len(checked_sweeps) >= 10 * checked  # each trial sweeps at least once
+        assert min(checked_sweeps) < max(checked_sweeps)  # aggregated levels were checked too
 
     def test_codelength_not_above_trivial_partitions(self):
         rng = np.random.default_rng(17)
@@ -244,6 +274,12 @@ class TestInfomap:
         b = infomap(g, seed=7, trials=5)
         assert a == b
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_rejected(self, trials):
+        g = flow_graph({("a", "b"): 1.0, ("b", "a"): 1.0})
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            infomap(g, seed=0, trials=trials)
+
     def test_isolated_nodes_become_singletons(self):
         g = flow_graph({("a", "b"): 1.0, ("b", "a"): 1.0}, ["a", "b", "iso1", "iso2"])
         part = infomap(g, seed=1, trials=4)
@@ -277,14 +313,16 @@ class TestInfomapMatchesReference:
             assert fast.assignment == reference.assignment
             assert fast.codelength == reference.codelength
 
-    def test_synthetic_municipality_days_identical(self):
+    def test_synthetic_municipality_days_identical(self, checked_sweeps):
         config = synth.lockdown_scenario_config(
             seed=3, n_provinces=6, municipalities_per_province=8, n_days=2, lockdown_day=1
         )
         for od in synth.generate_plan(config).municipality_ods():
             g = FlowGraph.from_od(od)
             flow = stationary_flow(g)
-            fast = infomap(g, seed=5, trials=4, flow=flow, consistency_check=True)
+            checks_before = len(checked_sweeps)
+            fast = infomap(g, seed=5, trials=4, flow=flow)
+            assert len(checked_sweeps) - checks_before >= 4
             reference = infomap_reference(g, seed=5, trials=4, flow=flow)
             assert fast.module_count > 1
             assert fast.assignment == reference.assignment

@@ -1,4 +1,4 @@
-"""Entropy flow diversity: frozen values, invariances, the cube against per-province scans, and the weekend contrast."""
+"""Entropy flow diversity: frozen values, invariances, the arrays against per-province scans and lists, and the weekend contrast."""
 
 import math
 from datetime import date, timedelta
@@ -16,12 +16,15 @@ from mobflow.diversity import (
     flow_diversity,
     weekend_contrast,
     write_diversity_csv,
+    write_diversity_wide_csv,
 )
+from mobflow.cluster import SeriesMatrix
 from mobflow.flows import compute_flows
 from mobflow.od import DailyOD, ProvinceCube
 
 DAY = date(2020, 3, 2)
 TERRITORY_110 = ["A"] + [f"S{i:03d}" for i in range(109)]
+FLOW_SERIES = ("in_flow", "out_flow", "self_flow", "in_norm", "out_norm", "self_norm")
 
 
 def in_flows_od(flows: dict[str, int], target="A", day=DAY):
@@ -29,13 +32,18 @@ def in_flows_od(flows: dict[str, int], target="A", day=DAY):
 
 
 def series_of(ods, province, direction, provinces=TERRITORY_110, include_self=False):
-    cube = ProvinceCube.from_ods(ods, provinces)
-    by_province = {s.province_id: s for s in diversity_series(cube, direction, include_self)}
-    return by_province[province]
+    """One province's diversity on each day, None where absent."""
+    diversity = diversity_series(ProvinceCube.from_ods(ods, provinces), direction, include_self)
+    return oracles.rows_with_none(diversity.values)[diversity.provinces.index(province)]
 
 
 def value_of(od, province, direction, provinces=TERRITORY_110, include_self=False):
-    return series_of([od], province, direction, provinces, include_self).values[0]
+    return series_of([od], province, direction, provinces, include_self)[0]
+
+
+def contrast_of(ods, split):
+    """Province A's weekend contrast of in-flow diversity."""
+    return weekend_contrast(diversity_series(ProvinceCube.from_ods(ods, TERRITORY_110), "in"), split)[0]
 
 
 class TestFlowDiversity:
@@ -179,50 +187,118 @@ class TestCubeMatchesPerProvinceScans:
         cube = ProvinceCube.from_ods(ods, provinces)
         dates = [od.date for od in ods]
         ordered = sorted(provinces)
-        assert compute_flows(cube) == [oracles.compute_flows(ods, p) for p in ordered]
+        flows = compute_flows(cube)
+        assert flows.provinces == tuple(ordered)
+        for i, province in enumerate(ordered):
+            expected = oracles.compute_flows(ods, province)
+            assert list(flows.dates) == expected.dates
+            for name in FLOW_SERIES:
+                assert getattr(flows, name)[i].tolist() == getattr(expected, name)
         for direction in DIRECTIONS:
             for include_self in (False, True):
-                series = diversity_series(cube, direction, include_self)
-                assert [s.province_id for s in series] == ordered
-                for s in series:
+                diversity = diversity_series(cube, direction, include_self)
+                assert diversity.provinces == tuple(ordered)
+                assert diversity.direction == direction
+                assert list(diversity.dates) == dates
+                assert diversity.values.dtype == np.float64
+                for province, values in zip(ordered, oracles.rows_with_none(diversity.values)):
                     expected = [
-                        oracles.flow_diversity(od, s.province_id, direction, len(provinces), include_self)
+                        oracles.flow_diversity(od, province, direction, len(provinces), include_self)
                         for od in ods
                     ]
-                    assert s.direction == direction
-                    assert s.dates == dates
-                    assert s.values == expected
-                    assert all(type(v) is float for v in s.values if v is not None)
+                    assert values == expected
+                    assert all(type(v) is float for v in values if v is not None)
+
+
+class TestArraysMatchListPath:
+    """The [province, day] arrays hold exactly what the per-province list objects held."""
+
+    @given(province_runs(), st.integers(0, 30))
+    @example(_run(["P0", "P1", "P2"], [
+        {("P0", "P1"): 3},  # P1 and P2 absent as "out" on most days: dropped
+        {("P0", "P1"): 1, ("P1", "P2"): 2},
+        {},
+        {("P2", "P0"): 4, ("P0", "P2"): 1},
+    ]), 2)
+    @settings(max_examples=300, deadline=None)
+    def test_flows_diversity_contrast_and_matrix(self, run, split_offset):
+        provinces, ods = run
+        cube = ProvinceCube.from_ods(ods, provinces)
+        flows = compute_flows(cube)
+        for i, expected in enumerate(oracles.flow_series_reference(cube)):
+            assert flows.provinces[i] == expected.province_id
+            assert list(flows.dates) == expected.dates
+            for name in FLOW_SERIES:
+                assert getattr(flows, name)[i].tolist() == getattr(expected, name)
+        split = DAY + timedelta(days=split_offset)
+        for direction in DIRECTIONS:
+            for include_self in (False, True):
+                diversity = diversity_series(cube, direction, include_self)
+                reference = oracles.diversity_series_reference(cube, direction, include_self)
+                assert list(diversity.provinces) == [s.province_id for s in reference]
+                assert oracles.rows_with_none(diversity.values) == [s.values for s in reference]
+                contrasts = weekend_contrast(diversity, split)
+                for contrast, series in zip(contrasts, reference, strict=True):
+                    cells = oracles.weekend_contrast_reference(series, split)
+                    assert cells == {
+                        (False, False): (contrast.pre_weekday_mean, contrast.pre_weekday_n),
+                        (False, True): (contrast.pre_weekend_mean, contrast.pre_weekend_n),
+                        (True, False): (contrast.post_weekday_mean, contrast.post_weekday_n),
+                        (True, True): (contrast.post_weekend_mean, contrast.post_weekend_n),
+                    }
+                try:
+                    expected = oracles.series_matrix_reference(reference)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        SeriesMatrix.from_diversity(diversity)
+                    continue
+                matrix = SeriesMatrix.from_diversity(diversity)
+                assert (matrix.provinces, matrix.dropped) == (expected.provinces, expected.dropped)
+                assert matrix.values.tobytes() == expected.values.tobytes()
+                assert matrix.values.shape == expected.values.shape
 
 
 class TestDiversitySeries:
     def test_identical_days_identical_values(self):
         ods = [in_flows_od({"S000": 2, "S001": 2}, day=DAY + timedelta(days=i)) for i in range(3)]
-        series = series_of(ods, "A", "in")
-        assert len(set(series.values)) == 1
+        values = series_of(ods, "A", "in")
+        assert len(set(values)) == 1
 
     def test_absent_day_preserved(self):
         ods = [
             in_flows_od({"S000": 2}, day=DAY),
             DailyOD.from_cells(DAY + timedelta(days=1), "province", {}),
         ]
-        series = series_of(ods, "A", "in")
-        assert series.values[0] == 0.0
-        assert series.values[1] is None
+        values = series_of(ods, "A", "in")
+        assert values[0] == 0.0
+        assert values[1] is None
 
     def test_csv_blank_for_absent(self, tmp_path):
-        series = series_of([DailyOD.from_cells(DAY, "province", {})], "A", "in")
+        cube = ProvinceCube.from_ods([DailyOD.from_cells(DAY, "province", {})], TERRITORY_110)
         out = tmp_path / "d.csv"
-        write_diversity_csv([series], out)
+        write_diversity_csv([diversity_series(cube, "in")], out)
         assert out.read_text().splitlines()[1] == "2020-03-02,A,in,"
+
+    def test_csv_values_are_python_float_reprs(self, tmp_path):
+        od = DailyOD.from_cells(DAY, "province", {("A", "B"): 30, ("A", "C"): 10, ("B", "C"): 1})
+        cube = ProvinceCube.from_ods([od, DailyOD.from_cells(DAY + timedelta(days=1), "province", {})], "ABC")
+        diversity = diversity_series(cube, "out")
+        expected = repr(flow_diversity([30, 10], 3))
+        write_diversity_csv([diversity], tmp_path / "long.csv")
+        assert (tmp_path / "long.csv").read_text().splitlines()[1:3] == [
+            f"2020-03-02,A,out,{expected}", "2020-03-03,A,out,"
+        ]
+        write_diversity_wide_csv(diversity, tmp_path / "wide.csv")
+        assert (tmp_path / "wide.csv").read_text().splitlines() == [
+            "province,2020-03-02,2020-03-03", f"A,{expected},", "B,0.0,", "C,,",
+        ]
 
 
 class TestWeekendContrast:
     def test_constant_series_all_means_equal(self):
         # 2020-03-02 is a Monday; 14 days cover both weekend and weekdays twice
         ods = [in_flows_od({"S000": 1, "S001": 1}, day=DAY + timedelta(days=i)) for i in range(14)]
-        series = series_of(ods, "A", "in")
-        contrast = weekend_contrast(series, DAY + timedelta(days=7))
+        contrast = contrast_of(ods, DAY + timedelta(days=7))
         assert (
             contrast.pre_weekday_mean
             == contrast.pre_weekend_mean
@@ -236,8 +312,7 @@ class TestWeekendContrast:
             day = DAY + timedelta(days=i)
             flows = {"S000": 5} if day.weekday() >= 5 else {"S000": 1, "S001": 1, "S002": 1, "S003": 1}
             ods.append(in_flows_od(flows, day=day))
-        series = series_of(ods, "A", "in")
-        contrast = weekend_contrast(series, DAY + timedelta(days=7))
+        contrast = contrast_of(ods, DAY + timedelta(days=7))
         assert contrast.pre_weekend_mean == 0.0
         assert contrast.post_weekend_mean == 0.0
         assert contrast.pre_weekday_mean > 0.0
@@ -246,8 +321,7 @@ class TestWeekendContrast:
 
     def test_empty_cell_reported_absent(self):
         ods = [in_flows_od({"S000": 1, "S001": 1}, day=DAY)]  # a single Monday
-        series = series_of(ods, "A", "in")
-        contrast = weekend_contrast(series, DAY)
+        contrast = contrast_of(ods, DAY)
         assert contrast.post_weekend_mean is None
         assert contrast.post_weekend_n == 0
 
@@ -261,8 +335,7 @@ class TestLockdownScenario:
         cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
         split = config.regimes[-1].start_date
         deltas_pre, deltas_post = [], []
-        for series in diversity_series(cube, "out"):
-            contrast = weekend_contrast(series, split)
+        for contrast in weekend_contrast(diversity_series(cube, "out"), split):
             deltas_pre.append(contrast.pre_weekend_mean - contrast.pre_weekday_mean)
             deltas_post.append(contrast.post_weekend_mean - contrast.post_weekday_mean)
         assert sum(deltas_pre) / len(deltas_pre) >= 0.0

@@ -1,17 +1,20 @@
 """Flow volume series: definitions, normalization, the province cube, and the lockdown scenario."""
 
 from datetime import date, timedelta
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobflow import synth
-from mobflow.flows import compute_flows, write_flow_series_csv
+from mobflow.flows import compute_flows, write_flow_csvs
 from mobflow.od import DailyOD, ProvinceCube, UnknownProvinceError
 
 DAY = date(2020, 3, 2)
 PROVINCES = [f"P{i}" for i in range(6)]
+SERIES = ("in_flow", "out_flow", "self_flow", "in_norm", "out_norm", "self_norm")
 
 
 def province_od(cells, day=DAY):
@@ -19,8 +22,11 @@ def province_od(cells, day=DAY):
 
 
 def flows_of(ods, province, provinces=PROVINCES):
-    by_province = {s.province_id: s for s in compute_flows(ProvinceCube.from_ods(ods, provinces))}
-    return by_province[province]
+    """One province's row of every flow array, as lists."""
+    flows = compute_flows(ProvinceCube.from_ods(ods, provinces))
+    row = flows.provinces.index(province)
+    rows = {name: getattr(flows, name)[row].tolist() for name in SERIES}
+    return SimpleNamespace(dates=list(flows.dates), **rows)
 
 
 class TestComputeFlows:
@@ -34,13 +40,19 @@ class TestComputeFlows:
     def test_one_series_per_province_in_province_order(self):
         od = province_od({("B", "A"): 1})
         cube = ProvinceCube.from_ods([od], {"C", "A", "B"})
-        assert [s.province_id for s in compute_flows(cube)] == ["A", "B", "C"]
-        assert [s.in_flow for s in compute_flows(cube)] == [[1], [0], [0]]
+        flows = compute_flows(cube)
+        assert flows.provinces == ("A", "B", "C")
+        assert flows.dates == (DAY,)
+        assert flows.in_flow.tolist() == [[1], [0], [0]]
 
     def test_values_are_python_numbers(self):
-        series = flows_of([province_od({("P0", "P1"): 4})], "P0")
-        assert type(series.out_flow[0]) is int
-        assert type(series.out_norm[0]) is float
+        flows = compute_flows(ProvinceCube.from_ods([province_od({("P0", "P1"): 4})], PROVINCES))
+        for name in SERIES:
+            assert getattr(flows, name).shape == (len(PROVINCES), 1)
+            assert getattr(flows, name).dtype == (np.int64 if name.endswith("flow") else np.float64)
+        # what the CSV writer formats: Python numbers, never numpy scalars
+        assert type(flows.out_flow.tolist()[0][0]) is int
+        assert type(flows.out_norm.tolist()[0][0]) is float
 
     def test_all_zero_days_normalize_to_zero(self):
         ods = [province_od({}, DAY), province_od({}, DAY + timedelta(days=1))]
@@ -52,6 +64,7 @@ class TestComputeFlows:
     def test_no_days(self):
         series = flows_of([], "P0")
         assert series.dates == series.in_flow == series.in_norm == []
+        assert compute_flows(ProvinceCube.from_ods([], PROVINCES)).self_norm.shape == (len(PROVINCES), 0)
 
     def test_unknown_province_rejected_with_index(self):
         mapping = {"M1": "P", "M2": "Q"}
@@ -65,12 +78,12 @@ class TestComputeFlows:
 
     def test_csv_export_schema(self, tmp_path):
         od = province_od({("P", "Q"): 3, ("Q", "P"): 1, ("P", "P"): 5})
-        series = flows_of([od], "P", ["P", "Q"])
-        out = tmp_path / "flows.csv"
-        write_flow_series_csv(series, out)
-        header, row = out.read_text().splitlines()
+        write_flow_csvs(compute_flows(ProvinceCube.from_ods([od], ["P", "Q"])), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["P.csv", "Q.csv"]
+        header, row = (tmp_path / "P.csv").read_text().splitlines()
         assert header == "date,in,out,self,in_norm,out_norm,self_norm"
-        assert row.startswith("2020-03-02,1,3,5,")
+        assert row == "2020-03-02,1,3,5,1.0,1.0,1.0"
+        assert (tmp_path / "Q.csv").read_text().splitlines()[1] == "2020-03-02,3,1,0,1.0,1.0,0.0"
 
 
 class TestProvinceCube:
@@ -116,11 +129,11 @@ class TestFlowProperties:
     def test_total_out_equals_total_in_equals_inter_province(self, cell_maps):
         ods = _as_ods(cell_maps)
         cube = ProvinceCube.from_ods(ods, PROVINCES)
-        series = compute_flows(cube)
+        flows = compute_flows(cube)
         inter = (cube.counts.sum(axis=(1, 2)) - cube.counts.trace(axis1=1, axis2=2)).tolist()
         for day_idx, od in enumerate(ods):
-            out_sum = sum(s.out_flow[day_idx] for s in series)
-            in_sum = sum(s.in_flow[day_idx] for s in series)
+            out_sum = sum(flows.out_flow[:, day_idx].tolist())
+            in_sum = sum(flows.in_flow[:, day_idx].tolist())
             direct = sum(c for (o, d), c in od.cells.items() if o != d)
             assert out_sum == in_sum == inter[day_idx] == direct
 

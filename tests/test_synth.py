@@ -178,8 +178,9 @@ class TestPlantedEffects:
         assert set(groups.values()) == {0, 1, 2, 3, 4}
         cube = ProvinceCube.from_ods(plan.province_ods()[:1], plan.territory.provinces)
         by_group = {}
-        for series in diversity_series(cube, "out"):
-            by_group.setdefault(groups[series.province_id], []).append(series.values[0])
+        diversity = diversity_series(cube, "out")
+        for province, value in zip(diversity.provinces, diversity.values[:, 0].tolist()):
+            by_group.setdefault(groups[province], []).append(value)
         means = sorted(sum(v) / len(v) for v in by_group.values())
         assert all(b - a > 0.05 for a, b in zip(means, means[1:]))
 
@@ -242,11 +243,27 @@ class TestConfigValidation:
             ("cdr_fraction", -0.1),
             ("dwell_violation_rate", 1.5),
             ("dwell_violation_rate", float("nan")),
+            ("n_provinces", 2.5),
+            ("municipalities_per_province", 2.5),
+            ("n_days", 2.5),
+            ("communities_per_province", 2.5),
+            ("intra_trips_per_pair", 2.5),
+            ("bridge_trips_per_pair", 2.5),
+            ("antennas_per_municipality", 2.5),
+            ("n_days", 2.0),
+            ("intra_trips_per_pair", 2.0),
         ],
     )
     def test_out_of_range_values_rejected(self, field, value):
         with pytest.raises(synth.ScenarioConfigError, match=field):
             synth.lockdown_scenario_config(seed=0, **{field: value})
+
+    def test_float_volumes_and_numpy_integers_accepted(self):
+        config = synth.lockdown_scenario_config(
+            seed=0, n_provinces=np.int64(3), n_days=4, lockdown_day=2,
+            inter_trips_per_province=12.5, population_per_municipality=1000.5,
+        )
+        assert len(synth.generate_plan(config).daily_trips) == 4
 
     def test_duplicate_levels_rejected(self):
         with pytest.raises(synth.ScenarioConfigError, match="distinct"):
