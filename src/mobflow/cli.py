@@ -1,13 +1,15 @@
 """Command-line entry point: scenario synthesis, OD building, and all analysis tables.
 
-`report` is one in-memory pass: it builds the municipality and province ODs
-once, stores them under <out>/od-store and derives every table from them
-without reading back anything it wrote. Every other subcommand loads its inputs
-from an OD store and calls the same stage function, so each table has one path.
+An OD store holds only the daily municipality matrices and territory.json;
+every command that needs province matrices derives them in memory on each read.
+`report` is one in-memory pass: it builds the municipality ODs once, stores them
+under <out>/od-store and derives every table from them without reading back
+anything it wrote. Every other subcommand loads its inputs from an OD store and
+calls the same stage function, so each table has one path.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Files and directories newly
-created by a failing command (under --out, and --out itself; in the OD store for
-`aggregate`) are removed so a crash never leaves a half-written result tree.
+created by a failing command (under --out, and --out itself) are removed so a
+crash never leaves a half-written result tree.
 """
 
 from __future__ import annotations
@@ -47,12 +49,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-od", help="records -> daily municipality OD matrices")
     p.add_argument("--in", dest="in_dir", required=True, help="scenario directory (registry.csv, cdr/, xdr/)")
     p.add_argument("--out", required=True, help="OD store directory")
-    p.add_argument("--dwell-seconds", type=int, default=ingest.DEFAULT_DWELL_SECONDS)
+    p.add_argument("--dwell-seconds", type=_int_at_least(0), default=ingest.DEFAULT_DWELL_SECONDS)
     p.add_argument("--tz", default=ingest.DEFAULT_TIMEZONE)
     _add_date_range(p)
-
-    p = sub.add_parser("aggregate", help="municipality ODs -> province ODs")
-    p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
 
     p = sub.add_parser("flows", help="per-province flow volume tables")
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
@@ -77,11 +76,11 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=_at_least_one, default=community_mod.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_int_at_least(1), default=community_mod.DEFAULT_TRIALS)
     p.add_argument("--tau", type=_teleport_rate, default=community_mod.DEFAULT_TELEPORT)
-    p.add_argument("--window", type=_at_least_one, default=1, help="rolling OD window in days")
+    p.add_argument("--window", type=_int_at_least(1), default=1, help="rolling OD window in days")
     p.add_argument("--granularity", choices=od.GRANULARITIES, default="municipality",
-                   help="which stored OD graphs to run detection on")
+                   help="run detection on municipality graphs or on their province aggregates")
     p.add_argument("--attach-registry", action="store_true",
                    help="count flow-less municipalities as singleton communities")
     p.add_argument("--provinces", help="comma list: also dump partitions filtered to these provinces")
@@ -91,10 +90,10 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_dir", required=True, help="scenario directory")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dwell-seconds", type=int, default=ingest.DEFAULT_DWELL_SECONDS)
+    p.add_argument("--dwell-seconds", type=_int_at_least(0), default=ingest.DEFAULT_DWELL_SECONDS)
     p.add_argument("--tz", default=ingest.DEFAULT_TIMEZONE)
     p.add_argument("--k-range", default="2:20")
-    p.add_argument("--trials", type=_at_least_one, default=community_mod.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_int_at_least(1), default=community_mod.DEFAULT_TRIALS)
     p.add_argument("--tau", type=_teleport_rate, default=community_mod.DEFAULT_TELEPORT)
     p.add_argument("--split-date", help="pre/post split; defaults to the last regime start in ground_truth.json")
     p.add_argument("--include-self-flow-in-diversity", action="store_true")
@@ -106,11 +105,15 @@ def _add_date_range(p: argparse.ArgumentParser) -> None:
     p.add_argument("--to", dest="to_date", help="last date, inclusive (ISO)")
 
 
-def _at_least_one(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {raw}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _teleport_rate(raw: str) -> float:
@@ -155,17 +158,21 @@ def _load_territory(store: Path) -> dict[str, str]:
         return json.load(fh)["muni_to_province"]
 
 
-def _load_ods(
-    store: Path, granularity: str, lo: date | None = None, hi: date | None = None
-) -> list[od.DailyOD]:
-    days = [d for d in od.list_od_dates(store, granularity) if _in_range(d, lo, hi)]
-    return [od.load_daily_od(store, d, granularity) for d in days]
+def _load_ods(store: Path, lo: date | None = None, hi: date | None = None) -> list[od.DailyOD]:
+    """The store's municipality ODs dated within [lo, hi]."""
+    days = [d for d in od.list_od_dates(store, "municipality") if _in_range(d, lo, hi)]
+    return [od.load_daily_od(store, d, "municipality") for d in days]
+
+
+def _province_cube(muni_ods: list[od.DailyOD], territory: dict[str, str]) -> od.ProvinceCube:
+    """The province aggregates of the municipality ODs, derived in memory, as one cube."""
+    province_ods = [od.aggregate_to_province(muni_od, territory) for muni_od in muni_ods]
+    return od.ProvinceCube.from_ods(province_ods, set(territory.values()))
 
 
 def _province_inputs(args) -> od.ProvinceCube:
     store = Path(args.in_dir)
-    provinces = set(_load_territory(store).values())
-    return od.ProvinceCube.from_ods(_load_ods(store, "province", *_date_range(args)), provinces)
+    return _province_cube(_load_ods(store, *_date_range(args)), _load_territory(store))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -259,24 +266,6 @@ def cmd_build_od(args) -> int:
     return 0
 
 
-def _aggregate(
-    muni_ods: list[od.DailyOD], muni_to_province: dict[str, str], store: Path
-) -> list[od.DailyOD]:
-    """Municipality ODs -> province ODs, stored and returned."""
-    province_ods = []
-    for muni_od in muni_ods:
-        province_ods.append(od.aggregate_to_province(muni_od, muni_to_province))
-        od.store_daily_od(province_ods[-1], store)
-    print(f"aggregate: {len(province_ods)} days -> province granularity")
-    return province_ods
-
-
-def cmd_aggregate(args) -> int:
-    store = Path(args.in_dir)
-    _aggregate(_load_ods(store, "municipality"), _load_territory(store), store)
-    return 0
-
-
 def _write_flows(cube: od.ProvinceCube, out: Path) -> None:
     out_dir = out / "flows"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -350,24 +339,28 @@ def _write_communities(series: list[community_mod.DayCommunities], out_dir: Path
 
 def cmd_communities(args) -> int:
     store = Path(args.in_dir)
-    ods = _load_ods(store, args.granularity, *_date_range(args))
-    registry_nodes: set[str] = set()
-    if args.attach_registry:
-        mapping = _load_territory(store)
-        registry_nodes = set(mapping) if args.granularity == "municipality" else set(mapping.values())
+    territory = _load_territory(store)
+    wanted = set(args.provinces.split(",")) if args.provinces else set()
+    unknown = wanted - set(territory.values())
+    if unknown:
+        raise UsageError(f"--provinces: not a province of the territory: {', '.join(sorted(unknown))}")
+    ods = _load_ods(store, *_date_range(args))
+    nodes = set(territory)
+    if args.granularity == "province":
+        ods = [od.aggregate_to_province(muni_od, territory) for muni_od in ods]
+        nodes = set(territory.values())
     series = community_mod.community_count_series(
         ods,
         seed=args.seed,
         trials=args.trials,
         tau=args.tau,
-        registry_nodes=registry_nodes,
+        registry_nodes=nodes if args.attach_registry else set(),
         window=args.window,
     )
     out_dir = Path(args.out)
     _write_communities(series, out_dir)
-    if args.provinces:
-        wanted = set(args.provinces.split(","))
-        keep = [m for m, p in _load_territory(store).items() if p in wanted]
+    if wanted:
+        keep = [m for m, p in territory.items() if p in wanted]
         name = "_".join(sorted(wanted))
         community_mod.write_partition_dumps(series, out_dir / f"partitions_{name}.json", keep)
     return 0
@@ -390,7 +383,7 @@ def cmd_report(args) -> int:
     k_range = _parse_k_range(args.k_range)
 
     territory, muni_ods = _build_od(in_dir, store, args.dwell_seconds, args.tz)
-    cube = od.ProvinceCube.from_ods(_aggregate(muni_ods, territory, store), set(territory.values()))
+    cube = _province_cube(muni_ods, territory)
     _write_flows(cube, out_dir)
     by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
     _write_diversity(by_direction, out_dir)
@@ -436,7 +429,6 @@ def cmd_report(args) -> int:
 _COMMANDS = {
     "synth": cmd_synth,
     "build-od": cmd_build_od,
-    "aggregate": cmd_aggregate,
     "flows": cmd_flows,
     "diversity": cmd_diversity,
     "cluster": cmd_cluster,
@@ -449,7 +441,6 @@ _DATA_ERRORS = (
     od.ODNotFoundError,
     od.ODSchemaError,
     od.UnmappedMunicipalityError,
-    od.UnknownProvinceError,
     synth.ScenarioConfigError,
     community_mod.PowerIterationError,
     FileNotFoundError,
@@ -471,9 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        # aggregate writes into the store it reads, so that store is its output root
-        out = args.in_dir if args.command == "aggregate" else getattr(args, "out", None)
-        out_root = Path(out) if out else None
+        out_root = Path(args.out) if getattr(args, "out", None) else None
         before = _paths_at(out_root) if out_root else set()
         try:
             return _COMMANDS[args.command](args)

@@ -153,8 +153,10 @@ def kmeans(
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         rng = np.random.default_rng([seed, k, restart])
         centroids = _kmeanspp_init(x, k, rng)
         labels, centroids, inertia = _lloyd(x, centroids.copy())
@@ -242,6 +244,8 @@ def select_k(
     n = matrix.values.shape[0]
     if not ks or ks[0] < 2 or ks[-1] > n:
         raise ValueError(f"k_range must lie within [2, {n}]")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if np.allclose(matrix.values, matrix.values[0], rtol=0.0, atol=0.0):
         return KSelection(k_star=1, degenerate=True, diagnostics=[], elbow_k=None, clustering=None)
     distances = _pairwise_distances(matrix.values)

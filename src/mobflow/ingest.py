@@ -298,8 +298,10 @@ def daily_trips(
     a trip if it is the group's last change, or if the group's next change
     comes at least `dwell_threshold` seconds after it. Days come in date
     order, each day's trips in (user, arrival) order; days without trips are
-    left out.
+    left out. A negative `dwell_threshold` raises ValueError.
     """
+    if dwell_threshold < 0:
+        raise ValueError(f"dwell_threshold must be at least 0, got {dwell_threshold}")
     if isinstance(tz, str):
         tz = ZoneInfo(tz)
     if parsed.event_count == 0:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from mobflow.cli import main
-from mobflow.od import list_od_dates, load_daily_od
+from mobflow.od import DailyOD, aggregate_to_province, list_od_dates, load_daily_od, store_daily_od
 
 SUMMARY_FIELDS = {
     "flow_drop_pct",
@@ -36,6 +36,31 @@ def write_config(path, **overrides):
 
 def _tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _territory(store):
+    return json.loads((store / "territory.json").read_text())["muni_to_province"]
+
+
+def _two_day_data(root):
+    """Registry M1 (P1), M2 and M3 (P2); M1 -> M2 on 2020-03-02 and M1 -> M3 on 2020-03-03."""
+    data = root / "data"
+    (data / "xdr").mkdir(parents=True)
+    (data / "registry.csv").write_text(
+        "antenna_id,lat,lon,municipality_id,province_id\n"
+        "A1,45.0,9.0,M1,P1\n"
+        "A2,45.1,9.1,M2,P2\n"
+        "A3,45.2,9.2,M3,P2\n"
+    )
+    # 10:00 and 12:00 Europe/Rome on each day
+    (data / "xdr" / "x.csv").write_text(
+        "user_id,timestamp,antenna,kilobytes\n"
+        "u1,1583139600,A1,5\n"
+        "u1,1583146800,A2,5\n"
+        "u1,1583226000,A1,5\n"
+        "u1,1583233200,A3,5\n"
+    )
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +100,16 @@ class TestSmokePath:
         assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
         od_file = store / "od" / "municipality" / "2020-03-02.csv"
         assert od_file.read_text() == "origin,destination,count\nM1,M2,1\n"
-        assert main(["aggregate", "--in", str(store)]) == 0
-        province_file = store / "od" / "province" / "2020-03-02.csv"
-        assert province_file.read_text() == "origin,destination,count\nP1,P2,1\n"
+        out = tmp_path / "tables"
+        assert main(["flows", "--in", str(store), "--out", str(out)]) == 0
+        header = "date,in,out,self,in_norm,out_norm,self_norm"
+        assert (out / "flows" / "P1.csv").read_text().splitlines() == [header, "2020-03-02,0,1,0,0.0,1.0,0.0"]
+        assert (out / "flows" / "P2.csv").read_text().splitlines() == [header, "2020-03-02,1,0,0,1.0,0.0,0.0"]
+        assert sorted(p.name for p in (store / "od").iterdir()) == ["municipality"]
 
     def test_flows_diversity_cluster_communities_outputs(self, scenario_dir, tmp_path):
         store = tmp_path / "store"
         assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
-        assert main(["aggregate", "--in", str(store)]) == 0
         out = tmp_path / "tables"
         assert main(["flows", "--in", str(store), "--out", str(out)]) == 0
         assert (out / "flows" / "P000.csv").exists()
@@ -107,7 +134,6 @@ class TestSmokePath:
         stages = tmp_path / "stages"
         store = str(stages / "od-store")
         assert main(["build-od", "--in", str(scenario_dir), "--out", store]) == 0
-        assert main(["aggregate", "--in", store]) == 0
         for command in (["flows"], ["diversity"], ["cluster", "--seed", "5"],
                         ["communities", "--seed", "5", "--trials", "2"]):
             assert main([*command, "--in", store, "--out", str(stages)]) == 0
@@ -117,15 +143,18 @@ class TestSmokePath:
     def test_include_self_flow_in_diversity(self, scenario_dir, tmp_path):
         store = tmp_path / "store"
         assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
-        assert main(["aggregate", "--in", str(store)]) == 0
         default, with_self = tmp_path / "default", tmp_path / "self"
         assert main(["diversity", "--in", str(store), "--out", str(default)]) == 0
         assert main(["diversity", "--in", str(store), "--out", str(with_self),
                      "--include-self-flow-in-diversity"]) == 0
         for name in ("diversity.csv", "diversity_in_wide.csv", "diversity_out_wide.csv"):
             assert (with_self / name).read_bytes() != (default / name).read_bytes()
-        provinces = set(json.loads((store / "territory.json").read_text())["muni_to_province"].values())
-        ods = {d: load_daily_od(store, d, "province") for d in list_od_dates(store, "province")}
+        territory = _territory(store)
+        provinces = set(territory.values())
+        ods = {
+            d: aggregate_to_province(load_daily_od(store, d, "municipality"), territory)
+            for d in list_od_dates(store, "municipality")
+        }
         rows = (with_self / "diversity.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * len(provinces) * len(ods)
         for row in rows:
@@ -138,13 +167,57 @@ class TestSmokePath:
     def test_communities_on_province_graphs(self, scenario_dir, tmp_path):
         store = tmp_path / "store"
         assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
-        assert main(["aggregate", "--in", str(store)]) == 0
         out = tmp_path / "prov"
         assert main(["communities", "--in", str(store), "--out", str(out),
                      "--seed", "1", "--trials", "2", "--granularity", "province"]) == 0
         dump = json.loads((out / "partitions.json").read_text())
         nodes = {m for entry in dump for mod in entry["modules"] for m in mod["municipalities"]}
         assert nodes and all(n.startswith("P") for n in nodes)
+
+    def test_attach_registry_adds_flowless_municipality_as_singleton(self, tmp_path):
+        store = tmp_path / "store"
+        day1, day2 = date(2020, 3, 2), date(2020, 3, 3)
+        both_ways = {("M1", "M2"): 5, ("M2", "M1"): 5}
+        with_m3 = {**both_ways, ("M2", "M3"): 1, ("M3", "M2"): 1}
+        store_daily_od(DailyOD.from_cells(day1, "municipality", with_m3), store)
+        store_daily_od(DailyOD.from_cells(day2, "municipality", both_ways), store)  # M3 has no flow
+        territory = {"M1": "P1", "M2": "P1", "M3": "P2"}
+        (store / "territory.json").write_text(json.dumps({"muni_to_province": territory}))
+        runs = {}
+        for name, flag in (("plain", []), ("attached", ["--attach-registry"])):
+            out = tmp_path / name
+            assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "1",
+                         "--trials", "2", *flag]) == 0
+            rows = (out / "communities.csv").read_text().splitlines()[1:]
+            counts = [int(row.split(",")[1]) for row in rows]
+            runs[name] = counts, json.loads((out / "partitions.json").read_text())
+        (plain, _), (attached, dump) = runs["plain"], runs["attached"]
+        assert attached[0] == plain[0]
+        assert attached[1] == plain[1] + 1
+        assert [mod["municipalities"] for mod in dump[1]["modules"]].count(["M3"]) == 1
+
+    def test_stale_store_files_do_not_reach_the_tables(self, scenario_dir, tmp_path):
+        # scenario B: the same territory and dates as scenario_dir, other trips
+        config = write_config(tmp_path / "b.json", seed=4)
+        other = tmp_path / "other"
+        assert main(["synth", "--config", str(config), "--out", str(other)]) == 0
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
+        # province matrices of the first scenario, as an older version stored them
+        territory = _territory(store)
+        for day in list_od_dates(store, "municipality"):
+            store_daily_od(aggregate_to_province(load_daily_od(store, day, "municipality"), territory), store)
+        assert main(["build-od", "--in", str(other), "--out", str(store)]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["build-od", "--in", str(other), "--out", str(fresh)]) == 0
+        tables = {}
+        for source in (store, fresh):
+            out = tmp_path / f"tables_{source.name}"
+            for command in (["flows"], ["diversity"], ["cluster", "--seed", "5", "--k-range", "2:4"]):
+                assert main([*command, "--in", str(source), "--out", str(out)]) == 0
+            tables[source.name] = _tree_bytes(out)
+        assert tables["store"] == tables["fresh"]
+        assert len(tables["fresh"]) == 5 + 3 + 4  # one flows/ file per province, diversity, cluster
 
 
 class TestExitCodes:
@@ -154,6 +227,24 @@ class TestExitCodes:
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
+
+    def test_aggregate_is_not_a_command(self, scenario_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
+        before = _tree_bytes(store)
+        assert main(["aggregate", "--in", str(store)]) == 1
+        assert "invalid choice: 'aggregate'" in capsys.readouterr().err
+        assert _tree_bytes(store) == before
+
+    def test_unknown_province_filter_is_usage_error(self, scenario_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
+        out = tmp_path / "out"
+        rc = main(["communities", "--in", str(store), "--out", str(out), "--seed", "1",
+                   "--trials", "1", "--provinces", "P000,P999"])
+        assert rc == 1
+        assert "P999" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_k_range_is_usage_error(self, scenario_dir, tmp_path, capsys):
         store = tmp_path / "store"
@@ -172,6 +263,8 @@ class TestExitCodes:
             ("communities", "--window", "0"),
             ("report", "--tau", "nan"),
             ("report", "--trials", "0"),
+            ("report", "--dwell-seconds", "-1"),
+            ("build-od", "--dwell-seconds", "-100"),
         ],
     )
     def test_out_of_range_option_is_usage_error(self, scenario_dir, tmp_path, capsys, command, option, value):
@@ -180,7 +273,8 @@ class TestExitCodes:
             source = tmp_path / "store"
             assert main(["build-od", "--in", str(scenario_dir), "--out", str(source)]) == 0
         out = tmp_path / "out"
-        assert main([command, "--in", str(source), "--out", str(out), "--seed", "1", option, value]) == 1
+        seed = [] if command == "build-od" else ["--seed", "1"]
+        assert main([command, "--in", str(source), "--out", str(out), *seed, option, value]) == 1
         assert f"argument {option}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -194,26 +288,19 @@ class TestExitCodes:
         assert rc == 2
 
     def test_failed_command_removes_new_outputs(self, scenario_dir, tmp_path):
-        data = tmp_path / "broken"
-        data.mkdir()
-        (data / "registry.csv").write_text(
-            "antenna_id,lat,lon,municipality_id,province_id\nA1,45.0,9.0,M1,P1\n"
-        )
-        (data / "xdr").mkdir()
-        (data / "xdr" / "x.csv").write_text("user_id,timestamp,antenna,kilobytes\nu,1,A1,1\n")
-        out = tmp_path / "somewhere"
-        # aggregate against a store missing territory.json -> data error, nothing left behind
-        rc = main(["build-od", "--in", str(data), "--out", str(out)])
-        assert rc == 0
-        (out / "territory.json").unlink()
-        before = set(out.rglob("*"))
-        rc = main(["aggregate", "--in", str(out)])
-        assert rc == 2
-        assert set(out.rglob("*")) == before
-        # a k-range above the 3 provinces fails in clustering, after flows/ and the
-        # store's directories were made: every new directory goes, --out included
         config = write_config(tmp_path / "three.json", n_provinces=3, n_days=4, lockdown_day=2)
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "three")]) == 0
+        # cluster with a k-range above the 3 provinces fails after making --out,
+        # which goes again; the store it read is left as it was
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(tmp_path / "three"), "--out", str(store)]) == 0
+        before = _tree_bytes(store)
+        cluster = ["cluster", "--in", str(store), "--seed", "0", "--k-range", "5:9"]
+        assert main([*cluster, "--out", str(tmp_path / "tables")]) == 2
+        assert not (tmp_path / "tables").exists()
+        assert _tree_bytes(store) == before
+        # report fails the same way in clustering, after flows/ and the store's
+        # directories were made: every new directory goes, --out included
         report = ["report", "--in", str(tmp_path / "three"), "--seed", "0", "--trials", "1", "--k-range", "5:9"]
         assert main([*report, "--out", str(tmp_path / "new")]) == 2
         assert not (tmp_path / "new").exists()
@@ -224,57 +311,42 @@ class TestExitCodes:
         assert main([*report, "--out", str(existing)]) == 2
         assert set(existing.rglob("*")) == before
 
-    def test_failed_aggregate_removes_new_store_files(self, tmp_path):
-        data = tmp_path / "data"
-        (data / "xdr").mkdir(parents=True)
-        (data / "registry.csv").write_text(
-            "antenna_id,lat,lon,municipality_id,province_id\n"
-            "A1,45.0,9.0,M1,P1\n"
-            "A2,45.1,9.1,M2,P2\n"
-            "A3,45.2,9.2,M3,P2\n"
-        )
-        # M1 -> M2 on 2020-03-02 and M1 -> M3 on 2020-03-03, 10:00 and 12:00 Europe/Rome
-        (data / "xdr" / "x.csv").write_text(
-            "user_id,timestamp,antenna,kilobytes\n"
-            "u1,1583139600,A1,5\n"
-            "u1,1583146800,A2,5\n"
-            "u1,1583226000,A1,5\n"
-            "u1,1583233200,A3,5\n"
-        )
+    def test_unmapped_municipality_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store"
-        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
-        # day 2's M3 is unknown to the store's territory: day 1 is aggregated and
-        # stored before the data error
+        assert main(["build-od", "--in", str(_two_day_data(tmp_path)), "--out", str(store)]) == 0
+        # day 2's M3 is missing from the edited territory; day 1 aggregates first
         (store / "territory.json").write_text(json.dumps({"muni_to_province": {"M1": "P1", "M2": "P2"}}))
         before = _tree_bytes(store)
-        assert main(["aggregate", "--in", str(store)]) == 2
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        (existing / "notes.txt").write_text("kept\n")
+        capsys.readouterr()
+        for out in (tmp_path / "new", existing):
+            assert main(["flows", "--in", str(store), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "municipality 'M3'" in err and "territory index" in err
+        assert not (tmp_path / "new").exists()
+        assert _tree_bytes(existing) == {"notes.txt": b"kept\n"}
         assert _tree_bytes(store) == before
 
-    def test_province_outside_the_territory_is_data_error(self, tmp_path, capsys):
-        data = tmp_path / "data"
-        (data / "xdr").mkdir(parents=True)
-        (data / "registry.csv").write_text(
-            "antenna_id,lat,lon,municipality_id,province_id\n"
-            "A1,45.0,9.0,M1,P9\n"
-            "A2,45.1,9.1,M2,P2\n"
-        )
-        (data / "xdr" / "x.csv").write_text(
-            "user_id,timestamp,antenna,kilobytes\n"
-            "u1,1583139600,A1,5\n"
-            "u1,1583146800,A2,5\n"
-        )
+    def test_edited_territory_is_the_mapping_used(self, tmp_path):
         store = tmp_path / "store"
-        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
-        assert main(["aggregate", "--in", str(store)]) == 0
-        # the province ODs name P9, but the edited territory.json moves M1 to P1
-        territory = store / "territory.json"
-        territory.write_text(json.dumps({"muni_to_province": {"M1": "P1", "M2": "P2"}}))
-        capsys.readouterr()
+        assert main(["build-od", "--in", str(_two_day_data(tmp_path)), "--out", str(store)]) == 0
+        # move M3 from P2 to a new province P3
+        (store / "territory.json").write_text(
+            json.dumps({"muni_to_province": {"M1": "P1", "M2": "P2", "M3": "P3"}})
+        )
         out = tmp_path / "tables"
-        assert main(["flows", "--in", str(store), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "province 'P9'" in err and "territory index" in err
-        assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+        assert main(["flows", "--in", str(store), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "flows").iterdir()) == ["P1.csv", "P2.csv", "P3.csv"]
+        rows = {p: (out / "flows" / f"{p}.csv").read_text().splitlines()[1:] for p in ("P2", "P3")}
+        # date, in, out, self
+        assert [row.split(",")[:4] for row in rows["P2"]] == [
+            ["2020-03-02", "1", "0", "0"], ["2020-03-03", "0", "0", "0"]
+        ]
+        assert [row.split(",")[:4] for row in rows["P3"]] == [
+            ["2020-03-02", "0", "0", "0"], ["2020-03-03", "1", "0", "0"]
+        ]
 
     def test_synth_without_seed_is_usage_error(self, tmp_path):
         config = tmp_path / "c.json"

@@ -1,7 +1,10 @@
 """k-means recovery, model selection, imputation, and determinism."""
 
+import runpy
+import sys
 from datetime import date, timedelta
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +105,16 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(matrix, 0, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -5])
+    def test_fewer_than_one_restart_rejected(self, restarts):
+        matrix, _ = planted([0.2, 0.8], per_group=4)
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(matrix, 2, seed=0, restarts=restarts)
+        # select_k checks before its shortcut for identical series
+        for values in (matrix.values, np.full((8, 10), 0.5)):
+            with pytest.raises(ValueError, match="restarts"):
+                select_k(matrix_from(values), range(2, 4), seed=0, restarts=restarts)
+
     def test_band_is_mean_plus_minus_std(self):
         matrix, _ = planted([0.3, 0.7], per_group=5, seed=6)
         clustering = kmeans(matrix, 2, seed=0)
@@ -121,6 +134,14 @@ class TestKMeans:
 
 
 class TestSelectK:
+    def test_sweep_script_runs(self, monkeypatch, capsys):
+        script = Path(__file__).parents[1] / "scripts" / "sweep_k_selection.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--seeds", "1", "--days", "4"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        assert "planted 5 levels; recovered in" in capsys.readouterr().out
+
     def test_five_planted_levels_recovered(self):
         matrix, _ = planted([0.1, 0.3, 0.5, 0.7, 0.9], per_group=8, seed=8)
         selection = select_k(matrix, range(2, 13), seed=0)

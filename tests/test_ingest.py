@@ -261,6 +261,13 @@ class TestExtractTrips:
         assert daily_trips(event_table([ev("u", 8 * H, "M1")]), H, "UTC") == {}
         assert daily_trips(event_table([]), H, "UTC") == {}
 
+    @pytest.mark.parametrize("threshold", [-1, -100])
+    def test_negative_dwell_threshold_rejected(self, threshold):
+        events = [ev("u", 8 * H, "M1"), ev("u", 8 * H + 60, "M2"), ev("u", 9 * H, "M1")]
+        for table in (event_table(events), event_table([])):
+            with pytest.raises(ValueError, match="dwell_threshold"):
+                daily_trips(table, threshold, "UTC")
+
     def test_trip_fields(self):
         # a trip is an (origin, destination) pair filed under the day it happens
         events = [ev("u", 100, "M1"), ev("u", 200, "M1"), ev("u", 5000, "M2")]
