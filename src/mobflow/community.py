@@ -8,6 +8,9 @@ description length (bits per step) of that walk under a two-level codebook, and
 a greedy multilevel optimizer searches for the partition minimizing it.
 Teleportation is unrecorded: teleport (and dangling) steps move the walker but
 are not charged to module exit/enter flows.
+
+Over a series of days, some days may be detected in one helper process when
+two or more CPUs are usable; every result and error is the same either way.
 """
 
 from __future__ import annotations
@@ -15,12 +18,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
+import select
+import subprocess
+import sys
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -247,7 +255,7 @@ def _sweep_until_stable(state: _MapState, rng: np.random.Generator) -> bool:
     out_adj, in_adj, node_flow, s_out = level.out_adj, level.in_adj, level.node_flow, level.s_out
     module_of, exit_flow, module_flow, size = state.module_of, state.exit, state.flow, state.size
     plogp_exit, plogp_circ = state.plogp_exit, state.plogp_circ
-    plogp = _plogp
+    plogp, log2 = _plogp, math.log2
     moved_any = False
     while True:
         moved_in_sweep = False
@@ -289,15 +297,15 @@ def _sweep_until_stable(state: _MapState, rng: np.random.Generator) -> bool:
                 new_exit_b = exit_b + node_out - wm_out.get(candidate, 0.0) - wm_in.get(candidate, 0.0)
                 if new_exit_b < 0.0:
                     new_exit_b = 0.0
-                delta_s1 = new_exit_term_a + plogp(new_exit_b) - old_exit_term_a - plogp_exit[candidate]
-                delta_s2 = (
-                    new_circ_term_a
-                    + plogp(new_exit_b + module_flow[candidate] + p)
-                    - old_circ_term_a
-                    - plogp_circ[candidate]
-                )
+                # _plogp inlined: the call costs more than the expression.
+                exit_term_b = new_exit_b * log2(new_exit_b) if new_exit_b > 1e-15 else 0.0
+                circ_b = new_exit_b + module_flow[candidate] + p
+                circ_term_b = circ_b * log2(circ_b) if circ_b > 1e-15 else 0.0
                 new_sum = sum_exit + (new_exit_a + new_exit_b) - (exit_a + exit_b)
-                delta = plogp(new_sum) - sum_term - 2.0 * delta_s1 + delta_s2
+                sum_term_b = new_sum * log2(new_sum) if new_sum > 1e-15 else 0.0
+                delta_s1 = new_exit_term_a + exit_term_b - old_exit_term_a - plogp_exit[candidate]
+                delta_s2 = new_circ_term_a + circ_term_b - old_circ_term_a - plogp_circ[candidate]
+                delta = sum_term_b - sum_term - 2.0 * delta_s1 + delta_s2
                 if delta < best_delta:
                     best_delta, best = delta, (candidate, new_exit_b)
             if best is not None:
@@ -424,6 +432,115 @@ def _window_ods(ods: Sequence[DailyOD], window: int) -> Iterator[DailyOD]:
         )
 
 
+def _detect_days(
+    ods: Sequence[DailyOD], seed: int, trials: int, tau: float, registry_nodes: list[str]
+) -> Iterator[DayCommunities]:
+    """Detect each (already windowed) day's communities, in the order given."""
+    for od in ods:
+        partition = None
+        if len(od.count):
+            graph = FlowGraph.from_od(od, extra_nodes=registry_nodes)
+            partition = infomap(graph, seed=seed, trials=trials, tau=tau)
+        yield DayCommunities(
+            date=od.date,
+            partition=partition,
+            community_count=partition.module_count if partition else len(registry_nodes),
+            empty_day=partition is None,
+        )
+
+
+# The helper imports only this module: `spawn` would re-import `__main__`, the
+# CLI, and fork without exec is unsafe once numpy may have started threads.
+_HELPER_SOURCE = "from mobflow import community; community._serve()"
+_READY = b"R"
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _start_helper() -> subprocess.Popen:
+    root = str(Path(__file__).resolve().parent.parent)  # the directory holding the package
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",  # detection makes no BLAS call; its thread pool only costs start-up
+        PYTHONPATH=root + os.pathsep + path if path else root,
+    )
+    return subprocess.Popen(
+        [sys.executable, "-c", _HELPER_SOURCE], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
+    )
+
+
+def _helper_ready(helper: subprocess.Popen) -> bool:
+    """Whether the helper has written its ready byte; never blocks. A dead helper is never ready."""
+    fd = helper.stdout.fileno()
+    return bool(select.select([fd], [], [], 0)[0]) and os.read(fd, 1) == _READY
+
+
+def _stop(helper: subprocess.Popen) -> None:
+    """Kill the helper if it still runs, reap it and close its pipes."""
+    if helper.poll() is None:
+        helper.kill()
+    helper.wait()
+    helper.stdout.close()
+    try:
+        helper.stdin.close()
+    except BrokenPipeError:
+        pass  # bytes a dead helper never read
+
+
+def _serve(stdin: BinaryIO | None = None, stdout: BinaryIO | None = None) -> None:
+    """The helper's side: a ready byte, then the pickled result of the pickled days sent.
+
+    Writes no result when the parent sends nothing or a day raises a data error;
+    the parent then detects those days itself and raises the same error.
+    """
+    stdin = sys.stdin.buffer if stdin is None else stdin
+    stdout = sys.stdout.buffer if stdout is None else stdout
+    stdout.write(_READY)
+    stdout.flush()
+    try:
+        args, ods = pickle.load(stdin)
+    except EOFError:
+        return  # the parent detected every day itself
+    try:
+        days = list(_detect_days(ods, *args))
+    except (ValueError, PowerIterationError):
+        return
+    pickle.dump(days, stdout)
+    stdout.flush()
+
+
+def _share(helper: subprocess.Popen, days: list[DailyOD], args: tuple) -> list[DayCommunities]:
+    """Detect date-ordered `days` with the ready helper taking every other one."""
+    mine, theirs = days[0::2], days[1::2]
+    try:
+        pickle.dump((args, theirs), helper.stdin)
+        helper.stdin.close()
+    except BrokenPipeError:
+        pass  # the helper died; its days are detected below
+    ours: list[DayCommunities] = []
+    try:
+        for day in _detect_days(mine, *args):
+            ours.append(day)
+    except Exception:
+        # Raise what the serial order raises: the helper's days dated before
+        # the failing one come first.
+        _stop(helper)
+        for _ in _detect_days(theirs[: len(ours)], *args):
+            pass
+        raise
+    payload = helper.stdout.read()
+    if helper.wait() == 0 and payload:
+        helped = pickle.loads(payload)
+    else:
+        helped = list(_detect_days(theirs, *args))
+    merged: list[DayCommunities] = [None] * len(days)
+    merged[0::2], merged[1::2] = ours, helped
+    return merged
+
+
 def community_count_series(
     ods: Sequence[DailyOD],
     seed: int,
@@ -438,25 +555,34 @@ def community_count_series(
     trailing `window` calendar days, that day included (rolling-window
     smoothing). A day with no flow has no partition; its count falls back to
     the number of attached registry nodes (each isolated) and the day is flagged.
+
+    With two or more usable CPUs and days, a helper process starts; once it has
+    imported this module it takes every other day the parent has not begun.
+    Each day's partition depends only on its graph and (seed, trial), so the
+    result, and any error raised, do not depend on whether the helper ran.
     """
     if window < 1:
         raise ValueError(f"window must be at least 1 day, got {window}")
-    registry_nodes = sorted(set(registry_nodes))
+    args = (seed, trials, tau, sorted(set(registry_nodes)))
+    helper = None
+    if len(ods) >= 2 and _usable_cpus() >= 2:
+        try:
+            helper = _start_helper()
+        except OSError:
+            pass  # no process to spare: every day runs here
     results: list[DayCommunities] = []
-    for od in _window_ods(ods, window):
-        partition = None
-        if len(od.count):
-            graph = FlowGraph.from_od(od, extra_nodes=registry_nodes)
-            partition = infomap(graph, seed=seed, trials=trials, tau=tau)
-        results.append(
-            DayCommunities(
-                date=od.date,
-                partition=partition,
-                community_count=partition.module_count if partition else len(registry_nodes),
-                empty_day=partition is None,
-            )
-        )
-    return results
+    try:
+        windowed = _window_ods(ods, window)
+        for od in windowed:
+            if helper is not None and _helper_ready(helper):
+                rest = [od, *windowed]
+                if len(rest) > 1:
+                    return results + _share(helper, rest, args)
+            results.extend(_detect_days([od], *args))
+        return results
+    finally:
+        if helper is not None:
+            _stop(helper)
 
 
 def write_community_counts_csv(days: Sequence[DayCommunities], path: str | Path) -> None:

@@ -1,6 +1,11 @@
 """Stationary flow, map equation, and the greedy map-equation optimizer."""
 
+import dataclasses
+import io
 import math
+import os
+import pickle
+import select
 from datetime import date, timedelta
 
 import numpy as np
@@ -8,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobflow import community, synth
+from mobflow import cli, community, synth
 from mobflow.community import (
     FlowGraph,
     Partition,
@@ -392,3 +397,159 @@ class TestCommunityCountSeries:
         assert {tuple(m["municipalities"]) for m in dump["modules"]} == {("a", "b"), ("c", "d")}
         filtered = partition_dump(series[0], municipality_filter=["a", "b"])
         assert [m["municipalities"] for m in filtered["modules"]] == [["a", "b"]]
+
+
+def _helper_days():
+    """Six plan days and an empty one at index 1, spaced so a 2-day window keeps it empty."""
+    config = synth.lockdown_scenario_config(
+        seed=2, n_provinces=4, municipalities_per_province=5, n_days=6, lockdown_day=3
+    )
+    ods = synth.generate_plan(config).municipality_ods()
+    first = ods[0].date
+    later = [dataclasses.replace(od, date=od.date + timedelta(days=2)) for od in ods[1:]]
+    return [ods[0], _od({}, first + timedelta(days=2))] + later
+
+
+def _fields(days):
+    return [
+        (
+            d.date,
+            None if d.partition is None else d.partition.assignment,
+            None if d.partition is None else d.partition.codelength,
+            d.community_count,
+            d.empty_day,
+        )
+        for d in days
+    ]
+
+
+SERIES_KWARGS = dict(seed=3, trials=2, registry_nodes=["M_unseen", "M000_00"], window=2)
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Two usable CPUs and a helper that is waited for, so it takes every other day.
+
+    Returns the started helpers' Popen handles.
+    """
+    started = []
+    start, ready = community._start_helper, community._helper_ready
+
+    def start_and_record():
+        started.append(start())
+        return started[-1]
+
+    def wait_until_ready(helper):
+        select.select([helper.stdout], [], [], 60)
+        return ready(helper)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(community, "_start_helper", start_and_record)
+    monkeypatch.setattr(community, "_helper_ready", wait_until_ready)
+    return started
+
+
+def _serial(ods, monkeypatch, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return community_count_series(ods, **kwargs)
+
+
+class TestHelperProcess:
+    def test_helper_path_equals_serial_path(self, helpers, monkeypatch):
+        ods = _helper_days()
+        detected_here = []
+        detect = community._detect_days
+
+        def detect_and_record(days, *args):
+            detected_here.extend(od.date for od in days)
+            return detect(days, *args)
+
+        monkeypatch.setattr(community, "_detect_days", detect_and_record)
+        shared = community_count_series(ods, **SERIES_KWARGS)
+        assert len(helpers) == 1 and helpers[0].returncode == 0
+        assert detected_here == [od.date for od in ods[0::2]]  # the helper did the rest
+        serial = _serial(ods, monkeypatch, **SERIES_KWARGS)
+        assert len(helpers) == 1  # one usable CPU: no helper
+        assert _fields(shared) == _fields(serial)
+        assert shared[1].empty_day and shared[1].community_count == 2
+        assert sum(d.empty_day for d in shared) == 1
+
+    def test_one_day_starts_no_helper(self, helpers):
+        community_count_series(_helper_days()[:1], **SERIES_KWARGS)
+        assert helpers == []
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()])
+    def test_no_helper_outlives_an_error_in_the_parents_share(self, helpers, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(community, "infomap", fail)  # the helper keeps the real one
+        with pytest.raises(type(error)):
+            community_count_series(_helper_days(), **SERIES_KWARGS)
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import sys; sys.stdout.buffer.write(b'R')",  # ready, then exits without a result
+            "import sys; sys.exit(3)",  # dies before it is ready
+        ],
+    )
+    def test_helper_without_a_result_gives_the_serial_output(self, helpers, monkeypatch, source):
+        monkeypatch.setattr(community, "_HELPER_SOURCE", source)
+        ods = _helper_days()
+        shared = community_count_series(ods, **SERIES_KWARGS)
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+        assert _fields(shared) == _fields(_serial(ods, monkeypatch, **SERIES_KWARGS))
+
+    def test_data_error_is_the_serial_one(self, helpers, monkeypatch):
+        # Days 3 (the helper's) and 4 (the parent's) fail; serially day 3 fails first.
+        ods = _helper_days()
+        failing = {ods[3].date, ods[4].date}
+        from_od = FlowGraph.from_od
+
+        def from_od_failing(od, extra_nodes=()):
+            if od.date in failing:
+                raise ValueError(f"no graph on {od.date}")
+            return from_od(od, extra_nodes)
+
+        monkeypatch.setattr(FlowGraph, "from_od", from_od_failing)  # the helper keeps the real one
+        monkeypatch.setattr(community, "_HELPER_SOURCE", "import sys; sys.stdout.buffer.write(b'R')")
+        with pytest.raises(ValueError, match=f"no graph on {ods[3].date}$"):
+            _serial(ods, monkeypatch, **SERIES_KWARGS)
+        with pytest.raises(ValueError, match=f"no graph on {ods[3].date}$"):
+            community_count_series(ods, **SERIES_KWARGS)
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_helper_outlives_report(self, helpers, monkeypatch, tmp_path, capsys, fails):
+        config = tmp_path / "scenario.json"
+        config.write_text('{"preset": "lockdown", "n_provinces": 3, "municipalities_per_province": 4, '
+                          '"n_days": 6, "lockdown_day": 3, "seed": 1}')
+        assert cli.main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        if fails:
+            def not_converged(*args, **kwargs):
+                raise PowerIterationError(1.0, 7)
+
+            monkeypatch.setattr(community, "stationary_flow", not_converged)
+        argv = ["report", "--in", str(tmp_path / "data"), "--out", str(tmp_path / "out"), "--seed", "1", "--trials", "2"]
+        assert cli.main(argv) == (2 if fails else 0)
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+        assert ("not converged" in capsys.readouterr().err) == fails
+
+    def test_serve_round_trip(self):
+        ods = _helper_days()[:3]
+        args = (1, 2, 0.15, ["M_unseen"])
+        out = io.BytesIO()
+        community._serve(io.BytesIO(pickle.dumps((args, ods))), out)
+        reply = out.getvalue()
+        assert reply[:1] == community._READY
+        assert _fields(pickle.loads(reply[1:])) == _fields(community._detect_days(ods, *args))
+
+    @pytest.mark.parametrize("trials", [None, 0])  # nothing sent; a data error
+    def test_serve_writes_only_the_ready_byte_without_a_result(self, trials):
+        sent = b"" if trials is None else pickle.dumps(((1, trials, 0.15, []), _helper_days()[:1]))
+        out = io.BytesIO()
+        community._serve(io.BytesIO(sent), out)
+        assert out.getvalue() == community._READY
