@@ -7,18 +7,22 @@ under <out>/od-store and derives every table from them without reading back
 anything it wrote. Every other subcommand loads its inputs from an OD store and
 calls the same stage function, so each table has one path.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Files and directories newly
-created by a failing command (under --out, and --out itself) are removed so a
-crash never leaves a half-written result tree.
+Exit codes: 0 success, 1 usage error, 2 data error. Every command writes into a
+fresh staging directory beside --out and publishes only on success: each
+top-level entry it wrote then replaces the entry of the same name directly under
+--out, a directory whole. A failing command leaves --out as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 from datetime import date
 from pathlib import Path
 
@@ -220,14 +224,14 @@ def _scenario_config(payload: dict, seed_override: int | None) -> synth.Scenario
         raise UsageError(f"bad scenario config: {exc}") from None
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, stage: Path) -> int:
     with open(args.config) as fh:
         payload = json.load(fh)
     config = _scenario_config(payload, args.seed)
-    scenario = synth.generate(config, args.out)
+    scenario = synth.generate(config, stage)
     days = len(config.dates)
     trips = sum(t.total for t in scenario.plan.daily_totals.values())
-    print(f"synth: {days} days, {trips} trips -> {scenario.out_dir}")
+    print(f"synth: {days} days, {trips} trips -> {Path(args.out)}")
     return 0
 
 
@@ -267,26 +271,28 @@ def _build_od(
     return muni_to_province, ods
 
 
-def cmd_build_od(args) -> int:
-    _build_od(Path(args.in_dir), Path(args.out), args.dwell_seconds, args.tz, *_date_range(args))
+def cmd_build_od(args, stage: Path) -> int:
+    _build_od(Path(args.in_dir), stage, args.dwell_seconds, args.tz, *_date_range(args))
     return 0
 
 
-def _write_flows(cube: od.ProvinceCube, out: Path) -> None:
-    out_dir = out / "flows"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    flows_mod.write_flow_csvs(flows_mod.compute_flows(cube), out_dir)
-    print(f"flows: {len(cube.provinces)} provinces x {len(cube.dates)} days -> {out_dir}")
+# Each _write_* helper writes under `stage` and names the paths under `out`,
+# where they appear once the command succeeds.
+def _write_flows(cube: od.ProvinceCube, stage: Path, out: Path) -> None:
+    (stage / "flows").mkdir()
+    flows_mod.write_flow_csvs(flows_mod.compute_flows(cube), stage / "flows")
+    print(f"flows: {len(cube.provinces)} provinces x {len(cube.dates)} days -> {out / 'flows'}")
 
 
-def cmd_flows(args) -> int:
-    _write_flows(_province_inputs(args), Path(args.out))
+def cmd_flows(args, stage: Path) -> int:
+    _write_flows(_province_inputs(args), stage, Path(args.out))
     return 0
 
 
-def _diversity_series(
-    cube: od.ProvinceCube, include_self: bool
-) -> dict[str, diversity_mod.ProvinceDiversity]:
+_ByDirection = dict[str, diversity_mod.ProvinceDiversity]
+
+
+def _diversity_series(cube: od.ProvinceCube, include_self: bool) -> _ByDirection:
     """Every province's diversity series, by direction."""
     return {
         direction: diversity_mod.diversity_series(cube, direction, include_self)
@@ -294,25 +300,23 @@ def _diversity_series(
     }
 
 
-def _write_diversity(by_direction: dict[str, diversity_mod.ProvinceDiversity], out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    diversity_mod.write_diversity_csv(list(by_direction.values()), out_dir / "diversity.csv")
+def _write_diversity(by_direction: _ByDirection, stage: Path, out: Path) -> None:
+    diversity_mod.write_diversity_csv(list(by_direction.values()), stage / "diversity.csv")
     for direction, diversity in by_direction.items():
-        diversity_mod.write_diversity_wide_csv(diversity, out_dir / f"diversity_{direction}_wide.csv")
-    print(f"diversity: tables -> {out_dir}")
+        diversity_mod.write_diversity_wide_csv(diversity, stage / f"diversity_{direction}_wide.csv")
+    print(f"diversity: tables -> {out}")
 
 
-def cmd_diversity(args) -> int:
+def cmd_diversity(args, stage: Path) -> int:
     by_direction = _diversity_series(_province_inputs(args), args.include_self_flow_in_diversity)
-    _write_diversity(by_direction, Path(args.out))
+    _write_diversity(by_direction, stage, Path(args.out))
     return 0
 
 
 def _write_clusters(
-    by_direction: dict[str, diversity_mod.ProvinceDiversity], k_range: range, seed: int, out_dir: Path
+    by_direction: _ByDirection, k_range: range, seed: int, stage: Path, out: Path
 ) -> dict[str, cluster_mod.KSelection]:
     """Select k and cluster each direction's series; returns the selections by direction."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     selections = {}
     for direction, diversity in by_direction.items():
         matrix = cluster_mod.SeriesMatrix.from_diversity(diversity)
@@ -320,30 +324,29 @@ def _write_clusters(
         selection = selections[direction] = cluster_mod.select_k(matrix, ks, seed=seed)
         report = cluster_mod.clustering_report(selection)
         report["dropped_provinces"] = matrix.dropped
-        cluster_mod.write_clustering_json(report, out_dir / f"cluster_{direction}.json")
+        cluster_mod.write_clustering_json(report, stage / f"cluster_{direction}.json")
         if selection.clustering is not None:
             cluster_mod.write_members_csv(
-                selection.clustering, out_dir / f"cluster_{direction}_members.csv"
+                selection.clustering, stage / f"cluster_{direction}_members.csv"
             )
-        print(f"cluster[{direction}]: k*={selection.k_star} -> {out_dir}")
+        print(f"cluster[{direction}]: k*={selection.k_star} -> {out}")
     return selections
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args, stage: Path) -> int:
     k_range = _parse_k_range(args.k_range)
     by_direction = _diversity_series(_province_inputs(args), args.include_self_flow_in_diversity)
-    _write_clusters(by_direction, k_range, args.seed, Path(args.out))
+    _write_clusters(by_direction, k_range, args.seed, stage, Path(args.out))
     return 0
 
 
-def _write_communities(series: list[community_mod.DayCommunities], out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    community_mod.write_community_counts_csv(series, out_dir / "communities.csv")
-    community_mod.write_partition_dumps(series, out_dir / "partitions.json")
-    print(f"communities: {len(series)} days -> {out_dir}")
+def _write_communities(series: list[community_mod.DayCommunities], stage: Path, out: Path) -> None:
+    community_mod.write_community_counts_csv(series, stage / "communities.csv")
+    community_mod.write_partition_dumps(series, stage / "partitions.json")
+    print(f"communities: {len(series)} days -> {out}")
 
 
-def cmd_communities(args) -> int:
+def cmd_communities(args, stage: Path) -> int:
     store = Path(args.in_dir)
     territory = _load_territory(store)
     wanted = set(args.provinces.split(",")) if args.provinces else set()
@@ -352,9 +355,11 @@ def cmd_communities(args) -> int:
         raise UsageError(f"--provinces: not a province of the territory: {', '.join(sorted(unknown))}")
     ods = _load_ods(store, *_date_range(args))
     nodes = set(territory)
+    keep = [m for m, p in territory.items() if p in wanted]
     if args.granularity == "province":
         ods = [od.aggregate_to_province(muni_od, territory) for muni_od in ods]
         nodes = set(territory.values())
+        keep = wanted
     series = community_mod.community_count_series(
         ods,
         seed=args.seed,
@@ -363,19 +368,16 @@ def cmd_communities(args) -> int:
         registry_nodes=nodes if args.attach_registry else set(),
         window=args.window,
     )
-    out_dir = Path(args.out)
-    _write_communities(series, out_dir)
+    _write_communities(series, stage, Path(args.out))
     if wanted:
-        keep = [m for m, p in territory.items() if p in wanted]
         name = "_".join(sorted(wanted))
-        community_mod.write_partition_dumps(series, out_dir / f"partitions_{name}.json", keep)
+        community_mod.write_partition_dumps(series, stage / f"partitions_{name}.json", keep)
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, stage: Path) -> int:
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out)
-    store = out_dir / "od-store"
 
     split = _parse_date(args.split_date)
     truth_path = in_dir / "ground_truth.json"
@@ -388,16 +390,16 @@ def cmd_report(args) -> int:
         raise UsageError("report needs --split-date (no regime schedule found in ground_truth.json)")
     k_range = _parse_k_range(args.k_range)
 
-    territory, muni_ods = _build_od(in_dir, store, args.dwell_seconds, args.tz)
+    territory, muni_ods = _build_od(in_dir, stage / "od-store", args.dwell_seconds, args.tz)
     cube = _province_cube(muni_ods, territory)
-    _write_flows(cube, out_dir)
+    _write_flows(cube, stage, out_dir)
     by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
-    _write_diversity(by_direction, out_dir)
-    selections = _write_clusters(by_direction, k_range, args.seed, out_dir)
+    _write_diversity(by_direction, stage, out_dir)
+    selections = _write_clusters(by_direction, k_range, args.seed, stage, out_dir)
     communities = community_mod.community_count_series(
         muni_ods, seed=args.seed, trials=args.trials, tau=args.tau
     )
-    _write_communities(communities, out_dir)
+    _write_communities(communities, stage, out_dir)
 
     # flow drop: mean daily inter-province volume (all trips minus self-loops), post vs pre split
     inter = (cube.counts.sum(axis=(1, 2)) - cube.counts.trace(axis1=1, axis2=2)).tolist()
@@ -427,7 +429,7 @@ def cmd_report(args) -> int:
         "community_count_pre_median": statistics.median(counts_pre) if counts_pre else None,
         "community_count_post_median": statistics.median(counts_post) if counts_post else None,
     }
-    _write_json(out_dir / "summary.json", summary)
+    _write_json(stage / "summary.json", summary)
     print(f"report: summary -> {out_dir / 'summary.json'}")
     return 0
 
@@ -456,9 +458,29 @@ _DATA_ERRORS = (
 )
 
 
-def _paths_at(root: Path) -> set[Path]:
-    """root and every path under it; empty if root does not exist."""
-    return {root, *root.rglob("*")} if root.exists() else set()
+@contextlib.contextmanager
+def _staged(out: Path):
+    """Yield a fresh directory beside `out`; on a clean exit its entries replace theirs in `out`.
+
+    The directory sits in out's parent (after symlinks), so each move is a rename.
+    It is deleted whether the body returns or raises, and a raise leaves `out` untouched.
+    """
+    out = Path(os.path.realpath(out))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.staging-", dir=out.parent))
+    try:
+        yield stage
+        out.mkdir(exist_ok=True)
+        entries = list(stage.iterdir())
+        replaced = Path(tempfile.mkdtemp(dir=stage))
+        for entry in entries:
+            target = out / entry.name
+            # a directory cannot be renamed over a non-empty one: move the old one aside first
+            if target.is_dir() or (entry.is_dir() and os.path.lexists(target)):
+                target.rename(replaced / entry.name)
+            entry.replace(target)
+    finally:
+        shutil.rmtree(stage)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -468,21 +490,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        out_root = Path(args.out) if getattr(args, "out", None) else None
-        before = _paths_at(out_root) if out_root else set()
         try:
-            return _COMMANDS[args.command](args)
-        except UsageError:
-            raise
+            with _staged(Path(args.out)) as stage:
+                return _COMMANDS[args.command](args, stage)
         except _DATA_ERRORS as exc:
-            if out_root is not None:
-                # deepest first, so each new directory is empty when its turn comes
-                new = _paths_at(out_root) - before
-                for path in sorted(new, key=lambda p: len(p.parts), reverse=True):
-                    if path.is_dir():
-                        path.rmdir()
-                    else:
-                        path.unlink()
             print(f"error: {exc}", file=sys.stderr)
             return 2
     except UsageError as exc:

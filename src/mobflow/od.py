@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -169,22 +167,10 @@ def _granularity_dir(root: str | Path, granularity: str) -> Path:
     return Path(root) / "od" / granularity
 
 
-def _atomic_write(path: Path, payload: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def store_daily_od(od: DailyOD, root: str | Path) -> Path:
-    """Persist one matrix under od/<granularity>/<date>.csv, updating the manifest.
+    """Persist one matrix under od/<granularity>/<date>.csv, adding its date to the manifest.
 
-    Writes are atomic (temp file + rename); re-storing a date overwrites it.
+    Re-storing a date overwrites it.
     """
     directory = _granularity_dir(root, od.granularity)
     directory.mkdir(parents=True, exist_ok=True)
@@ -194,7 +180,7 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
     lines = ["origin,destination,count"]
     for (origin, destination), count in od.cells.items():
         lines.append(f"{origin},{destination},{count}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
     manifest_path = directory / "manifest.json"
     dates = set()
@@ -206,7 +192,7 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
         "granularity": od.granularity,
         "dates": sorted(dates),
     }
-    _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

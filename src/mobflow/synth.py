@@ -189,7 +189,6 @@ class ScenarioPlan:
 
 @dataclass(frozen=True)
 class GeneratedScenario:
-    out_dir: Path
     registry_path: Path
     cdr_files: list[Path]
     xdr_files: list[Path]
@@ -479,7 +478,6 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
         fh.write("\n")
 
     return GeneratedScenario(
-        out_dir=out_dir,
         registry_path=registry_path,
         cdr_files=cdr_files,
         xdr_files=xdr_files,

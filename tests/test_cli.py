@@ -6,6 +6,7 @@ from datetime import date
 import pytest
 
 import oracles
+from mobflow import cli
 from mobflow.cli import main
 from mobflow.od import DailyOD, aggregate_to_province, list_od_dates, load_daily_od, store_daily_od
 
@@ -42,6 +43,12 @@ def _territory(store):
     return json.loads((store / "territory.json").read_text())["muni_to_province"]
 
 
+def _assert_no_staging(out, stdout=""):
+    """No staging directory is left beside `out`, and no printed line names one."""
+    assert not [p.name for p in out.parent.iterdir() if ".staging-" in p.name]
+    assert ".staging-" not in stdout
+
+
 def _two_day_data(root):
     """Registry M1 (P1), M2 and M3 (P2); M1 -> M2 on 2020-03-02 and M1 -> M3 on 2020-03-03."""
     data = root / "data"
@@ -67,6 +74,15 @@ def _two_day_data(root):
 def scenario_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("scn")
     config = write_config(root / "s.json")
+    assert main(["synth", "--config", str(config), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.fixture(scope="module")
+def three_dir(tmp_path_factory):
+    """A 4-day, 3-province scenario: another territory and fewer days than scenario_dir."""
+    root = tmp_path_factory.mktemp("three")
+    config = write_config(root / "three.json", n_provinces=3, n_days=4, lockdown_day=2)
     assert main(["synth", "--config", str(config), "--out", str(root / "data")]) == 0
     return root / "data"
 
@@ -173,6 +189,23 @@ class TestSmokePath:
         dump = json.loads((out / "partitions.json").read_text())
         nodes = {m for entry in dump for mod in entry["modules"] for m in mod["municipalities"]}
         assert nodes and all(n.startswith("P") for n in nodes)
+
+    def test_province_filter_on_province_graphs(self, scenario_dir, tmp_path):
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
+        out = tmp_path / "prov"
+        assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "1", "--trials", "2",
+                     "--granularity", "province", "--provinces", "P000,P001"]) == 0
+        dump = json.loads((out / "partitions.json").read_text())
+        filtered = json.loads((out / "partitions_P000_P001.json").read_text())
+        assert len(filtered) == len(dump)
+        for day, kept in zip(dump, filtered):
+            assert kept["modules"], f"no module kept on {kept['date']}"
+            expected = [
+                {"id": mod["id"], "municipalities": [n for n in mod["municipalities"] if n in {"P000", "P001"}]}
+                for mod in day["modules"]
+            ]
+            assert kept["modules"] == [mod for mod in expected if mod["municipalities"]]
 
     def test_attach_registry_adds_flowless_municipality_as_singleton(self, tmp_path):
         store = tmp_path / "store"
@@ -310,6 +343,7 @@ class TestExitCodes:
         before = set(existing.rglob("*"))
         assert main([*report, "--out", str(existing)]) == 2
         assert set(existing.rglob("*")) == before
+        _assert_no_staging(existing)
 
     def test_unmapped_municipality_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -414,6 +448,81 @@ class TestOutOfRangeTimestamps:
         )
         err = self._build_od(tmp_path, capsys, "cdr", rows)
         assert "r.csv: 1 malformed, 0 unknown antenna" in err
+
+
+class TestStagedOutputs:
+    """Each command's top-level outputs replace their namesakes under --out, only on success."""
+
+    def test_synth_rerun_replaces_the_record_directories(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(write_config(tmp_path / "a.json")), "--out", str(data)]) == 0
+        small = write_config(tmp_path / "b.json", n_provinces=3, n_days=4, lockdown_day=2)
+        assert main(["synth", "--config", str(small), "--out", str(data)]) == 0
+        assert len(list((data / "cdr").iterdir())) == 4
+        assert len(list((data / "xdr").iterdir())) == 4
+        capsys.readouterr()
+        assert main(["build-od", "--in", str(data), "--out", str(tmp_path / "store")]) == 0
+        stdout = capsys.readouterr().out
+        assert ", 4 days stored, 0 records rejected" in stdout
+        _assert_no_staging(data, stdout)
+
+    def test_build_od_rerun_replaces_the_store(self, scenario_dir, three_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
+        assert main(["build-od", "--in", str(three_dir), "--out", str(store)]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["build-od", "--in", str(three_dir), "--out", str(fresh)]) == 0
+        assert list_od_dates(store, "municipality") == list_od_dates(fresh, "municipality")
+        assert len(list_od_dates(store, "municipality")) == 4
+        assert oracles.tree_digest(store) == oracles.tree_digest(fresh)
+        capsys.readouterr()
+        assert main(["flows", "--in", str(store), "--out", str(tmp_path / "tables")]) == 0
+        stdout = capsys.readouterr().out
+        assert "3 provinces x 4 days" in stdout
+        _assert_no_staging(store, stdout)
+
+    def test_flows_rerun_replaces_the_flows_directory(self, scenario_dir, three_dir, tmp_path, capsys):
+        out = tmp_path / "tables"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        for source in (scenario_dir, three_dir):
+            store = tmp_path / f"store_{source.parent.name}"
+            assert main(["build-od", "--in", str(source), "--out", str(store)]) == 0
+            assert main(["flows", "--in", str(store), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "flows").iterdir()) == ["P000.csv", "P001.csv", "P002.csv"]
+        assert (out / "notes.txt").read_text() == "kept\n"  # an entry no command wrote stays
+        stdout = capsys.readouterr().out
+        assert f"-> {out / 'flows'}" in stdout
+        _assert_no_staging(out, stdout)
+
+    def test_failed_report_leaves_the_result_tree(self, scenario_dir, three_dir, tmp_path, capsys):
+        out = tmp_path / "R"
+        assert main(["report", "--in", str(scenario_dir), "--out", str(out), "--seed", "0", "--trials", "1"]) == 0
+        before = oracles.tree_digest(out)
+        _assert_no_staging(out, capsys.readouterr().out)
+        rc = main(["report", "--in", str(three_dir), "--out", str(out), "--seed", "0", "--trials", "1",
+                   "--k-range", "5:9"])
+        assert rc == 2
+        assert "k_range" in capsys.readouterr().err
+        assert oracles.tree_digest(out) == before
+        _assert_no_staging(out)
+
+    def test_unexpected_error_propagates_and_leaves_the_result_tree(
+        self, scenario_dir, three_dir, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "R"
+        assert main(["report", "--in", str(scenario_dir), "--out", str(out), "--seed", "0", "--trials", "1"]) == 0
+        before = oracles.tree_digest(out)
+        capsys.readouterr()
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage failed")
+
+        monkeypatch.setattr(cli.community_mod, "community_count_series", broken)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            main(["report", "--in", str(three_dir), "--out", str(out), "--seed", "0", "--trials", "1"])
+        assert oracles.tree_digest(out) == before
+        _assert_no_staging(out, capsys.readouterr().out)
 
 
 class TestDeterminism:
