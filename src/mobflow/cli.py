@@ -4,7 +4,9 @@ An OD store holds only the daily municipality matrices and territory.json;
 every command that needs province matrices derives them in memory on each read.
 `report` is one in-memory pass: it builds the municipality ODs once, stores them
 under <out>/od-store and derives every table from them without reading back
-anything it wrote. Every other subcommand loads its inputs from an OD store and
+anything it wrote. It starts community detection as soon as the ODs exist, so
+that a helper process can detect days while it writes flows, diversity and
+clusters. Every other subcommand loads its inputs from an OD store and
 calls the same stage function, so each table has one path.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Every command writes into a
@@ -152,6 +154,13 @@ def _parse_k_range(raw: str) -> range:
     return range(lo, hi + 1)
 
 
+def _check_k_range(k_range: range, territory: dict[str, str]) -> None:
+    """Reject a k range no clustering of the territory's provinces can reach, before any stage runs."""
+    n = len(set(territory.values()))
+    if k_range.start > n:
+        raise ValueError(f"k_range must lie within [2, {n}]")
+
+
 def _in_range(day: date, lo: date | None, hi: date | None) -> bool:
     return (lo is None or day >= lo) and (hi is None or day <= hi)
 
@@ -236,6 +245,7 @@ def cmd_synth(args, stage: Path) -> int:
 
 
 def _build_od(
+    registry: ingest.AntennaRegistry,
     in_dir: Path,
     store: Path,
     dwell_seconds: int,
@@ -244,7 +254,6 @@ def _build_od(
     hi: date | None = None,
 ) -> tuple[dict[str, str], list[od.DailyOD]]:
     """Records -> daily municipality ODs, stored with territory.json and returned."""
-    registry = ingest.load_registry(in_dir / "registry.csv")
     cdr_files = sorted((in_dir / "cdr").glob("*.csv")) if (in_dir / "cdr").is_dir() else []
     xdr_files = sorted((in_dir / "xdr").glob("*.csv")) if (in_dir / "xdr").is_dir() else []
     parsed = ingest.parse_records(cdr_files, xdr_files, registry)
@@ -272,7 +281,9 @@ def _build_od(
 
 
 def cmd_build_od(args, stage: Path) -> int:
-    _build_od(Path(args.in_dir), stage, args.dwell_seconds, args.tz, *_date_range(args))
+    in_dir = Path(args.in_dir)
+    registry = ingest.load_registry(in_dir / "registry.csv")
+    _build_od(registry, in_dir, stage, args.dwell_seconds, args.tz, *_date_range(args))
     return 0
 
 
@@ -335,7 +346,11 @@ def _write_clusters(
 
 def cmd_cluster(args, stage: Path) -> int:
     k_range = _parse_k_range(args.k_range)
-    by_direction = _diversity_series(_province_inputs(args), args.include_self_flow_in_diversity)
+    store = Path(args.in_dir)
+    territory = _load_territory(store)
+    _check_k_range(k_range, territory)
+    cube = _province_cube(_load_ods(store, *_date_range(args)), territory)
+    by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
     _write_clusters(by_direction, k_range, args.seed, stage, Path(args.out))
     return 0
 
@@ -389,15 +404,22 @@ def cmd_report(args, stage: Path) -> int:
     if split is None:
         raise UsageError("report needs --split-date (no regime schedule found in ground_truth.json)")
     k_range = _parse_k_range(args.k_range)
+    registry = ingest.load_registry(in_dir / "registry.csv")
+    _check_k_range(k_range, registry.muni_to_province)
 
-    territory, muni_ods = _build_od(in_dir, stage / "od-store", args.dwell_seconds, args.tz)
+    territory, muni_ods = _build_od(registry, in_dir, stage / "od-store", args.dwell_seconds, args.tz)
     cube = _province_cube(muni_ods, territory)
-    _write_flows(cube, stage, out_dir)
-    by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
-    _write_diversity(by_direction, stage, out_dir)
-    selections = _write_clusters(by_direction, k_range, args.seed, stage, out_dir)
+    by_direction = selections = None
+
+    def tables() -> None:  # runs while a helper process, if one started, detects communities
+        nonlocal by_direction, selections
+        _write_flows(cube, stage, out_dir)
+        by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
+        _write_diversity(by_direction, stage, out_dir)
+        selections = _write_clusters(by_direction, k_range, args.seed, stage, out_dir)
+
     communities = community_mod.community_count_series(
-        muni_ods, seed=args.seed, trials=args.trials, tau=args.tau
+        muni_ods, seed=args.seed, trials=args.trials, tau=args.tau, meanwhile=tables
     )
     _write_communities(communities, stage, out_dir)
 
@@ -462,10 +484,14 @@ _DATA_ERRORS = (
 def _staged(out: Path):
     """Yield a fresh directory beside `out`; on a clean exit its entries replace theirs in `out`.
 
+    An `out` that exists and is not a directory is a usage error, raised before anything is written.
+
     The directory sits in out's parent (after symlinks), so each move is a rename.
     It is deleted whether the body returns or raises, and a raise leaves `out` untouched.
     """
     out = Path(os.path.realpath(out))
+    if os.path.lexists(out) and not out.is_dir():
+        raise UsageError(f"--out {out} exists and is not a directory")
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.staging-", dir=out.parent))
     try:

@@ -9,8 +9,11 @@ a greedy multilevel optimizer searches for the partition minimizing it.
 Teleportation is unrecorded: teleport (and dangling) steps move the walker but
 are not charged to module exit/enter flows.
 
-Over a series of days, some days may be detected in one helper process when
-two or more CPUs are usable; every result and error is the same either way.
+A series of days is one two-ended queue. When two or more CPUs are usable, one
+helper process takes days from its front, in date order, while this process
+takes them from its back, so neither waits on a fixed split. A caller can have
+its own work run while the helper starts and detects (`meanwhile`). Every
+result and error is the same however the days were shared.
 """
 
 from __future__ import annotations
@@ -20,15 +23,15 @@ import json
 import math
 import os
 import pickle
-import select
 import subprocess
 import sys
+import threading
 from bisect import bisect_left
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -416,6 +419,9 @@ class DayCommunities:
 def _window_ods(ods: Sequence[DailyOD], window: int) -> Iterator[DailyOD]:
     """Each OD in date order, summed with those dated in the `window - 1` days before it."""
     ordered = sorted(ods, key=lambda od: od.date)
+    if window == 1:
+        yield from ordered  # a one-day window is the day itself: no copy
+        return
     dates = [od.date for od in ordered]
     for i, od in enumerate(ordered):
         span = ordered[bisect_left(dates, od.date - timedelta(days=window - 1), 0, i): i + 1]
@@ -432,27 +438,25 @@ def _window_ods(ods: Sequence[DailyOD], window: int) -> Iterator[DailyOD]:
         )
 
 
-def _detect_days(
-    ods: Sequence[DailyOD], seed: int, trials: int, tau: float, registry_nodes: list[str]
-) -> Iterator[DayCommunities]:
-    """Detect each (already windowed) day's communities, in the order given."""
-    for od in ods:
-        partition = None
-        if len(od.count):
-            graph = FlowGraph.from_od(od, extra_nodes=registry_nodes)
-            partition = infomap(graph, seed=seed, trials=trials, tau=tau)
-        yield DayCommunities(
-            date=od.date,
-            partition=partition,
-            community_count=partition.module_count if partition else len(registry_nodes),
-            empty_day=partition is None,
-        )
+def _detect_day(
+    od: DailyOD, seed: int, trials: int, tau: float, registry_nodes: list[str]
+) -> DayCommunities:
+    """Detect one (already windowed) day's communities."""
+    partition = None
+    if len(od.count):
+        graph = FlowGraph.from_od(od, extra_nodes=registry_nodes)
+        partition = infomap(graph, seed=seed, trials=trials, tau=tau)
+    return DayCommunities(
+        date=od.date,
+        partition=partition,
+        community_count=partition.module_count if partition else len(registry_nodes),
+        empty_day=partition is None,
+    )
 
 
 # The helper imports only this module: `spawn` would re-import `__main__`, the
 # CLI, and fork without exec is unsafe once numpy may have started threads.
 _HELPER_SOURCE = "from mobflow import community; community._serve()"
-_READY = b"R"
 
 
 def _usable_cpus() -> int:
@@ -472,16 +476,65 @@ def _start_helper() -> subprocess.Popen:
     )
 
 
-def _helper_ready(helper: subprocess.Popen) -> bool:
-    """Whether the helper has written its ready byte; never blocks. A dead helper is never ready."""
-    fd = helper.stdout.fileno()
-    return bool(select.select([fd], [], [], 0)[0]) and os.read(fd, 1) == _READY
+def _serve(stdin: BinaryIO | None = None, stdout: BinaryIO | None = None) -> None:
+    """The helper's side: read the pickled detection arguments, then answer each pickled day.
+
+    Each day sent gets its pickled DayCommunities back before the next is read.
+    Stops without a reply when the parent closes the pipe or a day raises a data
+    error; the parent then detects that day itself and raises the same error.
+    """
+    stdin = sys.stdin.buffer if stdin is None else stdin
+    stdout = sys.stdout.buffer if stdout is None else stdout
+    try:
+        args = pickle.load(stdin)
+        while True:
+            day = _detect_day(pickle.load(stdin), *args)
+            pickle.dump(day, stdout)
+            stdout.flush()
+    except (EOFError, ValueError, PowerIterationError):
+        return
 
 
-def _stop(helper: subprocess.Popen) -> None:
-    """Kill the helper if it still runs, reap it and close its pipes."""
-    if helper.poll() is None:
-        helper.kill()
+def _ask(helper: subprocess.Popen, od: DailyOD) -> DayCommunities:
+    """Have the helper detect one day: send it, then wait for its result."""
+    pickle.dump(od, helper.stdin)
+    helper.stdin.flush()
+    return pickle.load(helper.stdout)
+
+
+def _claims(take: Callable[[], tuple[int, DailyOD]]) -> Iterator[tuple[int, DailyOD]]:
+    """The (index, day) pairs `take` pops from one end of the queue, until it is empty."""
+    while True:
+        try:
+            claim = take()
+        except IndexError:
+            return
+        yield claim
+
+
+def _feed(helper: subprocess.Popen, queue: deque, results: list, args: tuple) -> None:
+    """The feeder thread: hand the helper the queue's front day, one at a time, until none is left.
+
+    Stops at the first day the helper does not return; that day's result stays
+    None, and every day still queued is left to this process.
+    """
+    try:
+        pickle.dump(args, helper.stdin)
+        for i, od in _claims(queue.popleft):
+            results[i] = _ask(helper, od)
+        helper.stdin.close()  # end of input: the helper exits
+    except (OSError, EOFError, pickle.UnpicklingError):
+        pass  # the helper died or was killed
+
+
+def _stop(helper: subprocess.Popen, feeder: threading.Thread) -> None:
+    """Kill the helper if it still runs, join the feeder, reap the helper and close its pipes.
+
+    The kill ends any read or write the feeder is blocked in. Calling it again does nothing.
+    """
+    helper.kill()
+    if feeder.is_alive():  # False too if the thread never started
+        feeder.join()
     helper.wait()
     helper.stdout.close()
     try:
@@ -490,55 +543,11 @@ def _stop(helper: subprocess.Popen) -> None:
         pass  # bytes a dead helper never read
 
 
-def _serve(stdin: BinaryIO | None = None, stdout: BinaryIO | None = None) -> None:
-    """The helper's side: a ready byte, then the pickled result of the pickled days sent.
-
-    Writes no result when the parent sends nothing or a day raises a data error;
-    the parent then detects those days itself and raises the same error.
-    """
-    stdin = sys.stdin.buffer if stdin is None else stdin
-    stdout = sys.stdout.buffer if stdout is None else stdout
-    stdout.write(_READY)
-    stdout.flush()
-    try:
-        args, ods = pickle.load(stdin)
-    except EOFError:
-        return  # the parent detected every day itself
-    try:
-        days = list(_detect_days(ods, *args))
-    except (ValueError, PowerIterationError):
-        return
-    pickle.dump(days, stdout)
-    stdout.flush()
-
-
-def _share(helper: subprocess.Popen, days: list[DailyOD], args: tuple) -> list[DayCommunities]:
-    """Detect date-ordered `days` with the ready helper taking every other one."""
-    mine, theirs = days[0::2], days[1::2]
-    try:
-        pickle.dump((args, theirs), helper.stdin)
-        helper.stdin.close()
-    except BrokenPipeError:
-        pass  # the helper died; its days are detected below
-    ours: list[DayCommunities] = []
-    try:
-        for day in _detect_days(mine, *args):
-            ours.append(day)
-    except Exception:
-        # Raise what the serial order raises: the helper's days dated before
-        # the failing one come first.
-        _stop(helper)
-        for _ in _detect_days(theirs[: len(ours)], *args):
-            pass
-        raise
-    payload = helper.stdout.read()
-    if helper.wait() == 0 and payload:
-        helped = pickle.loads(payload)
-    else:
-        helped = list(_detect_days(theirs, *args))
-    merged: list[DayCommunities] = [None] * len(days)
-    merged[0::2], merged[1::2] = ours, helped
-    return merged
+def _detect_missing(days: list[DailyOD], results: list, args: tuple, end: int) -> None:
+    """Detect, in date order, each of the first `end` days that has no result yet."""
+    for i in range(end):
+        if results[i] is None:
+            results[i] = _detect_day(days[i], *args)
 
 
 def community_count_series(
@@ -548,6 +557,7 @@ def community_count_series(
     tau: float = DEFAULT_TELEPORT,
     registry_nodes: Iterable[str] = (),
     window: int = 1,
+    meanwhile: Callable[[], None] | None = None,
 ) -> list[DayCommunities]:
     """Per-day module counts of the daily flow graphs, date-ordered.
 
@@ -556,33 +566,51 @@ def community_count_series(
     smoothing). A day with no flow has no partition; its count falls back to
     the number of attached registry nodes (each isolated) and the day is flagged.
 
-    With two or more usable CPUs and days, a helper process starts; once it has
-    imported this module it takes every other day the parent has not begun.
-    Each day's partition depends only on its graph and (seed, trial), so the
-    result, and any error raised, do not depend on whether the helper ran.
+    The windowed days form one two-ended queue. With two or more usable CPUs
+    and days, a helper process starts at once, and a feeder thread hands it the
+    queue's front day, one at a time, in date order. `meanwhile`, if given, then
+    runs here while the helper works; this process claims days from the back
+    after it. Each day's partition depends only on its graph and (seed, trial),
+    so the result, and any detection error raised, do not depend on how the days
+    were shared: a day the helper did not return is detected here, and the
+    error raised is the one the first failing day in date order raises.
     """
     if window < 1:
         raise ValueError(f"window must be at least 1 day, got {window}")
     args = (seed, trials, tau, sorted(set(registry_nodes)))
-    helper = None
-    if len(ods) >= 2 and _usable_cpus() >= 2:
+    days = list(_window_ods(ods, window))
+    results: list[DayCommunities | None] = [None] * len(days)
+    queue = deque(enumerate(days))  # pops from either end are atomic: the two claimants share it
+    helper = feeder = None
+    if len(days) >= 2 and _usable_cpus() >= 2:
         try:
             helper = _start_helper()
         except OSError:
             pass  # no process to spare: every day runs here
-    results: list[DayCommunities] = []
+        else:
+            feeder = threading.Thread(target=_feed, args=(helper, queue, results, args))
     try:
-        windowed = _window_ods(ods, window)
-        for od in windowed:
-            if helper is not None and _helper_ready(helper):
-                rest = [od, *windowed]
-                if len(rest) > 1:
-                    return results + _share(helper, rest, args)
-            results.extend(_detect_days([od], *args))
+        if feeder is not None:
+            feeder.start()
+        if meanwhile is not None:
+            meanwhile()
+        try:
+            for claimed, od in _claims(queue.pop):
+                results[claimed] = _detect_day(od, *args)
+        except Exception:
+            # Raise what the serial order raises: a day dated before the failing
+            # one that has no result yet comes first.
+            if helper is not None:
+                _stop(helper, feeder)
+            _detect_missing(days, results, args, claimed)
+            raise
+        if feeder is not None:
+            feeder.join()
+        _detect_missing(days, results, args, len(days))
         return results
     finally:
         if helper is not None:
-            _stop(helper)
+            _stop(helper, feeder)
 
 
 def write_community_counts_csv(days: Sequence[DayCommunities], path: str | Path) -> None:

@@ -1,7 +1,10 @@
 """Command-line surface: smoke path, composition, exit codes, cleanup, determinism."""
 
 import json
+import runpy
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +289,27 @@ class TestExitCodes:
                    "--seed", "1", "--k-range", "nope"])
         assert rc == 1
 
+    def test_k_range_above_the_provinces_fails_before_any_stage(self, three_dir, tmp_path, capsys, monkeypatch):
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(three_dir), "--out", str(store)]) == 0
+        assert main(["cluster", "--in", str(store), "--out", str(tmp_path / "k3"), "--seed", "0",
+                     "--k-range", "3:9"]) == 0  # k reaches the 3 provinces
+        capsys.readouterr()
+
+        def stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(cli, "_load_ods", stage)
+        monkeypatch.setattr(cli.ingest, "parse_records", stage)
+        monkeypatch.setattr(cli.community_mod, "_start_helper", stage)
+        for argv in (["cluster", "--in", str(store)], ["report", "--in", str(three_dir), "--trials", "1"]):
+            out = tmp_path / "out"
+            assert main([*argv, "--out", str(out), "--seed", "0", "--k-range", "4:9"]) == 2
+            captured = capsys.readouterr()
+            assert "k_range must lie within [2, 3]" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, option, value",
         [
@@ -495,6 +519,18 @@ class TestStagedOutputs:
         assert f"-> {out / 'flows'}" in stdout
         _assert_no_staging(out, stdout)
 
+    @pytest.mark.parametrize("command", ["build-od", "report"])
+    def test_out_naming_a_file_is_usage_error(self, scenario_dir, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        seed = ["--seed", "0", "--trials", "1"] if command == "report" else []
+        assert main([command, "--in", str(scenario_dir), "--out", str(afile), *seed]) == 1
+        captured = capsys.readouterr()
+        assert "is not a directory" in captured.err
+        assert captured.out == ""  # no stage ran
+        assert afile.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     def test_failed_report_leaves_the_result_tree(self, scenario_dir, three_dir, tmp_path, capsys):
         out = tmp_path / "R"
         assert main(["report", "--in", str(scenario_dir), "--out", str(out), "--seed", "0", "--trials", "1"]) == 0
@@ -553,3 +589,19 @@ class TestDeterminism:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
         truth = json.loads((tmp_path / "d" / "ground_truth.json").read_text())
         assert truth["regimes"][1]["flow_scale"] == 0.5
+
+
+class TestScripts:
+    def test_lockdown_scenario_script_runs(self, tmp_path, monkeypatch, capsys):
+        script = Path(__file__).parents[1] / "scripts" / "run_lockdown_scenario.py"
+        work = tmp_path / "work"
+        monkeypatch.setattr(sys, "argv", [str(script), str(work), "--days", "6", "--trials", "1"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        stdout = capsys.readouterr().out
+        assert "20 provinces x 10 municipalities, 6 days, lockdown 2020-02-06" in stdout
+        assert "inter-province flow drop:      60.0%" in stdout
+        assert "weekend diversity delta pre:   n/a" in stdout  # the 3 days before the lockdown hold no weekend
+        summary = json.loads((work / "results" / "summary.json").read_text())
+        assert summary["split_date"] == "2020-02-06"

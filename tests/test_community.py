@@ -5,7 +5,9 @@ import io
 import math
 import os
 import pickle
-import select
+import signal
+import sys
+import threading
 from datetime import date, timedelta
 
 import numpy as np
@@ -428,24 +430,16 @@ SERIES_KWARGS = dict(seed=3, trials=2, registry_nodes=["M_unseen", "M000_00"], w
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """Two usable CPUs and a helper that is waited for, so it takes every other day.
-
-    Returns the started helpers' Popen handles.
-    """
+    """Two usable CPUs; returns the started helpers' Popen handles."""
     started = []
-    start, ready = community._start_helper, community._helper_ready
+    start = community._start_helper
 
     def start_and_record():
         started.append(start())
         return started[-1]
 
-    def wait_until_ready(helper):
-        select.select([helper.stdout], [], [], 60)
-        return ready(helper)
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(community, "_start_helper", start_and_record)
-    monkeypatch.setattr(community, "_helper_ready", wait_until_ready)
     return started
 
 
@@ -455,25 +449,76 @@ def _serial(ods, monkeypatch, **kwargs):
         return community_count_series(ods, **kwargs)
 
 
+# A helper that fails on every day it is sent, as the parent's patched stationary_flow does.
+_NOT_CONVERGING_HELPER = (
+    "from mobflow import community\n"
+    "def not_converged(*args, **kwargs):\n"
+    "    raise community.PowerIterationError(1.0, 7)\n"
+    "community.stationary_flow = not_converged\n"
+    "community._serve()"
+)
+
+
+def _record_claims(monkeypatch, on_help=lambda: None):
+    """Record the dates this process detects, sends to the helper and gets back from it."""
+    detected_here, sent, helped = [], [], []
+    detect, ask = community._detect_day, community._ask
+
+    def detect_and_record(od, *args):
+        detected_here.append(od.date)
+        return detect(od, *args)
+
+    def ask_and_record(helper, od):
+        sent.append(od.date)
+        day = ask(helper, od)
+        helped.append(day.date)
+        on_help()
+        return day
+
+    monkeypatch.setattr(community, "_detect_day", detect_and_record)
+    monkeypatch.setattr(community, "_ask", ask_and_record)
+    return detected_here, sent, helped
+
+
+def _assert_not_crashed(helper):
+    """The helper exited on its own at the end of its input, or was killed after it: it did not crash."""
+    assert helper.returncode in (0, -signal.SIGKILL)
+
+
 class TestHelperProcess:
     def test_helper_path_equals_serial_path(self, helpers, monkeypatch):
         ods = _helper_days()
-        detected_here = []
-        detect = community._detect_days
-
-        def detect_and_record(days, *args):
-            detected_here.extend(od.date for od in days)
-            return detect(days, *args)
-
-        monkeypatch.setattr(community, "_detect_days", detect_and_record)
-        shared = community_count_series(ods, **SERIES_KWARGS)
-        assert len(helpers) == 1 and helpers[0].returncode == 0
-        assert detected_here == [od.date for od in ods[0::2]]  # the helper did the rest
+        first_help = threading.Event()
+        detected_here, sent, helped = _record_claims(monkeypatch, first_help.set)
+        # This process claims no day before the helper has returned one.
+        shared = community_count_series(ods, **SERIES_KWARGS, meanwhile=lambda: first_help.wait(60))
+        assert len(helpers) == 1
+        _assert_not_crashed(helpers[0])
+        assert helped  # the helper took at least one day
+        assert helped == sent  # and returned every day it was sent
+        assert sorted(detected_here + helped) == [od.date for od in ods]  # each day exactly once
         serial = _serial(ods, monkeypatch, **SERIES_KWARGS)
         assert len(helpers) == 1  # one usable CPU: no helper
         assert _fields(shared) == _fields(serial)
         assert shared[1].empty_day and shared[1].community_count == 2
         assert sum(d.empty_day for d in shared) == 1
+
+    def test_each_day_claimed_once_under_fast_thread_switching(self, helpers, monkeypatch):
+        cells = {("a", "b"): 1, ("b", "a"): 1, ("c", "d"): 2, ("d", "c"): 1}
+        ods = [_od(cells, DAY + timedelta(days=i)) for i in range(60)]
+        detected_here, sent, helped = _record_claims(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = community_count_series(ods, seed=0, trials=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(helpers) == 1
+        _assert_not_crashed(helpers[0])
+        assert helped == sent
+        assert sorted(detected_here + helped) == [od.date for od in ods]
+        assert [d.date for d in shared] == [od.date for od in ods]
+        assert all(d.community_count == 2 for d in shared)
 
     def test_one_day_starts_no_helper(self, helpers):
         community_count_series(_helper_days()[:1], **SERIES_KWARGS)
@@ -485,15 +530,17 @@ class TestHelperProcess:
             raise error
 
         monkeypatch.setattr(community, "infomap", fail)  # the helper keeps the real one
+        threads = threading.active_count()
         with pytest.raises(type(error)):
             community_count_series(_helper_days(), **SERIES_KWARGS)
         assert len(helpers) == 1 and helpers[0].returncode is not None
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
         "source",
         [
-            "import sys; sys.stdout.buffer.write(b'R')",  # ready, then exits without a result
-            "import sys; sys.exit(3)",  # dies before it is ready
+            "import sys; sys.stdin.buffer.read(1)",  # takes input, then exits without a result
+            "import sys; sys.exit(3)",  # dies at once
         ],
     )
     def test_helper_without_a_result_gives_the_serial_output(self, helpers, monkeypatch, source):
@@ -504,7 +551,7 @@ class TestHelperProcess:
         assert _fields(shared) == _fields(_serial(ods, monkeypatch, **SERIES_KWARGS))
 
     def test_data_error_is_the_serial_one(self, helpers, monkeypatch):
-        # Days 3 (the helper's) and 4 (the parent's) fail; serially day 3 fails first.
+        # Days 3 and 4 fail; serially day 3 fails first, though this process meets day 4 first.
         ods = _helper_days()
         failing = {ods[3].date, ods[4].date}
         from_od = FlowGraph.from_od
@@ -515,41 +562,62 @@ class TestHelperProcess:
             return from_od(od, extra_nodes)
 
         monkeypatch.setattr(FlowGraph, "from_od", from_od_failing)  # the helper keeps the real one
-        monkeypatch.setattr(community, "_HELPER_SOURCE", "import sys; sys.stdout.buffer.write(b'R')")
+        monkeypatch.setattr(community, "_HELPER_SOURCE", "import sys; sys.stdin.buffer.read(1)")
         with pytest.raises(ValueError, match=f"no graph on {ods[3].date}$"):
             _serial(ods, monkeypatch, **SERIES_KWARGS)
         with pytest.raises(ValueError, match=f"no graph on {ods[3].date}$"):
             community_count_series(ods, **SERIES_KWARGS)
         assert len(helpers) == 1 and helpers[0].returncode is not None
 
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_no_helper_outlives_report(self, helpers, monkeypatch, tmp_path, capsys, fails):
+    def _report_argv(self, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_text('{"preset": "lockdown", "n_provinces": 3, "municipalities_per_province": 4, '
                           '"n_days": 6, "lockdown_day": 3, "seed": 1}')
         assert cli.main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        return ["report", "--in", str(tmp_path / "data"), "--out", str(tmp_path / "out"), "--seed", "1", "--trials", "2"]
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_helper_outlives_report(self, helpers, monkeypatch, tmp_path, capsys, fails):
+        argv = self._report_argv(tmp_path)
         if fails:
+            # the failure reaches every day, whichever process claims it
             def not_converged(*args, **kwargs):
                 raise PowerIterationError(1.0, 7)
 
             monkeypatch.setattr(community, "stationary_flow", not_converged)
-        argv = ["report", "--in", str(tmp_path / "data"), "--out", str(tmp_path / "out"), "--seed", "1", "--trials", "2"]
+            monkeypatch.setattr(community, "_HELPER_SOURCE", _NOT_CONVERGING_HELPER)
         assert cli.main(argv) == (2 if fails else 0)
         assert len(helpers) == 1 and helpers[0].returncode is not None
         assert ("not converged" in capsys.readouterr().err) == fails
 
+    @pytest.mark.parametrize("error", [RuntimeError("clustering failed"), KeyboardInterrupt()])
+    def test_no_helper_outlives_an_error_in_the_tables(self, helpers, monkeypatch, tmp_path, error):
+        argv = self._report_argv(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "_write_clusters", fail)  # runs while the helper detects
+        threads = threading.active_count()
+        with pytest.raises(type(error)):
+            cli.main(argv)
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+        assert threading.active_count() == threads
+
     def test_serve_round_trip(self):
         ods = _helper_days()[:3]
         args = (1, 2, 0.15, ["M_unseen"])
-        out = io.BytesIO()
-        community._serve(io.BytesIO(pickle.dumps((args, ods))), out)
-        reply = out.getvalue()
-        assert reply[:1] == community._READY
-        assert _fields(pickle.loads(reply[1:])) == _fields(community._detect_days(ods, *args))
-
-    @pytest.mark.parametrize("trials", [None, 0])  # nothing sent; a data error
-    def test_serve_writes_only_the_ready_byte_without_a_result(self, trials):
-        sent = b"" if trials is None else pickle.dumps(((1, trials, 0.15, []), _helper_days()[:1]))
+        sent = pickle.dumps(args) + b"".join(pickle.dumps(od) for od in ods)
         out = io.BytesIO()
         community._serve(io.BytesIO(sent), out)
-        assert out.getvalue() == community._READY
+        out.seek(0)
+        replies = [pickle.load(out) for _ in ods]
+        assert out.read() == b""
+        assert _fields(replies) == _fields(community._detect_day(od, *args) for od in ods)
+
+    @pytest.mark.parametrize("trials", [None, 0])  # nothing sent; a data error
+    def test_serve_writes_nothing_without_a_result(self, trials):
+        sent = b"" if trials is None else pickle.dumps((1, trials, 0.15, [])) + pickle.dumps(_helper_days()[0])
+        out = io.BytesIO()
+        community._serve(io.BytesIO(sent), out)
+        assert out.getvalue() == b""

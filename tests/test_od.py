@@ -239,6 +239,13 @@ class TestCodedPathMatchesDictPath:
         provinces = set(mapping.values())
         cube = ProvinceCube.from_ods(province_ods, provinces)
         assert np.array_equal(cube.counts, province_cube(province_days, provinces))
+        for od, same in zip(sorted(muni_ods, key=lambda od: od.date), _window_ods(muni_ods, 1), strict=True):
+            # a one-day window yields the day itself, byte-equal to summing it through from_codes
+            assert same is od
+            summed = DailyOD.from_codes(od.date, od.granularity, list(od.names), od.origin, od.destination, od.count)
+            assert same.names == summed.names
+            for column in ("origin", "destination", "count"):
+                assert getattr(same, column).tobytes() == getattr(summed, column).tobytes()
         for window, extra in ((1, ()), (3, sorted(mapping))):
             merged = list(_window_ods(muni_ods, window))
             for od, cells in zip(merged, window_cells(muni_cells, window), strict=True):
