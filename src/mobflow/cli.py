@@ -9,6 +9,12 @@ that a helper process can detect days while it writes flows, diversity and
 clusters. Every other subcommand loads its inputs from an OD store and
 calls the same stage function, so each table has one path.
 
+`build_parser` parses every option value that can be checked without reading an
+input: a bad date, --k-range or --tz is a usage error before anything is read or
+written. Checks that need the territory (--k-range against its province count,
+--provinces membership) run in the commands, before any stage. `_write_json`
+writes every result JSON file.
+
 Exit codes: 0 success, 1 usage error, 2 data error. Every command writes into a
 fresh staging directory beside --out and publishes only on success: each
 top-level entry it wrote then replaces the entry of the same name directly under
@@ -27,6 +33,7 @@ import sys
 import tempfile
 from datetime import date
 from pathlib import Path
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 if __name__ == "__main__":
     # Before numpy loads: no stage makes a BLAS call, and OpenBLAS's thread
@@ -62,7 +69,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_dir", required=True, help="scenario directory (registry.csv, cdr/, xdr/)")
     p.add_argument("--out", required=True, help="OD store directory")
     p.add_argument("--dwell-seconds", type=_int_at_least(0), default=ingest.DEFAULT_DWELL_SECONDS)
-    p.add_argument("--tz", default=ingest.DEFAULT_TIMEZONE)
+    p.add_argument("--tz", type=_time_zone, default=ingest.DEFAULT_TIMEZONE)
     _add_date_range(p)
 
     p = sub.add_parser("flows", help="per-province flow volume tables")
@@ -80,7 +87,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--k-range", default="2:20", help="LO:HI inclusive")
+    p.add_argument("--k-range", type=_k_range, default=cluster_mod.DEFAULT_K_RANGE, help="LO:HI inclusive")
     p.add_argument("--include-self-flow-in-diversity", action="store_true")
     _add_date_range(p)
 
@@ -103,18 +110,19 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dwell-seconds", type=_int_at_least(0), default=ingest.DEFAULT_DWELL_SECONDS)
-    p.add_argument("--tz", default=ingest.DEFAULT_TIMEZONE)
-    p.add_argument("--k-range", default="2:20")
+    p.add_argument("--tz", type=_time_zone, default=ingest.DEFAULT_TIMEZONE)
+    p.add_argument("--k-range", type=_k_range, default=cluster_mod.DEFAULT_K_RANGE, help="LO:HI inclusive")
     p.add_argument("--trials", type=_int_at_least(1), default=community_mod.DEFAULT_TRIALS)
     p.add_argument("--tau", type=_teleport_rate, default=community_mod.DEFAULT_TELEPORT)
-    p.add_argument("--split-date", help="pre/post split; defaults to the last regime start in ground_truth.json")
+    p.add_argument("--split-date", type=_iso_date,
+                   help="pre/post split; defaults to the last regime start in ground_truth.json")
     p.add_argument("--include-self-flow-in-diversity", action="store_true")
     return parser
 
 
 def _add_date_range(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--from", dest="from_date", help="first date, inclusive (ISO)")
-    p.add_argument("--to", dest="to_date", help="last date, inclusive (ISO)")
+    p.add_argument("--from", dest="from_date", type=_iso_date, help="first date, inclusive (ISO)")
+    p.add_argument("--to", dest="to_date", type=_iso_date, help="last date, inclusive (ISO)")
 
 
 def _int_at_least(minimum: int):
@@ -135,23 +143,28 @@ def _teleport_rate(raw: str) -> float:
     return tau
 
 
-def _parse_date(raw: str | None) -> date | None:
-    if raw is None:
-        return None
+def _iso_date(raw: str) -> date:
     try:
         return date.fromisoformat(raw)
     except ValueError as exc:
-        raise UsageError(f"bad date {raw!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad date {raw!r}: {exc}") from None
 
 
-def _parse_k_range(raw: str) -> range:
+def _k_range(raw: str) -> range:
     try:
         lo, hi = (int(part) for part in raw.split(":"))
     except ValueError:
-        raise UsageError(f"bad --k-range {raw!r}, expected LO:HI") from None
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {raw!r}") from None
     if lo < 2 or hi < lo:
-        raise UsageError(f"bad --k-range {raw!r}")
+        raise argparse.ArgumentTypeError(f"needs 2 <= LO <= HI, got {raw!r}")
     return range(lo, hi + 1)
+
+
+def _time_zone(raw: str) -> ZoneInfo:
+    try:
+        return ZoneInfo(raw)
+    except (ZoneInfoNotFoundError, ValueError):  # a KeyError, which argparse does not catch
+        raise argparse.ArgumentTypeError(f"unknown time zone {raw!r}") from None
 
 
 def _check_k_range(k_range: range, territory: dict[str, str]) -> None:
@@ -163,10 +176,6 @@ def _check_k_range(k_range: range, territory: dict[str, str]) -> None:
 
 def _in_range(day: date, lo: date | None, hi: date | None) -> bool:
     return (lo is None or day >= lo) and (hi is None or day <= hi)
-
-
-def _date_range(args) -> tuple[date | None, date | None]:
-    return _parse_date(args.from_date), _parse_date(args.to_date)
 
 
 def _load_territory(store: Path) -> dict[str, str]:
@@ -191,7 +200,7 @@ def _province_cube(muni_ods: list[od.DailyOD], territory: dict[str, str]) -> od.
 
 def _province_inputs(args) -> od.ProvinceCube:
     store = Path(args.in_dir)
-    return _province_cube(_load_ods(store, *_date_range(args)), _load_territory(store))
+    return _province_cube(_load_ods(store, args.from_date, args.to_date), _load_territory(store))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -249,7 +258,7 @@ def _build_od(
     in_dir: Path,
     store: Path,
     dwell_seconds: int,
-    tz: str,
+    tz: ZoneInfo,
     lo: date | None = None,
     hi: date | None = None,
 ) -> tuple[dict[str, str], list[od.DailyOD]]:
@@ -283,7 +292,7 @@ def _build_od(
 def cmd_build_od(args, stage: Path) -> int:
     in_dir = Path(args.in_dir)
     registry = ingest.load_registry(in_dir / "registry.csv")
-    _build_od(registry, in_dir, stage, args.dwell_seconds, args.tz, *_date_range(args))
+    _build_od(registry, in_dir, stage, args.dwell_seconds, args.tz, args.from_date, args.to_date)
     return 0
 
 
@@ -335,7 +344,7 @@ def _write_clusters(
         selection = selections[direction] = cluster_mod.select_k(matrix, ks, seed=seed)
         report = cluster_mod.clustering_report(selection)
         report["dropped_provinces"] = matrix.dropped
-        cluster_mod.write_clustering_json(report, stage / f"cluster_{direction}.json")
+        _write_json(stage / f"cluster_{direction}.json", report)
         if selection.clustering is not None:
             cluster_mod.write_members_csv(
                 selection.clustering, stage / f"cluster_{direction}_members.csv"
@@ -345,19 +354,18 @@ def _write_clusters(
 
 
 def cmd_cluster(args, stage: Path) -> int:
-    k_range = _parse_k_range(args.k_range)
     store = Path(args.in_dir)
     territory = _load_territory(store)
-    _check_k_range(k_range, territory)
-    cube = _province_cube(_load_ods(store, *_date_range(args)), territory)
+    _check_k_range(args.k_range, territory)
+    cube = _province_cube(_load_ods(store, args.from_date, args.to_date), territory)
     by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
-    _write_clusters(by_direction, k_range, args.seed, stage, Path(args.out))
+    _write_clusters(by_direction, args.k_range, args.seed, stage, Path(args.out))
     return 0
 
 
 def _write_communities(series: list[community_mod.DayCommunities], stage: Path, out: Path) -> None:
     community_mod.write_community_counts_csv(series, stage / "communities.csv")
-    community_mod.write_partition_dumps(series, stage / "partitions.json")
+    _write_json(stage / "partitions.json", [community_mod.partition_dump(day) for day in series])
     print(f"communities: {len(series)} days -> {out}")
 
 
@@ -368,7 +376,7 @@ def cmd_communities(args, stage: Path) -> int:
     unknown = wanted - set(territory.values())
     if unknown:
         raise UsageError(f"--provinces: not a province of the territory: {', '.join(sorted(unknown))}")
-    ods = _load_ods(store, *_date_range(args))
+    ods = _load_ods(store, args.from_date, args.to_date)
     nodes = set(territory)
     keep = [m for m, p in territory.items() if p in wanted]
     if args.granularity == "province":
@@ -386,7 +394,8 @@ def cmd_communities(args, stage: Path) -> int:
     _write_communities(series, stage, Path(args.out))
     if wanted:
         name = "_".join(sorted(wanted))
-        community_mod.write_partition_dumps(series, stage / f"partitions_{name}.json", keep)
+        dumps = [community_mod.partition_dump(day, keep) for day in series]
+        _write_json(stage / f"partitions_{name}.json", dumps)
     return 0
 
 
@@ -394,7 +403,7 @@ def cmd_report(args, stage: Path) -> int:
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out)
 
-    split = _parse_date(args.split_date)
+    split = args.split_date
     truth_path = in_dir / "ground_truth.json"
     if split is None and truth_path.exists():
         with truth_path.open() as fh:
@@ -403,9 +412,8 @@ def cmd_report(args, stage: Path) -> int:
             split = date.fromisoformat(regimes[-1]["start_date"])
     if split is None:
         raise UsageError("report needs --split-date (no regime schedule found in ground_truth.json)")
-    k_range = _parse_k_range(args.k_range)
     registry = ingest.load_registry(in_dir / "registry.csv")
-    _check_k_range(k_range, registry.muni_to_province)
+    _check_k_range(args.k_range, registry.muni_to_province)
 
     territory, muni_ods = _build_od(registry, in_dir, stage / "od-store", args.dwell_seconds, args.tz)
     cube = _province_cube(muni_ods, territory)
@@ -416,7 +424,7 @@ def cmd_report(args, stage: Path) -> int:
         _write_flows(cube, stage, out_dir)
         by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
         _write_diversity(by_direction, stage, out_dir)
-        selections = _write_clusters(by_direction, k_range, args.seed, stage, out_dir)
+        selections = _write_clusters(by_direction, args.k_range, args.seed, stage, out_dir)
 
     communities = community_mod.community_count_series(
         muni_ods, seed=args.seed, trials=args.trials, tau=args.tau, meanwhile=tables

@@ -10,7 +10,6 @@ is non-increasing in k and cannot be minimized literally.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -309,12 +308,6 @@ def clustering_report(selection: KSelection) -> dict:
             ],
         }
     return report
-
-
-def write_clustering_json(report: dict, path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_members_csv(clustering: Clustering, path: str | Path) -> None:

@@ -19,7 +19,6 @@ result and error is the same however the days were shared.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import pickle
@@ -643,13 +642,3 @@ def partition_dump(
         "empty_day": day.empty_day,
     }
 
-
-def write_partition_dumps(
-    days: Sequence[DayCommunities],
-    path: str | Path,
-    municipality_filter: Iterable[str] | None = None,
-) -> None:
-    payload = [partition_dump(day, municipality_filter) for day in days]
-    with Path(path).open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

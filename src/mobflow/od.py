@@ -177,10 +177,12 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
     day = od.date.isoformat()
     path = directory / f"{day}.csv"
 
-    lines = ["origin,destination,count"]
-    for (origin, destination), count in od.cells.items():
-        lines.append(f"{origin},{destination},{count}")
-    path.write_text("\n".join(lines) + "\n")
+    names = od.names
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["origin", "destination", "count"])
+        rows = zip(od.origin.tolist(), od.destination.tolist(), od.count.tolist())
+        writer.writerows((names[o], names[d], c) for o, d, c in rows)
 
     manifest_path = directory / "manifest.json"
     dates = set()

@@ -5,6 +5,7 @@ import runpy
 import sys
 from datetime import date
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import pytest
 
@@ -232,6 +233,41 @@ class TestSmokePath:
         assert attached[1] == plain[1] + 1
         assert [mod["municipalities"] for mod in dump[1]["modules"]].count(["M3"]) == 1
 
+    def test_municipality_id_with_a_comma_reaches_the_tables(self, tmp_path):
+        data = _two_day_data(tmp_path)
+        registry = data / "registry.csv"
+        registry.write_text(registry.read_text().replace(",M2,", ',"Roma, centro",'))
+        store, out = tmp_path / "store", tmp_path / "tables"
+        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
+        assert load_daily_od(store, date(2020, 3, 2), "municipality").cells == {("M1", "Roma, centro"): 1}
+        assert main(["flows", "--in", str(store), "--out", str(out)]) == 0
+        assert (out / "flows" / "P2.csv").read_text().splitlines()[1:] == [
+            "2020-03-02,1,0,0,1.0,0.0,0.0", "2020-03-03,1,0,0,1.0,0.0,0.0"
+        ]
+
+    @pytest.mark.parametrize("day", ["2020-03-02", "2020-03-03"])
+    def test_from_and_to_are_inclusive(self, tmp_path, day):
+        data = _two_day_data(tmp_path)
+        bounds = ["--from", day, "--to", day]
+        store, whole, out = tmp_path / "store", tmp_path / "whole", tmp_path / "out"
+        assert main(["build-od", "--in", str(data), "--out", str(store), *bounds]) == 0
+        assert list_od_dates(store, "municipality") == [date.fromisoformat(day)]
+        assert main(["build-od", "--in", str(data), "--out", str(whole)]) == 0
+        assert main(["flows", "--in", str(whole), "--out", str(out), *bounds]) == 0
+        assert main(["communities", "--in", str(whole), "--out", str(out), "--seed", "1",
+                     "--trials", "1", *bounds]) == 0
+        for table in (out / "flows" / "P1.csv", out / "flows" / "P2.csv", out / "communities.csv"):
+            assert [row.split(",")[0] for row in table.read_text().splitlines()[1:]] == [day]
+
+    def test_time_zone_moves_events_across_local_midnight(self, tmp_path):
+        data = _two_day_data(tmp_path)
+        store = tmp_path / "store"
+        # 09:00 and 11:00 UTC are 21:00 and 23:00 of the day before at UTC-12
+        assert main(["build-od", "--in", str(data), "--out", str(store), "--tz", "Etc/GMT+12"]) == 0
+        assert list_od_dates(store, "municipality") == [date(2020, 3, 1), date(2020, 3, 2)]
+        assert load_daily_od(store, date(2020, 3, 1), "municipality").cells == {("M1", "M2"): 1}
+        assert load_daily_od(store, date(2020, 3, 2), "municipality").cells == {("M1", "M3"): 1}
+
     def test_stale_store_files_do_not_reach_the_tables(self, scenario_dir, tmp_path):
         # scenario B: the same territory and dates as scenario_dir, other trips
         config = write_config(tmp_path / "b.json", seed=4)
@@ -322,18 +358,35 @@ class TestExitCodes:
             ("report", "--trials", "0"),
             ("report", "--dwell-seconds", "-1"),
             ("build-od", "--dwell-seconds", "-100"),
+            ("build-od", "--tz", "Mars/Base"),
+            ("report", "--tz", "../etc/passwd"),
+            ("build-od", "--from", "2020-02-30"),
+            ("flows", "--to", "yesterday"),
+            ("communities", "--from", "2020/03/02"),
+            ("report", "--split-date", "2020-13-01"),
+            ("cluster", "--k-range", "1:5"),
+            ("report", "--k-range", "9:3"),
         ],
     )
-    def test_out_of_range_option_is_usage_error(self, scenario_dir, tmp_path, capsys, command, option, value):
-        source = scenario_dir
-        if command == "communities":
-            source = tmp_path / "store"
-            assert main(["build-od", "--in", str(scenario_dir), "--out", str(source)]) == 0
-        out = tmp_path / "out"
-        seed = [] if command == "build-od" else ["--seed", "1"]
-        assert main([command, "--in", str(source), "--out", str(out), *seed, option, value]) == 1
+    def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, monkeypatch, command, option, value):
+        """A bad option value exits 1 before any input is read or anything is written."""
+
+        def ran(*args, **kwargs):
+            raise AssertionError("ran past option parsing")
+
+        monkeypatch.setattr(cli, "_staged", ran)
+        monkeypatch.setattr(cli.ingest, "parse_records", ran)
+        out = tmp_path / "parent" / "out"
+        seed = [] if command in ("build-od", "flows") else ["--seed", "1"]
+        assert main([command, "--in", str(tmp_path), "--out", str(out), *seed, option, value]) == 1
         assert f"argument {option}" in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_option_defaults_are_typed(self):
+        args = cli.build_parser().parse_args(["report", "--in", "d", "--out", "o", "--seed", "0"])
+        assert args.k_range is cli.cluster_mod.DEFAULT_K_RANGE
+        assert args.tz == ZoneInfo("Europe/Rome")
+        assert args.split_date is None
 
     def test_missing_registry_is_data_error(self, tmp_path, capsys):
         rc = main(["build-od", "--in", str(tmp_path / "nothing"), "--out", str(tmp_path / "o")])

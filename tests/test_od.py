@@ -25,6 +25,8 @@ from mobflow.od import (
 from oracles import aggregate_cells, count_cells, flow_graph, province_cube, same_od, window_cells
 
 DAY = date(2020, 3, 2)
+# store round trips draw from plain names and from names the csv module has to quote
+STORE_NAMES = [f"M{i}" for i in range(18)] + ["Roma, centro", 'say "hi"', ' "a",b']
 
 
 class TestBuildDailyOD:
@@ -117,6 +119,10 @@ class TestPersistence:
         od = DailyOD.from_cells(DAY, "municipality", {("M1", "M2"): 2, ("M3", "M1"): 7})
         store_daily_od(od, tmp_path)
         assert same_od(load_daily_od(tmp_path, DAY, "municipality"), od)
+        quoted = DailyOD.from_cells(DAY, "province", {("Roma, centro", 'say "hi"'): 3, ("P1", "P1"): 1})
+        path = store_daily_od(quoted, tmp_path)
+        assert path.read_text() == 'origin,destination,count\nP1,P1,1\n"Roma, centro","say ""hi""",3\n'
+        assert same_od(load_daily_od(tmp_path, DAY, "province"), quoted)
 
     def test_round_trip_empty_matrix(self, tmp_path):
         od = DailyOD.from_cells(DAY, "province", {})
@@ -157,7 +163,7 @@ class TestPersistence:
     )
     @settings(max_examples=50, deadline=None)
     def test_round_trip_any_matrix(self, tmp_path_factory, raw):
-        cells = {(f"M{o}", f"M{d}"): c for (o, d), c in raw.items()}
+        cells = {(STORE_NAMES[o], STORE_NAMES[d]): c for (o, d), c in raw.items()}
         od = DailyOD.from_cells(DAY, "municipality", cells)
         root = tmp_path_factory.mktemp("store")
         store_daily_od(od, root)
