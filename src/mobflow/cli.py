@@ -12,8 +12,10 @@ calls the same stage function, so each table has one path.
 `build_parser` parses every option value that can be checked without reading an
 input: a bad date, --k-range or --tz is a usage error before anything is read or
 written. Checks that need the territory (--k-range against its province count,
---provinces membership) run in the commands, before any stage. `_write_json`
-writes every result JSON file.
+--provinces membership) run in the commands, before any stage. `_write_csv` and
+`_write_json` write every result file: the stage modules return the tables and
+payloads. A file name built from a province id escapes `%` and `/`
+(`_file_name`), so that every id names one file inside its directory.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Every command writes into a
 fresh staging directory beside --out and publishes only on success: each
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import os
 import shutil
@@ -203,6 +206,16 @@ def _province_inputs(args) -> od.ProvinceCube:
     return _province_cube(_load_ods(store, args.from_date, args.to_date), _load_territory(store))
 
 
+def _file_name(name: str) -> str:
+    """`name` with `%` as `%25` and `/` as `%2F`: one file name, the same bytes for a name without them."""
+    return name.replace("%", "%25").replace("/", "%2F")
+
+
+def _write_csv(path: Path, rows) -> None:
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
@@ -300,7 +313,8 @@ def cmd_build_od(args, stage: Path) -> int:
 # where they appear once the command succeeds.
 def _write_flows(cube: od.ProvinceCube, stage: Path, out: Path) -> None:
     (stage / "flows").mkdir()
-    flows_mod.write_flow_csvs(flows_mod.compute_flows(cube), stage / "flows")
+    for province, rows in flows_mod.flow_tables(flows_mod.compute_flows(cube)):
+        _write_csv(stage / "flows" / f"{_file_name(province)}.csv", rows)
     print(f"flows: {len(cube.provinces)} provinces x {len(cube.dates)} days -> {out / 'flows'}")
 
 
@@ -321,9 +335,9 @@ def _diversity_series(cube: od.ProvinceCube, include_self: bool) -> _ByDirection
 
 
 def _write_diversity(by_direction: _ByDirection, stage: Path, out: Path) -> None:
-    diversity_mod.write_diversity_csv(list(by_direction.values()), stage / "diversity.csv")
+    _write_csv(stage / "diversity.csv", diversity_mod.diversity_table(by_direction.values()))
     for direction, diversity in by_direction.items():
-        diversity_mod.write_diversity_wide_csv(diversity, stage / f"diversity_{direction}_wide.csv")
+        _write_csv(stage / f"diversity_{direction}_wide.csv", diversity_mod.diversity_wide_table(diversity))
     print(f"diversity: tables -> {out}")
 
 
@@ -346,9 +360,8 @@ def _write_clusters(
         report["dropped_provinces"] = matrix.dropped
         _write_json(stage / f"cluster_{direction}.json", report)
         if selection.clustering is not None:
-            cluster_mod.write_members_csv(
-                selection.clustering, stage / f"cluster_{direction}_members.csv"
-            )
+            members = cluster_mod.members_table(selection.clustering)
+            _write_csv(stage / f"cluster_{direction}_members.csv", members)
         print(f"cluster[{direction}]: k*={selection.k_star} -> {out}")
     return selections
 
@@ -364,7 +377,7 @@ def cmd_cluster(args, stage: Path) -> int:
 
 
 def _write_communities(series: list[community_mod.DayCommunities], stage: Path, out: Path) -> None:
-    community_mod.write_community_counts_csv(series, stage / "communities.csv")
+    _write_csv(stage / "communities.csv", community_mod.community_counts_table(series))
     _write_json(stage / "partitions.json", [community_mod.partition_dump(day) for day in series])
     print(f"communities: {len(series)} days -> {out}")
 
@@ -393,7 +406,7 @@ def cmd_communities(args, stage: Path) -> int:
     )
     _write_communities(series, stage, Path(args.out))
     if wanted:
-        name = "_".join(sorted(wanted))
+        name = "_".join(_file_name(province) for province in sorted(wanted))
         dumps = [community_mod.partition_dump(day, keep) for day in series]
         _write_json(stage / f"partitions_{name}.json", dumps)
     return 0

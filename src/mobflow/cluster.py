@@ -9,10 +9,8 @@ is non-increasing in k and cannot be minimized literally.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -310,11 +308,9 @@ def clustering_report(selection: KSelection) -> dict:
     return report
 
 
-def write_members_csv(clustering: Clustering, path: str | Path) -> None:
-    """Per-cluster member list export: cluster,province."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "province"])
-        for j in range(clustering.k):
-            for province in clustering.members(j):
-                writer.writerow([j, province])
+def members_table(clustering: Clustering) -> Iterator[list]:
+    """Per-cluster member list: the header cluster,province, then a row per member."""
+    yield ["cluster", "province"]
+    for j in range(clustering.k):
+        for province in clustering.members(j):
+            yield [j, province]

@@ -18,7 +18,6 @@ result and error is the same however the days were shared.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import pickle
@@ -612,13 +611,11 @@ def community_count_series(
             _stop(helper, feeder)
 
 
-def write_community_counts_csv(days: Sequence[DayCommunities], path: str | Path) -> None:
-    """Export date,community_count,is_sunday rows (Sunday markers for plotting)."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "community_count", "is_sunday"])
-        for day in days:
-            writer.writerow([day.date.isoformat(), day.community_count, int(day.is_sunday)])
+def community_counts_table(days: Sequence[DayCommunities]) -> Iterator[list]:
+    """The header date,community_count,is_sunday, then a row per day (Sunday markers for plotting)."""
+    yield ["date", "community_count", "is_sunday"]
+    for day in days:
+        yield [day.date.isoformat(), day.community_count, int(day.is_sunday)]
 
 
 def partition_dump(

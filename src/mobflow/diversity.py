@@ -5,19 +5,18 @@ incoming trips over origin provinces, divided by log(N) with N the number of
 provinces in the territory, so values live in [0, 1]. Out-flow diversity is the
 mirror image over destinations. A day with no directed flow at all has no
 diversity value (absent, NaN in the arrays), which is different from a day
-with a single partner (diversity exactly 0).
+with a single partner (diversity exactly 0). `diversity_table` and
+`diversity_wide_table` lay the values out as table rows; the CLI writes them.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
 from itertools import groupby
 from operator import itemgetter
-from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -123,27 +122,22 @@ def weekend_contrast(diversity: ProvinceDiversity, split_date: date) -> list[Wee
 
 
 def _fields(row: list[float]) -> list[str]:
-    # repr of Python floats: numpy 2 prints an np.float64 as 'np.float64(x)'
+    # repr of Python floats (numpy 2 prints an np.float64 as 'np.float64(x)'); blank for an absent day
     return ["" if math.isnan(value) else repr(value) for value in row]
 
 
-def write_diversity_csv(diversities: Sequence[ProvinceDiversity], path: str | Path) -> None:
-    """Long export: date,province,direction,diversity with an empty field for absent days."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "province", "direction", "diversity"])
-        for diversity in diversities:
-            days = [day.isoformat() for day in diversity.dates]
-            for province, row in zip(diversity.provinces, diversity.values.tolist()):
-                writer.writerows(
-                    [day, province, diversity.direction, field] for day, field in zip(days, _fields(row))
-                )
-
-
-def write_diversity_wide_csv(diversity: ProvinceDiversity, path: str | Path) -> None:
-    """Wide export (one row per province, one column per date) for horizon-chart tooling."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["province"] + [day.isoformat() for day in diversity.dates])
+def diversity_table(diversities: Iterable[ProvinceDiversity]) -> Iterator[list[str]]:
+    """Long table: the header date,province,direction,diversity, then a row per province and day."""
+    yield ["date", "province", "direction", "diversity"]
+    for diversity in diversities:
+        days = [day.isoformat() for day in diversity.dates]
         for province, row in zip(diversity.provinces, diversity.values.tolist()):
-            writer.writerow([province] + _fields(row))
+            for day, field in zip(days, _fields(row)):
+                yield [day, province, diversity.direction, field]
+
+
+def diversity_wide_table(diversity: ProvinceDiversity) -> Iterator[list[str]]:
+    """Wide table (one row per province, one column per date) for horizon-chart tooling."""
+    yield ["province"] + [day.isoformat() for day in diversity.dates]
+    for province, row in zip(diversity.provinces, diversity.values.tolist()):
+        yield [province] + _fields(row)

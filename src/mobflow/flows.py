@@ -4,14 +4,14 @@ Out-flow counts trips leaving the province for any other province, in-flow
 counts trips arriving from any other province, and self-flow is the province's
 self-loop (trips between its own municipalities). Normalized variants divide by
 the series maximum over the requested date range, so the busiest day maps to 1.
+`flow_tables` lays the series out as table rows; the CLI writes them.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -55,8 +55,8 @@ def compute_flows(cube: ProvinceCube) -> ProvinceFlows:
     return ProvinceFlows(cube.provinces, cube.dates, in_flow, out_flow, self_flow, *norms)
 
 
-def write_flow_csvs(flows: ProvinceFlows, out_dir: str | Path) -> None:
-    """Export one <province>.csv per province: date,in,out,self,in_norm,out_norm,self_norm."""
+def flow_tables(flows: ProvinceFlows) -> Iterator[tuple[str, list]]:
+    """Each province with its table: the header CSV_HEADER, then a row per date."""
     days = [day.isoformat() for day in flows.dates]
     # Python ints and floats, which csv writes as their repr
     columns = [
@@ -64,7 +64,4 @@ def write_flow_csvs(flows: ProvinceFlows, out_dir: str | Path) -> None:
         for name in ("in_flow", "out_flow", "self_flow", "in_norm", "out_norm", "self_norm")
     ]
     for i, province in enumerate(flows.provinces):
-        with (Path(out_dir) / f"{province}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(zip(days, *(column[i] for column in columns)))
+        yield province, [CSV_HEADER, *zip(days, *(column[i] for column in columns))]

@@ -214,7 +214,7 @@ def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
     """Load one stored matrix; round-trips store_daily_od bit-exactly.
 
     A repeated (origin, destination) row, a municipality self-loop, or a count
-    that is not a positive integer raises ODSchemaError naming the file.
+    that is not a positive integer below 2**63 raises ODSchemaError naming the file.
     """
     directory = _granularity_dir(root, granularity)
     path = directory / f"{day.isoformat()}.csv"
@@ -238,9 +238,10 @@ def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
                 raise ODSchemaError(f"{path}: repeated row {row!r}")
             if granularity == "municipality" and row[0] == row[1]:
                 raise ODSchemaError(f"{path}: self-loop row {row!r}")
-            if not row[2].isdecimal() or int(row[2]) < 1:
-                raise ODSchemaError(f"{path}: count in row {row!r} is not a positive integer")
-            cells[(row[0], row[1])] = int(row[2])
+            count = int(row[2]) if row[2].isdecimal() else 0
+            if not 1 <= count < 2**63:  # the counts are int64
+                raise ODSchemaError(f"{path}: count in row {row!r} is not a positive int64")
+            cells[(row[0], row[1])] = count
     return DailyOD.from_cells(day, granularity, cells)
 
 

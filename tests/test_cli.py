@@ -2,6 +2,7 @@
 
 import json
 import runpy
+import shutil
 import sys
 from datetime import date
 from pathlib import Path
@@ -397,6 +398,16 @@ class TestExitCodes:
         rc = main(["flows", "--in", str(tmp_path / "void"), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_store_count_outside_int64_is_data_error(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(_two_day_data(tmp_path)), "--out", str(store)]) == 0
+        path = store / "od" / "municipality" / "2020-03-02.csv"
+        path.write_text("origin,destination,count\nM1,M2,99999999999999999999\n")
+        capsys.readouterr()
+        assert main(["flows", "--in", str(store), "--out", str(tmp_path / "out")]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_command_removes_new_outputs(self, scenario_dir, tmp_path):
         config = write_config(tmp_path / "three.json", n_provinces=3, n_days=4, lockdown_day=2)
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "three")]) == 0
@@ -529,6 +540,24 @@ class TestOutOfRangeTimestamps:
 
 class TestStagedOutputs:
     """Each command's top-level outputs replace their namesakes under --out, only on success."""
+
+    def test_province_ids_name_files_inside_out(self, scenario_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(scenario_dir, data)
+        registry = data / "registry.csv"
+        text = registry.read_text().replace(",P000\n", ",../../evil\n")
+        registry.write_text(text.replace(",P001\n", ",Bolzano/Bozen\n"))
+        before = {p for p in tmp_path.rglob("*") if p.is_file()}
+        out = tmp_path / "res" / "out"
+        assert main(["report", "--in", str(data), "--out", str(out), "--seed", "0", "--trials", "1"]) == 0
+        store = out / "od-store"
+        assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "0", "--trials", "1",
+                     "--provinces", "../../evil,Bolzano/Bozen"]) == 0
+        assert {p for p in tmp_path.rglob("*") if p.is_file() and out not in p.parents} == before
+        assert {"..%2F..%2Fevil.csv", "Bolzano%2FBozen.csv"} <= {p.name for p in (out / "flows").iterdir()}
+        assert len(list((out / "flows").iterdir())) == 5
+        assert (out / "partitions_..%2F..%2Fevil_Bolzano%2FBozen.json").is_file()
+        _assert_no_staging(out)
 
     def test_synth_rerun_replaces_the_record_directories(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -21,9 +21,9 @@ from mobflow.community import (
     Partition,
     PowerIterationError,
     community_count_series,
+    community_counts_table,
     infomap,
     stationary_flow,
-    write_community_counts_csv,
     partition_dump,
 )
 from mobflow.od import DailyOD
@@ -386,7 +386,7 @@ class TestCommunityCountSeries:
         ods = [_od({("a", "b"): 1, ("b", "a"): 1}, d) for d in (sunday, sunday + timedelta(days=1))]
         series = community_count_series(ods, seed=0, trials=2)
         out = tmp_path / "counts.csv"
-        write_community_counts_csv(series, out)
+        cli._write_csv(out, community_counts_table(series))
         lines = out.read_text().splitlines()
         assert lines[0] == "date,community_count,is_sunday"
         assert lines[1] == "2020-03-08,1,1"

@@ -9,14 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mobflow import synth
+from mobflow import cli, synth
 from mobflow.diversity import (
     DIRECTIONS,
     diversity_series,
     flow_diversity,
+    diversity_table,
+    diversity_wide_table,
     weekend_contrast,
-    write_diversity_csv,
-    write_diversity_wide_csv,
 )
 from mobflow.cluster import SeriesMatrix
 from mobflow.flows import compute_flows
@@ -276,7 +276,7 @@ class TestDiversitySeries:
     def test_csv_blank_for_absent(self, tmp_path):
         cube = ProvinceCube.from_ods([DailyOD.from_cells(DAY, "province", {})], TERRITORY_110)
         out = tmp_path / "d.csv"
-        write_diversity_csv([diversity_series(cube, "in")], out)
+        cli._write_csv(out, diversity_table([diversity_series(cube, "in")]))
         assert out.read_text().splitlines()[1] == "2020-03-02,A,in,"
 
     def test_csv_values_are_python_float_reprs(self, tmp_path):
@@ -284,11 +284,11 @@ class TestDiversitySeries:
         cube = ProvinceCube.from_ods([od, DailyOD.from_cells(DAY + timedelta(days=1), "province", {})], "ABC")
         diversity = diversity_series(cube, "out")
         expected = repr(flow_diversity([30, 10], 3))
-        write_diversity_csv([diversity], tmp_path / "long.csv")
+        cli._write_csv(tmp_path / "long.csv", diversity_table([diversity]))
         assert (tmp_path / "long.csv").read_text().splitlines()[1:3] == [
             f"2020-03-02,A,out,{expected}", "2020-03-03,A,out,"
         ]
-        write_diversity_wide_csv(diversity, tmp_path / "wide.csv")
+        cli._write_csv(tmp_path / "wide.csv", diversity_wide_table(diversity))
         assert (tmp_path / "wide.csv").read_text().splitlines() == [
             "province,2020-03-02,2020-03-03", f"A,{expected},", "B,0.0,", "C,,",
         ]

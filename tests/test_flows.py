@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobflow import synth
-from mobflow.flows import compute_flows, write_flow_csvs
+from mobflow import cli, synth
+from mobflow.flows import compute_flows, flow_tables
 from mobflow.od import DailyOD, ProvinceCube, UnknownProvinceError
 
 DAY = date(2020, 3, 2)
@@ -78,7 +78,8 @@ class TestComputeFlows:
 
     def test_csv_export_schema(self, tmp_path):
         od = province_od({("P", "Q"): 3, ("Q", "P"): 1, ("P", "P"): 5})
-        write_flow_csvs(compute_flows(ProvinceCube.from_ods([od], ["P", "Q"])), tmp_path)
+        for province, rows in flow_tables(compute_flows(ProvinceCube.from_ods([od], ["P", "Q"]))):
+            cli._write_csv(tmp_path / f"{province}.csv", rows)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["P.csv", "Q.csv"]
         header, row = (tmp_path / "P.csv").read_text().splitlines()
         assert header == "date,in,out,self,in_norm,out_norm,self_norm"

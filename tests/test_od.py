@@ -200,13 +200,17 @@ class TestPersistence:
         with pytest.raises(ODSchemaError, match=f"{path.name}: self-loop row"):
             load_daily_od(tmp_path, DAY, "municipality")
 
-    @pytest.mark.parametrize("count", ["0", "-2", "2.5", "x"])
+    @pytest.mark.parametrize("count", ["0", "-2", "2.5", "x", "9223372036854775808", "99999999999999999999"])
     def test_count_must_be_a_positive_integer(self, tmp_path, count):
         store_daily_od(DailyOD.from_cells(DAY, "province", {("P1", "P2"): 3}), tmp_path)
         path = tmp_path / "od" / "province" / f"{DAY.isoformat()}.csv"
         path.write_text(f"origin,destination,count\nP1,P2,{count}\n")
         with pytest.raises(ODSchemaError, match=f"{path.name}: count"):
             load_daily_od(tmp_path, DAY, "province")
+
+    def test_count_at_the_int64_limit_loads(self, tmp_path):
+        store_daily_od(DailyOD.from_cells(DAY, "province", {("P1", "P2"): 2**63 - 1}), tmp_path)
+        assert load_daily_od(tmp_path, DAY, "province").cells == {("P1", "P2"): 2**63 - 1}
 
 
 @st.composite
