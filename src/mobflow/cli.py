@@ -15,7 +15,8 @@ written. Checks that need the territory (--k-range against its province count,
 --provinces membership) run in the commands, before any stage. `_write_csv` and
 `_write_json` write every result file: the stage modules return the tables and
 payloads. A file name built from a province id escapes `%` and `/`
-(`_file_name`), so that every id names one file inside its directory.
+(`_file_name`), so that every id names one file inside its directory;
+`partitions_<provinces>.json` also escapes `_`, which joins the ids.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Every command writes into a
 fresh staging directory beside --out and publishes only on success: each
@@ -186,7 +187,26 @@ def _load_territory(store: Path) -> dict[str, str]:
     if not path.exists():
         raise FileNotFoundError(f"{path} missing; run build-od first")
     with path.open() as fh:
-        return json.load(fh)["muni_to_province"]
+        payload = json.load(fh)
+    mapping = payload.get("muni_to_province") if isinstance(payload, dict) else None
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{path}: expected an object whose muni_to_province field is an object")
+    return mapping
+
+
+def _split_from_truth(path: Path) -> date | None:
+    """The last regime's start date in ground_truth.json, or None for a single regime."""
+    with path.open() as fh:
+        payload = json.load(fh)
+    regimes = payload.get("regimes", []) if isinstance(payload, dict) else None
+    if not isinstance(regimes, list):
+        raise ValueError(f"{path}: expected an object whose regimes field is a list")
+    if len(regimes) < 2:
+        return None
+    try:
+        return date.fromisoformat(regimes[-1]["start_date"])
+    except (KeyError, TypeError, ValueError):  # no such field, not an object or string, not a date
+        raise ValueError(f"{path}: regimes[{len(regimes) - 1}] has no ISO-date start_date") from None
 
 
 def _load_ods(store: Path, lo: date | None = None, hi: date | None = None) -> list[od.DailyOD]:
@@ -354,6 +374,13 @@ def _write_clusters(
     selections = {}
     for direction, diversity in by_direction.items():
         matrix = cluster_mod.SeriesMatrix.from_diversity(diversity)
+        if len(matrix.provinces) < k_range.start:
+            raise ValueError(
+                f"cluster[{direction}]: {len(matrix.provinces)} province(s) left to cluster, fewer than"
+                f" --k-range's start {k_range.start}; dropped as absent on more than"
+                f" {cluster_mod.MAX_ABSENT_FRACTION:.0%} of the days (MAX_ABSENT_FRACTION):"
+                f" {', '.join(matrix.dropped)}"
+            )
         ks = range(k_range.start, min(k_range.stop - 1, len(matrix.provinces)) + 1)
         selection = selections[direction] = cluster_mod.select_k(matrix, ks, seed=seed)
         report = cluster_mod.clustering_report(selection)
@@ -406,7 +433,8 @@ def cmd_communities(args, stage: Path) -> int:
     )
     _write_communities(series, stage, Path(args.out))
     if wanted:
-        name = "_".join(_file_name(province) for province in sorted(wanted))
+        # `_` joins the ids, so an id's own `_` is escaped: distinct sets get distinct names
+        name = "_".join(_file_name(province).replace("_", "%5F") for province in sorted(wanted))
         dumps = [community_mod.partition_dump(day, keep) for day in series]
         _write_json(stage / f"partitions_{name}.json", dumps)
     return 0
@@ -419,10 +447,7 @@ def cmd_report(args, stage: Path) -> int:
     split = args.split_date
     truth_path = in_dir / "ground_truth.json"
     if split is None and truth_path.exists():
-        with truth_path.open() as fh:
-            regimes = json.load(fh).get("regimes", [])
-        if len(regimes) > 1:
-            split = date.fromisoformat(regimes[-1]["start_date"])
+        split = _split_from_truth(truth_path)
     if split is None:
         raise UsageError("report needs --split-date (no regime schedule found in ground_truth.json)")
     registry = ingest.load_registry(in_dir / "registry.csv")

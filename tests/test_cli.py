@@ -408,6 +408,43 @@ class TestExitCodes:
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [["M1", "P1"], {"provinces": {"M1": "P1"}}, {"muni_to_province": [["M1", "P1"]]}],
+        ids=["list", "missing_field", "list_field"],
+    )
+    def test_malformed_territory_is_data_error(self, tmp_path, capsys, payload):
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(_two_day_data(tmp_path)), "--out", str(store)]) == 0
+        path = store / "territory.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["flows", "--in", str(store), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "muni_to_province" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_regime_without_start_date_is_data_error(self, tmp_path, capsys):
+        data = _two_day_data(tmp_path)
+        truth = data / "ground_truth.json"
+        truth.write_text(json.dumps({"regimes": [{"start_date": "2020-03-02"}, {"flow_scale": 0.4}]}))
+        out = tmp_path / "out"
+        assert main(["report", "--in", str(data), "--out", str(out), "--seed", "0", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(truth) in err and "regimes[1]" in err and "start_date" in err
+        assert not out.exists()
+
+    def test_too_few_provinces_left_after_imputation_is_named(self, tmp_path, capsys):
+        # P1 has no in-flow on either day, so imputation drops it and one province is left to cluster
+        out = tmp_path / "out"
+        assert main(["report", "--in", str(_two_day_data(tmp_path)), "--out", str(out), "--seed", "0",
+                     "--trials", "1", "--split-date", "2020-03-03"]) == 2
+        err = capsys.readouterr().err
+        assert "cluster[in]: 1 province(s) left to cluster, fewer than --k-range's start 2" in err
+        assert "absent on more than 50% of the days (MAX_ABSENT_FRACTION): P1" in err
+        assert "k_range must lie within" not in err
+        assert not out.exists()
+
     def test_failed_command_removes_new_outputs(self, scenario_dir, tmp_path):
         config = write_config(tmp_path / "three.json", n_provinces=3, n_days=4, lockdown_day=2)
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "three")]) == 0
@@ -558,6 +595,32 @@ class TestStagedOutputs:
         assert len(list((out / "flows").iterdir())) == 5
         assert (out / "partitions_..%2F..%2Fevil_Bolzano%2FBozen.json").is_file()
         _assert_no_staging(out)
+
+    def test_province_sets_name_distinct_partition_files(self, tmp_path):
+        data = tmp_path / "data"
+        (data / "xdr").mkdir(parents=True)
+        (data / "registry.csv").write_text(
+            "antenna_id,lat,lon,municipality_id,province_id\n"
+            "A1,45.0,9.0,M1,A_B\nA2,45.1,9.1,M2,C\nA3,45.2,9.2,M3,A\nA4,45.3,9.3,M4,B_C\n"
+        )
+        # on 2020-03-02 (Europe/Rome), u1 goes M1 -> M2 and u2 goes M3 -> M4
+        (data / "xdr" / "x.csv").write_text(
+            "user_id,timestamp,antenna,kilobytes\n"
+            "u1,1583139600,A1,5\nu1,1583146800,A2,5\nu2,1583139600,A3,5\nu2,1583146800,A4,5\n"
+        )
+        store, out = tmp_path / "store", tmp_path / "out"
+        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
+        for provinces in ("A_B,C", "A,B_C"):
+            assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "0", "--trials", "1",
+                         "--provinces", provinces]) == 0
+        kept = {}
+        for name in ("partitions_A%5FB_C.json", "partitions_A_B%5FC.json"):
+            dump = json.loads((out / name).read_text())
+            kept[name] = sorted(m for day in dump for mod in day["modules"] for m in mod["municipalities"])
+        assert kept == {"partitions_A%5FB_C.json": ["M1", "M2"], "partitions_A_B%5FC.json": ["M3", "M4"]}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "communities.csv", "partitions.json", "partitions_A%5FB_C.json", "partitions_A_B%5FC.json"
+        ]
 
     def test_synth_rerun_replaces_the_record_directories(self, tmp_path, capsys):
         data = tmp_path / "data"

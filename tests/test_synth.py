@@ -1,7 +1,10 @@
 """Scenario generator: determinism, conservation against ingest, planted effects."""
 
 import json
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,6 +80,86 @@ class TestDeterminism:
         synth.generate(small_config(seed=1), tmp_path / "a")
         synth.generate(small_config(seed=2), tmp_path / "b")
         assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "b")
+
+
+# A two-day lockdown scenario whose first day's draws reject one Lemire product
+# (about 3.5e-7 per trip, so random configs never do): without the rejection
+# loop its bytes would differ from numpy's.
+REJECTING_CONFIG = synth.lockdown_scenario_config(
+    3944, n_provinces=3, municipalities_per_province=3, n_days=2, lockdown_day=1, inter_trips_per_province=40,
+    intra_trips_per_pair=20, dwell_violation_rate=0.3, antennas_per_municipality=3,
+)
+
+
+class TestGeneratedBytes:
+    """`generate` draws its per-trip values from `synth._Draws`; the files are those numpy's draws write."""
+
+    @given(small_configs())
+    @example(REJECTING_CONFIG)
+    @settings(max_examples=30, deadline=None)
+    def test_replica_writes_the_bytes_of_numpys_generator(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            synth.generate(config, root / "replica")
+            with mock.patch.object(synth, "_Draws", np.random.default_rng):
+                synth.generate(config, root / "numpy")
+            assert tree_digest(root / "replica") == tree_digest(root / "numpy")
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (REJECTING_CONFIG, "b368a0605650a1a9a93874d3bc1a297fd92cfb5b7208b4f03675a2b57e886e45"),
+            (
+                synth.planted_levels_config(4, n_provinces=8, n_days=3, municipalities_per_province=2,
+                                            dwell_violation_rate=0.3),
+                "24537ba22ee262c5a6b18017a92c8c2a989895a0abb3984f19bc8a9f3cc4cd5b",
+            ),
+        ],
+        ids=["lockdown", "planted_levels"],
+    )
+    def test_generated_bytes_are_pinned(self, tmp_path, config, digest):
+        # written by numpy's own scalar Generator calls, so any change to the draw stream fails here
+        synth.generate(config, tmp_path)
+        assert tree_digest(tmp_path) == digest
+
+
+# Widths where generate draws (antenna picks, minutes, kilobytes), anywhere up to
+# the widest range, and just above 2**31, where about half of all products are rejected.
+_WIDTHS = st.one_of(
+    st.integers(1, 3000),
+    st.integers(1, 2**32),
+    st.integers(2**31 + 1, 2**31 + 2**20),
+    st.sampled_from([2**31, 2**32 - 1, 2**32]),
+)
+_CALLS = st.lists(st.one_of(st.none(), st.tuples(st.integers(-(2**40), 2**40), _WIDTHS)), max_size=60)
+
+
+class TestDraws:
+    @given(
+        seed=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        calls=_CALLS,
+        fetch=st.sampled_from([1, 2, 3, 7, synth._WORDS_PER_FETCH]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_returns_numpys_values_for_any_sequence_of_calls(self, seed, calls, fetch):
+        """`None` calls random(), (low, width) calls integers(low, low + width); small fetches cross chunk ends."""
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(synth, "_WORDS_PER_FETCH", fetch):
+            draws = synth._Draws(seed)
+            for call in calls:
+                if call is None:
+                    got, want = draws.random(), rng.random()
+                    assert type(got) is float
+                else:
+                    low, width = call
+                    got, want = draws.integers(low, low + width), rng.integers(low, low + width)
+                    assert type(got) is int
+                assert got == want, call
+
+    @pytest.mark.parametrize("low, high", [(0, 0), (5, 4), (0, 2**32 + 1), (-(2**40), 2**40)])
+    def test_rejects_empty_and_over_wide_ranges(self, low, high):
+        with pytest.raises(ValueError, match="width"):
+            synth._Draws(0).integers(low, high)
 
 
 class TestConservation:
