@@ -16,7 +16,7 @@ from collections import Counter
 from mobflow import synth
 from mobflow.cluster import SeriesMatrix, select_k
 from mobflow.diversity import diversity_series
-from mobflow.od import ProvinceCube
+from mobflow.od import aggregate_to_province
 
 
 def main() -> int:
@@ -31,7 +31,7 @@ def main() -> int:
     for seed in range(args.seeds):
         config = synth.planted_levels_config(seed=seed, levels=levels, n_days=args.days)
         plan = synth.generate_plan(config)
-        cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
+        cube = aggregate_to_province(plan.municipality_ods(), plan.territory.muni_to_province)
         matrix = SeriesMatrix.from_diversity(diversity_series(cube, "out"))
         selection = select_k(matrix, range(2, 21), seed=seed)
         picks[selection.k_star] += 1

@@ -1,7 +1,7 @@
 """Command-line entry point: scenario synthesis, OD building, and all analysis tables.
 
-An OD store holds only the daily municipality matrices and territory.json;
-every command that needs province matrices derives them in memory on each read.
+An OD store holds only the daily municipality matrices and territory.json; a
+command needing province matrices aggregates them on each read (`od.aggregate_to_province`).
 `report` is one in-memory pass: it builds the municipality ODs once, stores them
 under <out>/od-store and derives every table from them without reading back
 anything it wrote. It starts community detection as soon as the ODs exist, so
@@ -194,6 +194,16 @@ def _load_territory(store: Path) -> dict[str, str]:
     return mapping
 
 
+def _file_field(path: Path, field: str, read):
+    """`read()` of a scenario file's `field`; its data errors become ScenarioConfigErrors naming both."""
+    try:
+        return read()
+    except KeyError:
+        raise synth.ScenarioConfigError(f"{path}: no {field}") from None
+    except (TypeError, ValueError) as exc:  # of another type, or out of range
+        raise synth.ScenarioConfigError(f"{path}: bad {field}: {exc}") from None
+
+
 def _split_from_truth(path: Path) -> date | None:
     """The last regime's start date in ground_truth.json, or None for a single regime."""
     with path.open() as fh:
@@ -203,10 +213,8 @@ def _split_from_truth(path: Path) -> date | None:
         raise ValueError(f"{path}: expected an object whose regimes field is a list")
     if len(regimes) < 2:
         return None
-    try:
-        return date.fromisoformat(regimes[-1]["start_date"])
-    except (KeyError, TypeError, ValueError):  # no such field, not an object or string, not a date
-        raise ValueError(f"{path}: regimes[{len(regimes) - 1}] has no ISO-date start_date") from None
+    i = len(regimes) - 1
+    return _file_field(path, f"regimes[{i}].start_date", lambda: date.fromisoformat(regimes[i]["start_date"]))
 
 
 def _load_ods(store: Path, lo: date | None = None, hi: date | None = None) -> list[od.DailyOD]:
@@ -215,15 +223,9 @@ def _load_ods(store: Path, lo: date | None = None, hi: date | None = None) -> li
     return [od.load_daily_od(store, d, "municipality") for d in days]
 
 
-def _province_cube(muni_ods: list[od.DailyOD], territory: dict[str, str]) -> od.ProvinceCube:
-    """The province aggregates of the municipality ODs, derived in memory, as one cube."""
-    province_ods = [od.aggregate_to_province(muni_od, territory) for muni_od in muni_ods]
-    return od.ProvinceCube.from_ods(province_ods, set(territory.values()))
-
-
 def _province_inputs(args) -> od.ProvinceCube:
     store = Path(args.in_dir)
-    return _province_cube(_load_ods(store, args.from_date, args.to_date), _load_territory(store))
+    return od.aggregate_to_province(_load_ods(store, args.from_date, args.to_date), _load_territory(store))
 
 
 def _file_name(name: str) -> str:
@@ -243,17 +245,19 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _scenario_config(payload: dict, seed_override: int | None) -> synth.ScenarioConfig:
-    payload = dict(payload)
+def _scenario_config(path: Path, seed_override: int | None) -> synth.ScenarioConfig:
+    with path.open(encoding="utf-8") as fh:
+        payload = _file_field(path, "JSON", lambda: json.load(fh))
+    if not isinstance(payload, dict):
+        raise synth.ScenarioConfigError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     preset = payload.pop("preset", None)
     if seed_override is not None:
         payload["seed"] = seed_override
     if payload.get("seed") is None:
         raise UsageError("synth needs a seed, via the config file or --seed")
-    payload["seed"] = int(payload["seed"])
-    for key in ("start_date",):
-        if key in payload:
-            payload[key] = date.fromisoformat(payload[key])
+    payload["seed"] = _file_field(path, "seed", lambda: int(payload["seed"]))
+    if "start_date" in payload:
+        payload["start_date"] = _file_field(path, "start_date", lambda: date.fromisoformat(payload["start_date"]))
     try:
         if preset == "lockdown":
             return synth.lockdown_scenario_config(**payload)
@@ -263,12 +267,12 @@ def _scenario_config(payload: dict, seed_override: int | None) -> synth.Scenario
             raise UsageError(f"unknown preset {preset!r}")
         payload["regimes"] = [
             synth.RegimePhase(
-                start_date=date.fromisoformat(r["start_date"]),
+                _file_field(path, f"regimes[{i}].start_date", lambda: date.fromisoformat(r["start_date"])),
                 flow_scale=r.get("flow_scale", 1.0),
                 bridge_scale=r.get("bridge_scale", 1.0),
                 weekend_concentration=r.get("weekend_concentration", 1.0),
             )
-            for r in payload.get("regimes", [])
+            for i, r in enumerate(payload.get("regimes", []))
         ]
         return synth.ScenarioConfig(**payload)
     except TypeError as exc:
@@ -276,9 +280,7 @@ def _scenario_config(payload: dict, seed_override: int | None) -> synth.Scenario
 
 
 def cmd_synth(args, stage: Path) -> int:
-    with open(args.config) as fh:
-        payload = json.load(fh)
-    config = _scenario_config(payload, args.seed)
+    config = _scenario_config(Path(args.config), args.seed)
     scenario = synth.generate(config, stage)
     days = len(config.dates)
     trips = sum(t.total for t in scenario.plan.daily_totals.values())
@@ -397,7 +399,7 @@ def cmd_cluster(args, stage: Path) -> int:
     store = Path(args.in_dir)
     territory = _load_territory(store)
     _check_k_range(args.k_range, territory)
-    cube = _province_cube(_load_ods(store, args.from_date, args.to_date), territory)
+    cube = od.aggregate_to_province(_load_ods(store, args.from_date, args.to_date), territory)
     by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
     _write_clusters(by_direction, args.k_range, args.seed, stage, Path(args.out))
     return 0
@@ -420,7 +422,7 @@ def cmd_communities(args, stage: Path) -> int:
     nodes = set(territory)
     keep = [m for m, p in territory.items() if p in wanted]
     if args.granularity == "province":
-        ods = [od.aggregate_to_province(muni_od, territory) for muni_od in ods]
+        ods = od.aggregate_to_province(ods, territory).ods()
         nodes = set(territory.values())
         keep = wanted
     series = community_mod.community_count_series(
@@ -454,7 +456,7 @@ def cmd_report(args, stage: Path) -> int:
     _check_k_range(args.k_range, registry.muni_to_province)
 
     territory, muni_ods = _build_od(registry, in_dir, stage / "od-store", args.dwell_seconds, args.tz)
-    cube = _province_cube(muni_ods, territory)
+    cube = od.aggregate_to_province(muni_ods, territory)
     by_direction = selections = None
 
     def tables() -> None:  # runs while a helper process, if one started, detects communities

@@ -103,36 +103,38 @@ class ParseResult:
 
 
 def load_registry(path: str | Path) -> AntennaRegistry:
-    """Load an antenna registry CSV (antenna_id,lat,lon,municipality_id,province_id)."""
+    """Load an antenna registry CSV (antenna_id,lat,lon,municipality_id,province_id), UTF-8 encoded."""
     path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise RegistryError(f"{path}: not UTF-8 text: {exc}") from None
     entries: dict[str, AntennaSite] = {}
     muni_province: dict[str, str] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != REGISTRY_COLUMNS:
-            raise RegistryError(f"{path}: expected header {','.join(REGISTRY_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(REGISTRY_COLUMNS):
-                raise RegistryError(f"{path}:{lineno}: expected {len(REGISTRY_COLUMNS)} fields")
-            antenna_id, lat_s, lon_s, muni, prov = (f.strip() for f in row)
-            try:
-                lat, lon = float(lat_s), float(lon_s)
-            except ValueError as exc:
-                raise RegistryError(f"{path}:{lineno}: bad coordinates") from exc
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                raise RegistryError(f"{path}:{lineno}: coordinates out of range")
-            if antenna_id in entries:
-                raise RegistryError(f"{path}:{lineno}: duplicate antenna id {antenna_id!r}")
-            known = muni_province.get(muni)
-            if known is not None and known != prov:
-                raise RegistryError(
-                    f"{path}:{lineno}: municipality {muni!r} mapped to two provinces ({known!r}, {prov!r})"
-                )
-            muni_province[muni] = prov
-            entries[antenna_id] = AntennaSite(lat, lon, muni, prov)
+    if not rows or [c.strip() for c in rows[0]] != REGISTRY_COLUMNS:
+        raise RegistryError(f"{path}: expected header {','.join(REGISTRY_COLUMNS)}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(REGISTRY_COLUMNS):
+            raise RegistryError(f"{path}:{lineno}: expected {len(REGISTRY_COLUMNS)} fields")
+        antenna_id, lat_s, lon_s, muni, prov = (f.strip() for f in row)
+        try:
+            lat, lon = float(lat_s), float(lon_s)
+        except ValueError as exc:
+            raise RegistryError(f"{path}:{lineno}: bad coordinates") from exc
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            raise RegistryError(f"{path}:{lineno}: coordinates out of range")
+        if antenna_id in entries:
+            raise RegistryError(f"{path}:{lineno}: duplicate antenna id {antenna_id!r}")
+        known = muni_province.get(muni)
+        if known is not None and known != prov:
+            raise RegistryError(
+                f"{path}:{lineno}: municipality {muni!r} mapped to two provinces ({known!r}, {prov!r})"
+            )
+        muni_province[muni] = prov
+        entries[antenna_id] = AntennaSite(lat, lon, muni, prov)
     return AntennaRegistry(entries=entries)
 
 
@@ -251,19 +253,22 @@ def parse_records(
 
 
 def _data_rows(path: str | Path, columns: list[str], tally: RejectionTally):
-    """Yield the stripped fields of each well-shaped data row of a record file."""
-    with Path(path).open(newline="") as fh:
+    """Yield the stripped fields of each well-shaped data row of a UTF-8 record file."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != columns:
-            raise ValueError(f"{path}: expected header {','.join(columns)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(columns):
-                tally.malformed += 1
-                continue
-            yield [f.strip() for f in row]
+        try:
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header] != columns:
+                raise ValueError(f"{path}: expected header {','.join(columns)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    tally.malformed += 1
+                    continue
+                yield [f.strip() for f in row]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _local_days(timestamp: np.ndarray, tz: tzinfo) -> tuple[list[date], np.ndarray]:

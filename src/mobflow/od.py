@@ -4,7 +4,9 @@ A matrix is held sparsely as int64 (origin code, destination code, trip count)
 rows over the sorted names its cells use, from trip counting to the
 map-equation graph. Municipality matrices never contain self-loops (a trip
 requires two distinct municipalities); province matrices carry intra-province
-trips as self-loops, the province's internal mobility.
+trips as self-loops, the province's internal mobility. They come from one path:
+`aggregate_to_province` adds municipality days into a dense `ProvinceCube`,
+and `ProvinceCube.ods` reads the daily province graphs back from it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,10 +34,6 @@ class ODSchemaError(ValueError):
 
 class UnmappedMunicipalityError(KeyError):
     """Raised when aggregation meets a municipality absent from the territory index."""
-
-
-class UnknownProvinceError(ValueError):
-    """Raised when a province matrix holds a province absent from the territory index."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,16 +83,6 @@ class DailyOD:
         used_names = tuple(unique[used].tolist())
         return cls(day, granularity, used_names, code[: len(keys)], code[len(keys):], summed)
 
-    @classmethod
-    def from_cells(
-        cls, day: date, granularity: str, cells: Mapping[tuple[str, str], int]
-    ) -> "DailyOD":
-        """The matrix of `cells`, (origin, destination) names -> count, named from the keys."""
-        names = [name for pair in cells for name in pair]
-        codes = np.arange(len(names))
-        counts = np.array(list(cells.values()), dtype=np.int64)
-        return cls.from_codes(day, granularity, names, codes[0::2], codes[1::2], counts)
-
     @property
     def cells(self) -> dict[tuple[str, str], int]:
         """A new (origin, destination) -> count dict of the rows, in row order."""
@@ -116,28 +104,12 @@ class ProvinceCube:
     provinces: tuple[str, ...]
     counts: np.ndarray
 
-    @classmethod
-    def from_ods(cls, province_ods: Sequence[DailyOD], provinces: Iterable[str]) -> "ProvinceCube":
-        """Stack the matrices; rejects other granularities, repeated dates and unknown provinces."""
-        provinces = tuple(sorted(provinces))
-        position = {province: i for i, province in enumerate(provinces)}
-        counts = np.zeros((len(province_ods), len(provinces), len(provinces)), dtype=np.int64)
-        seen = set()
-        for d, od in enumerate(province_ods):
-            if od.granularity != "province":
-                raise ValueError("a province cube needs province-granularity matrices")
-            if od.date in seen:
-                raise ValueError(f"duplicate date {od.date} in OD sequence")
-            seen.add(od.date)
-            try:
-                code = np.array([position[name] for name in od.names], dtype=np.int64)
-            except KeyError as exc:
-                raise UnknownProvinceError(
-                    f"province {exc.args[0]!r} on {od.date} is not present in the territory index"
-                ) from None
-            counts[d, code[od.origin], code[od.destination]] = od.count
-        counts.flags.writeable = False
-        return cls(dates=tuple(od.date for od in province_ods), provinces=provinces, counts=counts)
+    def ods(self) -> list[DailyOD]:
+        """Each day's non-zero cells as a province matrix, in the cube's date order."""
+        return [
+            DailyOD.from_codes(day, "province", self.provinces, o, q, counts[o, q])
+            for day, counts, (o, q) in zip(self.dates, self.counts, map(np.nonzero, self.counts))
+        ]
 
 
 def build_daily_od(trips: np.ndarray, names: Sequence[str], day: date) -> DailyOD:
@@ -145,20 +117,31 @@ def build_daily_od(trips: np.ndarray, names: Sequence[str], day: date) -> DailyO
     return DailyOD.from_codes(day, "municipality", names, trips[:, 0], trips[:, 1])
 
 
-def aggregate_to_province(od: DailyOD, muni_to_province: Mapping[str, str]) -> DailyOD:
-    """Relabel each municipality as its province; intra-province trips become self-loops.
+def aggregate_to_province(muni_ods: Sequence[DailyOD], muni_to_province: Mapping[str, str]) -> ProvinceCube:
+    """Sum each day's cells by province into one cube; intra-province trips become self-loops.
 
-    Total trip mass is conserved exactly. A municipality missing from the mapping
-    is a data-integrity failure and raises UnmappedMunicipalityError. Feeding a
-    province matrix back in with an identity mapping is the identity.
+    The provinces are the mapping's, sorted. Each day is one exact int64
+    scatter-add, so trip mass is conserved. A municipality missing from the
+    mapping is a data-integrity failure and raises UnmappedMunicipalityError;
+    a repeated date raises ValueError.
     """
-    try:
-        provinces = [muni_to_province[name] for name in od.names]
-    except KeyError as exc:
-        raise UnmappedMunicipalityError(
-            f"municipality {exc.args[0]!r} not present in the territory index"
-        ) from None
-    return DailyOD.from_codes(od.date, "province", provinces, od.origin, od.destination, od.count)
+    dates = tuple(od.date for od in muni_ods)
+    repeated = sorted({day for day in dates if dates.count(day) > 1})
+    if repeated:
+        raise ValueError(f"duplicate dates in OD sequence: {', '.join(map(str, repeated))}")
+    provinces = tuple(sorted(set(muni_to_province.values())))
+    position = {province: i for i, province in enumerate(provinces)}
+    counts = np.zeros((len(dates), len(provinces), len(provinces)), dtype=np.int64)
+    for d, od in enumerate(muni_ods):
+        try:
+            code = np.array([position[muni_to_province[name]] for name in od.names], dtype=np.int64)
+        except KeyError as exc:
+            raise UnmappedMunicipalityError(
+                f"municipality {exc.args[0]!r} on {od.date} is not present in the territory index"
+            ) from None
+        np.add.at(counts[d], (code[od.origin], code[od.destination]), od.count)
+    counts.flags.writeable = False
+    return ProvinceCube(dates, provinces, counts)
 
 
 def _granularity_dir(root: str | Path, granularity: str) -> Path:
@@ -174,8 +157,7 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
     """
     directory = _granularity_dir(root, od.granularity)
     directory.mkdir(parents=True, exist_ok=True)
-    day = od.date.isoformat()
-    path = directory / f"{day}.csv"
+    path = directory / f"{od.date.isoformat()}.csv"
 
     names = od.names
     with path.open("w", newline="") as fh:
@@ -185,29 +167,34 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
         writer.writerows((names[o], names[d], c) for o, d, c in rows)
 
     manifest_path = directory / "manifest.json"
-    dates = set()
+    dates = {od.date}
     if manifest_path.exists():
-        dates.update(_read_manifest(manifest_path, od.granularity)["dates"])
-    dates.add(day)
+        dates.update(_read_manifest(manifest_path, od.granularity))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "granularity": od.granularity,
-        "dates": sorted(dates),
+        "dates": [stored.isoformat() for stored in sorted(dates)],
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def _read_manifest(path: Path, granularity: str) -> dict:
+def _read_manifest(path: Path, granularity: str) -> list[date]:
+    """The dates a manifest lists, once its schema version and granularity check out."""
     with path.open() as fh:
         manifest = json.load(fh)
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise ODSchemaError(
-            f"{path}: schema version {manifest.get('schema_version')!r}, expected {SCHEMA_VERSION}"
-        )
+    version = manifest.get("schema_version") if isinstance(manifest, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ODSchemaError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
     if manifest.get("granularity") != granularity:
         raise ODSchemaError(f"{path}: granularity mismatch")
-    return manifest
+    dates = manifest.get("dates")
+    try:
+        if isinstance(dates, list):
+            return [date.fromisoformat(day) for day in dates]
+    except (TypeError, ValueError):  # a day that is not a string, or not an ISO date
+        pass
+    raise ODSchemaError(f"{path}: dates must be a list of ISO dates")
 
 
 def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
@@ -242,7 +229,9 @@ def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
             if not 1 <= count < 2**63:  # the counts are int64
                 raise ODSchemaError(f"{path}: count in row {row!r} is not a positive int64")
             cells[(row[0], row[1])] = count
-    return DailyOD.from_cells(day, granularity, cells)
+    names = [name for pair in cells for name in pair]
+    origin = np.arange(0, len(names), 2)
+    return DailyOD.from_codes(day, granularity, names, origin, origin + 1, np.fromiter(cells.values(), np.int64))
 
 
 def list_od_dates(root: str | Path, granularity: str) -> list[date]:
@@ -250,4 +239,4 @@ def list_od_dates(root: str | Path, granularity: str) -> list[date]:
     manifest_path = _granularity_dir(root, granularity) / "manifest.json"
     if not manifest_path.exists():
         return []
-    return [date.fromisoformat(day) for day in _read_manifest(manifest_path, granularity)["dates"]]
+    return _read_manifest(manifest_path, granularity)

@@ -27,7 +27,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .ingest import DEFAULT_TIMEZONE
-from .od import DailyOD, aggregate_to_province, build_daily_od
+from .od import DailyOD, build_daily_od
 
 GRAVITY_EXPONENT = 2.0  # distance decay of inter-province attraction
 CDR_DURATION_RANGE = (62, 180)  # minutes; start >= 62 keeps the dwell rule satisfied
@@ -182,10 +182,6 @@ class ScenarioPlan:
     def daily_cells(self) -> dict[date, dict[tuple[str, str], int]]:
         """Post-violation effective OD cells of each day."""
         return {od.date: od.cells for od in self.municipality_ods()}
-
-    def province_ods(self) -> list[DailyOD]:
-        mapping = self.territory.muni_to_province
-        return [aggregate_to_province(od, mapping) for od in self.municipality_ods()]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from mobflow.community import (
 )
 from mobflow.diversity import flow_diversity as diversity_kernel
 from mobflow.ingest import ParseResult, daily_trips
+from mobflow.od import DailyOD, aggregate_to_province
 from mobflow.synth import GRAVITY_EXPONENT, DayTotals, _build_territory
 
 Event = namedtuple("Event", "user_id timestamp municipality_id")
@@ -135,6 +136,32 @@ def trips_bruteforce(events, dwell_threshold=3600):
 def count_cells(pairs):
     """Counter of (origin, destination) name pairs as a dict in sorted cell order."""
     return dict(sorted(Counter(pairs).items()))
+
+
+def from_cells(day, granularity, cells):
+    """The matrix of `cells`, (origin, destination) names -> count, named from the keys."""
+    names = [name for pair in cells for name in pair]
+    codes = np.arange(len(names))
+    counts = np.array(list(cells.values()), dtype=np.int64)
+    return DailyOD.from_codes(day, granularity, names, codes[0::2], codes[1::2], counts)
+
+
+def cube_of(province_ods, provinces):
+    """`aggregate_to_province`'s cube of province matrices over `provinces`.
+
+    Each province p gets two municipalities, p and p', and each cell (o, q)
+    becomes the municipality cell (o, q'): never a self-loop, and it aggregates
+    back to (o, q).
+    """
+    mapping = {name: p for p in provinces for name in (p, p + "'")}
+    muni_ods = [
+        DailyOD.from_codes(
+            od.date, "municipality", [*od.names, *(name + "'" for name in od.names)],
+            od.origin, od.destination + len(od.names), od.count,
+        )
+        for od in province_ods
+    ]
+    return aggregate_to_province(muni_ods, mapping)
 
 
 def aggregate_cells(cells, mapping):

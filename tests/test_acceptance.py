@@ -17,22 +17,17 @@ from mobflow.cli import main as cli_main
 from mobflow.cluster import SeriesMatrix, select_k
 from mobflow.community import community_count_series, infomap, stationary_flow
 from mobflow.diversity import diversity_series, flow_diversity
-from mobflow.od import (
-    DailyOD,
-    ProvinceCube,
-    aggregate_to_province,
-    build_daily_od,
-    load_daily_od,
-    store_daily_od,
-)
+from mobflow.od import aggregate_to_province, build_daily_od, load_daily_od, store_daily_od
 
 from oracles import (
     Event,
+    cube_of,
     entropy_direct,
     event_table,
     exhaustive_min_codelength,
     flow_dicts,
     flow_graph,
+    from_cells,
     map_equation,
     named_daily_trips,
     random_flow_graph,
@@ -48,8 +43,8 @@ TERRITORY_110 = ["A"] + [f"S{i}" for i in range(109)]
 
 def _in_diversity(days: list[dict]) -> list[float]:
     """A's in-flow diversity on each day of a 110-province territory, through the cube."""
-    ods = [DailyOD.from_cells(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
-    return diversity_series(ProvinceCube.from_ods(ods, TERRITORY_110), "in").values[0].tolist()
+    ods = [from_cells(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
+    return diversity_series(cube_of(ods, TERRITORY_110), "in").values[0].tolist()
 
 
 def _report(number: int, ok: bool, elapsed: float, budget: float, detail: str) -> None:
@@ -161,8 +156,8 @@ def test_criterion_4_od_conservation(tmp_path):
         offsets = rng.integers(1, n_munis, size=n_trips)
         dests = (origins + offsets) % n_munis
         muni_od = build_daily_od(np.stack([origins, dests], axis=1), munis, DAY)
-        province_od = aggregate_to_province(muni_od, mapping)
-        muni_sum, province_sum = int(muni_od.count.sum()), int(province_od.count.sum())
+        cube = aggregate_to_province([muni_od], mapping)
+        muni_sum, province_sum = int(muni_od.count.sum()), int(cube.counts.sum())
         conserved = muni_sum == province_sum == n_trips
         store_daily_od(muni_od, tmp_path)
         round_trip = same_od(load_daily_od(tmp_path, DAY, "municipality"), muni_od)
@@ -250,7 +245,7 @@ def test_criterion_7_cluster_selection_recovery():
         for seed in range(20):
             config = synth.planted_levels_config(seed=seed)
             plan = synth.generate_plan(config)
-            cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
+            cube = aggregate_to_province(plan.municipality_ods(), plan.territory.muni_to_province)
             matrix = SeriesMatrix.from_diversity(diversity_series(cube, "out"))
             if select_k(matrix, range(2, 21), seed=seed).k_star == 5:
                 hits += 1

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from mobflow import cli
 from mobflow.cli import main
-from mobflow.od import DailyOD, aggregate_to_province, list_od_dates, load_daily_od, store_daily_od
+from mobflow.od import list_od_dates, load_daily_od, store_daily_od
 
 SUMMARY_FIELDS = {
     "flow_drop_pct",
@@ -173,7 +173,9 @@ class TestSmokePath:
         territory = _territory(store)
         provinces = set(territory.values())
         ods = {
-            d: aggregate_to_province(load_daily_od(store, d, "municipality"), territory)
+            d: oracles.from_cells(
+                d, "province", oracles.aggregate_cells(load_daily_od(store, d, "municipality").cells, territory)
+            )
             for d in list_od_dates(store, "municipality")
         }
         rows = (with_self / "diversity.csv").read_text().splitlines()[1:]
@@ -217,8 +219,8 @@ class TestSmokePath:
         day1, day2 = date(2020, 3, 2), date(2020, 3, 3)
         both_ways = {("M1", "M2"): 5, ("M2", "M1"): 5}
         with_m3 = {**both_ways, ("M2", "M3"): 1, ("M3", "M2"): 1}
-        store_daily_od(DailyOD.from_cells(day1, "municipality", with_m3), store)
-        store_daily_od(DailyOD.from_cells(day2, "municipality", both_ways), store)  # M3 has no flow
+        store_daily_od(oracles.from_cells(day1, "municipality", with_m3), store)
+        store_daily_od(oracles.from_cells(day2, "municipality", both_ways), store)  # M3 has no flow
         territory = {"M1": "P1", "M2": "P1", "M3": "P2"}
         (store / "territory.json").write_text(json.dumps({"muni_to_province": territory}))
         runs = {}
@@ -279,7 +281,8 @@ class TestSmokePath:
         # province matrices of the first scenario, as an older version stored them
         territory = _territory(store)
         for day in list_od_dates(store, "municipality"):
-            store_daily_od(aggregate_to_province(load_daily_od(store, day, "municipality"), territory), store)
+            cells = oracles.aggregate_cells(load_daily_od(store, day, "municipality").cells, territory)
+            store_daily_od(oracles.from_cells(day, "province", cells), store)
         assert main(["build-od", "--in", str(other), "--out", str(store)]) == 0
         fresh = tmp_path / "fresh"
         assert main(["build-od", "--in", str(other), "--out", str(fresh)]) == 0
@@ -424,6 +427,33 @@ class TestExitCodes:
         assert str(path) in err and "muni_to_province" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "payload", [{"schema_version": 1, "granularity": "municipality"}, {"dates": "2020-03-02"}],
+        ids=["missing", "not_a_list"],
+    )
+    def test_manifest_without_a_dates_list_is_data_error(self, tmp_path, capsys, payload):
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(_two_day_data(tmp_path)), "--out", str(store)]) == 0
+        path = store / "od" / "municipality" / "manifest.json"
+        path.write_text(json.dumps({"schema_version": 1, "granularity": "municipality", **payload}))
+        capsys.readouterr()
+        assert main(["flows", "--in", str(store), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "dates" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["registry.csv", "xdr/x.csv"])
+    def test_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys, name):
+        data = _two_day_data(tmp_path)
+        path = data / name
+        path.write_bytes(path.read_bytes() + b"u9,1583139600,A\xff1,5\n")
+        out = tmp_path / "out"
+        for command in (["build-od"], ["report", "--seed", "0", "--trials", "1", "--split-date", "2020-03-03"]):
+            assert main([*command, "--in", str(data), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: {path}: not UTF-8 text" in err
+            assert not out.exists()
+
     def test_regime_without_start_date_is_data_error(self, tmp_path, capsys):
         data = _two_day_data(tmp_path)
         truth = data / "ground_truth.json"
@@ -514,6 +544,42 @@ class TestExitCodes:
         config.write_text(json.dumps(payload))
         rc = main(["synth", "--config", str(config), "--out", str(tmp_path / "d")])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('{"n_provinces": 2, "municipalities_per_province": 1, "n_days": 2, "seed": 0,'
+             ' "regimes": [{"flow_scale": 0.5}]}', "regimes[0].start_date"),
+            ('{"preset": "lockdown", "seed": 0, "n_days": 2, "lockdown_day": 1, "start_date": "2020-13-01"}',
+             "start_date"),
+            ('{"preset": "lockdown", "seed": "x", "n_days": 2, "lockdown_day": 1}', "seed"),
+            ('{"preset": "lockdown", "seed": 0,', "JSON"),
+        ],
+        ids=["list", "regime_without_start_date", "bad_start_date", "seed_not_an_integer", "malformed_json"],
+    )
+    def test_synth_bad_config_file_names_the_file_and_field(self, tmp_path, capsys, text, field):
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: " in err and field in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"preset": "lockdown", "n_days": 2, "lockdown_day": 1}, "needs a seed"),
+            ({"preset": "nope", "seed": 0}, "unknown preset 'nope'"),
+            ({"preset": "lockdown", "seed": 0, "n_days": 2, "lockdown_day": 1, "colour": 1}, "bad scenario config"),
+        ],
+        ids=["missing_seed", "unknown_preset", "unknown_key"],
+    )
+    def test_synth_config_usage_errors_stay_usage_errors(self, tmp_path, capsys, payload, message):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(payload))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value",

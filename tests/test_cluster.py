@@ -258,7 +258,7 @@ class TestMatchesOracles:
     )
     def test_select_k_on_workload_matrices(self, overrides, monkeypatch):
         plan = synth.generate_plan(synth.lockdown_scenario_config(0, **overrides))
-        cube = od.ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
+        cube = od.aggregate_to_province(plan.municipality_ods(), plan.territory.muni_to_province)
         for direction in diversity.DIRECTIONS:
             matrix = SeriesMatrix.from_diversity(diversity.diversity_series(cube, direction, False))
             ks = range(2, min(20, len(matrix.provinces)) + 1)

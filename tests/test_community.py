@@ -26,13 +26,13 @@ from mobflow.community import (
     stationary_flow,
     partition_dump,
 )
-from mobflow.od import DailyOD
 
 from oracles import (
     assert_consistent,
     exhaustive_min_codelength,
     flow_dicts,
     flow_graph,
+    from_cells,
     infomap_reference,
     map_equation,
     map_equation_entropy_form,
@@ -337,7 +337,7 @@ class TestInfomapMatchesReference:
 
 
 def _od(cells, day=DAY):
-    return DailyOD.from_cells(day, "municipality", cells)
+    return from_cells(day, "municipality", cells)
 
 
 class TestCommunityCountSeries:

@@ -20,7 +20,9 @@ from mobflow.diversity import (
 )
 from mobflow.cluster import SeriesMatrix
 from mobflow.flows import compute_flows
-from mobflow.od import DailyOD, ProvinceCube
+from mobflow.od import aggregate_to_province
+
+from oracles import cube_of, from_cells
 
 DAY = date(2020, 3, 2)
 TERRITORY_110 = ["A"] + [f"S{i:03d}" for i in range(109)]
@@ -28,12 +30,12 @@ FLOW_SERIES = ("in_flow", "out_flow", "self_flow", "in_norm", "out_norm", "self_
 
 
 def in_flows_od(flows: dict[str, int], target="A", day=DAY):
-    return DailyOD.from_cells(day, "province", {(src, target): c for src, c in flows.items()})
+    return from_cells(day, "province", {(src, target): c for src, c in flows.items()})
 
 
 def series_of(ods, province, direction, provinces=TERRITORY_110, include_self=False):
     """One province's diversity on each day, None where absent."""
-    diversity = diversity_series(ProvinceCube.from_ods(ods, provinces), direction, include_self)
+    diversity = diversity_series(cube_of(ods, provinces), direction, include_self)
     return oracles.rows_with_none(diversity.values)[diversity.provinces.index(province)]
 
 
@@ -43,7 +45,7 @@ def value_of(od, province, direction, provinces=TERRITORY_110, include_self=Fals
 
 def contrast_of(ods, split):
     """Province A's weekend contrast of in-flow diversity."""
-    return weekend_contrast(diversity_series(ProvinceCube.from_ods(ods, TERRITORY_110), "in"), split)[0]
+    return weekend_contrast(diversity_series(cube_of(ods, TERRITORY_110), "in"), split)[0]
 
 
 class TestFlowDiversity:
@@ -81,12 +83,12 @@ class TestFlowDiversity:
             assert got == pytest.approx(oracles.entropy_direct(counts, 110), abs=1e-12)
 
     def test_zero_flow_is_absent_not_zero(self):
-        od = DailyOD.from_cells(DAY, "province", {("A", "S000"): 3})  # only outgoing
+        od = from_cells(DAY, "province", {("A", "S000"): 3})  # only outgoing
         assert value_of(od, "A", "in") is None
         assert value_of(od, "A", "out") == 0.0
 
     def test_out_direction_mirrors_in(self):
-        od = DailyOD.from_cells(DAY, "province", {("A", "B"): 30, ("A", "C"): 10})
+        od = from_cells(DAY, "province", {("A", "B"): 30, ("A", "C"): 10})
         got = value_of(od, "A", "out", ["A", "B", "C"])
         assert got == pytest.approx(oracles.entropy_direct([30, 10], 3), abs=1e-12)
         assert value_of(od, "B", "in", ["A", "B", "C"]) == 0.0
@@ -98,22 +100,22 @@ class TestFlowDiversity:
         assert value == pytest.approx(0.11963, abs=1e-5)
 
     def test_self_loop_excluded_by_default_included_on_request(self):
-        od = DailyOD.from_cells(DAY, "province", {("A", "A"): 40, ("S000", "A"): 30, ("S001", "A"): 10})
+        od = from_cells(DAY, "province", {("A", "A"): 40, ("S000", "A"): 30, ("S001", "A"): 10})
         base = value_of(od, "A", "in")
         assert base == pytest.approx(oracles.entropy_direct([30, 10], 110), abs=1e-12)
         with_self = value_of(od, "A", "in", include_self=True)
         assert with_self == pytest.approx(oracles.entropy_direct([40, 30, 10], 110), abs=1e-12)
-        only_self = DailyOD.from_cells(DAY, "province", {("A", "A"): 40})
+        only_self = from_cells(DAY, "province", {("A", "A"): 40})
         assert value_of(only_self, "A", "out") is None
         assert value_of(only_self, "A", "out", include_self=True) == 0.0
 
     def test_single_province_territory_rejected(self):
-        cube = ProvinceCube.from_ods([in_flows_od({})], ["A"])
+        cube = cube_of([in_flows_od({})], ["A"])
         with pytest.raises(ValueError, match="at least 2"):
             diversity_series(cube, "in")
 
     def test_unknown_direction_rejected(self):
-        cube = ProvinceCube.from_ods([in_flows_od({})], TERRITORY_110)
+        cube = cube_of([in_flows_od({})], TERRITORY_110)
         with pytest.raises(ValueError, match="direction"):
             diversity_series(cube, "both")
 
@@ -164,13 +166,13 @@ def province_runs(draw):
     ods = []
     for offset in offsets:
         cells = draw(st.dictionaries(pair, st.integers(1, 10**6), max_size=3 * n))
-        ods.append(DailyOD.from_cells(DAY + timedelta(days=offset), "province",
+        ods.append(from_cells(DAY + timedelta(days=offset), "province",
                            {(provinces[o], provinces[d]): c for (o, d), c in cells.items()}))
     return provinces, ods
 
 
 def _run(provinces, days):
-    return provinces, [DailyOD.from_cells(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
+    return provinces, [from_cells(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
 
 
 class TestCubeMatchesPerProvinceScans:
@@ -184,7 +186,7 @@ class TestCubeMatchesPerProvinceScans:
     @settings(max_examples=300, deadline=None)
     def test_flows_and_diversity_equal_the_reference(self, run):
         provinces, ods = run
-        cube = ProvinceCube.from_ods(ods, provinces)
+        cube = cube_of(ods, provinces)
         dates = [od.date for od in ods]
         ordered = sorted(provinces)
         flows = compute_flows(cube)
@@ -223,7 +225,7 @@ class TestArraysMatchListPath:
     @settings(max_examples=300, deadline=None)
     def test_flows_diversity_contrast_and_matrix(self, run, split_offset):
         provinces, ods = run
-        cube = ProvinceCube.from_ods(ods, provinces)
+        cube = cube_of(ods, provinces)
         flows = compute_flows(cube)
         for i, expected in enumerate(oracles.flow_series_reference(cube)):
             assert flows.provinces[i] == expected.province_id
@@ -267,21 +269,21 @@ class TestDiversitySeries:
     def test_absent_day_preserved(self):
         ods = [
             in_flows_od({"S000": 2}, day=DAY),
-            DailyOD.from_cells(DAY + timedelta(days=1), "province", {}),
+            from_cells(DAY + timedelta(days=1), "province", {}),
         ]
         values = series_of(ods, "A", "in")
         assert values[0] == 0.0
         assert values[1] is None
 
     def test_csv_blank_for_absent(self, tmp_path):
-        cube = ProvinceCube.from_ods([DailyOD.from_cells(DAY, "province", {})], TERRITORY_110)
+        cube = cube_of([from_cells(DAY, "province", {})], TERRITORY_110)
         out = tmp_path / "d.csv"
         cli._write_csv(out, diversity_table([diversity_series(cube, "in")]))
         assert out.read_text().splitlines()[1] == "2020-03-02,A,in,"
 
     def test_csv_values_are_python_float_reprs(self, tmp_path):
-        od = DailyOD.from_cells(DAY, "province", {("A", "B"): 30, ("A", "C"): 10, ("B", "C"): 1})
-        cube = ProvinceCube.from_ods([od, DailyOD.from_cells(DAY + timedelta(days=1), "province", {})], "ABC")
+        od = from_cells(DAY, "province", {("A", "B"): 30, ("A", "C"): 10, ("B", "C"): 1})
+        cube = cube_of([od, from_cells(DAY + timedelta(days=1), "province", {})], "ABC")
         diversity = diversity_series(cube, "out")
         expected = repr(flow_diversity([30, 10], 3))
         cli._write_csv(tmp_path / "long.csv", diversity_table([diversity]))
@@ -332,7 +334,7 @@ class TestLockdownScenario:
             seed=9, n_provinces=10, municipalities_per_province=4, n_days=42, lockdown_day=21
         )
         plan = synth.generate_plan(config)
-        cube = ProvinceCube.from_ods(plan.province_ods(), plan.territory.provinces)
+        cube = aggregate_to_province(plan.municipality_ods(), plan.territory.muni_to_province)
         split = config.regimes[-1].start_date
         deltas_pre, deltas_post = [], []
         for contrast in weekend_contrast(diversity_series(cube, "out"), split):

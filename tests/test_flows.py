@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from mobflow import cli, synth
 from mobflow.flows import compute_flows, flow_tables
-from mobflow.od import DailyOD, ProvinceCube, UnknownProvinceError
+from mobflow.od import UnmappedMunicipalityError, aggregate_to_province
+
+from oracles import cube_of, from_cells
 
 DAY = date(2020, 3, 2)
 PROVINCES = [f"P{i}" for i in range(6)]
@@ -18,12 +20,17 @@ SERIES = ("in_flow", "out_flow", "self_flow", "in_norm", "out_norm", "self_norm"
 
 
 def province_od(cells, day=DAY):
-    return DailyOD.from_cells(day, "province", cells)
+    return from_cells(day, "province", cells)
 
 
 def flows_of(ods, province, provinces=PROVINCES):
-    """One province's row of every flow array, as lists."""
-    flows = compute_flows(ProvinceCube.from_ods(ods, provinces))
+    """`row_of` the cube of province matrices over `provinces`."""
+    return row_of(cube_of(ods, provinces), province)
+
+
+def row_of(cube, province):
+    """One province's row of every flow array of the cube, as lists."""
+    flows = compute_flows(cube)
     row = flows.provinces.index(province)
     rows = {name: getattr(flows, name)[row].tolist() for name in SERIES}
     return SimpleNamespace(dates=list(flows.dates), **rows)
@@ -39,14 +46,14 @@ class TestComputeFlows:
 
     def test_one_series_per_province_in_province_order(self):
         od = province_od({("B", "A"): 1})
-        cube = ProvinceCube.from_ods([od], {"C", "A", "B"})
+        cube = cube_of([od], {"C", "A", "B"})
         flows = compute_flows(cube)
         assert flows.provinces == ("A", "B", "C")
         assert flows.dates == (DAY,)
         assert flows.in_flow.tolist() == [[1], [0], [0]]
 
     def test_values_are_python_numbers(self):
-        flows = compute_flows(ProvinceCube.from_ods([province_od({("P0", "P1"): 4})], PROVINCES))
+        flows = compute_flows(cube_of([province_od({("P0", "P1"): 4})], PROVINCES))
         for name in SERIES:
             assert getattr(flows, name).shape == (len(PROVINCES), 1)
             assert getattr(flows, name).dtype == (np.int64 if name.endswith("flow") else np.float64)
@@ -64,21 +71,23 @@ class TestComputeFlows:
     def test_no_days(self):
         series = flows_of([], "P0")
         assert series.dates == series.in_flow == series.in_norm == []
-        assert compute_flows(ProvinceCube.from_ods([], PROVINCES)).self_norm.shape == (len(PROVINCES), 0)
+        assert compute_flows(cube_of([], PROVINCES)).self_norm.shape == (len(PROVINCES), 0)
 
     def test_unknown_province_rejected_with_index(self):
         mapping = {"M1": "P", "M2": "Q"}
-        od = province_od({("ZZ", "P"): 1})  # adds to P's in-flow unless rejected
-        with pytest.raises(UnknownProvinceError, match="'ZZ'"):
-            ProvinceCube.from_ods([od], set(mapping.values()))
+        od = from_cells(DAY, "municipality", {("ZZ", "M1"): 1, ("M2", "M1"): 2})
+        with pytest.raises(UnmappedMunicipalityError, match="'ZZ' on 2020-03-02"):
+            aggregate_to_province([od], mapping)
+        # mapped, the same cell adds to P's in-flow: only the error keeps it out
+        assert row_of(aggregate_to_province([od], mapping | {"ZZ": "R"}), "P").in_flow == [3]
 
     def test_duplicate_dates_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ProvinceCube.from_ods([province_od({}), province_od({})], PROVINCES)
+        with pytest.raises(ValueError, match="duplicate dates in OD sequence: 2020-03-02$"):
+            cube_of([province_od({}), province_od({})], PROVINCES)
 
     def test_csv_export_schema(self, tmp_path):
         od = province_od({("P", "Q"): 3, ("Q", "P"): 1, ("P", "P"): 5})
-        for province, rows in flow_tables(compute_flows(ProvinceCube.from_ods([od], ["P", "Q"]))):
+        for province, rows in flow_tables(compute_flows(cube_of([od], ["P", "Q"]))):
             cli._write_csv(tmp_path / f"{province}.csv", rows)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["P.csv", "Q.csv"]
         header, row = (tmp_path / "P.csv").read_text().splitlines()
@@ -90,21 +99,30 @@ class TestComputeFlows:
 class TestProvinceCube:
     def test_dense_counts(self):
         od = province_od({("B", "A"): 2, ("A", "A"): 5})
-        cube = ProvinceCube.from_ods([od], ["B", "A"])
+        cube = cube_of([od], ["B", "A"])
         assert cube.provinces == ("A", "B")
         assert cube.dates == (DAY,)
         assert cube.counts.tolist() == [[[5, 0], [2, 0]]]
         assert not cube.counts.flags.writeable
 
     def test_unknown_destination_rejected(self):
-        od = province_od({("P0", "ZZ"): 1})
-        with pytest.raises(UnknownProvinceError, match="'ZZ'"):
-            ProvinceCube.from_ods([od], PROVINCES)
+        od = from_cells(DAY, "municipality", {("M1", "ZZ"): 1, ("M1", "M2"): 4})
+        with pytest.raises(UnmappedMunicipalityError, match="'ZZ' on 2020-03-02"):
+            aggregate_to_province([od], {"M1": "P0", "M2": "P1"})
+        # mapped, the same cell adds to P0's out-flow: only the error keeps it out
+        assert row_of(aggregate_to_province([od], {"M1": "P0", "M2": "P1", "ZZ": "P2"}), "P0").out_flow == [5]
 
-    def test_municipality_matrices_rejected(self):
-        od = DailyOD.from_cells(DAY, "municipality", {("M1", "M2"): 1})
-        with pytest.raises(ValueError, match="province-granularity"):
-            ProvinceCube.from_ods([od], PROVINCES)
+    def test_ods_are_the_non_zero_cells_in_date_order(self):
+        days = [DAY + timedelta(days=1), DAY]  # not in calendar order
+        ods = [
+            from_cells(days[0], "municipality", {("M2", "M1"): 2, ("M1", "M2"): 1, ("M1", "M3"): 4}),
+            from_cells(days[1], "municipality", {}),
+        ]
+        province_ods = aggregate_to_province(ods, {"M1": "A", "M2": "A", "M3": "B", "M4": "C"}).ods()
+        assert [(od.date, od.granularity) for od in province_ods] == [(days[0], "province"), (days[1], "province")]
+        assert province_ods[0].names == ("A", "B")
+        assert list(province_ods[0].cells.items()) == [(("A", "A"), 3), (("A", "B"), 4)]
+        assert province_ods[1].cells == {} and province_ods[1].names == ()
 
 
 daily_cells = st.dictionaries(
@@ -129,7 +147,7 @@ class TestFlowProperties:
     @settings(max_examples=150, deadline=None)
     def test_total_out_equals_total_in_equals_inter_province(self, cell_maps):
         ods = _as_ods(cell_maps)
-        cube = ProvinceCube.from_ods(ods, PROVINCES)
+        cube = cube_of(ods, PROVINCES)
         flows = compute_flows(cube)
         inter = (cube.counts.sum(axis=(1, 2)) - cube.counts.trace(axis1=1, axis2=2)).tolist()
         for day_idx, od in enumerate(ods):
@@ -172,9 +190,8 @@ class TestLockdownScenario:
             seed=5, n_provinces=8, municipalities_per_province=3, n_days=30, lockdown_day=15
         )
         plan = synth.generate_plan(config)
-        ods = plan.province_ods()
         split = config.regimes[-1].start_date
-        series = flows_of(ods, "P000", plan.territory.provinces)
+        series = row_of(aggregate_to_province(plan.municipality_ods(), plan.territory.muni_to_province), "P000")
         pre = [v for d, v in zip(series.dates, series.out_flow) if d < split]
         post = [v for d, v in zip(series.dates, series.out_flow) if d >= split]
         ratio = (sum(post) / len(post)) / (sum(pre) / len(pre))

@@ -1,5 +1,6 @@
 """OD matrix construction, province aggregation, and flat-file persistence."""
 
+import json
 from collections import Counter
 from datetime import date, timedelta
 
@@ -13,7 +14,6 @@ from mobflow.od import (
     DailyOD,
     ODNotFoundError,
     ODSchemaError,
-    ProvinceCube,
     UnmappedMunicipalityError,
     aggregate_to_province,
     build_daily_od,
@@ -22,7 +22,7 @@ from mobflow.od import (
     store_daily_od,
 )
 
-from oracles import aggregate_cells, count_cells, flow_graph, province_cube, same_od, window_cells
+from oracles import aggregate_cells, count_cells, flow_graph, from_cells, province_cube, same_od, window_cells
 
 DAY = date(2020, 3, 2)
 # store round trips draw from plain names and from names the csv module has to quote
@@ -51,11 +51,11 @@ class TestBuildDailyOD:
 
     def test_rejects_self_loop_cells(self):
         with pytest.raises(ValueError, match="self-loop"):
-            DailyOD.from_cells(DAY, "municipality", {("M1", "M1"): 1})
+            from_cells(DAY, "municipality", {("M1", "M1"): 1})
 
     def test_rejects_non_positive_counts(self):
         with pytest.raises(ValueError, match="non-positive"):
-            DailyOD.from_cells(DAY, "province", {("P1", "P2"): 0})
+            from_cells(DAY, "province", {("P1", "P2"): 0})
 
 
 @pytest.fixture
@@ -65,17 +65,17 @@ def mapping():
 
 class TestAggregate:
     def test_same_province_becomes_self_loop(self, mapping):
-        od = DailyOD.from_cells(DAY, "municipality", {("M1", "M2"): 2})
-        assert aggregate_to_province(od, mapping).cells == {("P1", "P1"): 2}
+        od = from_cells(DAY, "municipality", {("M1", "M2"): 2})
+        assert aggregate_to_province([od], mapping).ods()[0].cells == {("P1", "P1"): 2}
 
     def test_cross_province_cell(self, mapping):
-        od = DailyOD.from_cells(DAY, "municipality", {("M1", "M3"): 5})
-        assert aggregate_to_province(od, mapping).cells == {("P1", "P2"): 5}
+        od = from_cells(DAY, "municipality", {("M1", "M3"): 5})
+        assert aggregate_to_province([od], mapping).ods()[0].cells == {("P1", "P2"): 5}
 
     def test_unmapped_municipality_is_a_hard_error(self, mapping):
-        od = DailyOD.from_cells(DAY, "municipality", {("M1", "M9"): 1})
-        with pytest.raises(UnmappedMunicipalityError, match="M9"):
-            aggregate_to_province(od, mapping)
+        od = from_cells(DAY, "municipality", {("M1", "M9"): 1})
+        with pytest.raises(UnmappedMunicipalityError, match="'M9' on 2020-03-02"):
+            aggregate_to_province([od], mapping)
 
     def test_random_matrix_matches_group_by_oracle(self):
         rng = np.random.default_rng(2)
@@ -86,17 +86,17 @@ class TestAggregate:
             o, d = rng.choice(200, size=2, replace=False)
             key = (munis[o], munis[d])
             cells[key] = cells.get(key, 0) + int(rng.integers(1, 5))
-        od = DailyOD.from_cells(DAY, "municipality", cells)
-        got = aggregate_to_province(od, mapping)
+        od = from_cells(DAY, "municipality", cells)
+        got = aggregate_to_province([od], mapping).ods()[0]
         oracle = Counter()
         for (o, d), count in cells.items():
             oracle[(mapping[o], mapping[d])] += count
         assert got.cells == dict(oracle)
 
     def test_identity_mapping_on_province_matrix_is_identity(self):
-        od = DailyOD.from_cells(DAY, "province", {("P1", "P1"): 3, ("P1", "P2"): 1})
+        od = from_cells(DAY, "province", {("P1", "P1"): 3, ("P1", "P2"): 1})
         identity = {"P1": "P1", "P2": "P2"}
-        assert aggregate_to_province(od, identity).cells == od.cells
+        assert aggregate_to_province([od], identity).ods()[0].cells == od.cells
 
     @given(
         st.dictionaries(
@@ -109,33 +109,33 @@ class TestAggregate:
     def test_mass_conservation(self, raw):
         cells = {(f"M{o}", f"M{d}"): c for (o, d), c in raw.items()}
         mapping = {f"M{i}": f"P{i % 7}" for i in range(31)}
-        od = DailyOD.from_cells(DAY, "municipality", cells)
-        aggregated = aggregate_to_province(od, mapping)
-        assert aggregated.count.sum() == od.count.sum()
+        od = from_cells(DAY, "municipality", cells)
+        cube = aggregate_to_province([od], mapping)
+        assert cube.counts.sum() == od.count.sum()
 
 
 class TestPersistence:
     def test_round_trip_identity(self, tmp_path):
-        od = DailyOD.from_cells(DAY, "municipality", {("M1", "M2"): 2, ("M3", "M1"): 7})
+        od = from_cells(DAY, "municipality", {("M1", "M2"): 2, ("M3", "M1"): 7})
         store_daily_od(od, tmp_path)
         assert same_od(load_daily_od(tmp_path, DAY, "municipality"), od)
-        quoted = DailyOD.from_cells(DAY, "province", {("Roma, centro", 'say "hi"'): 3, ("P1", "P1"): 1})
+        quoted = from_cells(DAY, "province", {("Roma, centro", 'say "hi"'): 3, ("P1", "P1"): 1})
         path = store_daily_od(quoted, tmp_path)
         assert path.read_text() == 'origin,destination,count\nP1,P1,1\n"Roma, centro","say ""hi""",3\n'
         assert same_od(load_daily_od(tmp_path, DAY, "province"), quoted)
 
     def test_round_trip_empty_matrix(self, tmp_path):
-        od = DailyOD.from_cells(DAY, "province", {})
+        od = from_cells(DAY, "province", {})
         store_daily_od(od, tmp_path)
         assert same_od(load_daily_od(tmp_path, DAY, "province"), od)
 
     def test_missing_date_raises_not_found(self, tmp_path):
-        store_daily_od(DailyOD.from_cells(DAY, "province", {}), tmp_path)
+        store_daily_od(from_cells(DAY, "province", {}), tmp_path)
         with pytest.raises(ODNotFoundError):
             load_daily_od(tmp_path, DAY + timedelta(days=1), "province")
 
     def test_schema_version_mismatch_raises(self, tmp_path):
-        store_daily_od(DailyOD.from_cells(DAY, "province", {("P1", "P1"): 1}), tmp_path)
+        store_daily_od(from_cells(DAY, "province", {("P1", "P1"): 1}), tmp_path)
         manifest = tmp_path / "od" / "province" / "manifest.json"
         manifest.write_text(manifest.read_text().replace('"schema_version": 1', '"schema_version": 99'))
         with pytest.raises(ODSchemaError, match="version"):
@@ -146,12 +146,12 @@ class TestPersistence:
         rng = np.random.default_rng(3)
         for day in rng.permutation(365):
             day = days[int(day)]
-            store_daily_od(DailyOD.from_cells(day, "municipality", {("M1", "M2"): 1}), tmp_path)
+            store_daily_od(from_cells(day, "municipality", {("M1", "M2"): 1}), tmp_path)
         assert list_od_dates(tmp_path, "municipality") == days
 
     def test_restore_overwrites(self, tmp_path):
-        store_daily_od(DailyOD.from_cells(DAY, "province", {("P1", "P2"): 1}), tmp_path)
-        store_daily_od(DailyOD.from_cells(DAY, "province", {("P1", "P2"): 9}), tmp_path)
+        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 1}), tmp_path)
+        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 9}), tmp_path)
         assert load_daily_od(tmp_path, DAY, "province").cells == {("P1", "P2"): 9}
 
     @given(
@@ -164,7 +164,7 @@ class TestPersistence:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_any_matrix(self, tmp_path_factory, raw):
         cells = {(STORE_NAMES[o], STORE_NAMES[d]): c for (o, d), c in raw.items()}
-        od = DailyOD.from_cells(DAY, "municipality", cells)
+        od = from_cells(DAY, "municipality", cells)
         root = tmp_path_factory.mktemp("store")
         store_daily_od(od, root)
         loaded = load_daily_od(root, DAY, "municipality")
@@ -172,29 +172,43 @@ class TestPersistence:
         assert list(loaded.cells) == list(od.cells)
 
     def test_manifest_contents(self, tmp_path):
-        import json
-
-        store_daily_od(DailyOD.from_cells(DAY, "province", {("P1", "P2"): 1}), tmp_path)
+        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 1}), tmp_path)
         manifest = json.loads((tmp_path / "od" / "province" / "manifest.json").read_text())
         assert manifest["schema_version"] == 1
         assert manifest["granularity"] == "province"
         assert manifest["dates"] == [DAY.isoformat()]
 
+    @pytest.mark.parametrize(
+        "dates", [None, "2020-03-02", {"2020-03-02": 1}, ["2020-03-32"], [20200302]],
+        ids=["missing", "string", "object", "bad_date", "number"],
+    )
+    def test_manifest_dates_must_be_a_list_of_iso_dates(self, tmp_path, dates):
+        store_daily_od(from_cells(DAY, "municipality", {("M1", "M2"): 1}), tmp_path)
+        manifest = tmp_path / "od" / "municipality" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        del payload["dates"]
+        if dates is not None:
+            payload["dates"] = dates
+        manifest.write_text(json.dumps(payload))
+        for read in (list_od_dates, lambda root, _granularity: load_daily_od(root, DAY, "municipality")):
+            with pytest.raises(ODSchemaError, match=r"manifest\.json: dates must be a list of ISO dates"):
+                read(tmp_path, "municipality")
+
     def test_dates_come_from_the_manifest(self, tmp_path):
         assert list_od_dates(tmp_path, "municipality") == []
-        store_daily_od(DailyOD.from_cells(DAY, "municipality", {("M1", "M2"): 1}), tmp_path)
+        store_daily_od(from_cells(DAY, "municipality", {("M1", "M2"): 1}), tmp_path)
         (tmp_path / "od" / "municipality" / "notes.csv").write_text("a stray file\n")
         assert list_od_dates(tmp_path, "municipality") == [DAY]
 
     def test_repeated_row_rejected(self, tmp_path):
-        store_daily_od(DailyOD.from_cells(DAY, "province", {("P1", "P2"): 3}), tmp_path)
+        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 3}), tmp_path)
         path = tmp_path / "od" / "province" / f"{DAY.isoformat()}.csv"
         path.write_text("origin,destination,count\nP1,P2,3\nP1,P2,5\n")
         with pytest.raises(ODSchemaError, match=f"{path.name}: repeated row"):
             load_daily_od(tmp_path, DAY, "province")
 
     def test_municipality_self_loop_row_rejected(self, tmp_path):
-        store_daily_od(DailyOD.from_cells(DAY, "municipality", {("M1", "M2"): 3}), tmp_path)
+        store_daily_od(from_cells(DAY, "municipality", {("M1", "M2"): 3}), tmp_path)
         path = tmp_path / "od" / "municipality" / f"{DAY.isoformat()}.csv"
         path.write_text("origin,destination,count\nM1,M1,3\n")
         with pytest.raises(ODSchemaError, match=f"{path.name}: self-loop row"):
@@ -202,14 +216,14 @@ class TestPersistence:
 
     @pytest.mark.parametrize("count", ["0", "-2", "2.5", "x", "9223372036854775808", "99999999999999999999"])
     def test_count_must_be_a_positive_integer(self, tmp_path, count):
-        store_daily_od(DailyOD.from_cells(DAY, "province", {("P1", "P2"): 3}), tmp_path)
+        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 3}), tmp_path)
         path = tmp_path / "od" / "province" / f"{DAY.isoformat()}.csv"
         path.write_text(f"origin,destination,count\nP1,P2,{count}\n")
         with pytest.raises(ODSchemaError, match=f"{path.name}: count"):
             load_daily_od(tmp_path, DAY, "province")
 
     def test_count_at_the_int64_limit_loads(self, tmp_path):
-        store_daily_od(DailyOD.from_cells(DAY, "province", {("P1", "P2"): 2**63 - 1}), tmp_path)
+        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 2**63 - 1}), tmp_path)
         assert load_daily_od(tmp_path, DAY, "province").cells == {("P1", "P2"): 2**63 - 1}
 
 
@@ -234,21 +248,25 @@ class TestCodedPathMatchesDictPath:
     @settings(max_examples=200, deadline=None)
     def test_random_code_arrays(self, drawn):
         names, mapping, days = drawn
-        muni_ods, muni_cells, province_ods, province_days = [], [], [], []
+        muni_ods, muni_cells, province_days = [], [], []
         for day, trips in days:
             od = build_daily_od(trips, names, day)
             cells = count_cells([(names[o], names[d]) for o, d in trips.tolist()])
             assert list(od.cells.items()) == list(cells.items())
             assert od.names == tuple(sorted({name for pair in cells for name in pair}))
-            province, province_cells = aggregate_to_province(od, mapping), aggregate_cells(cells, mapping)
-            assert list(province.cells.items()) == list(province_cells.items())
             muni_ods.append(od)
             muni_cells.append((day, cells))
-            province_ods.append(province)
-            province_days.append((day, province_cells))
+            province_days.append((day, aggregate_cells(cells, mapping)))
         provinces = set(mapping.values())
-        cube = ProvinceCube.from_ods(province_ods, provinces)
+        # several municipality cells of a day share a province cell: a scatter-add, not an assignment
+        cube = aggregate_to_province(muni_ods, mapping)
+        assert cube.provinces == tuple(sorted(provinces))
+        assert cube.dates == tuple(day for day, _ in days)
         assert np.array_equal(cube.counts, province_cube(province_days, provinces))
+        for province_od, (day, province_cells) in zip(cube.ods(), province_days, strict=True):
+            assert (province_od.date, province_od.granularity) == (day, "province")
+            assert list(province_od.cells.items()) == list(province_cells.items())
+            assert province_od.names == tuple(sorted({name for pair in province_cells for name in pair}))
         for od, same in zip(sorted(muni_ods, key=lambda od: od.date), _window_ods(muni_ods, 1), strict=True):
             # a one-day window yields the day itself, byte-equal to summing it through from_codes
             assert same is od

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mobflow import synth
 from mobflow.diversity import diversity_series
 from mobflow.ingest import daily_trips, load_registry, parse_records
-from mobflow.od import ProvinceCube, build_daily_od
+from mobflow.od import aggregate_to_province, build_daily_od
 
 from oracles import generate_plan_reference, tree_digest
 
@@ -259,7 +259,7 @@ class TestPlantedEffects:
         plan = synth.generate_plan(config)
         groups = plan.planted_cluster_groups
         assert set(groups.values()) == {0, 1, 2, 3, 4}
-        cube = ProvinceCube.from_ods(plan.province_ods()[:1], plan.territory.provinces)
+        cube = aggregate_to_province(plan.municipality_ods()[:1], plan.territory.muni_to_province)
         by_group = {}
         diversity = diversity_series(cube, "out")
         for province, value in zip(diversity.provinces, diversity.values[:, 0].tolist()):
