@@ -182,12 +182,20 @@ def _in_range(day: date, lo: date | None, hi: date | None) -> bool:
     return (lo is None or day >= lo) and (hi is None or day <= hi)
 
 
+def _read_json(path: Path):
+    """The JSON value in `path`; text that does not decode or parse raises ValueError naming the file."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: bad JSON: {exc}") from None
+
+
 def _load_territory(store: Path) -> dict[str, str]:
     path = store / "territory.json"
     if not path.exists():
         raise FileNotFoundError(f"{path} missing; run build-od first")
-    with path.open() as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     mapping = payload.get("muni_to_province") if isinstance(payload, dict) else None
     if not isinstance(mapping, dict):
         raise ValueError(f"{path}: expected an object whose muni_to_province field is an object")
@@ -206,8 +214,7 @@ def _file_field(path: Path, field: str, read):
 
 def _split_from_truth(path: Path) -> date | None:
     """The last regime's start date in ground_truth.json, or None for a single regime."""
-    with path.open() as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     regimes = payload.get("regimes", []) if isinstance(payload, dict) else None
     if not isinstance(regimes, list):
         raise ValueError(f"{path}: expected an object whose regimes field is a list")
@@ -246,8 +253,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _scenario_config(path: Path, seed_override: int | None) -> synth.ScenarioConfig:
-    with path.open(encoding="utf-8") as fh:
-        payload = _file_field(path, "JSON", lambda: json.load(fh))
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise synth.ScenarioConfigError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     preset = payload.pop("preset", None)
@@ -258,25 +264,31 @@ def _scenario_config(path: Path, seed_override: int | None) -> synth.ScenarioCon
     payload["seed"] = _file_field(path, "seed", lambda: int(payload["seed"]))
     if "start_date" in payload:
         payload["start_date"] = _file_field(path, "start_date", lambda: date.fromisoformat(payload["start_date"]))
+    if preset == "lockdown":
+        build = synth.lockdown_scenario_config
+    elif preset == "planted_levels":
+        build = synth.planted_levels_config
+    elif preset is not None:
+        raise UsageError(f"unknown preset {preset!r}")
+    else:
+        build = synth.ScenarioConfig
+        regimes = payload.get("regimes", [])
+        if not isinstance(regimes, list):
+            raise synth.ScenarioConfigError(f"{path}: regimes must be a list, got {type(regimes).__name__}")
+        payload["regimes"] = [_regime(path, i, r) for i, r in enumerate(regimes)]
     try:
-        if preset == "lockdown":
-            return synth.lockdown_scenario_config(**payload)
-        if preset == "planted_levels":
-            return synth.planted_levels_config(**payload)
-        if preset is not None:
-            raise UsageError(f"unknown preset {preset!r}")
-        payload["regimes"] = [
-            synth.RegimePhase(
-                _file_field(path, f"regimes[{i}].start_date", lambda: date.fromisoformat(r["start_date"])),
-                flow_scale=r.get("flow_scale", 1.0),
-                bridge_scale=r.get("bridge_scale", 1.0),
-                weekend_concentration=r.get("weekend_concentration", 1.0),
-            )
-            for i, r in enumerate(payload.get("regimes", []))
-        ]
-        return synth.ScenarioConfig(**payload)
-    except TypeError as exc:
+        return build(**payload)
+    except synth.ScenarioConfigError as exc:
+        raise synth.ScenarioConfigError(f"{path}: {exc}") from None
+    except TypeError as exc:  # a key the config does not take
         raise UsageError(f"bad scenario config: {exc}") from None
+
+
+def _regime(path: Path, i: int, regime) -> synth.RegimePhase:
+    """Entry `i` of a config file's regimes; a bad value names the file and the entry."""
+    start = _file_field(path, f"regimes[{i}].start_date", lambda: date.fromisoformat(regime["start_date"]))
+    scales = {name: regime[name] for name in synth.REGIME_SCALES if name in regime}
+    return _file_field(path, f"regimes[{i}]", lambda: synth.RegimePhase(start, **scales))
 
 
 def cmd_synth(args, stage: Path) -> int:
@@ -479,22 +491,15 @@ def cmd_report(args, stage: Path) -> int:
     if pre and post and sum(pre) > 0:
         flow_drop_pct = 100.0 * (1.0 - (sum(post) / len(post)) / (sum(pre) / len(pre)))
 
-    # weekend-vs-weekday diversity deltas, averaged over provinces (out-flows)
-    deltas_pre, deltas_post = [], []
-    for contrast in diversity_mod.weekend_contrast(by_direction["out"], split):
-        if contrast.pre_weekend_mean is not None and contrast.pre_weekday_mean is not None:
-            deltas_pre.append(contrast.pre_weekend_mean - contrast.pre_weekday_mean)
-        if contrast.post_weekend_mean is not None and contrast.post_weekday_mean is not None:
-            deltas_post.append(contrast.post_weekend_mean - contrast.post_weekday_mean)
-
+    delta_pre, delta_post = diversity_mod.weekend_deltas(by_direction["out"], split)
     counts_pre = [d.community_count for d in communities if d.date < split]
     counts_post = [d.community_count for d in communities if d.date >= split]
 
     summary = {
         "split_date": split.isoformat(),
         "flow_drop_pct": flow_drop_pct,
-        "weekend_diversity_delta_pre": diversity_mod._mean(deltas_pre),
-        "weekend_diversity_delta_post": diversity_mod._mean(deltas_post),
+        "weekend_diversity_delta_pre": delta_pre,
+        "weekend_diversity_delta_post": delta_post,
         "k_star": selections["out"].k_star,
         "community_count_pre_median": statistics.median(counts_pre) if counts_pre else None,
         "community_count_post_median": statistics.median(counts_post) if counts_post else None,
@@ -524,7 +529,6 @@ _DATA_ERRORS = (
     FileNotFoundError,
     ValueError,
     KeyError,
-    json.JSONDecodeError,
 )
 
 

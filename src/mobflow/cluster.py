@@ -75,10 +75,6 @@ class Clustering:
     band_std: np.ndarray  # shape (k, n_dates), per-date std of member series
     inertia: float
 
-    @property
-    def assignments(self) -> dict[str, int]:
-        return {p: int(l) for p, l in zip(self.provinces, self.labels)}
-
     def members(self, label: int) -> list[str]:
         return [p for p, l in zip(self.provinces, self.labels) if l == label]
 
@@ -293,7 +289,7 @@ def clustering_report(selection: KSelection) -> dict:
         report["clustering"] = {
             "k": clustering.k,
             "inertia": clustering.inertia,
-            "assignments": dict(sorted(clustering.assignments.items())),
+            "assignments": dict(sorted(zip(clustering.provinces, clustering.labels.tolist()))),
             "clusters": [
                 {
                     "label": j,

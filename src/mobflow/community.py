@@ -407,7 +407,10 @@ class DayCommunities:
     date: date
     partition: Partition | None  # None when the day had no flow at all
     community_count: int
-    empty_day: bool
+
+    @property
+    def empty_day(self) -> bool:
+        return self.partition is None
 
     @property
     def is_sunday(self) -> bool:
@@ -417,9 +420,6 @@ class DayCommunities:
 def _window_ods(ods: Sequence[DailyOD], window: int) -> Iterator[DailyOD]:
     """Each OD in date order, summed with those dated in the `window - 1` days before it."""
     ordered = sorted(ods, key=lambda od: od.date)
-    if window == 1:
-        yield from ordered  # a one-day window is the day itself: no copy
-        return
     dates = [od.date for od in ordered]
     for i, od in enumerate(ordered):
         span = ordered[bisect_left(dates, od.date - timedelta(days=window - 1), 0, i): i + 1]
@@ -448,7 +448,6 @@ def _detect_day(
         date=od.date,
         partition=partition,
         community_count=partition.module_count if partition else len(registry_nodes),
-        empty_day=partition is None,
     )
 
 

@@ -5,8 +5,10 @@ incoming trips over origin provinces, divided by log(N) with N the number of
 provinces in the territory, so values live in [0, 1]. Out-flow diversity is the
 mirror image over destinations. A day with no directed flow at all has no
 diversity value (absent, NaN in the arrays), which is different from a day
-with a single partner (diversity exactly 0). `diversity_table` and
-`diversity_wide_table` lay the values out as table rows; the CLI writes them.
+with a single partner (diversity exactly 0). `weekend_deltas` answers the
+weekday/weekend question: per period before and from a split date, the mean
+over provinces of the weekend mean minus the weekday mean. `diversity_table`
+and `diversity_wide_table` lay the values out as table rows; the CLI writes them.
 """
 
 from __future__ import annotations
@@ -36,21 +38,6 @@ class ProvinceDiversity:
     provinces: tuple[str, ...]
     dates: tuple[date, ...]
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class WeekendContrast:
-    """Means of a diversity series split pre/post a date and weekday/weekend."""
-
-    split_date: date
-    pre_weekday_mean: float | None
-    pre_weekend_mean: float | None
-    post_weekday_mean: float | None
-    post_weekend_mean: float | None
-    pre_weekday_n: int
-    pre_weekend_n: int
-    post_weekday_n: int
-    post_weekend_n: int
 
 
 def flow_diversity(counts: Sequence[int], n_provinces: int) -> float | None:
@@ -101,24 +88,25 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def weekend_contrast(diversity: ProvinceDiversity, split_date: date) -> list[WeekendContrast]:
-    """Per province, four means over defined values: before/from split_date x weekday/weekend.
+def weekend_deltas(diversity: ProvinceDiversity, split_date: date) -> tuple[float | None, float | None]:
+    """Mean over provinces of weekend minus weekday mean diversity, before and from split_date.
 
-    Each mean sums its values in date order.
+    Each mean sums a province's defined values in date order. A province counts
+    in a period only if it has both a weekday and a weekend value there; the
+    province deltas are averaged in province order, None where none counts.
     """
-    cell_of = [(day >= split_date, day.weekday() >= 5) for day in diversity.dates]
-    contrasts = []
+    cell_of = [2 * (day >= split_date) + (day.weekday() >= 5) for day in diversity.dates]
+    deltas: tuple[list[float], list[float]] = ([], [])
     for row in diversity.values.tolist():
-        # (post, weekend) cells in the field order: pre weekday, pre weekend, post weekday, post weekend
-        cells: dict[tuple[bool, bool], list[float]] = {
-            (post, weekend): [] for post in (False, True) for weekend in (False, True)
-        }
+        cells: list[list[float]] = [[], [], [], []]  # pre weekday, pre weekend, post weekday, post weekend
         for cell, value in zip(cell_of, row):
             if not math.isnan(value):
                 cells[cell].append(value)
-        means = [_mean(values) for values in cells.values()]
-        contrasts.append(WeekendContrast(split_date, *means, *map(len, cells.values())))
-    return contrasts
+        for period, (weekday, weekend) in zip(deltas, (cells[:2], cells[2:])):
+            if weekday and weekend:
+                period.append(_mean(weekend) - _mean(weekday))
+    pre, post = map(_mean, deltas)
+    return pre, post
 
 
 def _fields(row: list[float]) -> list[str]:

@@ -2,11 +2,12 @@
 
 A CDR row logs one phone call: caller, callee, timestamp, start/end antennas and
 duration. An XDR row logs one data session: user, timestamp, antenna, kilobytes.
-Both are reduced to rows of one columnar table of (user, timestamp,
-municipality) events, sorted by user and time. Trips are read off the table's
-runs: sequences are cut at local midnight, and a change of municipality is a
-trip only if the user then stays at the destination long enough (one hour by
-default) or is not seen elsewhere again that day.
+Through the antenna registry's antenna -> municipality map (its coordinates are
+checked on load, not kept), both are reduced to rows of one columnar table of
+(user, timestamp, municipality) events, sorted by user and time. Trips are read
+off the table's runs: sequences are cut at local midnight, and a change of
+municipality is a trip only if the user then stays at the destination long
+enough (one hour by default) or is not seen elsewhere again that day.
 """
 
 from __future__ import annotations
@@ -32,27 +33,17 @@ class RegistryError(ValueError):
     """Raised when an antenna registry file violates its schema or invariants."""
 
 
-@dataclass(frozen=True, slots=True)
-class AntennaSite:
-    lat: float
-    lon: float
-    municipality_id: str
-    province_id: str
-
-
 @dataclass(frozen=True)
 class AntennaRegistry:
-    """Immutable antenna -> (position, municipality, province) mapping.
+    """An antenna registry's maps: antenna -> municipality and municipality -> province.
 
     Every antenna belongs to exactly one municipality and every municipality to
-    exactly one province; violations are rejected at load time.
+    exactly one province; violations are rejected at load time, as are
+    coordinates that do not parse or lie out of range. Coordinates are not kept.
     """
 
-    entries: dict[str, AntennaSite]
-
-    @property
-    def muni_to_province(self) -> dict[str, str]:
-        return {site.municipality_id: site.province_id for site in self.entries.values()}
+    muni_of_antenna: dict[str, str]
+    muni_to_province: dict[str, str]
 
 
 @dataclass
@@ -110,8 +101,8 @@ def load_registry(path: str | Path) -> AntennaRegistry:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise RegistryError(f"{path}: not UTF-8 text: {exc}") from None
-    entries: dict[str, AntennaSite] = {}
-    muni_province: dict[str, str] = {}
+    muni_of_antenna: dict[str, str] = {}
+    muni_to_province: dict[str, str] = {}
     if not rows or [c.strip() for c in rows[0]] != REGISTRY_COLUMNS:
         raise RegistryError(f"{path}: expected header {','.join(REGISTRY_COLUMNS)}")
     for lineno, row in enumerate(rows[1:], start=2):
@@ -126,16 +117,16 @@ def load_registry(path: str | Path) -> AntennaRegistry:
             raise RegistryError(f"{path}:{lineno}: bad coordinates") from exc
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             raise RegistryError(f"{path}:{lineno}: coordinates out of range")
-        if antenna_id in entries:
+        if antenna_id in muni_of_antenna:
             raise RegistryError(f"{path}:{lineno}: duplicate antenna id {antenna_id!r}")
-        known = muni_province.get(muni)
+        known = muni_to_province.get(muni)
         if known is not None and known != prov:
             raise RegistryError(
                 f"{path}:{lineno}: municipality {muni!r} mapped to two provinces ({known!r}, {prov!r})"
             )
-        muni_province[muni] = prov
-        entries[antenna_id] = AntennaSite(lat, lon, muni, prov)
-    return AntennaRegistry(entries=entries)
+        muni_to_province[muni] = prov
+        muni_of_antenna[antenna_id] = muni
+    return AntennaRegistry(muni_of_antenna, muni_to_province)
 
 
 # Epoch seconds accepted as event times: one day inside `datetime`'s range at
@@ -179,9 +170,9 @@ def parse_records(
     with an event time outside EPOCH_RANGE are skipped and counted in the
     per-file rejection tally.
     """
-    municipalities = sorted({site.municipality_id for site in registry.entries.values()})
+    municipalities = sorted(set(registry.muni_of_antenna.values()))
     code = {muni: i for i, muni in enumerate(municipalities)}
-    muni_of = {antenna: code[site.municipality_id] for antenna, site in registry.entries.items()}
+    muni_of = {antenna: code[muni] for antenna, muni in registry.muni_of_antenna.items()}
     user_code: dict[str, int] = {}
     users, stamps, munis = array("q"), array("q"), array("q")
     rejections: dict[str, RejectionTally] = {}

@@ -181,8 +181,11 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
 
 def _read_manifest(path: Path, granularity: str) -> list[date]:
     """The dates a manifest lists, once its schema version and granularity check out."""
-    with path.open() as fh:
-        manifest = json.load(fh)
+    with path.open(encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ODSchemaError(f"{path}: bad JSON: {exc}") from None
     version = manifest.get("schema_version") if isinstance(manifest, dict) else None
     if version != SCHEMA_VERSION:
         raise ODSchemaError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")

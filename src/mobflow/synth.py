@@ -32,6 +32,7 @@ from .od import DailyOD, build_daily_od
 GRAVITY_EXPONENT = 2.0  # distance decay of inter-province attraction
 CDR_DURATION_RANGE = (62, 180)  # minutes; start >= 62 keeps the dwell rule satisfied
 VIOLATION_RETURN_RANGE = (5, 55)  # minutes back at the origin, always below the dwell
+REGIME_SCALES = ("flow_scale", "bridge_scale", "weekend_concentration")  # RegimePhase's factors, each in (0, 1]
 _WORDS_PER_FETCH = 2048  # PCG64 outputs per conversion to Python ints: a small, bounded resident set
 
 
@@ -47,6 +48,12 @@ class RegimePhase:
     flow_scale: float = 1.0
     bridge_scale: float = 1.0
     weekend_concentration: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in REGIME_SCALES:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0.0 < value <= 1.0):
+                raise ScenarioConfigError(f"{name} must be a number in (0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,10 @@ class ScenarioConfig:
                      "intra_trips_per_pair", "bridge_trips_per_pair", "antennas_per_municipality"):
             if not isinstance(getattr(self, name), numbers.Integral):  # JSON's 2.0 included
                 raise ScenarioConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("population_per_municipality", "inter_trips_per_province", "cdr_fraction",
+                     "dwell_violation_rate"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ScenarioConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.n_provinces < 2:
             raise ScenarioConfigError("need at least 2 provinces")
         if self.municipalities_per_province < 1:
@@ -99,13 +110,10 @@ class ScenarioConfig:
             raise ScenarioConfigError("regime start dates must be strictly increasing")
         if self.regimes[0].start_date > self.start_date:
             raise ScenarioConfigError("first regime must cover the scenario start")
-        for regime in self.regimes:
-            for name in ("flow_scale", "bridge_scale", "weekend_concentration"):
-                value = getattr(regime, name)
-                if not 0.0 < value <= 1.0:
-                    raise ScenarioConfigError(f"{name} must be in (0, 1], got {value}")
         if self.planted_cluster_levels is not None:
             levels = self.planted_cluster_levels
+            if not isinstance(levels, (list, tuple)) or not all(isinstance(lvl, numbers.Real) for lvl in levels):
+                raise ScenarioConfigError(f"planted_cluster_levels must be a list of numbers, got {levels!r}")
             if len(set(levels)) != len(levels):
                 raise ScenarioConfigError("planted cluster levels must be distinct")
             if any(not 0.0 < lvl < 1.0 for lvl in levels):
@@ -554,6 +562,8 @@ def lockdown_scenario_config(
     **overrides,
 ) -> ScenarioConfig:
     """Two-regime scenario: normal life, then a lockdown at the given day offset."""
+    if not isinstance(lockdown_day, numbers.Real):  # a day offset for timedelta
+        raise ScenarioConfigError(f"lockdown_day must be a number, got {lockdown_day!r}")
     return ScenarioConfig(
         n_provinces=n_provinces,
         municipalities_per_province=municipalities_per_province,

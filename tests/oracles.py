@@ -336,6 +336,18 @@ def weekend_contrast_reference(series, split_date):
     return {key: (sum(v) / len(v) if v else None, len(v)) for key, v in cells.items()}
 
 
+def weekend_deltas_reference(series_list, split_date):
+    """(pre, post): the mean over provinces of weekend minus weekday mean, from weekend_contrast_reference."""
+    deltas = {False: [], True: []}
+    for series in series_list:
+        cells = weekend_contrast_reference(series, split_date)
+        for post, period in deltas.items():
+            (weekday, _), (weekend, _) = cells[(post, False)], cells[(post, True)]
+            if weekday is not None and weekend is not None:
+                period.append(weekend - weekday)
+    return tuple(sum(v) / len(v) if v else None for v in deltas.values())
+
+
 def impute_reference(values):
     """A None-holding series as floats, gaps interpolated and ends extended."""
     arr = np.array([np.nan if v is None else v for v in values], dtype=float)

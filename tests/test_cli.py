@@ -442,6 +442,26 @@ class TestExitCodes:
         assert str(path) in err and "dates" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "name", ["territory.json", "od/municipality/manifest.json", "ground_truth.json"],
+        ids=["territory", "manifest", "ground_truth"],
+    )
+    def test_json_file_that_does_not_parse_is_named(self, tmp_path, capsys, name):
+        data = _two_day_data(tmp_path)
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
+        if name == "ground_truth.json":
+            path = data / name
+            command = ["report", "--in", str(data), "--seed", "0", "--trials", "1"]
+        else:
+            path = store / name
+            command = ["flows", "--in", str(store)]
+        path.write_text('{"muni_to')
+        capsys.readouterr()
+        assert main([*command, "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {path}: bad JSON: Unterminated string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["registry.csv", "xdr/x.csv"])
     def test_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys, name):
         data = _two_day_data(tmp_path)
@@ -555,8 +575,20 @@ class TestExitCodes:
              "start_date"),
             ('{"preset": "lockdown", "seed": "x", "n_days": 2, "lockdown_day": 1}', "seed"),
             ('{"preset": "lockdown", "seed": 0,', "JSON"),
+            ('{"n_provinces": 2, "municipalities_per_province": 1, "n_days": 2, "seed": 0,'
+             ' "start_date": "2020-03-02", "regimes": [{"start_date": "2020-03-02", "flow_scale": "x"}]}',
+             "regimes[0]: flow_scale must be a number in (0, 1], got 'x'"),
+            ('{"n_provinces": 2, "municipalities_per_province": 1, "n_days": 2, "seed": 0,'
+             ' "start_date": "2020-03-02", "regimes": 5}', "regimes must be a list, got int"),
+            ('{"preset": "lockdown", "seed": 0, "n_days": 2, "lockdown_day": 1, "cdr_fraction": 7}',
+             "cdr_fraction must be in [0, 1]"),
+            ('{"preset": "lockdown", "seed": 0, "n_days": 2, "lockdown_day": 1,'
+             ' "inter_trips_per_province": "x"}', "inter_trips_per_province must be a number"),
+            ('{"preset": "lockdown", "seed": 0, "n_days": 2, "lockdown_day": "x"}', "lockdown_day must be a number"),
         ],
-        ids=["list", "regime_without_start_date", "bad_start_date", "seed_not_an_integer", "malformed_json"],
+        ids=["list", "regime_without_start_date", "bad_start_date", "seed_not_an_integer", "malformed_json",
+             "flow_scale_not_a_number", "regimes_not_a_list", "cdr_fraction_out_of_range",
+             "inter_trips_not_a_number", "lockdown_day_not_a_number"],
     )
     def test_synth_bad_config_file_names_the_file_and_field(self, tmp_path, capsys, text, field):
         config = tmp_path / "c.json"

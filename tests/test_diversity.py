@@ -1,4 +1,4 @@
-"""Entropy flow diversity: frozen values, invariances, the arrays against per-province scans and lists, and the weekend contrast."""
+"""Entropy flow diversity: frozen values, invariances, the arrays against per-province scans and lists, and the weekend deltas."""
 
 import math
 from datetime import date, timedelta
@@ -16,7 +16,7 @@ from mobflow.diversity import (
     flow_diversity,
     diversity_table,
     diversity_wide_table,
-    weekend_contrast,
+    weekend_deltas,
 )
 from mobflow.cluster import SeriesMatrix
 from mobflow.flows import compute_flows
@@ -43,9 +43,9 @@ def value_of(od, province, direction, provinces=TERRITORY_110, include_self=Fals
     return series_of([od], province, direction, provinces, include_self)[0]
 
 
-def contrast_of(ods, split):
-    """Province A's weekend contrast of in-flow diversity."""
-    return weekend_contrast(diversity_series(cube_of(ods, TERRITORY_110), "in"), split)[0]
+def deltas_of(ods, split):
+    """The weekend deltas of in-flow diversity; of the 110 provinces only A has in-flow."""
+    return weekend_deltas(diversity_series(cube_of(ods, TERRITORY_110), "in"), split)
 
 
 class TestFlowDiversity:
@@ -239,15 +239,7 @@ class TestArraysMatchListPath:
                 reference = oracles.diversity_series_reference(cube, direction, include_self)
                 assert list(diversity.provinces) == [s.province_id for s in reference]
                 assert oracles.rows_with_none(diversity.values) == [s.values for s in reference]
-                contrasts = weekend_contrast(diversity, split)
-                for contrast, series in zip(contrasts, reference, strict=True):
-                    cells = oracles.weekend_contrast_reference(series, split)
-                    assert cells == {
-                        (False, False): (contrast.pre_weekday_mean, contrast.pre_weekday_n),
-                        (False, True): (contrast.pre_weekend_mean, contrast.pre_weekend_n),
-                        (True, False): (contrast.post_weekday_mean, contrast.post_weekday_n),
-                        (True, True): (contrast.post_weekend_mean, contrast.post_weekend_n),
-                    }
+                assert weekend_deltas(diversity, split) == oracles.weekend_deltas_reference(reference, split)
                 try:
                     expected = oracles.series_matrix_reference(reference)
                 except ValueError as exc:
@@ -296,36 +288,24 @@ class TestDiversitySeries:
         ]
 
 
-class TestWeekendContrast:
-    def test_constant_series_all_means_equal(self):
+class TestWeekendDeltas:
+    def test_constant_series_gives_zero_deltas(self):
         # 2020-03-02 is a Monday; 14 days cover both weekend and weekdays twice
         ods = [in_flows_od({"S000": 1, "S001": 1}, day=DAY + timedelta(days=i)) for i in range(14)]
-        contrast = contrast_of(ods, DAY + timedelta(days=7))
-        assert (
-            contrast.pre_weekday_mean
-            == contrast.pre_weekend_mean
-            == contrast.post_weekday_mean
-            == contrast.post_weekend_mean
-        )
+        assert deltas_of(ods, DAY + timedelta(days=7)) == (0.0, 0.0)
 
-    def test_weekday_one_weekend_zero(self):
+    def test_zero_weekend_diversity_gives_negative_deltas(self):
         ods = []
         for i in range(14):
             day = DAY + timedelta(days=i)
             flows = {"S000": 5} if day.weekday() >= 5 else {"S000": 1, "S001": 1, "S002": 1, "S003": 1}
             ods.append(in_flows_od(flows, day=day))
-        contrast = contrast_of(ods, DAY + timedelta(days=7))
-        assert contrast.pre_weekend_mean == 0.0
-        assert contrast.post_weekend_mean == 0.0
-        assert contrast.pre_weekday_mean > 0.0
-        assert contrast.pre_weekday_n == 5
-        assert contrast.pre_weekend_n == 2
+        weekday = flow_diversity([1, 1, 1, 1], 110)
+        assert deltas_of(ods, DAY + timedelta(days=7)) == (-weekday, -weekday)
 
-    def test_empty_cell_reported_absent(self):
-        ods = [in_flows_od({"S000": 1, "S001": 1}, day=DAY)]  # a single Monday
-        contrast = contrast_of(ods, DAY)
-        assert contrast.post_weekend_mean is None
-        assert contrast.post_weekend_n == 0
+    def test_single_monday_gives_no_deltas(self):
+        # no weekend value in either period, and no value at all before the split
+        assert deltas_of([in_flows_od({"S000": 1, "S001": 1}, day=DAY)], DAY) == (None, None)
 
 
 class TestLockdownScenario:
@@ -335,10 +315,6 @@ class TestLockdownScenario:
         )
         plan = synth.generate_plan(config)
         cube = aggregate_to_province(plan.municipality_ods(), plan.territory.muni_to_province)
-        split = config.regimes[-1].start_date
-        deltas_pre, deltas_post = [], []
-        for contrast in weekend_contrast(diversity_series(cube, "out"), split):
-            deltas_pre.append(contrast.pre_weekend_mean - contrast.pre_weekday_mean)
-            deltas_post.append(contrast.post_weekend_mean - contrast.post_weekday_mean)
-        assert sum(deltas_pre) / len(deltas_pre) >= 0.0
-        assert sum(deltas_post) / len(deltas_post) < 0.0
+        delta_pre, delta_post = weekend_deltas(diversity_series(cube, "out"), config.regimes[-1].start_date)
+        assert delta_pre >= 0.0
+        assert delta_post < 0.0

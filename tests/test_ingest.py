@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mobflow.ingest import (
     EPOCH_RANGE,
     AntennaRegistry,
-    AntennaSite,
     RegistryError,
     _local_days,
     daily_trips,
@@ -160,9 +159,7 @@ class TestParseRecords:
 
 ROME = ZoneInfo("Europe/Rome")
 DST_SWITCH = int(datetime(2020, 3, 29, 2, tzinfo=ROME).timestamp())
-SITES = AntennaRegistry(
-    entries={a: AntennaSite(45.0, 9.0, m, "P1") for a, m in [("A7", "M3"), ("A9", "M4"), ("A2", "M5")]}
-)
+SITES = AntennaRegistry({"A7": "M3", "A9": "M4", "A2": "M5"}, {"M3": "P1", "M4": "P1", "M5": "P1"})
 
 
 class TestIsoRewrite:
@@ -196,6 +193,10 @@ class TestIsoRewrite:
 
 
 class TestRegistry:
+    def test_holds_the_antenna_and_municipality_maps(self, registry):
+        assert registry.muni_of_antenna == {"A7": "M3", "A9": "M4", "A2": "M5"}
+        assert registry.muni_to_province == {"M3": "P1", "M4": "P1", "M5": "P2"}
+
     def test_rejects_municipality_in_two_provinces(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(
@@ -206,12 +207,22 @@ class TestRegistry:
         with pytest.raises(RegistryError, match="two provinces"):
             load_registry(path)
 
-    def test_rejects_out_of_range_coordinates(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A1,95.0,9.0,M1,P1", "coordinates out of range"),
+            ("A1,north,9.0,M1,P1", "bad coordinates"),
+            ("A1,45.0,181,M1,P1", "coordinates out of range"),
+            ("A1,nan,9.0,M1,P1", "coordinates out of range"),
+            ("A1,45.0,9.0,M1", "expected 5 fields"),
+        ],
+        ids=["lat_95", "lat_not_a_number", "lon_181", "nan", "four_fields"],
+    )
+    def test_rejects_out_of_range_coordinates(self, tmp_path, row, message):
+        # the coordinates are not kept, but every row's are still checked
         path = tmp_path / "r.csv"
-        path.write_text(
-            "antenna_id,lat,lon,municipality_id,province_id\nA1,95.0,9.0,M1,P1\n"
-        )
-        with pytest.raises(RegistryError, match="out of range"):
+        path.write_text(f"antenna_id,lat,lon,municipality_id,province_id\nA0,45.0,9.0,M0,P0\n{row}\n")
+        with pytest.raises(RegistryError, match=f"r.csv:3: {message}"):
             load_registry(path)
 
     def test_rejects_duplicate_antenna(self, tmp_path):
@@ -310,11 +321,7 @@ class TestTripProperties:
     @given(events_strategy.filter(lambda e: len(e) > 0), st.integers(2, 4))
     @settings(max_examples=100, deadline=None)
     def test_trips_invariant_under_file_splitting(self, tmp_path_factory, events, n_parts):
-        registry = AntennaRegistry(
-            entries={
-                f"A{m}": AntennaSite(45.0, 9.0, f"M{m}", "P1") for m in range(6)
-            }
-        )
+        registry = AntennaRegistry({f"A{m}": f"M{m}" for m in range(6)}, {f"M{m}": "P1" for m in range(6)})
         tmp = tmp_path_factory.mktemp("split")
         header = "user_id,timestamp,antenna,kilobytes\n"
         rows = [f"u,{e.timestamp},A{e.municipality_id[1:]},1\n" for e in events]

@@ -335,6 +335,14 @@ class TestConfigValidation:
             ("antennas_per_municipality", 2.5),
             ("n_days", 2.0),
             ("intra_trips_per_pair", 2.0),
+            # the type is checked before any comparison could raise TypeError
+            ("population_per_municipality", "x"),
+            ("inter_trips_per_province", "x"),
+            ("cdr_fraction", "x"),
+            ("dwell_violation_rate", None),
+            ("flow_scale", "x"),
+            ("weekend_concentration", [0.5]),
+            ("lockdown_day", "x"),
         ],
     )
     def test_out_of_range_values_rejected(self, field, value):
@@ -351,3 +359,8 @@ class TestConfigValidation:
     def test_duplicate_levels_rejected(self):
         with pytest.raises(synth.ScenarioConfigError, match="distinct"):
             synth.planted_levels_config(seed=0, levels=[0.2, 0.2, 0.5])
+
+    @pytest.mark.parametrize("levels", [5, [0.2, "x"]])
+    def test_levels_must_be_a_list_of_numbers(self, levels):
+        with pytest.raises(synth.ScenarioConfigError, match="planted_cluster_levels must be a list of numbers"):
+            synth.planted_levels_config(seed=0, levels=levels)
