@@ -199,6 +199,9 @@ def _load_territory(store: Path) -> dict[str, str]:
     mapping = payload.get("muni_to_province") if isinstance(payload, dict) else None
     if not isinstance(mapping, dict):
         raise ValueError(f"{path}: expected an object whose muni_to_province field is an object")
+    for muni, province in mapping.items():  # JSON object keys are always strings
+        if not isinstance(province, str):
+            raise ValueError(f"{path}: muni_to_province[{muni!r}] is {province!r}, not a string province id")
     return mapping
 
 
@@ -241,13 +244,13 @@ def _file_name(name: str) -> str:
 
 
 def _write_csv(path: Path, rows) -> None:
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

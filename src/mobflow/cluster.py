@@ -15,6 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .diversity import ProvinceDiversity
+from .draws import Draws, SeededDraws
 
 MAX_ITER = 300
 DEFAULT_RESTARTS = 8
@@ -79,15 +80,15 @@ class Clustering:
         return [p for p, l in zip(self.provinces, self.labels) if l == label]
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(x: np.ndarray, k: int, rng: Draws) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
+    centroids[0] = x[rng.integers(0, n)]
     closest = ((x - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
-            idx = rng.integers(n)
+            idx = rng.integers(0, n)
         else:
             idx = rng.choice(n, p=closest / total)
         centroids[j] = x[idx]
@@ -139,8 +140,8 @@ def kmeans(
 ) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding, best inertia over independent restarts.
 
-    Deterministic given (matrix, k, seed, restarts): restart r draws from a
-    generator seeded with (seed, k, r).
+    Deterministic given (matrix, k, seed, restarts): restart r draws from
+    `SeededDraws([seed, k, r])`, numpy's `default_rng` stream for that entropy.
     """
     x = matrix.values
     n = x.shape[0]
@@ -150,7 +151,7 @@ def kmeans(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for restart in range(restarts):
-        rng = np.random.default_rng([seed, k, restart])
+        rng = SeededDraws([seed, k, restart])
         centroids = _kmeanspp_init(x, k, rng)
         labels, centroids, inertia = _lloyd(x, centroids.copy())
         if best is None or inertia < best[0]:
@@ -187,12 +188,10 @@ def mean_silhouette(
         raise ValueError(f"silhouette needs at least 2 clusters, got {len(cluster_ids)}")
     dists = _pairwise_distances(x) if distances is None else distances
     n = x.shape[0]
-    # sums[c, i]: point i's summed distance to cluster c, each the 1-D sum of
-    # one contiguous row of the cluster's gathered columns. A 2-D row-wise sum
-    # adds in another order and would round differently.
-    sums = np.array(
-        [list(map(np.add.reduce, np.ascontiguousarray(dists[:, labels == j]))) for j in cluster_ids]
-    )
+    # sums[c, i]: point i's summed distance to cluster c, the row sums of the
+    # cluster's gathered columns made contiguous: each row then adds in the
+    # order of a 1-D sum. Summed in place, the gather would round differently.
+    sums = np.array([np.ascontiguousarray(dists[:, labels == j]).sum(axis=1) for j in cluster_ids])
     point = np.arange(n)
     own_size = sizes[own]
     a = sums[own, point] / np.maximum(own_size - 1, 1)

@@ -33,6 +33,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .draws import SeededDraws
 from .od import DailyOD
 
 DEFAULT_TELEPORT = 0.15
@@ -243,7 +244,7 @@ class _MapState:
             self.plogp_circ[module] = _plogp(self.exit[module] + self.flow[module])
 
 
-def _sweep_until_stable(state: _MapState, rng: np.random.Generator) -> bool:
+def _sweep_until_stable(state: _MapState, rng: SeededDraws) -> bool:
     """Sweep nodes in fresh seeded random order until a full sweep makes no move.
 
     A move of `node` from module a to module b changes the plogp terms of a, b
@@ -260,7 +261,7 @@ def _sweep_until_stable(state: _MapState, rng: np.random.Generator) -> bool:
     moved_any = False
     while True:
         moved_in_sweep = False
-        for node in rng.permutation(level.size).tolist():
+        for node in rng.permutation(level.size):
             wm_out: dict[int, float] = {}
             for target, q in out_adj[node]:
                 module = module_of[target]
@@ -344,7 +345,7 @@ def _compact(assignment: list[int]) -> list[int]:
     return out
 
 
-def _one_trial(flat: _Level, node_term: float, rng: np.random.Generator) -> tuple[list[int], float]:
+def _one_trial(flat: _Level, node_term: float, rng: SeededDraws) -> tuple[list[int], float]:
     """One seeded multilevel greedy run; returns (flat assignment, codelength)."""
     n = flat.size
     flat_assignment = list(range(n))
@@ -382,7 +383,8 @@ def infomap(
     order into the neighboring module with the largest strictly negative
     codelength change, aggregates modules into super-nodes once stable, and
     repeats until a full multilevel pass stops improving. Deterministic given
-    (seed, trials); isolated nodes end up as singleton modules.
+    (seed, trials): trial t draws its orders from `SeededDraws([seed, t])`.
+    Isolated nodes end up as singleton modules.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -392,7 +394,7 @@ def infomap(
     node_term = sum(_plogp(p) for p in flat.node_flow)
     best: tuple[float, list[int]] | None = None
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
+        rng = SeededDraws([seed, trial])
         assignment, length = _one_trial(flat, node_term, rng)
         if best is None or length < best[0] - GAIN_EPS:
             best = (length, assignment)
@@ -417,29 +419,38 @@ class DayCommunities:
         return self.date.weekday() == 6
 
 
-def _window_ods(ods: Sequence[DailyOD], window: int) -> Iterator[DailyOD]:
-    """Each OD in date order, summed with those dated in the `window - 1` days before it."""
-    ordered = sorted(ods, key=lambda od: od.date)
-    dates = [od.date for od in ordered]
-    for i, od in enumerate(ordered):
-        span = ordered[bisect_left(dates, od.date - timedelta(days=window - 1), 0, i): i + 1]
-        # Concatenating the names shifts each OD's codes past the previous
-        # ones'; from_codes then merges the codes of a repeated name.
-        shift = np.cumsum([0] + [len(past.names) for past in span[:-1]])
-        yield DailyOD.from_codes(
-            od.date,
-            od.granularity,
-            [name for past in span for name in past.names],
-            np.concatenate([past.origin + k for past, k in zip(span, shift)]),
-            np.concatenate([past.destination + k for past, k in zip(span, shift)]),
-            np.concatenate([past.count for past in span]),
-        )
+def _window(ordered: Sequence[DailyOD], i: int, window: int) -> Sequence[DailyOD]:
+    """Date-sorted OD i and the ODs dated in the `window - 1` days before it."""
+    first = bisect_left(ordered, ordered[i].date - timedelta(days=window - 1), 0, i, key=lambda od: od.date)
+    return ordered[first: i + 1]
+
+
+def _summed(span: Sequence[DailyOD]) -> DailyOD:
+    """Date-sorted ODs summed into one OD dated as the last."""
+    last = span[-1]
+    # Concatenating the names shifts each OD's codes past the previous ones';
+    # from_codes then merges the codes of a repeated name.
+    shift = np.cumsum([0] + [len(past.names) for past in span[:-1]])
+    return DailyOD.from_codes(
+        last.date,
+        last.granularity,
+        [name for past in span for name in past.names],
+        np.concatenate([past.origin + k for past, k in zip(span, shift)]),
+        np.concatenate([past.destination + k for past, k in zip(span, shift)]),
+        np.concatenate([past.count for past in span]),
+    )
 
 
 def _detect_day(
-    od: DailyOD, seed: int, trials: int, tau: float, registry_nodes: list[str]
+    span: Sequence[DailyOD], seed: int, trials: int, tau: float, registry_nodes: list[str]
 ) -> DayCommunities:
-    """Detect one (already windowed) day's communities."""
+    """Detect the communities of one day's window, the date-sorted ODs it sums (`_window`).
+
+    The process that detects the day sums them. In the feeder thread the sum
+    would wait on this process's detection for the interpreter lock at each
+    numpy call that releases it, and leave the helper idle meanwhile.
+    """
+    od = _summed(span)
     partition = None
     if len(od.count):
         graph = FlowGraph.from_od(od, extra_nodes=registry_nodes)
@@ -474,9 +485,9 @@ def _start_helper() -> subprocess.Popen:
 
 
 def _serve(stdin: BinaryIO | None = None, stdout: BinaryIO | None = None) -> None:
-    """The helper's side: read the pickled detection arguments, then answer each pickled day.
+    """The helper's side: read the pickled detection arguments, then answer each pickled window.
 
-    Each day sent gets its pickled DayCommunities back before the next is read.
+    Each window sent gets its day's pickled DayCommunities back before the next is read.
     Stops without a reply when the parent closes the pipe or a day raises a data
     error; the parent then detects that day itself and raises the same error.
     """
@@ -492,15 +503,15 @@ def _serve(stdin: BinaryIO | None = None, stdout: BinaryIO | None = None) -> Non
         return
 
 
-def _ask(helper: subprocess.Popen, od: DailyOD) -> DayCommunities:
-    """Have the helper detect one day: send it, then wait for its result."""
-    pickle.dump(od, helper.stdin)
+def _ask(helper: subprocess.Popen, span: Sequence[DailyOD]) -> DayCommunities:
+    """Have the helper detect one day: send its window, then wait for its result."""
+    pickle.dump(span, helper.stdin)
     helper.stdin.flush()
     return pickle.load(helper.stdout)
 
 
-def _claims(take: Callable[[], tuple[int, DailyOD]]) -> Iterator[tuple[int, DailyOD]]:
-    """The (index, day) pairs `take` pops from one end of the queue, until it is empty."""
+def _claims(take: Callable[[], int]) -> Iterator[int]:
+    """The day indices `take` pops from one end of the queue, until it is empty."""
     while True:
         try:
             claim = take()
@@ -509,7 +520,13 @@ def _claims(take: Callable[[], tuple[int, DailyOD]]) -> Iterator[tuple[int, Dail
         yield claim
 
 
-def _feed(helper: subprocess.Popen, queue: deque, results: list, args: tuple) -> None:
+def _feed(
+    helper: subprocess.Popen,
+    queue: deque,
+    span: Callable[[int], Sequence[DailyOD]],
+    results: list,
+    args: tuple,
+) -> None:
     """The feeder thread: hand the helper the queue's front day, one at a time, until none is left.
 
     Stops at the first day the helper does not return; that day's result stays
@@ -517,8 +534,8 @@ def _feed(helper: subprocess.Popen, queue: deque, results: list, args: tuple) ->
     """
     try:
         pickle.dump(args, helper.stdin)
-        for i, od in _claims(queue.popleft):
-            results[i] = _ask(helper, od)
+        for i in _claims(queue.popleft):
+            results[i] = _ask(helper, span(i))
         helper.stdin.close()  # end of input: the helper exits
     except (OSError, EOFError, pickle.UnpicklingError):
         pass  # the helper died or was killed
@@ -540,11 +557,13 @@ def _stop(helper: subprocess.Popen, feeder: threading.Thread) -> None:
         pass  # bytes a dead helper never read
 
 
-def _detect_missing(days: list[DailyOD], results: list, args: tuple, end: int) -> None:
+def _detect_missing(
+    span: Callable[[int], Sequence[DailyOD]], results: list, args: tuple, end: int
+) -> None:
     """Detect, in date order, each of the first `end` days that has no result yet."""
     for i in range(end):
         if results[i] is None:
-            results[i] = _detect_day(days[i], *args)
+            results[i] = _detect_day(span(i), *args)
 
 
 def community_count_series(
@@ -563,47 +582,53 @@ def community_count_series(
     smoothing). A day with no flow has no partition; its count falls back to
     the number of attached registry nodes (each isolated) and the day is flagged.
 
-    The windowed days form one two-ended queue. With two or more usable CPUs
-    and days, a helper process starts at once, and a feeder thread hands it the
-    queue's front day, one at a time, in date order. `meanwhile`, if given, then
-    runs here while the helper works; this process claims days from the back
-    after it. Each day's partition depends only on its graph and (seed, trial),
-    so the result, and any detection error raised, do not depend on how the days
-    were shared: a day the helper did not return is detected here, and the
-    error raised is the one the first failing day in date order raises.
+    The days form one two-ended queue of indices into the date-sorted ODs, and
+    each day's window is summed where the day is detected. With two or more
+    usable CPUs and days, a helper process starts at once, and a feeder thread
+    hands it the queue's front day, one at a time, in date order. `meanwhile`,
+    if given, then runs here while the helper works; this process claims days
+    from the back after it. Each day's partition depends only on its graph and
+    (seed, trial), so the result, and any detection error raised, do not depend
+    on how the days were shared: a day the helper did not return is detected
+    here, and the error raised is the one the first failing day in date order
+    raises.
     """
     if window < 1:
         raise ValueError(f"window must be at least 1 day, got {window}")
     args = (seed, trials, tau, sorted(set(registry_nodes)))
-    days = list(_window_ods(ods, window))
-    results: list[DayCommunities | None] = [None] * len(days)
-    queue = deque(enumerate(days))  # pops from either end are atomic: the two claimants share it
+    ordered = sorted(ods, key=lambda od: od.date)
+
+    def span(i: int) -> Sequence[DailyOD]:
+        return _window(ordered, i, window)
+
+    results: list[DayCommunities | None] = [None] * len(ordered)
+    queue = deque(range(len(ordered)))  # pops from either end are atomic: the two claimants share it
     helper = feeder = None
-    if len(days) >= 2 and _usable_cpus() >= 2:
+    if len(ordered) >= 2 and _usable_cpus() >= 2:
         try:
             helper = _start_helper()
         except OSError:
             pass  # no process to spare: every day runs here
         else:
-            feeder = threading.Thread(target=_feed, args=(helper, queue, results, args))
+            feeder = threading.Thread(target=_feed, args=(helper, queue, span, results, args))
     try:
         if feeder is not None:
             feeder.start()
         if meanwhile is not None:
             meanwhile()
         try:
-            for claimed, od in _claims(queue.pop):
-                results[claimed] = _detect_day(od, *args)
+            for claimed in _claims(queue.pop):
+                results[claimed] = _detect_day(span(claimed), *args)
         except Exception:
             # Raise what the serial order raises: a day dated before the failing
             # one that has no result yet comes first.
             if helper is not None:
                 _stop(helper, feeder)
-            _detect_missing(days, results, args, claimed)
+            _detect_missing(span, results, args, claimed)
             raise
         if feeder is not None:
             feeder.join()
-        _detect_missing(days, results, args, len(days))
+        _detect_missing(span, results, args, len(ordered))
         return results
     finally:
         if helper is not None:

@@ -27,6 +27,8 @@ GRANULARITIES = ("municipality", "province")
 class ODNotFoundError(KeyError):
     """Raised when no stored matrix exists for the requested date and granularity."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr of it
+
 
 class ODSchemaError(ValueError):
     """Raised when a stored matrix or manifest does not match the expected schema."""
@@ -34,6 +36,8 @@ class ODSchemaError(ValueError):
 
 class UnmappedMunicipalityError(KeyError):
     """Raised when aggregation meets a municipality absent from the territory index."""
+
+    __str__ = Exception.__str__
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +164,7 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
     path = directory / f"{od.date.isoformat()}.csv"
 
     names = od.names
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["origin", "destination", "count"])
         rows = zip(od.origin.tolist(), od.destination.tolist(), od.count.tolist())
@@ -175,7 +179,7 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
         "granularity": od.granularity,
         "dates": [stored.isoformat() for stored in sorted(dates)],
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
@@ -203,35 +207,41 @@ def _read_manifest(path: Path, granularity: str) -> list[date]:
 def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
     """Load one stored matrix; round-trips store_daily_od bit-exactly.
 
-    A repeated (origin, destination) row, a municipality self-loop, or a count
-    that is not a positive integer below 2**63 raises ODSchemaError naming the file.
+    A repeated (origin, destination) row, a municipality self-loop, a count
+    that is not a positive integer below 2**63, or text that is not UTF-8
+    raises ODSchemaError naming the file; a missing file raises ODNotFoundError
+    naming the store and the file.
     """
     directory = _granularity_dir(root, granularity)
     path = directory / f"{day.isoformat()}.csv"
     if not path.exists():
-        raise ODNotFoundError(f"no {granularity} OD matrix stored for {day.isoformat()}")
+        missing = path.relative_to(root)
+        raise ODNotFoundError(f"{root}: no {granularity} OD matrix for {day.isoformat()}; {missing} is missing")
     manifest_path = directory / "manifest.json"
     if manifest_path.exists():
         _read_manifest(manifest_path, granularity)
     cells: dict[tuple[str, str], int] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["origin", "destination", "count"]:
-            raise ODSchemaError(f"{path}: unexpected header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ODSchemaError(f"{path}: malformed row {row!r}")
-            if (row[0], row[1]) in cells:
-                raise ODSchemaError(f"{path}: repeated row {row!r}")
-            if granularity == "municipality" and row[0] == row[1]:
-                raise ODSchemaError(f"{path}: self-loop row {row!r}")
-            count = int(row[2]) if row[2].isdecimal() else 0
-            if not 1 <= count < 2**63:  # the counts are int64
-                raise ODSchemaError(f"{path}: count in row {row!r} is not a positive int64")
-            cells[(row[0], row[1])] = count
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["origin", "destination", "count"]:
+                raise ODSchemaError(f"{path}: unexpected header {header!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ODSchemaError(f"{path}: malformed row {row!r}")
+                if (row[0], row[1]) in cells:
+                    raise ODSchemaError(f"{path}: repeated row {row!r}")
+                if granularity == "municipality" and row[0] == row[1]:
+                    raise ODSchemaError(f"{path}: self-loop row {row!r}")
+                count = int(row[2]) if row[2].isdecimal() else 0
+                if not 1 <= count < 2**63:  # the counts are int64
+                    raise ODSchemaError(f"{path}: count in row {row!r} is not a positive int64")
+                cells[(row[0], row[1])] = count
+    except UnicodeDecodeError as exc:
+        raise ODSchemaError(f"{path}: not UTF-8 text: {exc}") from None
     names = [name for pair in cells for name in pair]
     origin = np.arange(0, len(names), 2)
     return DailyOD.from_codes(day, granularity, names, origin, origin + 1, np.fromiter(cells.values(), np.int64))

@@ -26,6 +26,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
+from .draws import Draws
 from .ingest import DEFAULT_TIMEZONE
 from .od import DailyOD, build_daily_od
 
@@ -504,49 +505,18 @@ def _raw_words(bits: np.random.PCG64):
         yield from bits.random_raw(_WORDS_PER_FETCH).tolist()
 
 
-class _Draws:
-    """`np.random.default_rng(seed)`'s scalar `integers(low, high)` and `random()`, in Python.
+class _Draws(Draws):
+    """`np.random.default_rng(seed)`'s scalar draws, over numpy's own PCG64 outputs.
 
-    Each call returns the value numpy's Generator returns for the same call at
-    the same point of its stream, from the same PCG64 outputs, at a fraction of
-    the cost of a scalar numpy call. `random()` is an output's top 53 bits over
-    2**53. `integers` is Lemire's bounded method (arXiv:1805.10941) over 32-bit
-    draws; like numpy's PCG64, a 32-bit draw takes an output's low half and
-    keeps its high half for the next 32-bit draw, and `random()` leaves a kept
-    half in place. A width of 1 draws nothing, as in numpy. Widths above 2**32,
-    which numpy draws from whole outputs, are rejected.
+    numpy computes the outputs in bulk, faster than `draws.SeededDraws` steps
+    its generator in Python, and writing a scenario takes a hundred thousand or more.
     """
 
-    __slots__ = ("_next_word", "_half")
+    __slots__ = ("_next_word",)
 
     def __init__(self, seed) -> None:
+        super().__init__()
         self._next_word = _raw_words(np.random.PCG64(seed)).__next__
-        self._half: int | None = None
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is None:
-            word = self._next_word()
-            self._half = word >> 32
-            return word & 0xFFFFFFFF
-        self._half = None
-        return half
-
-    def integers(self, low: int, high: int) -> int:
-        width = high - low
-        if width == 1:
-            return low
-        if not 1 < width <= 1 << 32:
-            raise ValueError(f"integers({low}, {high}): the width must be in [1, 2**32]")
-        m = self._uint32() * width
-        if m & 0xFFFFFFFF < width:
-            threshold = ((1 << 32) - width) % width  # 2**32 mod width: the low products that would bias
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * width
-        return low + (m >> 32)
-
-    def random(self) -> float:
-        return (self._next_word() >> 11) * (1.0 / (1 << 53))
 
 
 def lockdown_scenario_config(

@@ -92,6 +92,16 @@ def three_dir(tmp_path_factory):
     return root / "data"
 
 
+@pytest.fixture(scope="module")
+def probe_store(tmp_path_factory):
+    """The OD store of a 3 x 3-municipality, 4-day scenario, for tests to copy and damage."""
+    root = tmp_path_factory.mktemp("probe")
+    config = write_config(root / "probe.json", n_provinces=3, municipalities_per_province=3, n_days=4, lockdown_day=2)
+    assert main(["synth", "--config", str(config), "--out", str(root / "data")]) == 0
+    assert main(["build-od", "--in", str(root / "data"), "--out", str(root / "store")]) == 0
+    return root / "store"
+
+
 class TestSmokePath:
     def test_synth_then_report_writes_summary(self, scenario_dir, tmp_path):
         out = tmp_path / "results"
@@ -474,6 +484,38 @@ class TestExitCodes:
             assert f"error: {path}: not UTF-8 text" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["flows"], ["communities", "--seed", "0", "--trials", "1"]])
+    def test_province_id_that_is_not_a_string_is_data_error(self, probe_store, tmp_path, capsys, command):
+        store = shutil.copytree(probe_store, tmp_path / "store")
+        path = store / "territory.json"
+        territory = _territory(store)
+        path.write_text(json.dumps({"muni_to_province": {m: int(p[1:]) for m, p in territory.items()}}))
+        capsys.readouterr()
+        assert main([*command, "--in", str(store), "--out", str(tmp_path / "out")]) == 2
+        first = min(territory)
+        want = f"error: {path}: muni_to_province[{first!r}] is {int(territory[first][1:])}, not a string"
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_stored_day_that_is_not_utf8_is_named(self, probe_store, tmp_path, capsys):
+        store = shutil.copytree(probe_store, tmp_path / "store")
+        path = sorted((store / "od" / "municipality").glob("*.csv"))[1]
+        path.write_bytes(path.read_bytes() + b"M\xff,M1,3\n")
+        capsys.readouterr()
+        assert main(["flows", "--in", str(store), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_listed_day_without_a_file_names_the_store_and_the_file(self, probe_store, tmp_path, capsys):
+        store = shutil.copytree(probe_store, tmp_path / "store")
+        day = list_od_dates(store, "municipality")[2]
+        (store / "od" / "municipality" / f"{day}.csv").unlink()
+        capsys.readouterr()
+        assert main(["flows", "--in", str(store), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {store}: no municipality OD matrix for {day}; od/municipality/{day}.csv is missing\n" == err
+        assert not (tmp_path / "out").exists()
+
     def test_regime_without_start_date_is_data_error(self, tmp_path, capsys):
         data = _two_day_data(tmp_path)
         truth = data / "ground_truth.json"
@@ -533,7 +575,7 @@ class TestExitCodes:
         for out in (tmp_path / "new", existing):
             assert main(["flows", "--in", str(store), "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert "municipality 'M3'" in err and "territory index" in err
+            assert err.startswith("error: municipality 'M3' ") and "territory index" in err  # not a quoted repr
         assert not (tmp_path / "new").exists()
         assert _tree_bytes(existing) == {"notes.txt": b"kept\n"}
         assert _tree_bytes(store) == before

@@ -38,6 +38,7 @@ from oracles import (
     map_equation_entropy_form,
     random_flow_graph,
     stationary_dense,
+    window_cells,
 )
 
 DAY = date(2020, 3, 2)
@@ -464,13 +465,13 @@ def _record_claims(monkeypatch, on_help=lambda: None):
     detected_here, sent, helped = [], [], []
     detect, ask = community._detect_day, community._ask
 
-    def detect_and_record(od, *args):
-        detected_here.append(od.date)
-        return detect(od, *args)
+    def detect_and_record(span, *args):
+        detected_here.append(span[-1].date)
+        return detect(span, *args)
 
-    def ask_and_record(helper, od):
-        sent.append(od.date)
-        day = ask(helper, od)
+    def ask_and_record(helper, span):
+        sent.append(span[-1].date)
+        day = ask(helper, span)
         helped.append(day.date)
         on_help()
         return day
@@ -519,6 +520,21 @@ class TestHelperProcess:
         assert sorted(detected_here + helped) == [od.date for od in ods]
         assert [d.date for d in shared] == [od.date for od in ods]
         assert all(d.community_count == 2 for d in shared)
+
+    @pytest.mark.parametrize("window", [1, 2, 7])
+    def test_each_claimant_windows_the_days_it_claims(self, helpers, monkeypatch, window):
+        ods = _helper_days()
+        kwargs = dict(SERIES_KWARGS, window=window)
+        shared = community_count_series(ods, **kwargs)
+        assert len(helpers) == 1
+        serial = _serial(ods, monkeypatch, **kwargs)
+        assert _fields(shared) == _fields(serial)
+        registry = sorted(set(kwargs["registry_nodes"]))
+        for day, cells in zip(serial, window_cells([(od.date, od.cells) for od in ods], window), strict=True):
+            assert day.empty_day == (not cells)
+            if cells:
+                want = infomap(flow_graph(cells, registry), seed=kwargs["seed"], trials=kwargs["trials"])
+                assert day.partition == want
 
     def test_one_day_starts_no_helper(self, helpers):
         community_count_series(_helper_days()[:1], **SERIES_KWARGS)
@@ -607,17 +623,17 @@ class TestHelperProcess:
     def test_serve_round_trip(self):
         ods = _helper_days()[:3]
         args = (1, 2, 0.15, ["M_unseen"])
-        sent = pickle.dumps(args) + b"".join(pickle.dumps(od) for od in ods)
+        sent = pickle.dumps(args) + b"".join(pickle.dumps([od]) for od in ods)
         out = io.BytesIO()
         community._serve(io.BytesIO(sent), out)
         out.seek(0)
         replies = [pickle.load(out) for _ in ods]
         assert out.read() == b""
-        assert _fields(replies) == _fields(community._detect_day(od, *args) for od in ods)
+        assert _fields(replies) == _fields(community._detect_day([od], *args) for od in ods)
 
     @pytest.mark.parametrize("trials", [None, 0])  # nothing sent; a data error
     def test_serve_writes_nothing_without_a_result(self, trials):
-        sent = b"" if trials is None else pickle.dumps((1, trials, 0.15, [])) + pickle.dumps(_helper_days()[0])
+        sent = b"" if trials is None else pickle.dumps((1, trials, 0.15, [])) + pickle.dumps(_helper_days()[:1])
         out = io.BytesIO()
         community._serve(io.BytesIO(sent), out)
         assert out.getvalue() == b""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobflow.community import FlowGraph, _window_ods
+from mobflow.community import FlowGraph, _summed, _window
 from mobflow.od import (
     ODNotFoundError,
     ODSchemaError,
@@ -266,13 +266,15 @@ class TestCodedPathMatchesDictPath:
             assert (province_od.date, province_od.granularity) == (day, "province")
             assert list(province_od.cells.items()) == list(province_cells.items())
             assert province_od.names == tuple(sorted({name for pair in province_cells for name in pair}))
-        for od, same in zip(sorted(muni_ods, key=lambda od: od.date), _window_ods(muni_ods, 1), strict=True):
+        ordered = sorted(muni_ods, key=lambda od: od.date)
+        for i, od in enumerate(ordered):
+            same = _summed(_window(ordered, i, 1))
             # a one-day window sums the day alone through from_codes, which gives back its arrays
             assert (same.date, same.granularity, same.names) == (od.date, od.granularity, od.names)
             for column in ("origin", "destination", "count"):
                 assert getattr(same, column).tobytes() == getattr(od, column).tobytes()
         for window, extra in ((1, ()), (3, sorted(mapping))):
-            merged = list(_window_ods(muni_ods, window))
+            merged = [_summed(_window(ordered, i, window)) for i in range(len(ordered))]
             for od, cells in zip(merged, window_cells(muni_cells, window), strict=True):
                 got, want = FlowGraph.from_od(od, extra), flow_graph(cells, extra)
                 assert got.nodes == want.nodes
