@@ -10,13 +10,13 @@ clusters. Every other subcommand loads its inputs from an OD store and
 calls the same stage function, so each table has one path.
 
 `build_parser` parses every option value that can be checked without reading an
-input: a bad date, --k-range or --tz is a usage error before anything is read or
-written. Checks that need the territory (--k-range against its province count,
---provinces membership) run in the commands, before any stage. `_write_csv` and
-`_write_json` write every result file: the stage modules return the tables and
-payloads. A file name built from a province id escapes `%` and `/`
-(`_file_name`), so that every id names one file inside its directory;
-`partitions_<provinces>.json` also escapes `_`, which joins the ids.
+input: a bad date, --k-range or --tz, or a --from after --to, is a usage error
+before anything is read or written. Checks that need the territory (--k-range
+against its province count, --provinces membership) run in the commands, before
+any stage. `_write_csv` and `_write_json` write every result file: the stage
+modules return the tables and payloads. A file name built from a province id
+escapes `%` and `/` (`_file_name`), so that every id names one file inside its
+directory; `partitions_<provinces>.json` also escapes `_`, which joins the ids.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Every command writes into a
 fresh staging directory beside --out and publishes only on success: each
@@ -571,6 +571,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
+        lo, hi = getattr(args, "from_date", None), getattr(args, "to_date", None)
+        if lo and hi and lo > hi:
+            raise UsageError(f"--from {lo} is after --to {hi}")
         try:
             with _staged(Path(args.out)) as stage:
                 return _COMMANDS[args.command](args, stage)

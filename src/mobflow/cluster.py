@@ -18,7 +18,7 @@ from .diversity import ProvinceDiversity
 from .draws import Draws, SeededDraws
 
 MAX_ITER = 300
-DEFAULT_RESTARTS = 8
+RESTARTS = 8
 DEFAULT_K_RANGE = range(2, 21)
 MAX_ABSENT_FRACTION = 0.5  # a province absent on more of its days is not clustered
 
@@ -132,25 +132,18 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return labels, centroids, inertia
 
 
-def kmeans(
-    matrix: SeriesMatrix,
-    k: int,
-    seed: int,
-    restarts: int = DEFAULT_RESTARTS,
-) -> Clustering:
-    """Lloyd's algorithm with k-means++ seeding, best inertia over independent restarts.
+def kmeans(matrix: SeriesMatrix, k: int, seed: int) -> Clustering:
+    """Lloyd's algorithm with k-means++ seeding, best inertia over RESTARTS restarts.
 
-    Deterministic given (matrix, k, seed, restarts): restart r draws from
+    Deterministic given (matrix, k, seed): restart r draws from
     `SeededDraws([seed, k, r])`, numpy's `default_rng` stream for that entropy.
     """
     x = matrix.values
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for restart in range(restarts):
+    for restart in range(RESTARTS):
         rng = SeededDraws([seed, k, restart])
         centroids = _kmeanspp_init(x, k, rng)
         labels, centroids, inertia = _lloyd(x, centroids.copy())
@@ -175,19 +168,16 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
     return np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
 
 
-def mean_silhouette(
-    x: np.ndarray, labels: np.ndarray, distances: np.ndarray | None = None
-) -> float:
-    """Mean silhouette coefficient; points with zero separation score 0.
+def mean_silhouette(dists: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette coefficient of a labeling; points with zero separation score 0.
 
-    `distances` may pass in the pairwise Euclidean distances between the rows
-    of x, so that several labelings of the same points share one matrix.
+    `dists` holds the pairwise distances between the labeled points, so that
+    several labelings of the same points share one matrix.
     """
     cluster_ids, own, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if len(cluster_ids) < 2:
         raise ValueError(f"silhouette needs at least 2 clusters, got {len(cluster_ids)}")
-    dists = _pairwise_distances(x) if distances is None else distances
-    n = x.shape[0]
+    n = len(labels)
     # sums[c, i]: point i's summed distance to cluster c, the row sums of the
     # cluster's gathered columns made contiguous: each row then adds in the
     # order of a 1-D sum. Summed in place, the gather would round differently.
@@ -224,7 +214,6 @@ def select_k(
     matrix: SeriesMatrix,
     k_range: Iterable[int] = DEFAULT_K_RANGE,
     seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> KSelection:
     """Pick the cluster count by maximum mean silhouette over k_range.
 
@@ -236,27 +225,25 @@ def select_k(
     n = matrix.values.shape[0]
     if not ks or ks[0] < 2 or ks[-1] > n:
         raise ValueError(f"k_range must lie within [2, {n}]")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if np.allclose(matrix.values, matrix.values[0], rtol=0.0, atol=0.0):
         return KSelection(k_star=1, degenerate=True, diagnostics=[], elbow_k=None, clustering=None)
     distances = _pairwise_distances(matrix.values)
     diagnostics: list[KDiagnostic] = []
     clusterings: dict[int, Clustering] = {}
     for k in ks:
-        clustering = clusterings[k] = kmeans(matrix, k, seed=seed, restarts=restarts)
+        clustering = clusterings[k] = kmeans(matrix, k, seed=seed)
         diagnostics.append(
             KDiagnostic(
                 k=k,
                 inertia=clustering.inertia,
-                silhouette=mean_silhouette(matrix.values, clustering.labels, distances),
+                silhouette=mean_silhouette(distances, clustering.labels),
             )
         )
     best = max(diagnostics, key=lambda d: d.silhouette)
     elbow_k = None
     if len(ks) >= 2:
         # Anchor the curve one k below the range so a kink at its start is visible.
-        below = kmeans(matrix, ks[0] - 1, seed=seed, restarts=restarts).inertia
+        below = kmeans(matrix, ks[0] - 1, seed=seed).inertia
         inertias = [below] + [d.inertia for d in diagnostics]
         second_diff = [
             inertias[i - 1] - 2.0 * inertias[i] + inertias[i + 1]

@@ -39,6 +39,8 @@ from .od import DailyOD
 DEFAULT_TELEPORT = 0.15
 DEFAULT_TRIALS = 10
 GAIN_EPS = 1e-12  # strictly-negative gain threshold, prevents cycling on ties
+POWER_TOL = 1e-12  # L1 change between power iterates that counts as converged
+POWER_MAX_ITER = 10000
 
 
 class PowerIterationError(RuntimeError):
@@ -97,17 +99,13 @@ class Partition:
         return dict(out)
 
 
-def stationary_flow(
-    g: FlowGraph,
-    tau: float = DEFAULT_TELEPORT,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> StationaryFlow:
+def stationary_flow(g: FlowGraph, tau: float = DEFAULT_TELEPORT) -> StationaryFlow:
     """Power-iterate p' = (1-tau) p P + tau u to the stationary visit rates.
 
     P is row-stochastic over out-weights; dangling rows redistribute uniformly.
     Edge flows are (1-tau) * p_u * w_uv / out_w(u): teleport and dangling steps
-    stay unrecorded. Raises PowerIterationError if tol is not reached in L1.
+    stay unrecorded. Iterates until the L1 change falls below POWER_TOL, and
+    raises PowerIterationError if that takes more than POWER_MAX_ITER steps.
     """
     if not g.nodes:
         raise ValueError("stationary_flow needs a non-empty graph")
@@ -121,16 +119,16 @@ def stationary_flow(
 
     p = np.full(n, 1.0 / n)
     residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         pushed = np.bincount(dst, weights=p[src] * transition, minlength=n)
         spread = (tau + (1.0 - tau) * p[dangling].sum()) / n
         new_p = (1.0 - tau) * pushed + spread
         residual = float(np.abs(new_p - p).sum())
         p = new_p
-        if residual < tol:
+        if residual < POWER_TOL:
             break
     else:
-        raise PowerIterationError(residual, max_iter)
+        raise PowerIterationError(residual, POWER_MAX_ITER)
 
     return StationaryFlow(visit_rates=p, edge_flows=(1.0 - tau) * p[src] * transition)
 
@@ -375,7 +373,6 @@ def infomap(
     seed: int,
     trials: int = DEFAULT_TRIALS,
     tau: float = DEFAULT_TELEPORT,
-    flow: StationaryFlow | None = None,
 ) -> Partition:
     """Best partition over seeded greedy multilevel trials minimizing the map equation.
 
@@ -388,9 +385,7 @@ def infomap(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if flow is None:
-        flow = stationary_flow(g, tau=tau)
-    flat = _flat_level(g, flow)
+    flat = _flat_level(g, stationary_flow(g, tau=tau))
     node_term = sum(_plogp(p) for p in flat.node_flow)
     best: tuple[float, list[int]] | None = None
     for trial in range(trials):

@@ -7,7 +7,8 @@ checked on load, not kept), both are reduced to rows of one columnar table of
 (user, timestamp, municipality) events, sorted by user and time. Trips are read
 off the table's runs: sequences are cut at local midnight, and a change of
 municipality is a trip only if the user then stays at the destination long
-enough (one hour by default) or is not seen elsewhere again that day.
+enough (the CLI's `--dwell-seconds`, one hour by default) or is not seen
+elsewhere again that day.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone, tzinfo
 from pathlib import Path
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -281,16 +281,13 @@ def _local_days(timestamp: np.ndarray, tz: tzinfo) -> tuple[list[date], np.ndarr
     return days, (np.cumsum(held) - 1)[index]
 
 
-def daily_trips(
-    parsed: ParseResult,
-    dwell_threshold: int = DEFAULT_DWELL_SECONDS,
-    tz: tzinfo | str = DEFAULT_TIMEZONE,
-) -> dict[date, np.ndarray]:
+def daily_trips(parsed: ParseResult, dwell_threshold: int, tz: tzinfo) -> dict[date, np.ndarray]:
     """Per local calendar day, its trips as int64 (origin, destination) rows of codes.
 
     Codes index `parsed.municipalities`. Events are grouped by (user, local
-    day in `tz`). Within a group, each change of municipality between
-    consecutive events is a candidate trip arriving at the later event. It is
+    day in `tz`), a tzinfo such as `ZoneInfo("Europe/Rome")`. Within a group,
+    each change of municipality between consecutive events is a candidate trip
+    arriving at the later event. It is
     a trip if it is the group's last change, or if the group's next change
     comes at least `dwell_threshold` seconds after it. Days come in date
     order, each day's trips in (user, arrival) order; days without trips are
@@ -298,8 +295,6 @@ def daily_trips(
     """
     if dwell_threshold < 0:
         raise ValueError(f"dwell_threshold must be at least 0, got {dwell_threshold}")
-    if isinstance(tz, str):
-        tz = ZoneInfo(tz)
     if parsed.event_count == 0:
         return {}
     ts, muni = parsed.timestamp, parsed.municipality

@@ -65,7 +65,6 @@ class ScenarioConfig:
     n_days: int
     seed: int
     regimes: list[RegimePhase]
-    population_per_municipality: int = 10000
     inter_trips_per_province: int = 120
     communities_per_province: int = 2
     intra_trips_per_pair: int = 4
@@ -81,16 +80,13 @@ class ScenarioConfig:
                      "intra_trips_per_pair", "bridge_trips_per_pair", "antennas_per_municipality"):
             if not isinstance(getattr(self, name), numbers.Integral):  # JSON's 2.0 included
                 raise ScenarioConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("population_per_municipality", "inter_trips_per_province", "cdr_fraction",
-                     "dwell_violation_rate"):
+        for name in ("inter_trips_per_province", "cdr_fraction", "dwell_violation_rate"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ScenarioConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.n_provinces < 2:
             raise ScenarioConfigError("need at least 2 provinces")
         if self.municipalities_per_province < 1:
             raise ScenarioConfigError("need at least 1 municipality per province")
-        if self.population_per_municipality <= 0:
-            raise ScenarioConfigError("population must be positive")
         if self.n_days < 1:
             raise ScenarioConfigError("need at least 1 day")
         for name, least in (
@@ -239,8 +235,11 @@ def _build_territory(config: ScenarioConfig) -> Territory:
 
 
 def _gravity_partners(config: ScenarioConfig, territory: Territory) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per origin province index: partner province indices and gravity choice probabilities."""
-    pop = config.municipalities_per_province * config.population_per_municipality
+    """Per origin province index: partner province indices and gravity choice probabilities.
+
+    Every province holds as many municipalities as every other, so the
+    population product of the gravity law cancels and only distance weighs.
+    """
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for origin, name in enumerate(territory.provinces):
         ox, oy = territory.coords[name]
@@ -249,7 +248,7 @@ def _gravity_partners(config: ScenarioConfig, territory: Territory) -> list[tupl
         for partner in partners:
             px, py = territory.coords[territory.provinces[partner]]
             dist = max(1.0, float(np.hypot(px - ox, py - oy)))
-            weights.append(pop * pop / dist**GRAVITY_EXPONENT)
+            weights.append(1.0 / dist**GRAVITY_EXPONENT)
         weights = np.array(weights)
         out.append((np.array(partners), weights / weights.sum()))
     return out

@@ -11,11 +11,10 @@ from collections import Counter, defaultdict, namedtuple
 from datetime import datetime, timedelta
 from itertools import groupby
 from operator import itemgetter
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from mobflow.cluster import MAX_ITER, _pairwise_distances
+from mobflow.cluster import MAX_ITER
 from mobflow.community import (
     DEFAULT_TELEPORT,
     GAIN_EPS,
@@ -83,7 +82,6 @@ def named_daily_trips(table, *args):
 
 def split_events_by_day(events, tz):
     """Cut one user's time-sorted events into (local date, events) chunks, one date at a time."""
-    tz = ZoneInfo(tz) if isinstance(tz, str) else tz
     chunks = []
     for ev in events:
         day = datetime.fromtimestamp(ev.timestamp, tz).date()
@@ -638,15 +636,14 @@ def _reference_trial(flat, node_term, rng):
             return _compact(flat_assignment), current_length
 
 
-def infomap_reference(g, seed, trials=10, tau=DEFAULT_TELEPORT, flow=None):
+def infomap_reference(g, seed, trials=10, tau=DEFAULT_TELEPORT):
     """The multilevel greedy optimizer with every move scored by a full `gain` call.
 
     Same seeds, move order, tie-breaking and float expressions as
     `mobflow.community.infomap`, so both must return identical partitions and
     codelengths; only the bookkeeping of the plogp terms differs.
     """
-    if flow is None:
-        flow = stationary_flow(g, tau=tau)
+    flow = stationary_flow(g, tau=tau)
     flat = _flat_level(g, flow)
     node_term = sum(_plogp(p) for p in flow.visit_rates.tolist())
     best = None
@@ -698,7 +695,7 @@ def lloyd_reference(x, centroids):
     return labels, centroids, inertia
 
 
-def mean_silhouette_reference(x, labels, distances=None):
+def mean_silhouette_reference(dists, labels):
     """Mean silhouette, one point at a time: a is the mean distance to the rest of its
     own cluster, b the least mean distance to another cluster; singletons and
     zero separation score 0.
@@ -706,8 +703,7 @@ def mean_silhouette_reference(x, labels, distances=None):
     cluster_ids = np.unique(labels)
     if len(cluster_ids) < 2:
         raise ValueError(f"silhouette needs at least 2 clusters, got {len(cluster_ids)}")
-    dists = _pairwise_distances(x) if distances is None else distances
-    n = x.shape[0]
+    n = len(labels)
     scores = np.zeros(n)
     masks = {j: labels == j for j in cluster_ids}
     for i in range(n):
@@ -725,7 +721,6 @@ def mean_silhouette_reference(x, labels, distances=None):
 
 def _gravity_partners_reference(config, territory):
     """Per origin province name: partner names and gravity choice probabilities."""
-    pop = config.municipalities_per_province * config.population_per_municipality
     out = {}
     for origin in territory.provinces:
         ox, oy = territory.coords[origin]
@@ -734,7 +729,7 @@ def _gravity_partners_reference(config, territory):
         for partner in partners:
             px, py = territory.coords[partner]
             dist = max(1.0, float(np.hypot(px - ox, py - oy)))
-            weights.append(pop * pop / dist**GRAVITY_EXPONENT)
+            weights.append(1.0 / dist**GRAVITY_EXPONENT)
         weights = np.array(weights)
         out[origin] = (partners, weights / weights.sum())
     return out

@@ -9,6 +9,7 @@ import math
 import statistics
 import time
 from datetime import date, timedelta
+from zoneinfo import ZoneInfo
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def test_criterion_2_map_equation_optimality():
                 continue
             g = flow_graph(edges, nodes)
             flow = stationary_flow(g)
-            part = infomap(g, seed=graphs, trials=10, flow=flow)
+            part = infomap(g, seed=graphs, trials=10)
             best_length, _ = exhaustive_min_codelength(flow_dicts(g, flow), map_equation)
             worst_gap = max(worst_gap, part.codelength - best_length)
             graphs += 1
@@ -183,7 +184,7 @@ def test_criterion_5_trip_rule_oracle():
             events = [Event("u", int(ts), f"M{m}") for ts, m in zip(times, munis)]
             threshold = thresholds[stream % len(thresholds)]
             # in UTC every stream lies within 1970-01-01
-            got = named_daily_trips(event_table(events), threshold, "UTC").get(date(1970, 1, 1), [])
+            got = named_daily_trips(event_table(events), threshold, ZoneInfo("UTC")).get(date(1970, 1, 1), [])
             if got != trips_bruteforce(events, threshold):
                 mismatches += 1
     ok = mismatches == 0 and t.elapsed < budget

@@ -11,7 +11,7 @@ from zoneinfo import ZoneInfo
 import pytest
 
 import oracles
-from mobflow import cli
+from mobflow import cli, synth
 from mobflow.cli import main
 from mobflow.od import list_od_dates, load_daily_od, store_daily_od
 
@@ -246,6 +246,25 @@ class TestSmokePath:
         assert attached[1] == plain[1] + 1
         assert [mod["municipalities"] for mod in dump[1]["modules"]].count(["M3"]) == 1
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_partitions_recover_the_planted_communities(self, tmp_path, seed):
+        # 4 provinces: with 3, seed 1 merges two planted communities on one day
+        config = synth.lockdown_scenario_config(
+            seed, n_provinces=4, municipalities_per_province=6, n_days=4, lockdown_day=2
+        )
+        synth.generate(config, tmp_path / "data")
+        out = tmp_path / "out"
+        assert main(["report", "--in", str(tmp_path / "data"), "--out", str(out), "--seed", str(seed),
+                     "--trials", "2"]) == 0
+        truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())
+        split = date.fromisoformat(truth["regimes"][-1]["start_date"])
+        planted = sorted(sorted(community) for community in truth["planted_communities"])
+        post = [day for day in json.loads((out / "partitions.json").read_text())
+                if date.fromisoformat(day["date"]) >= split]
+        assert len(post) == 2
+        for day in post:
+            assert sorted(mod["municipalities"] for mod in day["modules"]) == planted, day["date"]
+
     def test_municipality_id_with_a_comma_reaches_the_tables(self, tmp_path):
         data = _two_day_data(tmp_path)
         registry = data / "registry.csv"
@@ -394,6 +413,18 @@ class TestExitCodes:
         seed = [] if command in ("build-od", "flows") else ["--seed", "1"]
         assert main([command, "--in", str(tmp_path), "--out", str(out), *seed, option, value]) == 1
         assert f"argument {option}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["build-od", "flows", "diversity", "cluster", "communities"])
+    def test_from_after_to_is_usage_error(self, probe_store, tmp_path, capsys, command):
+        """An inverted date range exits 1 before anything is written, staging directory included."""
+        in_dir = probe_store.parent / "data" if command == "build-od" else probe_store
+        seed = ["--seed", "1"] if command in ("cluster", "communities") else []
+        out = tmp_path / "out"
+        rc = main([command, "--in", str(in_dir), "--out", str(out), *seed,
+                   "--from", "2020-02-05", "--to", "2020-02-04"])
+        assert rc == 1
+        assert "--from 2020-02-05 is after --to 2020-02-04" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_option_defaults_are_typed(self):

@@ -17,6 +17,7 @@ from mobflow.cluster import (
     SeriesMatrix,
     _kmeanspp_init,
     _lloyd,
+    _pairwise_distances,
     kmeans,
     mean_silhouette,
     select_k,
@@ -87,14 +88,14 @@ class TestKMeans:
         # Re-seeding an empty cluster re-runs the argmin, which can pull the
         # point claimed for a cluster re-seeded just before back to a duplicate.
         x = np.array([[2.0, 1.0]] * 6 + [[1.0, 2.0]] + [[0.0, 0.0]] * 3)
-        clustering = kmeans(matrix_from(x), 6, seed=0, restarts=1)
+        clustering = kmeans(matrix_from(x), 6, seed=0)
         assert np.bincount(clustering.labels, minlength=6).min() > 0
         assert np.isfinite(clustering.centroids).all()
 
     def test_reproducible(self):
         matrix, _ = planted([0.2, 0.5, 0.8], per_group=6, seed=2)
-        a = kmeans(matrix, 3, seed=11, restarts=4)
-        b = kmeans(matrix, 3, seed=11, restarts=4)
+        a = kmeans(matrix, 3, seed=11)
+        b = kmeans(matrix, 3, seed=11)
         assert (a.labels == b.labels).all()
         assert a.inertia == b.inertia
 
@@ -104,16 +105,6 @@ class TestKMeans:
             kmeans(matrix, 5, seed=0)
         with pytest.raises(ValueError):
             kmeans(matrix, 0, seed=0)
-
-    @pytest.mark.parametrize("restarts", [0, -5])
-    def test_fewer_than_one_restart_rejected(self, restarts):
-        matrix, _ = planted([0.2, 0.8], per_group=4)
-        with pytest.raises(ValueError, match="restarts"):
-            kmeans(matrix, 2, seed=0, restarts=restarts)
-        # select_k checks before its shortcut for identical series
-        for values in (matrix.values, np.full((8, 10), 0.5)):
-            with pytest.raises(ValueError, match="restarts"):
-                select_k(matrix_from(values), range(2, 4), seed=0, restarts=restarts)
 
     def test_band_is_mean_plus_minus_std(self):
         matrix, _ = planted([0.3, 0.7], per_group=5, seed=6)
@@ -181,24 +172,24 @@ class TestSilhouette:
     def test_perfect_separation_scores_near_one(self):
         x = np.vstack([np.full((5, 4), 0.0), np.full((5, 4), 1.0)])
         labels = np.array([0] * 5 + [1] * 5)
-        assert mean_silhouette(x, labels) == pytest.approx(1.0)
+        assert mean_silhouette(_pairwise_distances(x), labels) == pytest.approx(1.0)
 
     def test_coincident_points_in_different_clusters_score_zero(self):
         x = np.full((4, 4), 0.5)
         labels = np.array([0, 0, 1, 1])
-        assert mean_silhouette(x, labels) == 0.0
+        assert mean_silhouette(_pairwise_distances(x), labels) == 0.0
 
     def test_single_cluster_rejected(self):
         x = np.arange(12, dtype=float).reshape(4, 3)
         with pytest.raises(ValueError, match="at least 2 clusters"):
-            mean_silhouette(x, np.zeros(4, dtype=int))
+            mean_silhouette(_pairwise_distances(x), np.zeros(4, dtype=int))
 
     def test_select_k_scores_equal_standalone_silhouettes(self):
         matrix, _ = planted([0.2, 0.5, 0.8], per_group=6, seed=4)
         selection = select_k(matrix, range(2, 8), seed=1)
         for d in selection.diagnostics:
             labels = kmeans(matrix, d.k, seed=1).labels
-            assert d.silhouette == mean_silhouette(matrix.values, labels)
+            assert d.silhouette == mean_silhouette(_pairwise_distances(matrix.values), labels)
 
 
 def bits(value) -> bytes:
@@ -237,11 +228,12 @@ class TestMatchesOracles:
         assert centroids.tobytes() == ref_centroids.tobytes()
         assert bits(inertia) == bits(ref_inertia)
         n = x.shape[0]
+        dists = _pairwise_distances(x)
         rng = np.random.default_rng(seed)
         for labeling in (labels, rng.integers(0, max(2, k), n), rng.integers(0, 2, n)):
             if len(np.unique(labeling)) < 2:
                 continue
-            assert bits(mean_silhouette(x, labeling)) == bits(oracles.mean_silhouette_reference(x, labeling))
+            assert bits(mean_silhouette(dists, labeling)) == bits(oracles.mean_silhouette_reference(dists, labeling))
 
     @pytest.mark.parametrize(
         "overrides",

@@ -29,6 +29,8 @@ from oracles import (
 
 H = 3600
 EPOCH_DAY = date(1970, 1, 1)
+UTC = ZoneInfo("UTC")
+ROME = ZoneInfo("Europe/Rome")
 
 
 def ev(user, ts, muni):
@@ -244,7 +246,7 @@ class TestRegistry:
 
 def utc_day_trips(events, threshold=H):
     """The library's trips for events of the first UTC day."""
-    return named_daily_trips(event_table(events), threshold, "UTC").get(EPOCH_DAY, [])
+    return named_daily_trips(event_table(events), threshold, UTC).get(EPOCH_DAY, [])
 
 
 class TestExtractTrips:
@@ -269,20 +271,20 @@ class TestExtractTrips:
         assert trips_bruteforce(events) == [("M2", "M1")]
 
     def test_single_event_yields_nothing(self):
-        assert daily_trips(event_table([ev("u", 8 * H, "M1")]), H, "UTC") == {}
-        assert daily_trips(event_table([]), H, "UTC") == {}
+        assert daily_trips(event_table([ev("u", 8 * H, "M1")]), H, UTC) == {}
+        assert daily_trips(event_table([]), H, UTC) == {}
 
     @pytest.mark.parametrize("threshold", [-1, -100])
     def test_negative_dwell_threshold_rejected(self, threshold):
         events = [ev("u", 8 * H, "M1"), ev("u", 8 * H + 60, "M2"), ev("u", 9 * H, "M1")]
         for table in (event_table(events), event_table([])):
             with pytest.raises(ValueError, match="dwell_threshold"):
-                daily_trips(table, threshold, "UTC")
+                daily_trips(table, threshold, UTC)
 
     def test_trip_fields(self):
         # a trip is an (origin, destination) pair filed under the day it happens
         events = [ev("u", 100, "M1"), ev("u", 200, "M1"), ev("u", 5000, "M2")]
-        assert named_daily_trips(event_table(events), H, "UTC") == {EPOCH_DAY: [("M1", "M2")]}
+        assert named_daily_trips(event_table(events), H, UTC) == {EPOCH_DAY: [("M1", "M2")]}
 
 
 events_strategy = st.lists(
@@ -296,9 +298,9 @@ class TestTripProperties:
     @given(events_strategy, st.sampled_from([0, 1800, 3600, 7200]))
     @settings(max_examples=300, deadline=None)
     def test_streaming_equals_bruteforce(self, events, threshold):
-        got = named_daily_trips(event_table(events), threshold, "UTC")
-        assert got == reference_daily_trips(events, threshold, "UTC", trips_bruteforce)
-        assert got == reference_daily_trips(events, threshold, "UTC", extract_trips)
+        got = named_daily_trips(event_table(events), threshold, UTC)
+        assert got == reference_daily_trips(events, threshold, UTC, trips_bruteforce)
+        assert got == reference_daily_trips(events, threshold, UTC, extract_trips)
 
     @given(events_strategy)
     @settings(max_examples=200, deadline=None)
@@ -308,13 +310,13 @@ class TestTripProperties:
             for a, b in zip(events, events[1:])
             if a.municipality_id != b.municipality_id and a.timestamp // 86400 == b.timestamp // 86400
         )
-        trips = daily_trips(event_table(events), 0, "UTC")
+        trips = daily_trips(event_table(events), 0, UTC)
         assert sum(len(pairs) for pairs in trips.values()) == changes
 
     @given(events_strategy)
     @settings(max_examples=200, deadline=None)
     def test_origin_differs_from_destination(self, events):
-        for pairs in daily_trips(event_table(events), H, "UTC").values():
+        for pairs in daily_trips(event_table(events), H, UTC).values():
             for origin, destination in pairs:
                 assert origin != destination
 
@@ -336,7 +338,7 @@ class TestTripProperties:
         one = parse_records([], [whole], registry)
         many = parse_records([], parts, registry)
         assert one.events_by_user == many.events_by_user
-        assert named_daily_trips(one) == named_daily_trips(many)
+        assert named_daily_trips(one, H, ROME) == named_daily_trips(many, H, ROME)
 
 
 # (zone, local date) pairs whose day holds a DST switch; in Sao Paulo and
@@ -365,25 +367,24 @@ class TestDaySplitting:
         # cut before 00:30, so only the 00:30 -> 01:30 move is a trip
         late = 1583101800
         events = [ev("u", late, "M1"), ev("u", late + H, "M2"), ev("u", late + 2 * H, "M3")]
-        assert named_daily_trips(event_table(events)) == {date(2020, 3, 2): [("M2", "M3")]}
+        assert named_daily_trips(event_table(events), H, ROME) == {date(2020, 3, 2): [("M2", "M3")]}
 
     def test_cross_midnight_movement_generates_no_trip(self):
         late = 1583101800
         events = [ev("u", late, "M1"), ev("u", late + 3600, "M2")]
-        assert daily_trips(event_table(events)) == {}
+        assert daily_trips(event_table(events), H, ROME) == {}
 
     def test_same_day_movement_binned_by_date(self):
         noon = 1583060400  # 2020-03-01 12:00 Europe/Rome
         events = [ev("u", noon, "M1"), ev("u", noon + 2 * H, "M2")]
-        by_day = named_daily_trips(event_table(events))
+        by_day = named_daily_trips(event_table(events), H, ROME)
         assert by_day == {date(2020, 3, 1): [("M1", "M2")]}
 
     def test_only_dates_holding_events_are_built(self):
-        rome = ZoneInfo("Europe/Rome")
-        late = int(datetime(2020, 3, 23, 12, tzinfo=rome).timestamp())
+        late = int(datetime(2020, 3, 23, 12, tzinfo=ROME).timestamp())
         table = event_table([ev("u", EPOCH_RANGE[0], "M1"), ev("u", late, "M2")])
-        assert daily_trips(table, H, rome) == {}
-        days, index = _local_days(table.timestamp, rome)
+        assert daily_trips(table, H, ROME) == {}
+        days, index = _local_days(table.timestamp, ROME)
         assert days == [date(1, 1, 2), date(2020, 3, 23)]
         assert index.tolist() == [0, 1]
 
@@ -418,11 +419,11 @@ class TestDaySplitting:
         events = [
             ev(user, midnight + offsets[i % len(offsets)], f"M{m}") for user, i, m in rows
         ]
-        assert named_daily_trips(event_table(events), threshold, zone) == reference_daily_trips(
+        assert named_daily_trips(event_table(events), threshold, tz) == reference_daily_trips(
             events, threshold, tz
         )
         for user in {e.user_id for e in events}:
             mine = [e for e in events if e.user_id == user]
-            assert named_daily_trips(event_table(mine), threshold, zone) == reference_daily_trips(
+            assert named_daily_trips(event_table(mine), threshold, tz) == reference_daily_trips(
                 mine, threshold, tz, trips_bruteforce
             )

@@ -5,6 +5,7 @@ import tempfile
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def _pipeline_daily_counts(scenario, dwell_threshold):
     registry = load_registry(scenario.registry_path)
     parsed = parse_records(scenario.cdr_files, scenario.xdr_files, registry)
     assert parsed.rejected_count == 0
-    by_day = daily_trips(parsed, dwell_threshold)
+    by_day = daily_trips(parsed, dwell_threshold, ZoneInfo(scenario.plan.config.timezone))
     return {day: len(trips) for day, trips in by_day.items()}
 
 
@@ -178,7 +179,7 @@ class TestConservation:
         plan = scenario.plan
         registry = load_registry(scenario.registry_path)
         parsed = parse_records(scenario.cdr_files, scenario.xdr_files, registry)
-        by_day = daily_trips(parsed)
+        by_day = daily_trips(parsed, 3600, ZoneInfo(config.timezone))
         # parsed names and users both sort in plan order here, so extraction
         # gives back the planned rows, each violated one reversed
         assert parsed.municipalities == plan.territory.municipalities
@@ -278,10 +279,6 @@ class TestPlantedEffects:
 
 
 class TestConfigValidation:
-    def test_zero_population_rejected(self):
-        with pytest.raises(synth.ScenarioConfigError, match="population"):
-            small_config(population_per_municipality=0)
-
     def test_scales_must_be_in_unit_interval(self):
         with pytest.raises(synth.ScenarioConfigError, match="flow_scale"):
             small_config(flow_scale=0.0)
@@ -336,7 +333,6 @@ class TestConfigValidation:
             ("n_days", 2.0),
             ("intra_trips_per_pair", 2.0),
             # the type is checked before any comparison could raise TypeError
-            ("population_per_municipality", "x"),
             ("inter_trips_per_province", "x"),
             ("cdr_fraction", "x"),
             ("dwell_violation_rate", None),
@@ -352,7 +348,7 @@ class TestConfigValidation:
     def test_float_volumes_and_numpy_integers_accepted(self):
         config = synth.lockdown_scenario_config(
             seed=0, n_provinces=np.int64(3), n_days=4, lockdown_day=2,
-            inter_trips_per_province=12.5, population_per_municipality=1000.5,
+            inter_trips_per_province=12.5,
         )
         assert len(synth.generate_plan(config).daily_trips) == 4
 
