@@ -2,6 +2,8 @@
 
 An OD store holds only the daily municipality matrices and territory.json; a
 command needing province matrices aggregates them on each read (`od.aggregate_to_province`).
+`communities` and `report` detect local job markets on each municipality day's
+own graph, at the fixed teleportation rate `community.TELEPORT`.
 `report` is one in-memory pass: it builds the municipality ODs once, stores them
 under <out>/od-store and derives every table from them without reading back
 anything it wrote. It starts community detection as soon as the ODs exist, so
@@ -100,12 +102,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=community_mod.DEFAULT_TRIALS)
-    p.add_argument("--tau", type=_teleport_rate, default=community_mod.DEFAULT_TELEPORT)
-    p.add_argument("--window", type=_int_at_least(1), default=1, help="rolling OD window in days")
-    p.add_argument("--granularity", choices=od.GRANULARITIES, default="municipality",
-                   help="run detection on municipality graphs or on their province aggregates")
-    p.add_argument("--attach-registry", action="store_true",
-                   help="count flow-less municipalities as singleton communities")
     p.add_argument("--provinces", help="comma list: also dump partitions filtered to these provinces")
     _add_date_range(p)
 
@@ -117,7 +113,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tz", type=_time_zone, default=ingest.DEFAULT_TIMEZONE)
     p.add_argument("--k-range", type=_k_range, default=cluster_mod.DEFAULT_K_RANGE, help="LO:HI inclusive")
     p.add_argument("--trials", type=_int_at_least(1), default=community_mod.DEFAULT_TRIALS)
-    p.add_argument("--tau", type=_teleport_rate, default=community_mod.DEFAULT_TELEPORT)
     p.add_argument("--split-date", type=_iso_date,
                    help="pre/post split; defaults to the last regime start in ground_truth.json")
     p.add_argument("--include-self-flow-in-diversity", action="store_true")
@@ -138,13 +133,6 @@ def _int_at_least(minimum: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
-
-
-def _teleport_rate(raw: str) -> float:
-    tau = float(raw)
-    if not 0.0 <= tau <= 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {raw}")
-    return tau
 
 
 def _iso_date(raw: str) -> date:
@@ -434,24 +422,12 @@ def cmd_communities(args, stage: Path) -> int:
     if unknown:
         raise UsageError(f"--provinces: not a province of the territory: {', '.join(sorted(unknown))}")
     ods = _load_ods(store, args.from_date, args.to_date)
-    nodes = set(territory)
-    keep = [m for m, p in territory.items() if p in wanted]
-    if args.granularity == "province":
-        ods = od.aggregate_to_province(ods, territory).ods()
-        nodes = set(territory.values())
-        keep = wanted
-    series = community_mod.community_count_series(
-        ods,
-        seed=args.seed,
-        trials=args.trials,
-        tau=args.tau,
-        registry_nodes=nodes if args.attach_registry else set(),
-        window=args.window,
-    )
+    series = community_mod.community_count_series(ods, seed=args.seed, trials=args.trials)
     _write_communities(series, stage, Path(args.out))
     if wanted:
         # `_` joins the ids, so an id's own `_` is escaped: distinct sets get distinct names
         name = "_".join(_file_name(province).replace("_", "%5F") for province in sorted(wanted))
+        keep = [muni for muni, province in territory.items() if province in wanted]
         dumps = [community_mod.partition_dump(day, keep) for day in series]
         _write_json(stage / f"partitions_{name}.json", dumps)
     return 0
@@ -482,7 +458,7 @@ def cmd_report(args, stage: Path) -> int:
         selections = _write_clusters(by_direction, args.k_range, args.seed, stage, out_dir)
 
     communities = community_mod.community_count_series(
-        muni_ods, seed=args.seed, trials=args.trials, tau=args.tau, meanwhile=tables
+        muni_ods, seed=args.seed, trials=args.trials, meanwhile=tables
     )
     _write_communities(communities, stage, out_dir)
 

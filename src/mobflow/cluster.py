@@ -19,7 +19,7 @@ from .draws import Draws, SeededDraws
 
 MAX_ITER = 300
 RESTARTS = 8
-DEFAULT_K_RANGE = range(2, 21)
+DEFAULT_K_RANGE = range(2, 21)  # the CLI's --k-range
 MAX_ABSENT_FRACTION = 0.5  # a province absent on more of its days is not clustered
 
 
@@ -210,11 +210,7 @@ class KSelection:
     clustering: Clustering | None  # the run at k_star; None when degenerate
 
 
-def select_k(
-    matrix: SeriesMatrix,
-    k_range: Iterable[int] = DEFAULT_K_RANGE,
-    seed: int = 0,
-) -> KSelection:
+def select_k(matrix: SeriesMatrix, k_range: Iterable[int], seed: int) -> KSelection:
     """Pick the cluster count by maximum mean silhouette over k_range.
 
     The elbow of the inertia curve (largest second difference) is reported as a

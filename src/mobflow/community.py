@@ -1,14 +1,16 @@
 """Local job markets: map-equation community detection on daily flow graphs.
 
-A daily municipality OD matrix is read as a weighted directed graph whose edges
-are the matrix's code rows, renumbered over the graph's sorted nodes. A random
-walk with uniform teleportation yields stationary visit rates per node and flow
-per edge; the two-level map equation scores any node partition by the expected
-description length (bits per step) of that walk under a two-level codebook, and
-a greedy multilevel optimizer searches for the partition minimizing it.
+A daily municipality OD matrix is read as a weighted directed graph: its nodes
+are the names its cells use, and its edges are the matrix's code rows. A random
+walk with uniform teleportation at rate TELEPORT yields stationary visit rates
+per node and flow per edge; the two-level map equation scores any node
+partition by the expected description length (bits per step) of that walk
+under a two-level codebook, and a greedy multilevel optimizer searches for the
+partition minimizing it.
 Teleportation is unrecorded: teleport (and dangling) steps move the walker but
 are not charged to module exit/enter flows.
 
+Each day is detected on its own graph; a day with no flow has no partition.
 A series of days is one two-ended queue. When two or more CPUs are usable, one
 helper process takes days from its front, in date order, while this process
 takes them from its back, so neither waits on a fixed split. A caller can have
@@ -24,10 +26,9 @@ import pickle
 import subprocess
 import sys
 import threading
-from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -36,8 +37,8 @@ import numpy as np
 from .draws import SeededDraws
 from .od import DailyOD
 
-DEFAULT_TELEPORT = 0.15
-DEFAULT_TRIALS = 10
+TELEPORT = 0.15  # teleportation rate, the Infomap default (Rosvall & Bergstrom, PNAS 105:1118, 2008)
+DEFAULT_TRIALS = 10  # the CLI's --trials
 GAIN_EPS = 1e-12  # strictly-negative gain threshold, prevents cycling on ties
 POWER_TOL = 1e-12  # L1 change between power iterates that counts as converged
 POWER_MAX_ITER = 10000
@@ -64,13 +65,10 @@ class FlowGraph:
     weights: np.ndarray
 
     @classmethod
-    def from_od(cls, od: DailyOD, extra_nodes: Iterable[str] = ()) -> "FlowGraph":
-        """The graph of a matrix's cells, weighted by trip count, with `extra_nodes` added."""
-        nodes = tuple(sorted(set(od.names).union(extra_nodes)))
-        position = {node: i for i, node in enumerate(nodes)}
-        code = np.array([position[name] for name in od.names], dtype=np.int64)
-        edges = np.stack([code[od.origin], code[od.destination]], axis=1)
-        return cls(nodes=nodes, edges=edges, weights=od.count.astype(float))
+    def from_od(cls, od: DailyOD) -> "FlowGraph":
+        """The graph of a matrix's cells, weighted by trip count; its nodes are the matrix's sorted names."""
+        edges = np.stack([od.origin, od.destination], axis=1)
+        return cls(nodes=od.names, edges=edges, weights=od.count.astype(float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,18 +97,16 @@ class Partition:
         return dict(out)
 
 
-def stationary_flow(g: FlowGraph, tau: float = DEFAULT_TELEPORT) -> StationaryFlow:
-    """Power-iterate p' = (1-tau) p P + tau u to the stationary visit rates.
+def stationary_flow(g: FlowGraph) -> StationaryFlow:
+    """Power-iterate p' = (1-t) p P + t u, t = TELEPORT, to the stationary visit rates.
 
     P is row-stochastic over out-weights; dangling rows redistribute uniformly.
-    Edge flows are (1-tau) * p_u * w_uv / out_w(u): teleport and dangling steps
+    Edge flows are (1-t) * p_u * w_uv / out_w(u): teleport and dangling steps
     stay unrecorded. Iterates until the L1 change falls below POWER_TOL, and
     raises PowerIterationError if that takes more than POWER_MAX_ITER steps.
     """
     if not g.nodes:
         raise ValueError("stationary_flow needs a non-empty graph")
-    if not 0.0 <= tau <= 1.0:  # NaN fails too; outside [0, 1] edge flows turn negative
-        raise ValueError(f"teleportation rate tau must be in [0, 1], got {tau}")
     n = len(g.nodes)
     src, dst, weight = g.edges[:, 0], g.edges[:, 1], g.weights
     out_weight = np.bincount(src, weights=weight, minlength=n)
@@ -121,8 +117,8 @@ def stationary_flow(g: FlowGraph, tau: float = DEFAULT_TELEPORT) -> StationaryFl
     residual = math.inf
     for _ in range(POWER_MAX_ITER):
         pushed = np.bincount(dst, weights=p[src] * transition, minlength=n)
-        spread = (tau + (1.0 - tau) * p[dangling].sum()) / n
-        new_p = (1.0 - tau) * pushed + spread
+        spread = (TELEPORT + (1.0 - TELEPORT) * p[dangling].sum()) / n
+        new_p = (1.0 - TELEPORT) * pushed + spread
         residual = float(np.abs(new_p - p).sum())
         p = new_p
         if residual < POWER_TOL:
@@ -130,7 +126,7 @@ def stationary_flow(g: FlowGraph, tau: float = DEFAULT_TELEPORT) -> StationaryFl
     else:
         raise PowerIterationError(residual, POWER_MAX_ITER)
 
-    return StationaryFlow(visit_rates=p, edge_flows=(1.0 - tau) * p[src] * transition)
+    return StationaryFlow(visit_rates=p, edge_flows=(1.0 - TELEPORT) * p[src] * transition)
 
 
 def _plogp(x: float) -> float:
@@ -368,12 +364,7 @@ def _one_trial(flat: _Level, node_term: float, rng: SeededDraws) -> tuple[list[i
             return _compact(flat_assignment), current_length
 
 
-def infomap(
-    g: FlowGraph,
-    seed: int,
-    trials: int = DEFAULT_TRIALS,
-    tau: float = DEFAULT_TELEPORT,
-) -> Partition:
+def infomap(g: FlowGraph, seed: int, trials: int) -> Partition:
     """Best partition over seeded greedy multilevel trials minimizing the map equation.
 
     Each trial starts from singleton modules, sweeps nodes in seeded random
@@ -385,7 +376,7 @@ def infomap(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    flat = _flat_level(g, stationary_flow(g, tau=tau))
+    flat = _flat_level(g, stationary_flow(g))
     node_term = sum(_plogp(p) for p in flat.node_flow)
     best: tuple[float, list[int]] | None = None
     for trial in range(trials):
@@ -403,7 +394,10 @@ class DayCommunities:
 
     date: date
     partition: Partition | None  # None when the day had no flow at all
-    community_count: int
+
+    @property
+    def community_count(self) -> int:
+        return 0 if self.partition is None else self.partition.module_count
 
     @property
     def empty_day(self) -> bool:
@@ -414,47 +408,10 @@ class DayCommunities:
         return self.date.weekday() == 6
 
 
-def _window(ordered: Sequence[DailyOD], i: int, window: int) -> Sequence[DailyOD]:
-    """Date-sorted OD i and the ODs dated in the `window - 1` days before it."""
-    first = bisect_left(ordered, ordered[i].date - timedelta(days=window - 1), 0, i, key=lambda od: od.date)
-    return ordered[first: i + 1]
-
-
-def _summed(span: Sequence[DailyOD]) -> DailyOD:
-    """Date-sorted ODs summed into one OD dated as the last."""
-    last = span[-1]
-    # Concatenating the names shifts each OD's codes past the previous ones';
-    # from_codes then merges the codes of a repeated name.
-    shift = np.cumsum([0] + [len(past.names) for past in span[:-1]])
-    return DailyOD.from_codes(
-        last.date,
-        last.granularity,
-        [name for past in span for name in past.names],
-        np.concatenate([past.origin + k for past, k in zip(span, shift)]),
-        np.concatenate([past.destination + k for past, k in zip(span, shift)]),
-        np.concatenate([past.count for past in span]),
-    )
-
-
-def _detect_day(
-    span: Sequence[DailyOD], seed: int, trials: int, tau: float, registry_nodes: list[str]
-) -> DayCommunities:
-    """Detect the communities of one day's window, the date-sorted ODs it sums (`_window`).
-
-    The process that detects the day sums them. In the feeder thread the sum
-    would wait on this process's detection for the interpreter lock at each
-    numpy call that releases it, and leave the helper idle meanwhile.
-    """
-    od = _summed(span)
-    partition = None
-    if len(od.count):
-        graph = FlowGraph.from_od(od, extra_nodes=registry_nodes)
-        partition = infomap(graph, seed=seed, trials=trials, tau=tau)
-    return DayCommunities(
-        date=od.date,
-        partition=partition,
-        community_count=partition.module_count if partition else len(registry_nodes),
-    )
+def _detect_day(od: DailyOD, seed: int, trials: int) -> DayCommunities:
+    """Detect the communities of one day's graph; a day without flow has no partition."""
+    partition = infomap(FlowGraph.from_od(od), seed, trials) if len(od.count) else None
+    return DayCommunities(date=od.date, partition=partition)
 
 
 # The helper imports only this module: `spawn` would re-import `__main__`, the
@@ -480,9 +437,9 @@ def _start_helper() -> subprocess.Popen:
 
 
 def _serve(stdin: BinaryIO | None = None, stdout: BinaryIO | None = None) -> None:
-    """The helper's side: read the pickled detection arguments, then answer each pickled window.
+    """The helper's side: read the pickled detection arguments, then answer each pickled day.
 
-    Each window sent gets its day's pickled DayCommunities back before the next is read.
+    Each OD sent gets its pickled DayCommunities back before the next is read.
     Stops without a reply when the parent closes the pipe or a day raises a data
     error; the parent then detects that day itself and raises the same error.
     """
@@ -498,9 +455,9 @@ def _serve(stdin: BinaryIO | None = None, stdout: BinaryIO | None = None) -> Non
         return
 
 
-def _ask(helper: subprocess.Popen, span: Sequence[DailyOD]) -> DayCommunities:
-    """Have the helper detect one day: send its window, then wait for its result."""
-    pickle.dump(span, helper.stdin)
+def _ask(helper: subprocess.Popen, od: DailyOD) -> DayCommunities:
+    """Have the helper detect one day: send its OD, then wait for its result."""
+    pickle.dump(od, helper.stdin)
     helper.stdin.flush()
     return pickle.load(helper.stdout)
 
@@ -518,7 +475,7 @@ def _claims(take: Callable[[], int]) -> Iterator[int]:
 def _feed(
     helper: subprocess.Popen,
     queue: deque,
-    span: Callable[[int], Sequence[DailyOD]],
+    ordered: Sequence[DailyOD],
     results: list,
     args: tuple,
 ) -> None:
@@ -530,7 +487,7 @@ def _feed(
     try:
         pickle.dump(args, helper.stdin)
         for i in _claims(queue.popleft):
-            results[i] = _ask(helper, span(i))
+            results[i] = _ask(helper, ordered[i])
         helper.stdin.close()  # end of input: the helper exits
     except (OSError, EOFError, pickle.UnpicklingError):
         pass  # the helper died or was killed
@@ -552,50 +509,35 @@ def _stop(helper: subprocess.Popen, feeder: threading.Thread) -> None:
         pass  # bytes a dead helper never read
 
 
-def _detect_missing(
-    span: Callable[[int], Sequence[DailyOD]], results: list, args: tuple, end: int
-) -> None:
+def _detect_missing(ordered: Sequence[DailyOD], results: list, args: tuple, end: int) -> None:
     """Detect, in date order, each of the first `end` days that has no result yet."""
     for i in range(end):
         if results[i] is None:
-            results[i] = _detect_day(span(i), *args)
+            results[i] = _detect_day(ordered[i], *args)
 
 
 def community_count_series(
     ods: Sequence[DailyOD],
     seed: int,
-    trials: int = DEFAULT_TRIALS,
-    tau: float = DEFAULT_TELEPORT,
-    registry_nodes: Iterable[str] = (),
-    window: int = 1,
+    trials: int,
     meanwhile: Callable[[], None] | None = None,
 ) -> list[DayCommunities]:
     """Per-day module counts of the daily flow graphs, date-ordered.
 
-    With window > 1 each day's graph sums the cells of the ODs dated within the
-    trailing `window` calendar days, that day included (rolling-window
-    smoothing). A day with no flow has no partition; its count falls back to
-    the number of attached registry nodes (each isolated) and the day is flagged.
+    A day with no flow has no partition and counts 0 (`DayCommunities.empty_day`).
 
-    The days form one two-ended queue of indices into the date-sorted ODs, and
-    each day's window is summed where the day is detected. With two or more
-    usable CPUs and days, a helper process starts at once, and a feeder thread
-    hands it the queue's front day, one at a time, in date order. `meanwhile`,
-    if given, then runs here while the helper works; this process claims days
-    from the back after it. Each day's partition depends only on its graph and
-    (seed, trial), so the result, and any detection error raised, do not depend
-    on how the days were shared: a day the helper did not return is detected
-    here, and the error raised is the one the first failing day in date order
-    raises.
+    The days form one two-ended queue of indices into the date-sorted ODs.
+    With two or more usable CPUs and days, a helper process starts at once, and
+    a feeder thread hands it the queue's front day, one at a time, in date
+    order. `meanwhile`, if given, then runs here while the helper works; this
+    process claims days from the back after it. Each day's partition depends
+    only on its graph and (seed, trial), so the result, and any detection error
+    raised, do not depend on how the days were shared: a day the helper did not
+    return is detected here, and the error raised is the one the first failing
+    day in date order raises.
     """
-    if window < 1:
-        raise ValueError(f"window must be at least 1 day, got {window}")
-    args = (seed, trials, tau, sorted(set(registry_nodes)))
+    args = (seed, trials)
     ordered = sorted(ods, key=lambda od: od.date)
-
-    def span(i: int) -> Sequence[DailyOD]:
-        return _window(ordered, i, window)
-
     results: list[DayCommunities | None] = [None] * len(ordered)
     queue = deque(range(len(ordered)))  # pops from either end are atomic: the two claimants share it
     helper = feeder = None
@@ -605,7 +547,7 @@ def community_count_series(
         except OSError:
             pass  # no process to spare: every day runs here
         else:
-            feeder = threading.Thread(target=_feed, args=(helper, queue, span, results, args))
+            feeder = threading.Thread(target=_feed, args=(helper, queue, ordered, results, args))
     try:
         if feeder is not None:
             feeder.start()
@@ -613,17 +555,17 @@ def community_count_series(
             meanwhile()
         try:
             for claimed in _claims(queue.pop):
-                results[claimed] = _detect_day(span(claimed), *args)
+                results[claimed] = _detect_day(ordered[claimed], *args)
         except Exception:
             # Raise what the serial order raises: a day dated before the failing
             # one that has no result yet comes first.
             if helper is not None:
                 _stop(helper, feeder)
-            _detect_missing(span, results, args, claimed)
+            _detect_missing(ordered, results, args, claimed)
             raise
         if feeder is not None:
             feeder.join()
-        _detect_missing(span, results, args, len(ordered))
+        _detect_missing(ordered, results, args, len(ordered))
         return results
     finally:
         if helper is not None:

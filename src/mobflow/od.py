@@ -1,12 +1,16 @@
-"""Daily origin-destination matrices: construction, province aggregation, flat-file persistence.
+"""Daily municipality origin-destination matrices: construction, province aggregation, persistence.
 
-A matrix is held sparsely as int64 (origin code, destination code, trip count)
-rows over the sorted names its cells use, from trip counting to the
-map-equation graph. Municipality matrices never contain self-loops (a trip
-requires two distinct municipalities); province matrices carry intra-province
-trips as self-loops, the province's internal mobility. They come from one path:
-`aggregate_to_province` adds municipality days into a dense `ProvinceCube`,
-and `ProvinceCube.ods` reads the daily province graphs back from it.
+A day's municipality matrix is held sparsely as int64 (origin code,
+destination code, trip count) rows over the sorted names its cells use, from
+trip counting to the map-equation graph. It never holds a self-loop: a trip
+joins two distinct municipalities. Province days exist only in a dense
+`ProvinceCube`, which `aggregate_to_province` fills from the municipality
+days; its diagonal carries the intra-province trips, the province's internal
+mobility.
+
+A store holds the municipality days under od/municipality/, one CSV per day,
+and a manifest listing their dates. The store functions take the granularity
+the manifest records, and any other value than "municipality" is a ValueError.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 SCHEMA_VERSION = 1
-GRANULARITIES = ("municipality", "province")
+GRANULARITY = "municipality"  # the one granularity a store holds, named in its path and manifest
 
 
 class ODNotFoundError(KeyError):
-    """Raised when no stored matrix exists for the requested date and granularity."""
+    """Raised when no stored matrix exists for the requested date."""
 
     __str__ = Exception.__str__  # the message, not KeyError's quoted repr of it
 
@@ -42,7 +46,7 @@ class UnmappedMunicipalityError(KeyError):
 
 @dataclass(frozen=True, eq=False)
 class DailyOD:
-    """Sparse daily OD matrix: unique (origin, destination) code rows with positive counts.
+    """Sparse daily municipality OD matrix: unique (origin, destination) code rows with positive counts.
 
     Code c names `names[c]`, the sorted tuple of exactly the names the cells
     use. Rows are sorted by code, and so by name: order-dependent float sums
@@ -50,25 +54,21 @@ class DailyOD:
     """
 
     date: date
-    granularity: str
     names: tuple[str, ...]
     origin: np.ndarray
     destination: np.ndarray
     count: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
         if (self.count < 1).any():
             raise ValueError(f"a cell on {self.date} has a non-positive count")
-        if self.granularity == "municipality" and (self.origin == self.destination).any():
+        if (self.origin == self.destination).any():
             raise ValueError(f"municipality matrix on {self.date} may not hold a self-loop")
 
     @classmethod
     def from_codes(
         cls,
         day: date,
-        granularity: str,
         names: Sequence[str],
         origin: np.ndarray,
         destination: np.ndarray,
@@ -76,7 +76,7 @@ class DailyOD:
     ) -> "DailyOD":
         """Sum code pairs weighted by `count` (default 1); code c names `names[c]`.
 
-        Codes of a repeated name merge, so relabelling to coarser names aggregates.
+        Codes of a repeated name merge.
         """
         unique, relabel = np.unique(np.array(names, dtype=object), return_inverse=True)
         n = len(unique)
@@ -85,7 +85,7 @@ class DailyOD:
         np.add.at(summed, row, 1 if count is None else count)
         used, code = np.unique(np.concatenate([keys // n, keys % n]), return_inverse=True)
         used_names = tuple(unique[used].tolist())
-        return cls(day, granularity, used_names, code[: len(keys)], code[len(keys):], summed)
+        return cls(day, used_names, code[: len(keys)], code[len(keys):], summed)
 
     @property
     def cells(self) -> dict[tuple[str, str], int]:
@@ -108,17 +108,10 @@ class ProvinceCube:
     provinces: tuple[str, ...]
     counts: np.ndarray
 
-    def ods(self) -> list[DailyOD]:
-        """Each day's non-zero cells as a province matrix, in the cube's date order."""
-        return [
-            DailyOD.from_codes(day, "province", self.provinces, o, q, counts[o, q])
-            for day, counts, (o, q) in zip(self.dates, self.counts, map(np.nonzero, self.counts))
-        ]
-
 
 def build_daily_od(trips: np.ndarray, names: Sequence[str], day: date) -> DailyOD:
     """Count one day's trips, an int (n, 2) array of (origin, destination) codes into `names`."""
-    return DailyOD.from_codes(day, "municipality", names, trips[:, 0], trips[:, 1])
+    return DailyOD.from_codes(day, names, trips[:, 0], trips[:, 1])
 
 
 def aggregate_to_province(muni_ods: Sequence[DailyOD], muni_to_province: Mapping[str, str]) -> ProvinceCube:
@@ -148,18 +141,18 @@ def aggregate_to_province(muni_ods: Sequence[DailyOD], muni_to_province: Mapping
     return ProvinceCube(dates, provinces, counts)
 
 
-def _granularity_dir(root: str | Path, granularity: str) -> Path:
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity {granularity!r}")
-    return Path(root) / "od" / granularity
+def _store_dir(root: str | Path, granularity: str) -> Path:
+    if granularity != GRANULARITY:
+        raise ValueError(f"a store holds only {GRANULARITY} days, not {granularity!r}")
+    return Path(root) / "od" / GRANULARITY
 
 
 def store_daily_od(od: DailyOD, root: str | Path) -> Path:
-    """Persist one matrix under od/<granularity>/<date>.csv, adding its date to the manifest.
+    """Persist one matrix under od/municipality/<date>.csv, adding its date to the manifest.
 
     Re-storing a date overwrites it.
     """
-    directory = _granularity_dir(root, od.granularity)
+    directory = Path(root) / "od" / GRANULARITY
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{od.date.isoformat()}.csv"
 
@@ -173,18 +166,21 @@ def store_daily_od(od: DailyOD, root: str | Path) -> Path:
     manifest_path = directory / "manifest.json"
     dates = {od.date}
     if manifest_path.exists():
-        dates.update(_read_manifest(manifest_path, od.granularity))
+        dates.update(_read_manifest(manifest_path))
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "granularity": od.granularity,
+        "granularity": GRANULARITY,
         "dates": [stored.isoformat() for stored in sorted(dates)],
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
-def _read_manifest(path: Path, granularity: str) -> list[date]:
-    """The dates a manifest lists, once its schema version and granularity check out."""
+def _read_manifest(path: Path) -> list[date]:
+    """The sorted dates a manifest lists, once its schema version and granularity check out.
+
+    A date listed twice raises ODSchemaError naming the manifest.
+    """
     with path.open(encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -193,33 +189,37 @@ def _read_manifest(path: Path, granularity: str) -> list[date]:
     version = manifest.get("schema_version") if isinstance(manifest, dict) else None
     if version != SCHEMA_VERSION:
         raise ODSchemaError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
-    if manifest.get("granularity") != granularity:
+    if manifest.get("granularity") != GRANULARITY:
         raise ODSchemaError(f"{path}: granularity mismatch")
-    dates = manifest.get("dates")
+    listed = manifest.get("dates")
     try:
-        if isinstance(dates, list):
-            return [date.fromisoformat(day) for day in dates]
+        dates = sorted(date.fromisoformat(day) for day in listed) if isinstance(listed, list) else None
     except (TypeError, ValueError):  # a day that is not a string, or not an ISO date
-        pass
-    raise ODSchemaError(f"{path}: dates must be a list of ISO dates")
+        dates = None
+    if dates is None:
+        raise ODSchemaError(f"{path}: dates must be a list of ISO dates")
+    repeated = sorted({day.isoformat() for day, after in zip(dates, dates[1:]) if day == after})
+    if repeated:
+        raise ODSchemaError(f"{path}: dates listed more than once: {', '.join(repeated)}")
+    return dates
 
 
 def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
     """Load one stored matrix; round-trips store_daily_od bit-exactly.
 
-    A repeated (origin, destination) row, a municipality self-loop, a count
-    that is not a positive integer below 2**63, or text that is not UTF-8
-    raises ODSchemaError naming the file; a missing file raises ODNotFoundError
-    naming the store and the file.
+    A repeated (origin, destination) row, a self-loop, a count that is not a
+    positive integer below 2**63, or text that is not UTF-8 raises
+    ODSchemaError naming the file; a missing file raises ODNotFoundError naming
+    the store and the file.
     """
-    directory = _granularity_dir(root, granularity)
+    directory = _store_dir(root, granularity)
     path = directory / f"{day.isoformat()}.csv"
     if not path.exists():
         missing = path.relative_to(root)
         raise ODNotFoundError(f"{root}: no {granularity} OD matrix for {day.isoformat()}; {missing} is missing")
     manifest_path = directory / "manifest.json"
     if manifest_path.exists():
-        _read_manifest(manifest_path, granularity)
+        _read_manifest(manifest_path)
     cells: dict[tuple[str, str], int] = {}
     try:
         with path.open(encoding="utf-8", newline="") as fh:
@@ -234,7 +234,7 @@ def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
                     raise ODSchemaError(f"{path}: malformed row {row!r}")
                 if (row[0], row[1]) in cells:
                     raise ODSchemaError(f"{path}: repeated row {row!r}")
-                if granularity == "municipality" and row[0] == row[1]:
+                if row[0] == row[1]:
                     raise ODSchemaError(f"{path}: self-loop row {row!r}")
                 count = int(row[2]) if row[2].isdecimal() else 0
                 if not 1 <= count < 2**63:  # the counts are int64
@@ -244,12 +244,12 @@ def load_daily_od(root: str | Path, day: date, granularity: str) -> DailyOD:
         raise ODSchemaError(f"{path}: not UTF-8 text: {exc}") from None
     names = [name for pair in cells for name in pair]
     origin = np.arange(0, len(names), 2)
-    return DailyOD.from_codes(day, granularity, names, origin, origin + 1, np.fromiter(cells.values(), np.int64))
+    return DailyOD.from_codes(day, names, origin, origin + 1, np.fromiter(cells.values(), np.int64))
 
 
 def list_od_dates(root: str | Path, granularity: str) -> list[date]:
-    """Sorted dates the store's manifest lists at the given granularity; [] without one."""
-    manifest_path = _granularity_dir(root, granularity) / "manifest.json"
+    """Sorted dates the store's manifest lists; [] without one."""
+    manifest_path = _store_dir(root, granularity) / "manifest.json"
     if not manifest_path.exists():
         return []
-    return _read_manifest(manifest_path, granularity)
+    return _read_manifest(manifest_path)

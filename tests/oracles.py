@@ -8,7 +8,7 @@ dense linear algebra, exhaustive enumeration, straight-line formulas.
 import hashlib
 import math
 from collections import Counter, defaultdict, namedtuple
-from datetime import datetime, timedelta
+from datetime import datetime
 from itertools import groupby
 from operator import itemgetter
 
@@ -16,7 +16,6 @@ import numpy as np
 
 from mobflow.cluster import MAX_ITER
 from mobflow.community import (
-    DEFAULT_TELEPORT,
     GAIN_EPS,
     FlowGraph,
     Partition,
@@ -38,6 +37,7 @@ FlowSeries = namedtuple(
     "FlowSeries", "province_id dates in_flow out_flow self_flow in_norm out_norm self_norm"
 )
 DiversitySeries = namedtuple("DiversitySeries", "province_id direction dates values")
+ProvinceDay = namedtuple("ProvinceDay", "date cells")  # one day's (origin, destination) -> count province cells
 ReferenceMatrix = namedtuple("ReferenceMatrix", "provinces dates values dropped")
 ReferencePlan = namedtuple("ReferencePlan", "daily_trips daily_cells daily_totals planted_cluster_groups")
 
@@ -136,16 +136,21 @@ def count_cells(pairs):
     return dict(sorted(Counter(pairs).items()))
 
 
-def from_cells(day, granularity, cells):
-    """The matrix of `cells`, (origin, destination) names -> count, named from the keys."""
+def from_cells(day, cells):
+    """The municipality matrix of `cells`, (origin, destination) names -> count, named from the keys."""
     names = [name for pair in cells for name in pair]
     codes = np.arange(len(names))
     counts = np.array(list(cells.values()), dtype=np.int64)
-    return DailyOD.from_codes(day, granularity, names, codes[0::2], codes[1::2], counts)
+    return DailyOD.from_codes(day, names, codes[0::2], codes[1::2], counts)
 
 
-def cube_of(province_ods, provinces):
-    """`aggregate_to_province`'s cube of province matrices over `provinces`.
+def province_day(day, cells):
+    """A ProvinceDay of `cells` in sorted cell order, the order a matrix's rows take."""
+    return ProvinceDay(day, dict(sorted(cells.items())))
+
+
+def cube_of(province_days, provinces):
+    """`aggregate_to_province`'s cube of ProvinceDays over `provinces`.
 
     Each province p gets two municipalities, p and p', and each cell (o, q)
     becomes the municipality cell (o, q'): never a self-loop, and it aggregates
@@ -153,11 +158,8 @@ def cube_of(province_ods, provinces):
     """
     mapping = {name: p for p in provinces for name in (p, p + "'")}
     muni_ods = [
-        DailyOD.from_codes(
-            od.date, "municipality", [*od.names, *(name + "'" for name in od.names)],
-            od.origin, od.destination + len(od.names), od.count,
-        )
-        for od in province_ods
+        from_cells(day.date, {(o, q + "'"): count for (o, q), count in day.cells.items()})
+        for day in province_days
     ]
     return aggregate_to_province(muni_ods, mapping)
 
@@ -168,25 +170,6 @@ def aggregate_cells(cells, mapping):
     for (origin, destination), count in cells.items():
         out[(mapping[origin], mapping[destination])] += count
     return dict(sorted(out.items()))
-
-
-def window_cells(days, window):
-    """Per (date, cells) day in date order, its trailing-`window` cell sums as floats.
-
-    Each day's dict accumulates the cells of every day dated within its
-    `window` calendar days, day by day from 0.0, and is returned in sorted
-    cell order.
-    """
-    days = sorted(days, key=lambda day: day[0])
-    out = []
-    for day, _cells in days:
-        merged = defaultdict(float)
-        for past, cells in days:
-            if day - timedelta(days=window - 1) <= past <= day:
-                for pair, count in cells.items():
-                    merged[pair] += float(count)
-        out.append(dict(sorted(merged.items())))
-    return out
 
 
 def province_cube(days, provinces):
@@ -200,9 +183,9 @@ def province_cube(days, provinces):
 
 
 def same_od(a, b):
-    """Whether two matrices hold the same date, granularity, names and rows."""
+    """Whether two matrices hold the same date, names and rows."""
     columns = ("origin", "destination", "count")
-    return (a.date, a.granularity, a.names) == (b.date, b.granularity, b.names) and all(
+    return (a.date, a.names) == (b.date, b.names) and all(
         np.array_equal(getattr(a, column), getattr(b, column)) for column in columns
     )
 
@@ -636,14 +619,14 @@ def _reference_trial(flat, node_term, rng):
             return _compact(flat_assignment), current_length
 
 
-def infomap_reference(g, seed, trials=10, tau=DEFAULT_TELEPORT):
+def infomap_reference(g, seed, trials):
     """The multilevel greedy optimizer with every move scored by a full `gain` call.
 
     Same seeds, move order, tie-breaking and float expressions as
     `mobflow.community.infomap`, so both must return identical partitions and
     codelengths; only the bookkeeping of the plogp terms differs.
     """
-    flow = stationary_flow(g, tau=tau)
+    flow = stationary_flow(g)
     flat = _flat_level(g, flow)
     node_term = sum(_plogp(p) for p in flow.visit_rates.tolist())
     best = None
@@ -658,6 +641,24 @@ def infomap_reference(g, seed, trials=10, tau=DEFAULT_TELEPORT):
         assignment={node: compacted[i] for i, node in enumerate(g.nodes)},
         codelength=length,
     )
+
+
+def nmi(a, b):
+    """Normalized mutual information of two node -> label partitions of the same nodes.
+
+    Danon, Diaz-Guilera, Duch & Arenas (J. Stat. Mech. P09008, 2005), from the
+    confusion counts N_ij of the labels: -2 sum N_ij log(N_ij N / (N_i N_j))
+    over sum N_i log(N_i / N) + sum N_j log(N_j / N). Two one-label partitions
+    carry no information to share and count as identical (1.0).
+    """
+    if a.keys() != b.keys() or not a:
+        raise ValueError("nmi needs two partitions of the same non-empty node set")
+    n = len(a)
+    joint = Counter((a[node], b[node]) for node in a)
+    rows, columns = Counter(a.values()), Counter(b.values())
+    shared = sum(c * math.log(c * n / (rows[i] * columns[j])) for (i, j), c in joint.items())
+    spread = sum(c * math.log(c / n) for c in rows.values()) + sum(c * math.log(c / n) for c in columns.values())
+    return 1.0 if spread == 0.0 else -2.0 * shared / spread
 
 
 def lloyd_reference(x, centroids):

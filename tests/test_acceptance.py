@@ -28,9 +28,10 @@ from oracles import (
     exhaustive_min_codelength,
     flow_dicts,
     flow_graph,
-    from_cells,
     map_equation,
     named_daily_trips,
+    nmi,
+    province_day,
     random_flow_graph,
     same_od,
     stationary_dense,
@@ -44,8 +45,8 @@ TERRITORY_110 = ["A"] + [f"S{i}" for i in range(109)]
 
 def _in_diversity(days: list[dict]) -> list[float]:
     """A's in-flow diversity on each day of a 110-province territory, through the cube."""
-    ods = [from_cells(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
-    return diversity_series(cube_of(ods, TERRITORY_110), "in").values[0].tolist()
+    province_days = [province_day(DAY + timedelta(days=i), cells) for i, cells in enumerate(days)]
+    return diversity_series(cube_of(province_days, TERRITORY_110), "in").values[0].tolist()
 
 
 def _report(number: int, ok: bool, elapsed: float, budget: float, detail: str) -> None:
@@ -217,22 +218,33 @@ def test_criterion_6_qualitative_reproduction(tmp_path):
             and summary["weekend_diversity_delta_pre"] >= 0.0
         )
 
-        # (c): 20 seeds on planned daily ODs
-        increased = 0
+        # (c): 20 seeds on planned daily ODs. The module count rises after the
+        # lockdown, and the modules are the markets: after it each day's modules
+        # are the planted communities (NMI 1), before it they follow the provinces.
+        increased = recovered = followed = 0
         for seed in range(20):
             plan = synth.generate_plan(synth.lockdown_scenario_config(seed=seed))
+            planted = {m: i for i, group in enumerate(plan.territory.communities) for m in group}
+            provinces = plan.territory.muni_to_province
             series = community_count_series(plan.municipality_ods(), seed=seed, trials=2)
             pre = [d.community_count for d in series if d.date < split]
             post = [d.community_count for d in series if d.date >= split]
             if statistics.median(post) > statistics.median(pre):
                 increased += 1
-        c_ok = increased >= 19  # >= 95% of 20 seeds
+            days = [(d.date, d.partition.assignment) for d in series]
+            if all(nmi(a, {m: planted[m] for m in a}) == 1.0 for day, a in days if day >= split):
+                recovered += 1
+            if statistics.median(nmi(a, {m: provinces[m] for m in a}) for day, a in days if day < split) >= 0.98:
+                followed += 1
+        c_ok = increased >= 19 and recovered == followed == 20  # counts: >= 95% of 20 seeds
     ok = a_ok and b_ok and c_ok and t.elapsed < budget
     _report(6, ok, t.elapsed, budget,
             f"(a) inter-province drop {drop:.1f}% in [55, 65]; "
             f"(b) weekend delta pre {summary['weekend_diversity_delta_pre']:+.3f} >= 0 > "
             f"post {summary['weekend_diversity_delta_post']:+.3f}; "
-            f"(c) community median increased in {increased}/20 seeds")
+            f"(c) community median increased in {increased}/20 seeds, every post-lockdown day's modules "
+            f"are the planted communities in {recovered}/20, pre-lockdown median NMI with the provinces "
+            f">= 0.98 in {followed}/20")
     assert a_ok
     assert b_ok
     assert c_ok

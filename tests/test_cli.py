@@ -1,6 +1,8 @@
 """Command-line surface: smoke path, composition, exit codes, cleanup, determinism."""
 
+import argparse
 import json
+import re
 import runpy
 import shutil
 import sys
@@ -13,7 +15,11 @@ import pytest
 import oracles
 from mobflow import cli, synth
 from mobflow.cli import main
-from mobflow.od import list_od_dates, load_daily_od, store_daily_od
+from mobflow.od import list_od_dates, load_daily_od
+
+# Options neither `communities` nor `report` takes: detection runs on each
+# municipality day alone, at a fixed teleportation rate.
+REMOVED_OPTIONS = {"--tau", "--window", "--granularity", "--attach-registry"}
 
 SUMMARY_FIELDS = {
     "flow_drop_pct",
@@ -183,9 +189,7 @@ class TestSmokePath:
         territory = _territory(store)
         provinces = set(territory.values())
         ods = {
-            d: oracles.from_cells(
-                d, "province", oracles.aggregate_cells(load_daily_od(store, d, "municipality").cells, territory)
-            )
+            d: oracles.province_day(d, oracles.aggregate_cells(load_daily_od(store, d, "municipality").cells, territory))
             for d in list_od_dates(store, "municipality")
         }
         rows = (with_self / "diversity.csv").read_text().splitlines()[1:]
@@ -197,54 +201,23 @@ class TestSmokePath:
             )
             assert value == ("" if expected is None else repr(expected))
 
-    def test_communities_on_province_graphs(self, scenario_dir, tmp_path):
+    def test_province_filter_on_municipality_graphs(self, scenario_dir, tmp_path):
         store = tmp_path / "store"
         assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
-        out = tmp_path / "prov"
-        assert main(["communities", "--in", str(store), "--out", str(out),
-                     "--seed", "1", "--trials", "2", "--granularity", "province"]) == 0
-        dump = json.loads((out / "partitions.json").read_text())
-        nodes = {m for entry in dump for mod in entry["modules"] for m in mod["municipalities"]}
-        assert nodes and all(n.startswith("P") for n in nodes)
-
-    def test_province_filter_on_province_graphs(self, scenario_dir, tmp_path):
-        store = tmp_path / "store"
-        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
-        out = tmp_path / "prov"
+        out = tmp_path / "muni"
         assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "1", "--trials", "2",
-                     "--granularity", "province", "--provinces", "P000,P001"]) == 0
+                     "--provinces", "P000,P001"]) == 0
+        wanted = {m for m, p in _territory(store).items() if p in {"P000", "P001"}}
         dump = json.loads((out / "partitions.json").read_text())
         filtered = json.loads((out / "partitions_P000_P001.json").read_text())
         assert len(filtered) == len(dump)
         for day, kept in zip(dump, filtered):
             assert kept["modules"], f"no module kept on {kept['date']}"
             expected = [
-                {"id": mod["id"], "municipalities": [n for n in mod["municipalities"] if n in {"P000", "P001"}]}
+                {"id": mod["id"], "municipalities": [n for n in mod["municipalities"] if n in wanted]}
                 for mod in day["modules"]
             ]
             assert kept["modules"] == [mod for mod in expected if mod["municipalities"]]
-
-    def test_attach_registry_adds_flowless_municipality_as_singleton(self, tmp_path):
-        store = tmp_path / "store"
-        day1, day2 = date(2020, 3, 2), date(2020, 3, 3)
-        both_ways = {("M1", "M2"): 5, ("M2", "M1"): 5}
-        with_m3 = {**both_ways, ("M2", "M3"): 1, ("M3", "M2"): 1}
-        store_daily_od(oracles.from_cells(day1, "municipality", with_m3), store)
-        store_daily_od(oracles.from_cells(day2, "municipality", both_ways), store)  # M3 has no flow
-        territory = {"M1": "P1", "M2": "P1", "M3": "P2"}
-        (store / "territory.json").write_text(json.dumps({"muni_to_province": territory}))
-        runs = {}
-        for name, flag in (("plain", []), ("attached", ["--attach-registry"])):
-            out = tmp_path / name
-            assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "1",
-                         "--trials", "2", *flag]) == 0
-            rows = (out / "communities.csv").read_text().splitlines()[1:]
-            counts = [int(row.split(",")[1]) for row in rows]
-            runs[name] = counts, json.loads((out / "partitions.json").read_text())
-        (plain, _), (attached, dump) = runs["plain"], runs["attached"]
-        assert attached[0] == plain[0]
-        assert attached[1] == plain[1] + 1
-        assert [mod["municipalities"] for mod in dump[1]["modules"]].count(["M3"]) == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_report_partitions_recover_the_planted_communities(self, tmp_path, seed):
@@ -309,9 +282,15 @@ class TestSmokePath:
         assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
         # province matrices of the first scenario, as an older version stored them
         territory = _territory(store)
-        for day in list_od_dates(store, "municipality"):
+        stale = store / "od" / "province"
+        stale.mkdir()
+        days = list_od_dates(store, "municipality")
+        for day in days:
             cells = oracles.aggregate_cells(load_daily_od(store, day, "municipality").cells, territory)
-            store_daily_od(oracles.from_cells(day, "province", cells), store)
+            rows = "".join(f"{o},{d},{c}\n" for (o, d), c in cells.items())
+            (stale / f"{day}.csv").write_text("origin,destination,count\n" + rows)
+        manifest = {"schema_version": 1, "granularity": "province", "dates": [day.isoformat() for day in days]}
+        (stale / "manifest.json").write_text(json.dumps(manifest))
         assert main(["build-od", "--in", str(other), "--out", str(store)]) == 0
         fresh = tmp_path / "fresh"
         assert main(["build-od", "--in", str(other), "--out", str(fresh)]) == 0
@@ -399,10 +378,15 @@ class TestExitCodes:
             ("report", "--split-date", "2020-13-01"),
             ("cluster", "--k-range", "1:5"),
             ("report", "--k-range", "9:3"),
+            ("communities", "--window", "2"),
+            ("communities", "--granularity", "province"),
+            ("communities", "--attach-registry", None),
+            ("communities", "--tau", "0.2"),
         ],
     )
     def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, monkeypatch, command, option, value):
-        """A bad option value exits 1 before any input is read or anything is written."""
+        """A bad option value, or an option the command does not take, exits 1 before any input is read
+        or anything is written."""
 
         def ran(*args, **kwargs):
             raise AssertionError("ran past option parsing")
@@ -411,8 +395,10 @@ class TestExitCodes:
         monkeypatch.setattr(cli.ingest, "parse_records", ran)
         out = tmp_path / "parent" / "out"
         seed = [] if command in ("build-od", "flows") else ["--seed", "1"]
-        assert main([command, "--in", str(tmp_path), "--out", str(out), *seed, option, value]) == 1
-        assert f"argument {option}" in capsys.readouterr().err
+        given = [option] if value is None else [option, value]
+        assert main([command, "--in", str(tmp_path), "--out", str(out), *seed, *given]) == 1
+        want = f"unrecognized arguments: {option}" if option in REMOVED_OPTIONS else f"argument {option}"
+        assert want in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["build-od", "flows", "diversity", "cluster", "communities"])
@@ -546,6 +532,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {store}: no municipality OD matrix for {day}; od/municipality/{day}.csv is missing\n" == err
         assert not (tmp_path / "out").exists()
+
+    def test_manifest_listing_a_date_twice_is_data_error(self, probe_store, tmp_path, capsys):
+        store = shutil.copytree(probe_store, tmp_path / "store")
+        path = store / "od" / "municipality" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        day = manifest["dates"][1]
+        manifest["dates"].append(day)
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "0", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: dates listed more than once: {day}\n"
+        assert not out.exists()
+
+    def test_manifest_dates_out_of_order_give_date_ordered_tables(self, probe_store, tmp_path):
+        store = shutil.copytree(probe_store, tmp_path / "store")
+        path = store / "od" / "municipality" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["dates"].reverse()
+        path.write_text(json.dumps(manifest))
+        tables = {}
+        for name, source in (("sorted", probe_store), ("reversed", store)):
+            out = tmp_path / name
+            for command in (["flows"], ["diversity"], ["cluster", "--seed", "0", "--k-range", "2:3"]):
+                assert main([*command, "--in", str(source), "--out", str(out)]) == 0
+            tables[name] = _tree_bytes(out)
+        assert tables["reversed"] == tables["sorted"]
 
     def test_regime_without_start_date_is_data_error(self, tmp_path, capsys):
         data = _two_day_data(tmp_path)
@@ -875,6 +888,23 @@ class TestStagedOutputs:
             main(["report", "--in", str(three_dir), "--out", str(out), "--seed", "0", "--trials", "1"])
         assert oracles.tree_digest(out) == before
         _assert_no_staging(out, capsys.readouterr().out)
+
+
+class TestReadme:
+    def test_command_line_section_names_every_option(self):
+        """README's "Command line" section names exactly the options the subcommands define."""
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        defined = {
+            option
+            for command in subparsers.choices.values()
+            for action in command._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        assert set(re.findall(r"--[a-z][a-z-]*", section)) == defined
 
 
 class TestDeterminism:

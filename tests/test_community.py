@@ -38,7 +38,6 @@ from oracles import (
     map_equation_entropy_form,
     random_flow_graph,
     stationary_dense,
-    window_cells,
 )
 
 DAY = date(2020, 3, 2)
@@ -98,16 +97,16 @@ class TestStationaryFlow:
         assert sum(flow.visit_rates.tolist()) == pytest.approx(1.0, abs=1e-10)
 
     def test_edge_flows_total_without_dangling(self):
-        # every node has an out-edge, so recorded flow is exactly 1 - tau
+        # every node has an out-edge, so recorded flow is exactly 1 - TELEPORT
         g = flow_graph(
             {("a", "b"): 3.0, ("b", "c"): 1.0, ("c", "a"): 2.0, ("a", "c"): 1.0}
         )
-        flow = stationary_flow(g, tau=0.15)
+        flow = stationary_flow(g)
         assert sum(flow.edge_flows.tolist()) == pytest.approx(0.85, abs=1e-10)
 
     def test_dangling_mass_not_recorded_as_edge_flow(self):
         g = flow_graph({("a", "b"): 1.0})  # b is dangling
-        flow = flow_dicts(g, stationary_flow(g, tau=0.15))
+        flow = flow_dicts(g, stationary_flow(g))
         expected = 0.85 * flow.visit_rates["a"]
         assert sum(flow.edge_flows.values()) == pytest.approx(expected, abs=1e-12)
 
@@ -122,17 +121,6 @@ class TestStationaryFlow:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             stationary_flow(flow_graph({}))
-
-    @pytest.mark.parametrize("tau", [1.5, -0.5, float("nan")])
-    def test_teleport_rate_outside_unit_interval_rejected(self, tau):
-        g = flow_graph({("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "a"): 2.0})
-        with pytest.raises(ValueError, match="tau must be in"):
-            stationary_flow(g, tau=tau)
-
-    @pytest.mark.parametrize("tau", [0.0, 1.0])
-    def test_teleport_rate_bounds_accepted(self, tau):
-        g = flow_graph({("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "a"): 2.0})
-        assert sum(stationary_flow(g, tau=tau).visit_rates) == pytest.approx(1.0, abs=1e-12)
 
     def test_edgeless_graph_is_uniform(self):
         g = flow_graph({}, ["a", "b", "c", "d"])
@@ -153,7 +141,7 @@ class TestMapEquation:
 
     def test_two_node_singletons_hand_expansion(self):
         g = flow_graph({("a", "b"): 1.0, ("b", "a"): 1.0})
-        flow = flow_dicts(g, stationary_flow(g, tau=0.15))
+        flow = flow_dicts(g, stationary_flow(g))
         # p = (1/2, 1/2); each module exits with 0.85 * 1/2
         q_i = 0.85 * 0.5
         q = 2 * q_i
@@ -338,7 +326,7 @@ class TestInfomapMatchesReference:
 
 
 def _od(cells, day=DAY):
-    return from_cells(day, "municipality", cells)
+    return from_cells(day, cells)
 
 
 class TestCommunityCountSeries:
@@ -348,39 +336,9 @@ class TestCommunityCountSeries:
         series = community_count_series(ods, seed=4, trials=4)
         assert len({d.community_count for d in series}) == 1
 
-    def test_empty_day_flagged_with_registry_fallback(self):
-        ods = [_od({}, DAY)]
-        bare = community_count_series(ods, seed=0)
+    def test_empty_day_flagged_and_counts_zero(self):
+        bare = community_count_series([_od({}, DAY)], seed=0, trials=10)
         assert bare[0].empty_day and bare[0].community_count == 0
-        attached = community_count_series(ods, seed=0, registry_nodes=["a", "b", "c"])
-        assert attached[0].empty_day and attached[0].community_count == 3
-
-    def test_rolling_window_merges_days(self):
-        day2 = DAY + timedelta(days=1)
-        ods = [
-            _od({("a", "b"): 1, ("b", "a"): 1}, DAY),
-            _od({("c", "d"): 1, ("d", "c"): 1}, day2),
-        ]
-        single = community_count_series(ods, seed=0, window=1)
-        rolled = community_count_series(ods, seed=0, window=2)
-        assert single[1].community_count == 1  # only c<->d present that day
-        assert rolled[1].community_count == 2  # a<->b carried into the window
-
-    def test_rolling_window_counts_calendar_days(self):
-        # no OD is stored for the four days between: a 2-day window ending on
-        # the second day covers only that day
-        later = DAY + timedelta(days=5)
-        ods = [
-            _od({("a", "b"): 1, ("b", "a"): 1}, DAY),
-            _od({("c", "d"): 1, ("d", "c"): 1}, later),
-        ]
-        rolled = community_count_series(ods, seed=0, window=2)
-        assert rolled[1].community_count == 1
-        assert rolled[1].partition.assignment.keys() == {"c", "d"}
-        wide = community_count_series(ods, seed=0, window=6)
-        assert wide[1].community_count == 2
-        with pytest.raises(ValueError, match="at least 1 day"):
-            community_count_series(ods, seed=0, window=0)
 
     def test_csv_export_with_sunday_markers(self, tmp_path):
         sunday = date(2020, 3, 8)
@@ -403,14 +361,13 @@ class TestCommunityCountSeries:
 
 
 def _helper_days():
-    """Six plan days and an empty one at index 1, spaced so a 2-day window keeps it empty."""
+    """Six plan days with an empty day after the first, in date order."""
     config = synth.lockdown_scenario_config(
         seed=2, n_provinces=4, municipalities_per_province=5, n_days=6, lockdown_day=3
     )
     ods = synth.generate_plan(config).municipality_ods()
-    first = ods[0].date
-    later = [dataclasses.replace(od, date=od.date + timedelta(days=2)) for od in ods[1:]]
-    return [ods[0], _od({}, first + timedelta(days=2))] + later
+    later = [dataclasses.replace(od, date=od.date + timedelta(days=1)) for od in ods[1:]]
+    return [ods[0], _od({}, ods[1].date)] + later
 
 
 def _fields(days):
@@ -426,7 +383,7 @@ def _fields(days):
     ]
 
 
-SERIES_KWARGS = dict(seed=3, trials=2, registry_nodes=["M_unseen", "M000_00"], window=2)
+SERIES_KWARGS = dict(seed=3, trials=2)
 
 
 @pytest.fixture
@@ -465,13 +422,13 @@ def _record_claims(monkeypatch, on_help=lambda: None):
     detected_here, sent, helped = [], [], []
     detect, ask = community._detect_day, community._ask
 
-    def detect_and_record(span, *args):
-        detected_here.append(span[-1].date)
-        return detect(span, *args)
+    def detect_and_record(od, *args):
+        detected_here.append(od.date)
+        return detect(od, *args)
 
-    def ask_and_record(helper, span):
-        sent.append(span[-1].date)
-        day = ask(helper, span)
+    def ask_and_record(helper, od):
+        sent.append(od.date)
+        day = ask(helper, od)
         helped.append(day.date)
         on_help()
         return day
@@ -501,7 +458,7 @@ class TestHelperProcess:
         serial = _serial(ods, monkeypatch, **SERIES_KWARGS)
         assert len(helpers) == 1  # one usable CPU: no helper
         assert _fields(shared) == _fields(serial)
-        assert shared[1].empty_day and shared[1].community_count == 2
+        assert shared[1].empty_day and shared[1].community_count == 0
         assert sum(d.empty_day for d in shared) == 1
 
     def test_each_day_claimed_once_under_fast_thread_switching(self, helpers, monkeypatch):
@@ -521,19 +478,16 @@ class TestHelperProcess:
         assert [d.date for d in shared] == [od.date for od in ods]
         assert all(d.community_count == 2 for d in shared)
 
-    @pytest.mark.parametrize("window", [1, 2, 7])
-    def test_each_claimant_windows_the_days_it_claims(self, helpers, monkeypatch, window):
+    def test_each_claimant_detects_the_days_it_claims(self, helpers, monkeypatch):
         ods = _helper_days()
-        kwargs = dict(SERIES_KWARGS, window=window)
-        shared = community_count_series(ods, **kwargs)
+        shared = community_count_series(ods, **SERIES_KWARGS)
         assert len(helpers) == 1
-        serial = _serial(ods, monkeypatch, **kwargs)
+        serial = _serial(ods, monkeypatch, **SERIES_KWARGS)
         assert _fields(shared) == _fields(serial)
-        registry = sorted(set(kwargs["registry_nodes"]))
-        for day, cells in zip(serial, window_cells([(od.date, od.cells) for od in ods], window), strict=True):
-            assert day.empty_day == (not cells)
-            if cells:
-                want = infomap(flow_graph(cells, registry), seed=kwargs["seed"], trials=kwargs["trials"])
+        for day, od in zip(serial, ods, strict=True):
+            assert day.empty_day == (not od.cells)
+            if od.cells:
+                want = infomap(flow_graph(od.cells), seed=SERIES_KWARGS["seed"], trials=SERIES_KWARGS["trials"])
                 assert day.partition == want
 
     def test_one_day_starts_no_helper(self, helpers):
@@ -572,10 +526,10 @@ class TestHelperProcess:
         failing = {ods[3].date, ods[4].date}
         from_od = FlowGraph.from_od
 
-        def from_od_failing(od, extra_nodes=()):
+        def from_od_failing(od):
             if od.date in failing:
                 raise ValueError(f"no graph on {od.date}")
-            return from_od(od, extra_nodes)
+            return from_od(od)
 
         monkeypatch.setattr(FlowGraph, "from_od", from_od_failing)  # the helper keeps the real one
         monkeypatch.setattr(community, "_HELPER_SOURCE", "import sys; sys.stdin.buffer.read(1)")
@@ -622,18 +576,18 @@ class TestHelperProcess:
 
     def test_serve_round_trip(self):
         ods = _helper_days()[:3]
-        args = (1, 2, 0.15, ["M_unseen"])
-        sent = pickle.dumps(args) + b"".join(pickle.dumps([od]) for od in ods)
+        args = (1, 2)
+        sent = pickle.dumps(args) + b"".join(pickle.dumps(od) for od in ods)
         out = io.BytesIO()
         community._serve(io.BytesIO(sent), out)
         out.seek(0)
         replies = [pickle.load(out) for _ in ods]
         assert out.read() == b""
-        assert _fields(replies) == _fields(community._detect_day([od], *args) for od in ods)
+        assert _fields(replies) == _fields(community._detect_day(od, *args) for od in ods)
 
     @pytest.mark.parametrize("trials", [None, 0])  # nothing sent; a data error
     def test_serve_writes_nothing_without_a_result(self, trials):
-        sent = b"" if trials is None else pickle.dumps((1, trials, 0.15, [])) + pickle.dumps(_helper_days()[:1])
+        sent = b"" if trials is None else pickle.dumps((1, trials)) + pickle.dumps(_helper_days()[0])
         out = io.BytesIO()
         community._serve(io.BytesIO(sent), out)
         assert out.getvalue() == b""

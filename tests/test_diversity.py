@@ -22,7 +22,7 @@ from mobflow.cluster import SeriesMatrix
 from mobflow.flows import compute_flows
 from mobflow.od import aggregate_to_province
 
-from oracles import cube_of, from_cells
+from oracles import cube_of, province_day
 
 DAY = date(2020, 3, 2)
 TERRITORY_110 = ["A"] + [f"S{i:03d}" for i in range(109)]
@@ -30,7 +30,7 @@ FLOW_SERIES = ("in_flow", "out_flow", "self_flow", "in_norm", "out_norm", "self_
 
 
 def in_flows_od(flows: dict[str, int], target="A", day=DAY):
-    return from_cells(day, "province", {(src, target): c for src, c in flows.items()})
+    return province_day(day, {(src, target): c for src, c in flows.items()})
 
 
 def series_of(ods, province, direction, provinces=TERRITORY_110, include_self=False):
@@ -83,12 +83,12 @@ class TestFlowDiversity:
             assert got == pytest.approx(oracles.entropy_direct(counts, 110), abs=1e-12)
 
     def test_zero_flow_is_absent_not_zero(self):
-        od = from_cells(DAY, "province", {("A", "S000"): 3})  # only outgoing
+        od = province_day(DAY, {("A", "S000"): 3})  # only outgoing
         assert value_of(od, "A", "in") is None
         assert value_of(od, "A", "out") == 0.0
 
     def test_out_direction_mirrors_in(self):
-        od = from_cells(DAY, "province", {("A", "B"): 30, ("A", "C"): 10})
+        od = province_day(DAY, {("A", "B"): 30, ("A", "C"): 10})
         got = value_of(od, "A", "out", ["A", "B", "C"])
         assert got == pytest.approx(oracles.entropy_direct([30, 10], 3), abs=1e-12)
         assert value_of(od, "B", "in", ["A", "B", "C"]) == 0.0
@@ -100,12 +100,12 @@ class TestFlowDiversity:
         assert value == pytest.approx(0.11963, abs=1e-5)
 
     def test_self_loop_excluded_by_default_included_on_request(self):
-        od = from_cells(DAY, "province", {("A", "A"): 40, ("S000", "A"): 30, ("S001", "A"): 10})
+        od = province_day(DAY, {("A", "A"): 40, ("S000", "A"): 30, ("S001", "A"): 10})
         base = value_of(od, "A", "in")
         assert base == pytest.approx(oracles.entropy_direct([30, 10], 110), abs=1e-12)
         with_self = value_of(od, "A", "in", include_self=True)
         assert with_self == pytest.approx(oracles.entropy_direct([40, 30, 10], 110), abs=1e-12)
-        only_self = from_cells(DAY, "province", {("A", "A"): 40})
+        only_self = province_day(DAY, {("A", "A"): 40})
         assert value_of(only_self, "A", "out") is None
         assert value_of(only_self, "A", "out", include_self=True) == 0.0
 
@@ -166,13 +166,13 @@ def province_runs(draw):
     ods = []
     for offset in offsets:
         cells = draw(st.dictionaries(pair, st.integers(1, 10**6), max_size=3 * n))
-        ods.append(from_cells(DAY + timedelta(days=offset), "province",
-                           {(provinces[o], provinces[d]): c for (o, d), c in cells.items()}))
+        named = {(provinces[o], provinces[d]): c for (o, d), c in cells.items()}
+        ods.append(province_day(DAY + timedelta(days=offset), named))
     return provinces, ods
 
 
 def _run(provinces, days):
-    return provinces, [from_cells(DAY + timedelta(days=i), "province", cells) for i, cells in enumerate(days)]
+    return provinces, [province_day(DAY + timedelta(days=i), cells) for i, cells in enumerate(days)]
 
 
 class TestCubeMatchesPerProvinceScans:
@@ -261,21 +261,21 @@ class TestDiversitySeries:
     def test_absent_day_preserved(self):
         ods = [
             in_flows_od({"S000": 2}, day=DAY),
-            from_cells(DAY + timedelta(days=1), "province", {}),
+            province_day(DAY + timedelta(days=1), {}),
         ]
         values = series_of(ods, "A", "in")
         assert values[0] == 0.0
         assert values[1] is None
 
     def test_csv_blank_for_absent(self, tmp_path):
-        cube = cube_of([from_cells(DAY, "province", {})], TERRITORY_110)
+        cube = cube_of([province_day(DAY, {})], TERRITORY_110)
         out = tmp_path / "d.csv"
         cli._write_csv(out, diversity_table([diversity_series(cube, "in")]))
         assert out.read_text().splitlines()[1] == "2020-03-02,A,in,"
 
     def test_csv_values_are_python_float_reprs(self, tmp_path):
-        od = from_cells(DAY, "province", {("A", "B"): 30, ("A", "C"): 10, ("B", "C"): 1})
-        cube = cube_of([od, from_cells(DAY + timedelta(days=1), "province", {})], "ABC")
+        od = province_day(DAY, {("A", "B"): 30, ("A", "C"): 10, ("B", "C"): 1})
+        cube = cube_of([od, province_day(DAY + timedelta(days=1), {})], "ABC")
         diversity = diversity_series(cube, "out")
         expected = repr(flow_diversity([30, 10], 3))
         cli._write_csv(tmp_path / "long.csv", diversity_table([diversity]))

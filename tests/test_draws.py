@@ -125,8 +125,8 @@ class TestNoNumpyRandom:
         plan = synth.generate_plan(synth.lockdown_scenario_config(0, n_provinces=3, municipalities_per_province=3,
                                                                   n_days=2, lockdown_day=1))
         day = plan.municipality_ods()[0]
-        args = (0, 2, community.DEFAULT_TELEPORT, [])
-        sent = pickle.dumps(args) + pickle.dumps([day])
+        args = (0, 2)
+        sent = pickle.dumps(args) + pickle.dumps(day)
         done = _fresh_python(f"{_PRELUDE}{community._HELPER_SOURCE}\n{_LOADED}", sent)
-        assert pickle.loads(done.stdout).partition == community._detect_day([day], *args).partition
+        assert pickle.loads(done.stdout).partition == community._detect_day(day, *args).partition
         _assert_no_numpy_random(done.stderr)

@@ -12,7 +12,7 @@ from mobflow import cli, synth
 from mobflow.flows import compute_flows, flow_tables
 from mobflow.od import UnmappedMunicipalityError, aggregate_to_province
 
-from oracles import cube_of, from_cells
+from oracles import cube_of, from_cells, province_cube, province_day
 
 DAY = date(2020, 3, 2)
 PROVINCES = [f"P{i}" for i in range(6)]
@@ -20,7 +20,7 @@ SERIES = ("in_flow", "out_flow", "self_flow", "in_norm", "out_norm", "self_norm"
 
 
 def province_od(cells, day=DAY):
-    return from_cells(day, "province", cells)
+    return province_day(day, cells)
 
 
 def flows_of(ods, province, provinces=PROVINCES):
@@ -75,7 +75,7 @@ class TestComputeFlows:
 
     def test_unknown_province_rejected_with_index(self):
         mapping = {"M1": "P", "M2": "Q"}
-        od = from_cells(DAY, "municipality", {("ZZ", "M1"): 1, ("M2", "M1"): 2})
+        od = from_cells(DAY, {("ZZ", "M1"): 1, ("M2", "M1"): 2})
         with pytest.raises(UnmappedMunicipalityError, match="'ZZ' on 2020-03-02"):
             aggregate_to_province([od], mapping)
         # mapped, the same cell adds to P's in-flow: only the error keeps it out
@@ -106,23 +106,22 @@ class TestProvinceCube:
         assert not cube.counts.flags.writeable
 
     def test_unknown_destination_rejected(self):
-        od = from_cells(DAY, "municipality", {("M1", "ZZ"): 1, ("M1", "M2"): 4})
+        od = from_cells(DAY, {("M1", "ZZ"): 1, ("M1", "M2"): 4})
         with pytest.raises(UnmappedMunicipalityError, match="'ZZ' on 2020-03-02"):
             aggregate_to_province([od], {"M1": "P0", "M2": "P1"})
         # mapped, the same cell adds to P0's out-flow: only the error keeps it out
         assert row_of(aggregate_to_province([od], {"M1": "P0", "M2": "P1", "ZZ": "P2"}), "P0").out_flow == [5]
 
-    def test_ods_are_the_non_zero_cells_in_date_order(self):
+    def test_counts_keep_the_ods_date_order(self):
         days = [DAY + timedelta(days=1), DAY]  # not in calendar order
         ods = [
-            from_cells(days[0], "municipality", {("M2", "M1"): 2, ("M1", "M2"): 1, ("M1", "M3"): 4}),
-            from_cells(days[1], "municipality", {}),
+            from_cells(days[0], {("M2", "M1"): 2, ("M1", "M2"): 1, ("M1", "M3"): 4}),
+            from_cells(days[1], {}),
         ]
-        province_ods = aggregate_to_province(ods, {"M1": "A", "M2": "A", "M3": "B", "M4": "C"}).ods()
-        assert [(od.date, od.granularity) for od in province_ods] == [(days[0], "province"), (days[1], "province")]
-        assert province_ods[0].names == ("A", "B")
-        assert list(province_ods[0].cells.items()) == [(("A", "A"), 3), (("A", "B"), 4)]
-        assert province_ods[1].cells == {} and province_ods[1].names == ()
+        cube = aggregate_to_province(ods, {"M1": "A", "M2": "A", "M3": "B", "M4": "C"})
+        assert cube.dates == tuple(days)
+        want = province_cube([(days[0], {("A", "A"): 3, ("A", "B"): 4}), (days[1], {})], "ABC")
+        assert np.array_equal(cube.counts, want)
 
 
 daily_cells = st.dictionaries(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobflow.community import FlowGraph, _summed, _window
+from mobflow.community import FlowGraph
 from mobflow.od import (
     ODNotFoundError,
     ODSchemaError,
@@ -21,7 +21,7 @@ from mobflow.od import (
     store_daily_od,
 )
 
-from oracles import aggregate_cells, count_cells, flow_graph, from_cells, province_cube, same_od, window_cells
+from oracles import aggregate_cells, count_cells, flow_graph, from_cells, province_cube, same_od
 
 DAY = date(2020, 3, 2)
 # store round trips draw from plain names and from names the csv module has to quote
@@ -50,11 +50,11 @@ class TestBuildDailyOD:
 
     def test_rejects_self_loop_cells(self):
         with pytest.raises(ValueError, match="self-loop"):
-            from_cells(DAY, "municipality", {("M1", "M1"): 1})
+            from_cells(DAY, {("M1", "M1"): 1})
 
     def test_rejects_non_positive_counts(self):
         with pytest.raises(ValueError, match="non-positive"):
-            from_cells(DAY, "province", {("P1", "P2"): 0})
+            from_cells(DAY, {("M1", "M2"): 0})
 
 
 @pytest.fixture
@@ -62,17 +62,24 @@ def mapping():
     return {"M1": "P1", "M2": "P1", "M3": "P2"}
 
 
+def _one_day_cube(cells, provinces):
+    """`oracles.province_cube` of one day's province cells."""
+    return province_cube([(DAY, cells)], provinces)
+
+
 class TestAggregate:
     def test_same_province_becomes_self_loop(self, mapping):
-        od = from_cells(DAY, "municipality", {("M1", "M2"): 2})
-        assert aggregate_to_province([od], mapping).ods()[0].cells == {("P1", "P1"): 2}
+        od = from_cells(DAY, {("M1", "M2"): 2})
+        got = aggregate_to_province([od], mapping).counts
+        assert np.array_equal(got, _one_day_cube({("P1", "P1"): 2}, {"P1", "P2"}))
 
     def test_cross_province_cell(self, mapping):
-        od = from_cells(DAY, "municipality", {("M1", "M3"): 5})
-        assert aggregate_to_province([od], mapping).ods()[0].cells == {("P1", "P2"): 5}
+        od = from_cells(DAY, {("M1", "M3"): 5})
+        got = aggregate_to_province([od], mapping).counts
+        assert np.array_equal(got, _one_day_cube({("P1", "P2"): 5}, {"P1", "P2"}))
 
     def test_unmapped_municipality_is_a_hard_error(self, mapping):
-        od = from_cells(DAY, "municipality", {("M1", "M9"): 1})
+        od = from_cells(DAY, {("M1", "M9"): 1})
         with pytest.raises(UnmappedMunicipalityError, match="'M9' on 2020-03-02"):
             aggregate_to_province([od], mapping)
 
@@ -85,17 +92,17 @@ class TestAggregate:
             o, d = rng.choice(200, size=2, replace=False)
             key = (munis[o], munis[d])
             cells[key] = cells.get(key, 0) + int(rng.integers(1, 5))
-        od = from_cells(DAY, "municipality", cells)
-        got = aggregate_to_province([od], mapping).ods()[0]
+        od = from_cells(DAY, cells)
+        got = aggregate_to_province([od], mapping).counts
         oracle = Counter()
         for (o, d), count in cells.items():
             oracle[(mapping[o], mapping[d])] += count
-        assert got.cells == dict(oracle)
+        assert np.array_equal(got, _one_day_cube(oracle, set(mapping.values())))
 
     def test_identity_mapping_on_province_matrix_is_identity(self):
-        od = from_cells(DAY, "province", {("P1", "P1"): 3, ("P1", "P2"): 1})
+        od = from_cells(DAY, {("P1", "P2"): 1, ("P2", "P1"): 3})
         identity = {"P1": "P1", "P2": "P2"}
-        assert aggregate_to_province([od], identity).ods()[0].cells == od.cells
+        assert np.array_equal(aggregate_to_province([od], identity).counts, _one_day_cube(od.cells, identity))
 
     @given(
         st.dictionaries(
@@ -108,50 +115,50 @@ class TestAggregate:
     def test_mass_conservation(self, raw):
         cells = {(f"M{o}", f"M{d}"): c for (o, d), c in raw.items()}
         mapping = {f"M{i}": f"P{i % 7}" for i in range(31)}
-        od = from_cells(DAY, "municipality", cells)
+        od = from_cells(DAY, cells)
         cube = aggregate_to_province([od], mapping)
         assert cube.counts.sum() == od.count.sum()
 
 
 class TestPersistence:
     def test_round_trip_identity(self, tmp_path):
-        od = from_cells(DAY, "municipality", {("M1", "M2"): 2, ("M3", "M1"): 7})
+        od = from_cells(DAY, {("M1", "M2"): 2, ("M3", "M1"): 7})
         store_daily_od(od, tmp_path)
         assert same_od(load_daily_od(tmp_path, DAY, "municipality"), od)
-        quoted = from_cells(DAY, "province", {("Roma, centro", 'say "hi"'): 3, ("P1", "P1"): 1})
+        quoted = from_cells(DAY, {("Roma, centro", 'say "hi"'): 3, ("M1", "M2"): 1})
         path = store_daily_od(quoted, tmp_path)
-        assert path.read_text() == 'origin,destination,count\nP1,P1,1\n"Roma, centro","say ""hi""",3\n'
-        assert same_od(load_daily_od(tmp_path, DAY, "province"), quoted)
+        assert path.read_text() == 'origin,destination,count\nM1,M2,1\n"Roma, centro","say ""hi""",3\n'
+        assert same_od(load_daily_od(tmp_path, DAY, "municipality"), quoted)
 
     def test_round_trip_empty_matrix(self, tmp_path):
-        od = from_cells(DAY, "province", {})
+        od = from_cells(DAY, {})
         store_daily_od(od, tmp_path)
-        assert same_od(load_daily_od(tmp_path, DAY, "province"), od)
+        assert same_od(load_daily_od(tmp_path, DAY, "municipality"), od)
 
     def test_missing_date_raises_not_found(self, tmp_path):
-        store_daily_od(from_cells(DAY, "province", {}), tmp_path)
+        store_daily_od(from_cells(DAY, {}), tmp_path)
         with pytest.raises(ODNotFoundError):
-            load_daily_od(tmp_path, DAY + timedelta(days=1), "province")
+            load_daily_od(tmp_path, DAY + timedelta(days=1), "municipality")
 
     def test_schema_version_mismatch_raises(self, tmp_path):
-        store_daily_od(from_cells(DAY, "province", {("P1", "P1"): 1}), tmp_path)
-        manifest = tmp_path / "od" / "province" / "manifest.json"
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 1}), tmp_path)
+        manifest = tmp_path / "od" / "municipality" / "manifest.json"
         manifest.write_text(manifest.read_text().replace('"schema_version": 1', '"schema_version": 99'))
         with pytest.raises(ODSchemaError, match="version"):
-            load_daily_od(tmp_path, DAY, "province")
+            load_daily_od(tmp_path, DAY, "municipality")
 
     def test_year_of_days_listed_sorted(self, tmp_path):
         days = [date(2020, 1, 1) + timedelta(days=i) for i in range(365)]
         rng = np.random.default_rng(3)
         for day in rng.permutation(365):
             day = days[int(day)]
-            store_daily_od(from_cells(day, "municipality", {("M1", "M2"): 1}), tmp_path)
+            store_daily_od(from_cells(day, {("M1", "M2"): 1}), tmp_path)
         assert list_od_dates(tmp_path, "municipality") == days
 
     def test_restore_overwrites(self, tmp_path):
-        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 1}), tmp_path)
-        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 9}), tmp_path)
-        assert load_daily_od(tmp_path, DAY, "province").cells == {("P1", "P2"): 9}
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 1}), tmp_path)
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 9}), tmp_path)
+        assert load_daily_od(tmp_path, DAY, "municipality").cells == {("M1", "M2"): 9}
 
     @given(
         st.dictionaries(
@@ -163,7 +170,7 @@ class TestPersistence:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_any_matrix(self, tmp_path_factory, raw):
         cells = {(STORE_NAMES[o], STORE_NAMES[d]): c for (o, d), c in raw.items()}
-        od = from_cells(DAY, "municipality", cells)
+        od = from_cells(DAY, cells)
         root = tmp_path_factory.mktemp("store")
         store_daily_od(od, root)
         loaded = load_daily_od(root, DAY, "municipality")
@@ -171,10 +178,10 @@ class TestPersistence:
         assert list(loaded.cells) == list(od.cells)
 
     def test_manifest_contents(self, tmp_path):
-        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 1}), tmp_path)
-        manifest = json.loads((tmp_path / "od" / "province" / "manifest.json").read_text())
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 1}), tmp_path)
+        manifest = json.loads((tmp_path / "od" / "municipality" / "manifest.json").read_text())
         assert manifest["schema_version"] == 1
-        assert manifest["granularity"] == "province"
+        assert manifest["granularity"] == "municipality"
         assert manifest["dates"] == [DAY.isoformat()]
 
     @pytest.mark.parametrize(
@@ -182,7 +189,7 @@ class TestPersistence:
         ids=["missing", "string", "object", "bad_date", "number"],
     )
     def test_manifest_dates_must_be_a_list_of_iso_dates(self, tmp_path, dates):
-        store_daily_od(from_cells(DAY, "municipality", {("M1", "M2"): 1}), tmp_path)
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 1}), tmp_path)
         manifest = tmp_path / "od" / "municipality" / "manifest.json"
         payload = json.loads(manifest.read_text())
         del payload["dates"]
@@ -195,19 +202,19 @@ class TestPersistence:
 
     def test_dates_come_from_the_manifest(self, tmp_path):
         assert list_od_dates(tmp_path, "municipality") == []
-        store_daily_od(from_cells(DAY, "municipality", {("M1", "M2"): 1}), tmp_path)
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 1}), tmp_path)
         (tmp_path / "od" / "municipality" / "notes.csv").write_text("a stray file\n")
         assert list_od_dates(tmp_path, "municipality") == [DAY]
 
     def test_repeated_row_rejected(self, tmp_path):
-        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 3}), tmp_path)
-        path = tmp_path / "od" / "province" / f"{DAY.isoformat()}.csv"
-        path.write_text("origin,destination,count\nP1,P2,3\nP1,P2,5\n")
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 3}), tmp_path)
+        path = tmp_path / "od" / "municipality" / f"{DAY.isoformat()}.csv"
+        path.write_text("origin,destination,count\nM1,M2,3\nM1,M2,5\n")
         with pytest.raises(ODSchemaError, match=f"{path.name}: repeated row"):
-            load_daily_od(tmp_path, DAY, "province")
+            load_daily_od(tmp_path, DAY, "municipality")
 
     def test_municipality_self_loop_row_rejected(self, tmp_path):
-        store_daily_od(from_cells(DAY, "municipality", {("M1", "M2"): 3}), tmp_path)
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 3}), tmp_path)
         path = tmp_path / "od" / "municipality" / f"{DAY.isoformat()}.csv"
         path.write_text("origin,destination,count\nM1,M1,3\n")
         with pytest.raises(ODSchemaError, match=f"{path.name}: self-loop row"):
@@ -215,15 +222,15 @@ class TestPersistence:
 
     @pytest.mark.parametrize("count", ["0", "-2", "2.5", "x", "9223372036854775808", "99999999999999999999"])
     def test_count_must_be_a_positive_integer(self, tmp_path, count):
-        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 3}), tmp_path)
-        path = tmp_path / "od" / "province" / f"{DAY.isoformat()}.csv"
-        path.write_text(f"origin,destination,count\nP1,P2,{count}\n")
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 3}), tmp_path)
+        path = tmp_path / "od" / "municipality" / f"{DAY.isoformat()}.csv"
+        path.write_text(f"origin,destination,count\nM1,M2,{count}\n")
         with pytest.raises(ODSchemaError, match=f"{path.name}: count"):
-            load_daily_od(tmp_path, DAY, "province")
+            load_daily_od(tmp_path, DAY, "municipality")
 
     def test_count_at_the_int64_limit_loads(self, tmp_path):
-        store_daily_od(from_cells(DAY, "province", {("P1", "P2"): 2**63 - 1}), tmp_path)
-        assert load_daily_od(tmp_path, DAY, "province").cells == {("P1", "P2"): 2**63 - 1}
+        store_daily_od(from_cells(DAY, {("M1", "M2"): 2**63 - 1}), tmp_path)
+        assert load_daily_od(tmp_path, DAY, "municipality").cells == {("M1", "M2"): 2**63 - 1}
 
 
 @st.composite
@@ -241,7 +248,7 @@ def coded_days(draw):
 
 
 class TestCodedPathMatchesDictPath:
-    """Counting, aggregation, the cube and the window graphs against dict-based oracles."""
+    """Counting, aggregation, the cube and the day graphs against dict-based oracles."""
 
     @given(coded_days())
     @settings(max_examples=200, deadline=None)
@@ -254,7 +261,7 @@ class TestCodedPathMatchesDictPath:
             assert list(od.cells.items()) == list(cells.items())
             assert od.names == tuple(sorted({name for pair in cells for name in pair}))
             muni_ods.append(od)
-            muni_cells.append((day, cells))
+            muni_cells.append(cells)
             province_days.append((day, aggregate_cells(cells, mapping)))
         provinces = set(mapping.values())
         # several municipality cells of a day share a province cell: a scatter-add, not an assignment
@@ -262,21 +269,9 @@ class TestCodedPathMatchesDictPath:
         assert cube.provinces == tuple(sorted(provinces))
         assert cube.dates == tuple(day for day, _ in days)
         assert np.array_equal(cube.counts, province_cube(province_days, provinces))
-        for province_od, (day, province_cells) in zip(cube.ods(), province_days, strict=True):
-            assert (province_od.date, province_od.granularity) == (day, "province")
-            assert list(province_od.cells.items()) == list(province_cells.items())
-            assert province_od.names == tuple(sorted({name for pair in province_cells for name in pair}))
-        ordered = sorted(muni_ods, key=lambda od: od.date)
-        for i, od in enumerate(ordered):
-            same = _summed(_window(ordered, i, 1))
-            # a one-day window sums the day alone through from_codes, which gives back its arrays
-            assert (same.date, same.granularity, same.names) == (od.date, od.granularity, od.names)
-            for column in ("origin", "destination", "count"):
-                assert getattr(same, column).tobytes() == getattr(od, column).tobytes()
-        for window, extra in ((1, ()), (3, sorted(mapping))):
-            merged = [_summed(_window(ordered, i, window)) for i in range(len(ordered))]
-            for od, cells in zip(merged, window_cells(muni_cells, window), strict=True):
-                got, want = FlowGraph.from_od(od, extra), flow_graph(cells, extra)
-                assert got.nodes == want.nodes
-                assert got.edges.tobytes() == want.edges.tobytes()
-                assert got.weights.tobytes() == want.weights.tobytes()
+        for od, cells in zip(muni_ods, muni_cells, strict=True):
+            # the graph's nodes, edges and weights are the matrix's names and rows
+            got, want = FlowGraph.from_od(od), flow_graph(cells)
+            assert got.nodes == want.nodes
+            assert got.edges.tobytes() == want.edges.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
