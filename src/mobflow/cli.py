@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", parents=[], help="generate a synthetic scenario")
     p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="overrides the config seed")
+    p.add_argument("--seed", type=_int_at_least(0), help="overrides the config seed")
 
     p = sub.add_parser("build-od", help="records -> daily municipality OD matrices")
     p.add_argument("--in", dest="in_dir", required=True, help="scenario directory (registry.csv, cdr/, xdr/)")
@@ -92,7 +92,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="k-means clustering of diversity series")
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--k-range", type=_k_range, default=cluster_mod.DEFAULT_K_RANGE, help="LO:HI inclusive")
     p.add_argument("--include-self-flow-in-diversity", action="store_true")
     _add_date_range(p)
@@ -100,7 +100,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("communities", help="daily local-job-market detection")
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=community_mod.DEFAULT_TRIALS)
     p.add_argument("--provinces", help="comma list: also dump partitions filtered to these provinces")
     _add_date_range(p)
@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="run the whole pipeline and write summary.json")
     p.add_argument("--in", dest="in_dir", required=True, help="scenario directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--dwell-seconds", type=_int_at_least(0), default=ingest.DEFAULT_DWELL_SECONDS)
     p.add_argument("--tz", type=_time_zone, default=ingest.DEFAULT_TIMEZONE)
     p.add_argument("--k-range", type=_k_range, default=cluster_mod.DEFAULT_K_RANGE, help="LO:HI inclusive")
@@ -252,7 +252,6 @@ def _scenario_config(path: Path, seed_override: int | None) -> synth.ScenarioCon
         payload["seed"] = seed_override
     if payload.get("seed") is None:
         raise UsageError("synth needs a seed, via the config file or --seed")
-    payload["seed"] = _file_field(path, "seed", lambda: int(payload["seed"]))
     if "start_date" in payload:
         payload["start_date"] = _file_field(path, "start_date", lambda: date.fromisoformat(payload["start_date"]))
     if preset == "lockdown":

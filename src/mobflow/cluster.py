@@ -5,11 +5,20 @@ z-normalization: the level of a series is part of what distinguishes groups).
 The number of clusters is picked by mean silhouette over a candidate range,
 with the inertia elbow reported as a secondary diagnostic, because raw inertia
 is non-increasing in k and cannot be minimized literally.
+
+Every distance that decides a result is an exact date sum: the sum over the
+dates of (a - b) ** 2, as numpy sums one row. Lloyd's labels are the argmin of
+those sums, and the inertia adds them up. The expanded form
+||c||^2 - 2 x.c ranks the centroids in one matrix product, and it only
+certifies that argmin (see `_assign`); uncertified rows and empty-cluster
+re-seeds take exact sums. The k-means++ seeding and the silhouette share one
+matrix of squared distances between rows, `SeriesMatrix.sq_distances`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -21,6 +30,7 @@ MAX_ITER = 300
 RESTARTS = 8
 DEFAULT_K_RANGE = range(2, 21)  # the CLI's --k-range
 MAX_ABSENT_FRACTION = 0.5  # a province absent on more of its days is not clustered
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,16 @@ class SeriesMatrix:
             raise ValueError("every series was dropped during imputation")
         return cls(provinces=provinces, values=np.vstack(rows), dropped=dropped)
 
+    @cached_property
+    def sq_distances(self) -> np.ndarray:
+        """Squared distance between every pair of rows, shape (n, n), each an exact date sum.
+
+        Entry [a, b] is the date sum that Lloyd's exact distances take for row a
+        and a centroid equal to row b, so k-means++ reads rows of it for every
+        restart and k, and the silhouette takes its square root.
+        """
+        return _sq_dists(self.values, self.values)
+
 
 def _impute(values: np.ndarray) -> np.ndarray:
     arr = values.copy()
@@ -80,42 +100,105 @@ class Clustering:
         return [p for p, l in zip(self.provinces, self.labels) if l == label]
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: Draws) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(0, n)]
-    closest = ((x - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Exact date sums: [i, j] is the sum over the dates of (x[i] - centroids[j]) ** 2."""
+    return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def _kmeanspp_init(matrix: SeriesMatrix, k: int, rng: Draws) -> np.ndarray:
+    """k-means++ seeding: k rows of the matrix, each drawn by squared distance to the nearest one before.
+
+    Every centroid is a row, so the rows' distances to it are a row of
+    `matrix.sq_distances`, read rather than recomputed.
+    """
+    n = matrix.values.shape[0]
+    chosen = [rng.integers(0, n)]
+    closest = None
+    for _ in range(1, k):
+        row = matrix.sq_distances[chosen[-1]]
+        closest = row if closest is None else np.minimum(closest, row)
         total = closest.sum()
-        if total <= 0.0:
-            idx = rng.integers(0, n)
-        else:
-            idx = rng.choice(n, p=closest / total)
-        centroids[j] = x[idx]
-        closest = np.minimum(closest, ((x - centroids[j]) ** 2).sum(axis=1))
-    return centroids
+        chosen.append(rng.integers(0, n) if total <= 0.0 else rng.choice(n, p=closest / total))
+    return np.asarray(matrix.values[chosen], dtype=float)  # integer series get float centroids
+
+
+def _assign(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each row's nearest centroid by exact date sums, the first one on a tie.
+
+    The centroids are ranked by the expanded form A[i, j] = ||c_j||^2 - 2 x_i.c_j
+    (one matrix product), which differs from the real squared distance d[i, j]
+    by ||x_i||^2, the same for every centroid of a row. With d dates,
+    S = ||x_i||^2 + ||c_j||^2, u = 2**-53 and gamma_m = m u / (1 - m u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3-4):
+
+    - in the exact sum D[i, j] each term carries at most d + 2 rounding
+      factors (the difference's twice over in the square, the square's, and
+      at most d - 1 additions in any order), so D[i, j] lies within
+      gamma_{d+2} * sum (x - c)^2 <= 2 gamma_{d+2} S of d[i, j];
+    - in A, for any BLAS summation order, with or without FMA, the dot
+      product lies within gamma_d S / 2 of x_i.c_j (as |x c| <= (x^2 + c^2) / 2)
+      and ||c_j||^2 within gamma_d S; doubling is exact and the subtraction
+      adds at most u (1 + gamma_d) 2S, so A lies within
+      2 (gamma_d + u (1 + gamma_d)) S <= 2 gamma_{d+2} S of d[i, j] - ||x_i||^2.
+
+    If A's first argmin j* leads every other entry of its row by more than
+    8 gamma_{d+2} S_i, with S_i = ||x_i||^2 + max_j ||c_j||^2, then D[i, j] >
+    D[i, j*] for all j != j*, so j* is D's argmin. The test uses twice that
+    margin, which also covers the rounding of the norms and of the test, plus
+    the smallest normal float for products that underflow. A row that fails
+    it (a tie, duplicate centroids, a near-tie, or a NaN, which compares
+    false) takes exact sums, so `argmin`'s first-index rule holds.
+    """
+    n, k = x.shape[0], centroids.shape[0]
+    if k == 1:
+        return np.zeros(n, dtype=np.intp)
+    c_sq = (centroids * centroids).sum(axis=1)
+    approx = x @ (-2.0 * centroids.T)
+    approx += c_sq
+    labels = approx.argmin(axis=1)
+    terms = x.shape[1] + 2
+    gamma = terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
+    margin = 16.0 * gamma * (x_sq + c_sq.max()) + np.finfo(float).tiny
+    best = approx[np.arange(n), labels]
+    # A NaN anywhere in a row makes its argmin the NaN, and every comparison false.
+    certified = (approx <= (best + margin)[:, None]).sum(axis=1) == 1
+    if not certified.all():
+        doubt = np.flatnonzero(~certified)
+        labels[doubt] = _sq_dists(x[doubt], centroids).argmin(axis=1)
+    return labels
+
+
+def _reseed_empty(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Move each empty cluster's centroid to the farthest unclaimed row; returns the new labels."""
+    n, k = x.shape[0], centroids.shape[0]
+    dists = _sq_dists(x, centroids)
+    claimed: dict[int, int] = {}  # re-seeding point -> its cluster
+    while np.bincount(labels, minlength=k).min() == 0:
+        for j in range(k):
+            if not (labels == j).any():
+                # Re-seed at the farthest unclaimed point. Claimed points keep their
+                # clusters, or duplicate rows would tie back and empty one again.
+                far = dists[np.arange(n), labels]
+                far[list(claimed)] = -1.0
+                farthest = int(far.argmax())
+                centroids[j] = x[farthest]
+                dists[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
+                claimed[farthest] = j
+                labels = dists.argmin(axis=1)
+                labels[list(claimed)] = list(claimed.values())
+    return labels
 
 
 def _lloyd(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     n, k = x.shape[0], centroids.shape[0]
+    x_sq = (x * x).sum(axis=1)
     labels = np.full(n, -1)
     for _ in range(MAX_ITER):
-        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
-        claimed: dict[int, int] = {}  # re-seeding point -> its cluster
-        while np.bincount(new_labels, minlength=k).min() == 0:
-            for j in range(k):
-                if not (new_labels == j).any():
-                    # Re-seed at the farthest unclaimed point. Claimed points keep their
-                    # clusters, or duplicate rows would tie back and empty one again.
-                    far = dists[np.arange(n), new_labels]
-                    far[list(claimed)] = -1.0
-                    farthest = int(far.argmax())
-                    centroids[j] = x[farthest]
-                    dists[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
-                    claimed[farthest] = j
-                    new_labels = dists.argmin(axis=1)
-                    new_labels[list(claimed)] = list(claimed.values())
+        new_labels = _assign(x, x_sq, centroids)
+        counts = np.bincount(new_labels, minlength=k)
+        if counts.min() == 0:
+            new_labels = _reseed_empty(x, centroids, new_labels)
+            counts = np.bincount(new_labels, minlength=k)
         if (new_labels == labels).all():
             break
         labels = new_labels
@@ -123,12 +206,11 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # slice holds the rows of x[labels == j] in the same order, and its
         # sum divided by its size is bit-equal to their mean.
         members = x[np.argsort(labels, kind="stable")]
-        counts = np.bincount(labels, minlength=k)
         ends = np.cumsum(counts).tolist()
-        sums = [members[end - size:end].sum(axis=0) for end, size in zip(ends, counts.tolist())]
-        centroids[:] = sums / counts[:, None]
-    dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    inertia = float(dists[np.arange(n), labels].sum())
+        for row, end, size in zip(centroids, ends, counts.tolist()):
+            members[end - size:end].sum(axis=0, out=row)
+        centroids /= counts[:, None]
+    inertia = float(((x - centroids[labels]) ** 2).sum(axis=1).sum())
     return labels, centroids, inertia
 
 
@@ -145,8 +227,7 @@ def kmeans(matrix: SeriesMatrix, k: int, seed: int) -> Clustering:
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for restart in range(RESTARTS):
         rng = SeededDraws([seed, k, restart])
-        centroids = _kmeanspp_init(x, k, rng)
-        labels, centroids, inertia = _lloyd(x, centroids.copy())
+        labels, centroids, inertia = _lloyd(x, _kmeanspp_init(matrix, k, rng))
         if best is None or inertia < best[0]:
             best = (inertia, labels, centroids)
     inertia, labels, centroids = best
@@ -161,11 +242,6 @@ def kmeans(matrix: SeriesMatrix, k: int, seed: int) -> Clustering:
         band_std=band_std,
         inertia=inertia,
     )
-
-
-def _pairwise_distances(x: np.ndarray) -> np.ndarray:
-    """Euclidean distance between every pair of rows of x."""
-    return np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
 
 
 def mean_silhouette(dists: np.ndarray, labels: np.ndarray) -> float:
@@ -223,7 +299,7 @@ def select_k(matrix: SeriesMatrix, k_range: Iterable[int], seed: int) -> KSelect
         raise ValueError(f"k_range must lie within [2, {n}]")
     if np.allclose(matrix.values, matrix.values[0], rtol=0.0, atol=0.0):
         return KSelection(k_star=1, degenerate=True, diagnostics=[], elbow_k=None, clustering=None)
-    distances = _pairwise_distances(matrix.values)
+    distances = np.sqrt(matrix.sq_distances)
     diagnostics: list[KDiagnostic] = []
     clusterings: dict[int, Clustering] = {}
     for k in ks:

@@ -76,10 +76,11 @@ class ScenarioConfig:
     timezone: str = DEFAULT_TIMEZONE
 
     def __post_init__(self) -> None:
-        for name in ("n_provinces", "municipalities_per_province", "n_days", "communities_per_province",
+        for name in ("n_provinces", "municipalities_per_province", "n_days", "seed", "communities_per_province",
                      "intra_trips_per_pair", "bridge_trips_per_pair", "antennas_per_municipality"):
-            if not isinstance(getattr(self, name), numbers.Integral):  # JSON's 2.0 included
-                raise ScenarioConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):  # rejects JSON's 2.0 and true
+                raise ScenarioConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("inter_trips_per_province", "cdr_fraction", "dwell_violation_rate"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ScenarioConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
@@ -90,6 +91,7 @@ class ScenarioConfig:
         if self.n_days < 1:
             raise ScenarioConfigError("need at least 1 day")
         for name, least in (
+            ("seed", 0),
             ("inter_trips_per_province", 0),
             ("intra_trips_per_pair", 0),
             ("bridge_trips_per_pair", 0),

@@ -661,16 +661,47 @@ def nmi(a, b):
     return 1.0 if spread == 0.0 else -2.0 * shared / spread
 
 
-def lloyd_reference(x, centroids):
-    """Lloyd iterations with one boolean mask per cluster for the update and the empty check.
+def sq_distances_reference(x, centroids):
+    """Every row's squared distance to every centroid, as one (n, k, dates) tensor summed over dates."""
+    return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
-    The same float operations in the same order as `mobflow.cluster._lloyd`,
-    so labels, centroids and inertia must be bit-equal.
+
+def pairwise_distances(x):
+    """Euclidean distance between every pair of rows of x."""
+    return np.sqrt(sq_distances_reference(x, x))
+
+
+def kmeanspp_reference(x, k, rng):
+    """k-means++ seeding that recomputes each new centroid's distances to every row.
+
+    `rng` is any source of numpy Generator draws (`integers`, `choice`).
+    """
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(0, n)]
+    closest = ((x - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = rng.integers(0, n)
+        else:
+            idx = rng.choice(n, p=closest / total)
+        centroids[j] = x[idx]
+        closest = np.minimum(closest, ((x - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def lloyd_reference(x, centroids):
+    """Lloyd iterations over every exact distance, with one boolean mask per cluster for the update.
+
+    Every step takes all (n, k) exact date sums. `mobflow.cluster._lloyd` takes
+    only those its certificate cannot spare, yet the same labels, so labels,
+    centroids and inertia must be bit-equal.
     """
     n, k = x.shape[0], centroids.shape[0]
     labels = np.full(n, -1)
     for _ in range(MAX_ITER):
-        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dists = sq_distances_reference(x, centroids)
         new_labels = dists.argmin(axis=1)
         claimed = {}
         while any(not (new_labels == j).any() for j in range(k)):
@@ -691,7 +722,7 @@ def lloyd_reference(x, centroids):
         labels = new_labels
         for j in range(k):
             centroids[j] = x[labels == j].mean(axis=0)
-    dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    dists = sq_distances_reference(x, centroids)
     inertia = float(dists[np.arange(n), labels].sum())
     return labels, centroids, inertia
 

@@ -370,6 +370,9 @@ class TestExitCodes:
             ("report", "--trials", "0"),
             ("report", "--dwell-seconds", "-1"),
             ("build-od", "--dwell-seconds", "-100"),
+            ("report", "--seed", "-1"),
+            ("cluster", "--seed", "-1"),
+            ("communities", "--seed", "-1"),
             ("build-od", "--tz", "Mars/Base"),
             ("report", "--tz", "../etc/passwd"),
             ("build-od", "--from", "2020-02-30"),
@@ -643,6 +646,13 @@ class TestExitCodes:
             ["2020-03-02", "0", "0", "0"], ["2020-03-03", "1", "0", "0"]
         ]
 
+    def test_synth_negative_seed_option_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": "lockdown", "seed": 0, "n_days": 2, "lockdown_day": 1}))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d"), "--seed", "-1"]) == 1
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_synth_without_seed_is_usage_error(self, tmp_path):
         config = tmp_path / "c.json"
         payload = {"preset": "lockdown", "n_provinces": 3, "municipalities_per_province": 2,
@@ -660,6 +670,10 @@ class TestExitCodes:
             ('{"preset": "lockdown", "seed": 0, "n_days": 2, "lockdown_day": 1, "start_date": "2020-13-01"}',
              "start_date"),
             ('{"preset": "lockdown", "seed": "x", "n_days": 2, "lockdown_day": 1}', "seed"),
+            ('{"preset": "lockdown", "seed": 1.5, "n_days": 2, "lockdown_day": 1}', "seed must be an integer, got 1.5"),
+            ('{"preset": "lockdown", "seed": true, "n_days": 2, "lockdown_day": 1}', "seed must be an integer, got True"),
+            ('{"preset": "lockdown", "seed": "7", "n_days": 2, "lockdown_day": 1}', "seed must be an integer, got '7'"),
+            ('{"preset": "lockdown", "seed": -1, "n_days": 2, "lockdown_day": 1}', "seed must be at least 0, got -1"),
             ('{"preset": "lockdown", "seed": 0,', "JSON"),
             ('{"n_provinces": 2, "municipalities_per_province": 1, "n_days": 2, "seed": 0,'
              ' "start_date": "2020-03-02", "regimes": [{"start_date": "2020-03-02", "flow_scale": "x"}]}',
@@ -672,7 +686,8 @@ class TestExitCodes:
              ' "inter_trips_per_province": "x"}', "inter_trips_per_province must be a number"),
             ('{"preset": "lockdown", "seed": 0, "n_days": 2, "lockdown_day": "x"}', "lockdown_day must be a number"),
         ],
-        ids=["list", "regime_without_start_date", "bad_start_date", "seed_not_an_integer", "malformed_json",
+        ids=["list", "regime_without_start_date", "bad_start_date", "seed_not_an_integer", "seed_a_fraction",
+             "seed_a_boolean", "seed_a_string_of_digits", "seed_negative", "malformed_json",
              "flow_scale_not_a_number", "regimes_not_a_list", "cdr_fraction_out_of_range",
              "inter_trips_not_a_number", "lockdown_day_not_a_number"],
     )

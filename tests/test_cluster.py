@@ -15,14 +15,15 @@ from mobflow import cluster, diversity, od, synth
 from mobflow.cluster import (
     Clustering,
     SeriesMatrix,
+    _assign,
     _kmeanspp_init,
     _lloyd,
-    _pairwise_distances,
     kmeans,
     mean_silhouette,
     select_k,
 )
 from mobflow.diversity import ProvinceDiversity
+from mobflow.draws import SeededDraws
 
 import oracles
 
@@ -91,6 +92,14 @@ class TestKMeans:
         clustering = kmeans(matrix_from(x), 6, seed=0)
         assert np.bincount(clustering.labels, minlength=6).min() > 0
         assert np.isfinite(clustering.centroids).all()
+
+    def test_integer_series_cluster_as_their_float_copy(self):
+        x = np.array([[0, 1], [1, 0], [5, 5], [6, 5], [0, 0], [5, 6]])
+        ints = kmeans(SeriesMatrix([f"P{i}" for i in range(6)], x), 2, seed=0)
+        floats = kmeans(matrix_from(x), 2, seed=0)
+        np.testing.assert_array_equal(ints.labels, floats.labels)
+        assert ints.centroids.tobytes() == floats.centroids.tobytes()
+        assert ints.inertia == floats.inertia
 
     def test_reproducible(self):
         matrix, _ = planted([0.2, 0.5, 0.8], per_group=6, seed=2)
@@ -172,24 +181,24 @@ class TestSilhouette:
     def test_perfect_separation_scores_near_one(self):
         x = np.vstack([np.full((5, 4), 0.0), np.full((5, 4), 1.0)])
         labels = np.array([0] * 5 + [1] * 5)
-        assert mean_silhouette(_pairwise_distances(x), labels) == pytest.approx(1.0)
+        assert mean_silhouette(oracles.pairwise_distances(x), labels) == pytest.approx(1.0)
 
     def test_coincident_points_in_different_clusters_score_zero(self):
         x = np.full((4, 4), 0.5)
         labels = np.array([0, 0, 1, 1])
-        assert mean_silhouette(_pairwise_distances(x), labels) == 0.0
+        assert mean_silhouette(oracles.pairwise_distances(x), labels) == 0.0
 
     def test_single_cluster_rejected(self):
         x = np.arange(12, dtype=float).reshape(4, 3)
         with pytest.raises(ValueError, match="at least 2 clusters"):
-            mean_silhouette(_pairwise_distances(x), np.zeros(4, dtype=int))
+            mean_silhouette(oracles.pairwise_distances(x), np.zeros(4, dtype=int))
 
     def test_select_k_scores_equal_standalone_silhouettes(self):
         matrix, _ = planted([0.2, 0.5, 0.8], per_group=6, seed=4)
         selection = select_k(matrix, range(2, 8), seed=1)
         for d in selection.diagnostics:
             labels = kmeans(matrix, d.k, seed=1).labels
-            assert d.silhouette == mean_silhouette(_pairwise_distances(matrix.values), labels)
+            assert d.silhouette == mean_silhouette(oracles.pairwise_distances(matrix.values), labels)
 
 
 def bits(value) -> bytes:
@@ -198,42 +207,75 @@ def bits(value) -> bytes:
 
 @st.composite
 def cluster_inputs(draw):
-    """(x, k, seed): small matrices with duplicate rows, one column or tied distances."""
+    """(x, k, seed): small matrices with duplicate rows, one column or tied distances.
+
+    14 and 60 dates are `wide_iso_records`' and the headline's widths. From 8
+    dates on, numpy sums each distance in eight interleaved partial sums, not
+    left to right, and the certificate's margin grows with the width.
+    """
     n = draw(st.integers(1, 24))
-    n_dates = draw(st.sampled_from([1, 1, 2, 3, 8, 10]))
+    n_dates = draw(st.sampled_from([1, 1, 2, 3, 8, 10, 14, 60]))
     distinct = draw(st.integers(1, n))  # fewer distinct rows than points forces duplicates
-    grid = draw(st.booleans())  # small integer values tie many distances
+    values = draw(st.sampled_from(["grid", "cents", "random"]))  # grids and cents tie many distances
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    rows = rng.integers(0, 3, (distinct, n_dates)).astype(float) if grid else rng.random((distinct, n_dates))
+    if values == "grid":
+        rows = rng.integers(0, 3, (distinct, n_dates)).astype(float)
+    elif values == "cents":
+        rows = rng.integers(0, 101, (distinct, n_dates)) / 100
+    else:
+        rows = rng.random((distinct, n_dates))
     return rows[rng.integers(0, distinct, n)], k, seed
 
 
 class TestMatchesOracles:
-    """`_lloyd` and `mean_silhouette` are bit-equal to the per-cluster-mask references."""
+    """Seeding, `_lloyd` and `mean_silhouette` are bit-equal to the references that recompute every distance."""
 
     @settings(max_examples=100, deadline=None)
     @given(cluster_inputs())
     @example((np.vstack([np.full((4, 10), 0.2), np.full((4, 10), 0.8)]), 3, 0))
     @example((np.arange(6.0).reshape(6, 1), 6, 1))
     @example((np.array([[2.0, 1.0]] * 6 + [[1.0, 2.0]] + [[0.0, 0.0]] * 3), 6, 0))
+    @example((np.array([[0.0], [2.0], [1.0]]), 2, 6))  # seeds at 2.0 and 0.0: the last row ties
     @pytest.mark.filterwarnings("error")
     def test_lloyd_and_silhouette_bit_equal(self, case):
         x, k, seed = case
-        start = _kmeanspp_init(x, k, np.random.default_rng(seed))
+        start = oracles.kmeanspp_reference(x, k, SeededDraws(seed))
+        matrix = matrix_from(x)
+        assert _kmeanspp_init(matrix, k, SeededDraws(seed)).tobytes() == start.tobytes()
         labels, centroids, inertia = _lloyd(x, start.copy())
         ref_labels, ref_centroids, ref_inertia = oracles.lloyd_reference(x, start.copy())
         np.testing.assert_array_equal(labels, ref_labels)
         assert centroids.tobytes() == ref_centroids.tobytes()
         assert bits(inertia) == bits(ref_inertia)
         n = x.shape[0]
-        dists = _pairwise_distances(x)
+        dists = oracles.pairwise_distances(x)
+        assert np.sqrt(matrix.sq_distances).tobytes() == dists.tobytes()
         rng = np.random.default_rng(seed)
         for labeling in (labels, rng.integers(0, max(2, k), n), rng.integers(0, 2, n)):
             if len(np.unique(labeling)) < 2:
                 continue
             assert bits(mean_silhouette(dists, labeling)) == bits(oracles.mean_silhouette_reference(dists, labeling))
+
+    @pytest.mark.parametrize(
+        ("x", "centroids", "labels", "doubted"),
+        [
+            ([[0.0], [2.0], [1.0]], [[2.0], [0.0]], [1, 0, 0], [2]),  # an exact tie
+            ([[0.0], [2.0]], [[1.0], [1.0]], [0, 0], [0, 1]),  # duplicate centroids
+            ([[0.0], [np.nan]], [[0.0], [2.0]], [0, 0], [1]),  # a NaN compares false
+        ],
+        ids=["tie", "duplicate-centroids", "nan"],
+    )
+    def test_uncertified_rows_take_exact_sums_and_the_first_index(self, x, centroids, labels, doubted, monkeypatch):
+        x, centroids = np.array(x), np.array(centroids)
+        seen = []
+        exact = cluster._sq_dists
+        monkeypatch.setattr(cluster, "_sq_dists", lambda rows, c: seen.append(rows) or exact(rows, c))
+        with np.errstate(invalid="ignore"):
+            assert _assign(x, (x * x).sum(axis=1), centroids).tolist() == labels
+        assert len(seen) == 1
+        assert seen[0].tobytes() == x[doubted].tobytes()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -245,8 +287,9 @@ class TestMatchesOracles:
                 n_days=14, lockdown_day=7, inter_trips_per_province=20,
                 intra_trips_per_pair=40, dwell_violation_rate=0.05,
             ),
+            dict(),  # the headline: 20 provinces x 60 days
         ],
-        ids=["lockdown_ref", "wide_iso_records"],
+        ids=["lockdown_ref", "wide_iso_records", "headline"],
     )
     def test_select_k_on_workload_matrices(self, overrides, monkeypatch):
         plan = synth.generate_plan(synth.lockdown_scenario_config(0, **overrides))
@@ -256,6 +299,7 @@ class TestMatchesOracles:
             ks = range(2, min(20, len(matrix.provinces)) + 1)
             fast = select_k(matrix, ks, seed=0)
             with monkeypatch.context() as patch:
+                patch.setattr(cluster, "_kmeanspp_init", lambda m, k, rng: oracles.kmeanspp_reference(m.values, k, rng))
                 patch.setattr(cluster, "_lloyd", oracles.lloyd_reference)
                 patch.setattr(cluster, "mean_silhouette", oracles.mean_silhouette_reference)
                 reference = select_k(matrix, ks, seed=0)
