@@ -387,9 +387,7 @@ def _write_clusters(
             )
         ks = range(k_range.start, min(k_range.stop - 1, len(matrix.provinces)) + 1)
         selection = selections[direction] = cluster_mod.select_k(matrix, ks, seed=seed)
-        report = cluster_mod.clustering_report(selection)
-        report["dropped_provinces"] = matrix.dropped
-        _write_json(stage / f"cluster_{direction}.json", report)
+        _write_json(stage / f"cluster_{direction}.json", cluster_mod.clustering_report(selection, matrix))
         if selection.clustering is not None:
             members = cluster_mod.members_table(selection.clustering)
             _write_csv(stage / f"cluster_{direction}_members.csv", members)

@@ -17,6 +17,7 @@ matrix of squared distances between rows, `SeriesMatrix.sq_distances`.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -24,7 +25,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .diversity import ProvinceDiversity
-from .draws import Draws, SeededDraws
 
 MAX_ITER = 300
 RESTARTS = 8
@@ -93,7 +93,6 @@ class Clustering:
     provinces: list[str]
     labels: np.ndarray  # shape (n,), values in [0, k)
     centroids: np.ndarray  # shape (k, n_dates)
-    band_std: np.ndarray  # shape (k, n_dates), per-date std of member series
     inertia: float
 
     def members(self, label: int) -> list[str]:
@@ -105,20 +104,25 @@ def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
-def _kmeanspp_init(matrix: SeriesMatrix, k: int, rng: Draws) -> np.ndarray:
+def _kmeanspp_init(matrix: SeriesMatrix, k: int, rng: random.Random) -> np.ndarray:
     """k-means++ seeding: k rows of the matrix, each drawn by squared distance to the nearest one before.
 
-    Every centroid is a row, so the rows' distances to it are a row of
+    The first row, and any row drawn while every distance is 0, is
+    `int(rng.random() * n)`; the others are `rng.choices` weighted by those
+    distances, which raises ValueError for a NaN or infinite total. Every
+    centroid is a row, so the rows' distances to it are a row of
     `matrix.sq_distances`, read rather than recomputed.
     """
     n = matrix.values.shape[0]
-    chosen = [rng.integers(0, n)]
+    chosen = [int(rng.random() * n)]
     closest = None
     for _ in range(1, k):
         row = matrix.sq_distances[chosen[-1]]
         closest = row if closest is None else np.minimum(closest, row)
-        total = closest.sum()
-        chosen.append(rng.integers(0, n) if total <= 0.0 else rng.choice(n, p=closest / total))
+        if closest.any():
+            chosen.append(rng.choices(range(n), weights=closest.tolist())[0])
+        else:
+            chosen.append(int(rng.random() * n))
     return np.asarray(matrix.values[chosen], dtype=float)  # integer series get float centroids
 
 
@@ -217,8 +221,8 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def kmeans(matrix: SeriesMatrix, k: int, seed: int) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding, best inertia over RESTARTS restarts.
 
-    Deterministic given (matrix, k, seed): restart r draws from
-    `SeededDraws([seed, k, r])`, numpy's `default_rng` stream for that entropy.
+    Deterministic given (matrix, k, seed): restart r seeds its k-means++
+    draws with `random.Random(f"{seed},{k},{r}")`.
     """
     x = matrix.values
     n = x.shape[0]
@@ -226,22 +230,12 @@ def kmeans(matrix: SeriesMatrix, k: int, seed: int) -> Clustering:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for restart in range(RESTARTS):
-        rng = SeededDraws([seed, k, restart])
+        rng = random.Random(f"{seed},{k},{restart}")
         labels, centroids, inertia = _lloyd(x, _kmeanspp_init(matrix, k, rng))
         if best is None or inertia < best[0]:
             best = (inertia, labels, centroids)
     inertia, labels, centroids = best
-    band_std = np.zeros_like(centroids)
-    for j in range(k):
-        band_std[j] = x[labels == j].std(axis=0)
-    return Clustering(
-        k=k,
-        provinces=list(matrix.provinces),
-        labels=labels,
-        centroids=centroids,
-        band_std=band_std,
-        inertia=inertia,
-    )
+    return Clustering(k=k, provinces=list(matrix.provinces), labels=labels, centroids=centroids, inertia=inertia)
 
 
 def mean_silhouette(dists: np.ndarray, labels: np.ndarray) -> float:
@@ -331,8 +325,12 @@ def select_k(matrix: SeriesMatrix, k_range: Iterable[int], seed: int) -> KSelect
     )
 
 
-def clustering_report(selection: KSelection) -> dict:
-    """JSON-ready report: per-k diagnostics plus the chosen clustering's content."""
+def clustering_report(selection: KSelection, matrix: SeriesMatrix) -> dict:
+    """JSON-ready report: per-k diagnostics, the provinces `matrix` dropped, and the chosen clustering.
+
+    Each cluster's band is its centroid plus and minus the per-date standard
+    deviation of its member series, taken here for the one clustering reported.
+    """
     clustering = selection.clustering
     report: dict = {
         "k_star": selection.k_star,
@@ -342,22 +340,26 @@ def clustering_report(selection: KSelection) -> dict:
             {"k": d.k, "inertia": d.inertia, "silhouette": d.silhouette}
             for d in selection.diagnostics
         ],
+        "dropped_provinces": matrix.dropped,
     }
     if clustering is not None:
+        clusters = []
+        for j, centroid in enumerate(clustering.centroids):
+            std = matrix.values[clustering.labels == j].std(axis=0)
+            clusters.append(
+                {
+                    "label": j,
+                    "members": clustering.members(j),
+                    "centroid": [float(v) for v in centroid],
+                    "band_low": [float(m - s) for m, s in zip(centroid, std)],
+                    "band_high": [float(m + s) for m, s in zip(centroid, std)],
+                }
+            )
         report["clustering"] = {
             "k": clustering.k,
             "inertia": clustering.inertia,
             "assignments": dict(sorted(zip(clustering.provinces, clustering.labels.tolist()))),
-            "clusters": [
-                {
-                    "label": j,
-                    "members": clustering.members(j),
-                    "centroid": [float(v) for v in clustering.centroids[j]],
-                    "band_low": [float(m - s) for m, s in zip(clustering.centroids[j], clustering.band_std[j])],
-                    "band_high": [float(m + s) for m, s in zip(clustering.centroids[j], clustering.band_std[j])],
-                }
-                for j in range(clustering.k)
-            ],
+            "clusters": clusters,
         }
     return report
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
@@ -34,7 +35,6 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .draws import SeededDraws
 from .od import DailyOD
 
 TELEPORT = 0.15  # teleportation rate, the Infomap default (Rosvall & Bergstrom, PNAS 105:1118, 2008)
@@ -238,8 +238,12 @@ class _MapState:
             self.plogp_circ[module] = _plogp(self.exit[module] + self.flow[module])
 
 
-def _sweep_until_stable(state: _MapState, rng: SeededDraws) -> bool:
+def _sweep_until_stable(state: _MapState, rng: random.Random) -> bool:
     """Sweep nodes in fresh seeded random order until a full sweep makes no move.
+
+    Each sweep's order is a Fisher-Yates shuffle from the top: position i swaps
+    with j = int(rng.random() * (i + 1)). Only `random()` draws, because only
+    its sequence for a seed is guaranteed across Python versions.
 
     A move of `node` from module a to module b changes the plogp terms of a, b
     and the total exit flow. Every candidate b is scored with the same float
@@ -251,11 +255,15 @@ def _sweep_until_stable(state: _MapState, rng: SeededDraws) -> bool:
     out_adj, in_adj, node_flow, s_out = level.out_adj, level.in_adj, level.node_flow, level.s_out
     module_of, exit_flow, module_flow, size = state.module_of, state.exit, state.flow, state.size
     plogp_exit, plogp_circ = state.plogp_exit, state.plogp_circ
-    plogp, log2 = _plogp, math.log2
+    plogp, log2, draw = _plogp, math.log2, rng.random
     moved_any = False
     while True:
         moved_in_sweep = False
-        for node in rng.permutation(level.size):
+        order = list(range(level.size))
+        for i in range(level.size - 1, 0, -1):
+            j = int(draw() * (i + 1))
+            order[i], order[j] = order[j], order[i]
+        for node in order:
             wm_out: dict[int, float] = {}
             for target, q in out_adj[node]:
                 module = module_of[target]
@@ -339,7 +347,7 @@ def _compact(assignment: list[int]) -> list[int]:
     return out
 
 
-def _one_trial(flat: _Level, node_term: float, rng: SeededDraws) -> tuple[list[int], float]:
+def _one_trial(flat: _Level, node_term: float, rng: random.Random) -> tuple[list[int], float]:
     """One seeded multilevel greedy run; returns (flat assignment, codelength)."""
     n = flat.size
     flat_assignment = list(range(n))
@@ -371,7 +379,7 @@ def infomap(g: FlowGraph, seed: int, trials: int) -> Partition:
     order into the neighboring module with the largest strictly negative
     codelength change, aggregates modules into super-nodes once stable, and
     repeats until a full multilevel pass stops improving. Deterministic given
-    (seed, trials): trial t draws its orders from `SeededDraws([seed, t])`.
+    (seed, trials): trial t draws its orders from `random.Random(f"{seed},{t}")`.
     Isolated nodes end up as singleton modules.
     """
     if trials < 1:
@@ -380,7 +388,7 @@ def infomap(g: FlowGraph, seed: int, trials: int) -> Partition:
     node_term = sum(_plogp(p) for p in flat.node_flow)
     best: tuple[float, list[int]] | None = None
     for trial in range(trials):
-        rng = SeededDraws([seed, trial])
+        rng = random.Random(f"{seed},{trial}")
         assignment, length = _one_trial(flat, node_term, rng)
         if best is None or length < best[0] - GAIN_EPS:
             best = (length, assignment)

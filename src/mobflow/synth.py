@@ -26,7 +26,6 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .draws import Draws
 from .ingest import DEFAULT_TIMEZONE
 from .od import DailyOD, build_daily_od
 
@@ -35,6 +34,7 @@ CDR_DURATION_RANGE = (62, 180)  # minutes; start >= 62 keeps the dwell rule sati
 VIOLATION_RETURN_RANGE = (5, 55)  # minutes back at the origin, always below the dwell
 REGIME_SCALES = ("flow_scale", "bridge_scale", "weekend_concentration")  # RegimePhase's factors, each in (0, 1]
 _WORDS_PER_FETCH = 2048  # PCG64 outputs per conversion to Python ints: a small, bounded resident set
+_MASK32 = 0xFFFFFFFF
 
 
 class ScenarioConfigError(ValueError):
@@ -117,6 +117,12 @@ class ScenarioConfig:
                 raise ScenarioConfigError("planted cluster levels must be distinct")
             if any(not 0.0 < lvl < 1.0 for lvl in levels):
                 raise ScenarioConfigError("planted cluster levels must be in (0, 1)")
+        if not isinstance(self.timezone, str):
+            raise ScenarioConfigError(f"timezone must be a string, got {self.timezone!r}")
+        try:
+            ZoneInfo(self.timezone)
+        except (ValueError, KeyError):  # a malformed key, or ZoneInfoNotFoundError
+            raise ScenarioConfigError(f"timezone must be a time zone name, got {self.timezone!r}") from None
 
     @property
     def dates(self) -> list[date]:
@@ -506,18 +512,49 @@ def _raw_words(bits: np.random.PCG64):
         yield from bits.random_raw(_WORDS_PER_FETCH).tolist()
 
 
-class _Draws(Draws):
-    """`np.random.default_rng(seed)`'s scalar draws, over numpy's own PCG64 outputs.
+class _Draws:
+    """`np.random.default_rng(seed)`'s scalar `integers(low, high)` and `random()`, over numpy's own PCG64 outputs.
 
-    numpy computes the outputs in bulk, faster than `draws.SeededDraws` steps
-    its generator in Python, and writing a scenario takes a hundred thousand or more.
+    numpy computes the outputs in bulk, and writing a scenario takes a hundred
+    thousand or more draws, each cheaper in Python than a numpy call.
+    `random()` is an output's top 53 bits over 2**53. `integers` is Lemire's
+    bounded method (arXiv:1805.10941) over 32-bit draws; like numpy's PCG64, a
+    32-bit draw takes an output's low half and keeps its high half for the
+    next 32-bit draw, and `random()` leaves a kept half in place. A width of 1
+    draws nothing, as in numpy. Widths above 2**32, which numpy draws from
+    whole outputs, are rejected.
     """
 
-    __slots__ = ("_next_word",)
+    __slots__ = ("_next_word", "_half")
 
     def __init__(self, seed) -> None:
-        super().__init__()
         self._next_word = _raw_words(np.random.PCG64(seed)).__next__
+        self._half: int | None = None
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._next_word()
+            self._half = word >> 32
+            return word & _MASK32
+        self._half = None
+        return half
+
+    def integers(self, low: int, high: int) -> int:
+        width = high - low
+        if width == 1:
+            return low
+        if not 1 < width <= 1 << 32:
+            raise ValueError(f"integers({low}, {high}): the width must be in [1, 2**32]")
+        m = self._uint32() * width
+        if m & _MASK32 < width:
+            threshold = ((1 << 32) - width) % width  # 2**32 mod width: the low products that would bias
+            while m & _MASK32 < threshold:
+                m = self._uint32() * width
+        return low + (m >> 32)
+
+    def random(self) -> float:
+        return (self._next_word() >> 11) * (1.0 / (1 << 53))
 
 
 def lockdown_scenario_config(

@@ -7,6 +7,7 @@ dense linear algebra, exhaustive enumeration, straight-line formulas.
 
 import hashlib
 import math
+import random
 from collections import Counter, defaultdict, namedtuple
 from datetime import datetime
 from itertools import groupby
@@ -561,14 +562,21 @@ class _ReferenceMapState(_MapState):
 
 
 def _reference_sweep(state, rng):
-    """Sweep nodes in fresh seeded random order until a full sweep makes no move."""
+    """Sweep nodes in fresh seeded random order until a full sweep makes no move.
+
+    Each order shuffles range(n) from the last position down: position i
+    trades places with one drawn uniformly from 0..i as int(rng.random() * (i + 1)).
+    """
     level = state.level
     n = level.size
     moved_any = False
     while True:
         moved_in_sweep = False
-        for node in rng.permutation(n):
-            node = int(node)
+        order = list(range(n))
+        for i in reversed(range(1, n)):
+            j = int(rng.random() * (i + 1))
+            order[i], order[j] = order[j], order[i]
+        for node in order:
             wm_out = defaultdict(float)
             for target, q in level.out_adj[node]:
                 wm_out[state.module_of[target]] += q
@@ -631,7 +639,7 @@ def infomap_reference(g, seed, trials):
     node_term = sum(_plogp(p) for p in flow.visit_rates.tolist())
     best = None
     for trial in range(max(1, trials)):
-        rng = np.random.default_rng([seed, trial])
+        rng = random.Random(f"{seed},{trial}")
         assignment, length = _reference_trial(flat, node_term, rng)
         if best is None or length < best[0] - GAIN_EPS:
             best = (length, assignment)
@@ -674,18 +682,24 @@ def pairwise_distances(x):
 def kmeanspp_reference(x, k, rng):
     """k-means++ seeding that recomputes each new centroid's distances to every row.
 
-    `rng` is any source of numpy Generator draws (`integers`, `choice`).
+    `rng` is a `random.Random`. A uniform pick is int(rng.random() * n). A
+    weighted pick scales one rng.random() by the running total of the weights
+    and takes the first row whose running total exceeds it, the last row at most.
     """
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(0, n)]
+    centroids[0] = x[int(rng.random() * n)]
     closest = ((x - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            idx = rng.integers(0, n)
+        running, totals = 0.0, []
+        for weight in closest.tolist():
+            running += weight
+            totals.append(running)
+        if running == 0.0:
+            idx = int(rng.random() * n)
         else:
-            idx = rng.choice(n, p=closest / total)
+            target = rng.random() * running
+            idx = next((i for i, total in enumerate(totals[:-1]) if total > target), n - 1)
         centroids[j] = x[idx]
         closest = np.minimum(closest, ((x - centroids[j]) ** 2).sum(axis=1))
     return centroids
