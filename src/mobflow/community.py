@@ -28,7 +28,7 @@ import subprocess
 import sys
 import threading
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
@@ -133,32 +133,106 @@ def _plogp(x: float) -> float:
     return x * math.log2(x) if x > 1e-15 else 0.0
 
 
+def _plogp_array(x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    big = x > 1e-15
+    out[big] = x[big] * np.log2(x[big])
+    return out
+
+
 @dataclass
 class _Level:
-    """One optimization level: node flows plus self-loop-free adjacency."""
+    """One optimization level: node flows plus self-loop-free adjacency.
+
+    The sweep reads the lists. `_still` reads the same edges as arrays, in the
+    order the adjacency lists hold them, and the level's `margin`.
+    """
 
     node_flow: list[float]
     out_adj: list[list[tuple[int, float]]]
     in_adj: list[list[tuple[int, float]]]
-    s_out: list[float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.s_out = [sum(q for _, q in adj) for adj in self.out_adj]
+    s_out: list[float]
+    src: np.ndarray
+    dst: np.ndarray
+    edge_flow: np.ndarray
+    node_flow_array: np.ndarray
+    s_out_array: np.ndarray
+    margin: float
 
     @classmethod
-    def from_edges(cls, node_flow: list[float], edges: Iterable) -> "_Level":
-        """The level of ((source, target), flow) edges; self-loops never cross a module boundary."""
+    def from_edges(cls, node_flow: list[float], src, dst, edge_flow) -> "_Level":
+        """The level of the edges src[i] -> dst[i] with flow edge_flow[i]; self-loops never cross a module boundary."""
+        src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+        crossing = src != dst
+        src, dst, edge_flow = src[crossing], dst[crossing], np.asarray(edge_flow, dtype=float)[crossing]
         out_adj: list[list[tuple[int, float]]] = [[] for _ in node_flow]
         in_adj: list[list[tuple[int, float]]] = [[] for _ in node_flow]
-        for (u, v), q in edges:
-            if u != v:
-                out_adj[u].append((v, q))
-                in_adj[v].append((u, q))
-        return cls(node_flow=node_flow, out_adj=out_adj, in_adj=in_adj)
+        for u, v, q in zip(src.tolist(), dst.tolist(), edge_flow.tolist()):
+            out_adj[u].append((v, q))
+            in_adj[v].append((u, q))
+        s_out = [sum(q for _, q in adj) for adj in out_adj]
+        node_flow_array = np.array(node_flow, dtype=float)
+        degree = max(map(len, out_adj + in_adj), default=0)
+        return cls(
+            node_flow=node_flow,
+            out_adj=out_adj,
+            in_adj=in_adj,
+            s_out=s_out,
+            src=src,
+            dst=dst,
+            edge_flow=edge_flow,
+            node_flow_array=node_flow_array,
+            s_out_array=np.array(s_out, dtype=float),
+            margin=_still_margin(np.concatenate((node_flow_array, edge_flow)), degree),
+        )
 
     @property
     def size(self) -> int:
         return len(self.node_flow)
+
+
+def _still_margin(flows: np.ndarray, degree: int) -> float:
+    """How far above -GAIN_EPS `_still`'s numpy deltas must lie to prove the sweep's own.
+
+    Both evaluations apply the same operations, in the same order, to the same
+    cached values. They may differ in the log2 kernel and in the order of each
+    edge sum. With non-negative flows of total F (node flows plus edge flows),
+    u = 2**-53, gamma_m = m u / (1 - m u), d = `degree` (the most edges in one
+    edge sum) and X = 8 F:
+
+    - in exact arithmetic every plogp argument lies in [-6 F, 6 F]: an exit
+      after the move is at most 3 F, adding a module flow or taking a node's
+      flow makes at most 4 F, and the total exit after the move is at most
+      6 F. X leaves room for the rounding that maintained flows gather;
+    - an edge sum of at most d flows lies within gamma_d F of its exact value in
+      any order, so the two evaluations of one differ by at most 2 gamma_d F.
+      An argument takes at most four edge sums and nine roundings of values
+      below X, which add at most 2 u X each, so the two arguments differ by at
+      most delta = 8 gamma_d F + 18 u X <= gamma_{d+18} X;
+    - with L = 52 + max(0, log2 X), |d/dx x log2 x| <= L on (1e-15, X], so a
+      plogp term moves by at most L delta, plus 5e-14 where the argument
+      crosses the 1e-15 threshold (|x log2 x| < 5e-14 below it);
+    - numpy's log2 and math.log2 each lie within 4 ulps of log2 x (numpy
+      documents its SIMD kernels to 4 ulps, libm's are within 1), so with the
+      product's rounding the same argument gives terms at most 18 u X L apart;
+    - a delta adds five fresh terms, two of them doubled (weight 7), to cached
+      terms that are equal on both sides, in nine roundings of values below
+      14 X L, which differ by at most 2 u 14 X L each.
+
+    So the two deltas lie within 7 (L gamma_{d+18} X + 5e-14 + 18 u X L) +
+    252 u X L <= 8 X L gamma_{d+72} + 4e-13 of each other. The margin is twice
+    that, which also covers the rounding of the margin and of the comparison.
+    It reads about 1.5e-10 at the 200-node flat level of a day. Flows that are
+    negative or not finite give NaN: no sweep of theirs is certified.
+    """
+    total = float(flows.sum())
+    if not (math.isfinite(total) and (flows >= 0.0).all()):
+        return math.nan
+    x = 8.0 * total
+    terms = degree + 72
+    unit = 2.0**-53
+    gamma = terms * unit / (1.0 - terms * unit)
+    return 16.0 * x * (52.0 + max(0.0, math.log2(x) if x > 0.0 else 0.0)) * gamma + 8e-13
 
 
 class _MapState:
@@ -238,12 +312,11 @@ class _MapState:
             self.plogp_circ[module] = _plogp(self.exit[module] + self.flow[module])
 
 
-def _sweep_until_stable(state: _MapState, rng: random.Random) -> bool:
-    """Sweep nodes in fresh seeded random order until a full sweep makes no move.
+def _visit(state: _MapState, nodes: Iterable[int], dry_run: bool) -> int:
+    """Move each node, in turn, into the module with the largest strictly negative codelength change.
 
-    Each sweep's order is a Fisher-Yates shuffle from the top: position i swaps
-    with j = int(rng.random() * (i + 1)). Only `random()` draws, because only
-    its sequence for a seed is guaranteed across Python versions.
+    Returns the number of nodes moved. A dry run moves none: it returns 1 at
+    the first node that would move, and 0 if none would.
 
     A move of `node` from module a to module b changes the plogp terms of a, b
     and the total exit flow. Every candidate b is scored with the same float
@@ -255,68 +328,166 @@ def _sweep_until_stable(state: _MapState, rng: random.Random) -> bool:
     out_adj, in_adj, node_flow, s_out = level.out_adj, level.in_adj, level.node_flow, level.s_out
     module_of, exit_flow, module_flow, size = state.module_of, state.exit, state.flow, state.size
     plogp_exit, plogp_circ = state.plogp_exit, state.plogp_circ
-    plogp, log2, draw = _plogp, math.log2, rng.random
+    plogp, log2 = _plogp, math.log2
+    moved = 0
+    for node in nodes:
+        wm_out: dict[int, float] = {}
+        for target, q in out_adj[node]:
+            module = module_of[target]
+            wm_out[module] = wm_out.get(module, 0.0) + q
+        wm_in: dict[int, float] = {}
+        for source, q in in_adj[node]:
+            module = module_of[source]
+            wm_in[module] = wm_in.get(module, 0.0) + q
+        current = module_of[node]
+        candidates = sorted((wm_out.keys() | wm_in.keys()) - {current})
+        if size[current] > 1:
+            # Leaving into a fresh module can free a misplaced node for a
+            # better merge on a later sweep or level.
+            empty = state.empty_module()
+            if empty is not None:
+                candidates.append(empty)
+        if not candidates:
+            continue
+        p = node_flow[node]
+        node_out = s_out[node]
+        exit_a = exit_flow[current]
+        new_exit_a = exit_a - node_out + wm_out.get(current, 0.0) + wm_in.get(current, 0.0)
+        if new_exit_a < 0.0:
+            new_exit_a = 0.0  # guards float cancellation only
+        new_exit_term_a = plogp(new_exit_a)
+        old_exit_term_a = plogp_exit[current]
+        new_circ_term_a = plogp(new_exit_a + module_flow[current] - p)
+        old_circ_term_a = plogp_circ[current]
+        sum_exit = state.sum_exit
+        sum_term = plogp(sum_exit)
+        best_delta = -GAIN_EPS  # only strictly negative gains move a node
+        best = None
+        for candidate in candidates:
+            exit_b = exit_flow[candidate]
+            new_exit_b = exit_b + node_out - wm_out.get(candidate, 0.0) - wm_in.get(candidate, 0.0)
+            if new_exit_b < 0.0:
+                new_exit_b = 0.0
+            # _plogp inlined: the call costs more than the expression.
+            exit_term_b = new_exit_b * log2(new_exit_b) if new_exit_b > 1e-15 else 0.0
+            circ_b = new_exit_b + module_flow[candidate] + p
+            circ_term_b = circ_b * log2(circ_b) if circ_b > 1e-15 else 0.0
+            new_sum = sum_exit + (new_exit_a + new_exit_b) - (exit_a + exit_b)
+            sum_term_b = new_sum * log2(new_sum) if new_sum > 1e-15 else 0.0
+            delta_s1 = new_exit_term_a + exit_term_b - old_exit_term_a - plogp_exit[candidate]
+            delta_s2 = new_circ_term_a + circ_term_b - old_circ_term_a - plogp_circ[candidate]
+            delta = sum_term_b - sum_term - 2.0 * delta_s1 + delta_s2
+            if delta < best_delta:
+                best_delta, best = delta, (candidate, new_exit_b)
+        if best is not None:
+            if dry_run:
+                return 1
+            state.apply(node, best[0], new_exit_a, best[1])
+            moved += 1
+    return moved
+
+
+def _still(state: _MapState) -> bool:
+    """Whether a sweep of `state`, in any order, would move no node.
+
+    A sweep that moves no node never changes the state, so each node meets the
+    state as it is now, whatever the order. Every (node, candidate) delta is
+    scored at once: one `np.unique` of node * n + module keys over the
+    level's out- and in-edges gives the node's edge sums per neighbour module
+    (one `bincount` per direction), the node's fresh module joins where its
+    own module has other members, and each pair takes `_visit`'s terms in
+    `_visit`'s operand order, clamps included, with numpy's log2.
+
+    If every delta lies above -GAIN_EPS by more than the level's margin
+    (`_still_margin`), no node moves. If one lies below it by more, or one is
+    NaN, this says no. A node inside the margin is re-scored with `_visit`'s
+    own expression, in a dry run.
+    """
+    level = state.level
+    margin = level.margin
+    if math.isnan(margin):
+        return False
+    n = level.size
+    current = np.array(state.module_of)
+    exit_flow, module_flow = np.array(state.exit), np.array(state.flow)
+    plogp_exit, plogp_circ = np.array(state.plogp_exit), np.array(state.plogp_circ)
+    p, s_out, e = level.node_flow_array, level.s_out_array, len(level.edge_flow)
+    empty = state.empty_module()
+    # The fresh module is one more key of each node that shares its module; it has no edge sums.
+    fresh = current[:0] if empty is None else np.flatnonzero(np.array(state.size)[current] > 1) * n + empty
+    keys, pair = np.unique(
+        np.concatenate((level.src * n + current[level.dst], level.dst * n + current[level.src], fresh)),
+        return_inverse=True,
+    )
+    w_out = np.bincount(pair[:e], weights=level.edge_flow, minlength=len(keys))
+    w_in = np.bincount(pair[e : 2 * e], weights=level.edge_flow, minlength=len(keys))
+    node, module = np.divmod(keys, n)
+    own = module == current[node]
+    own_out, own_in = np.zeros(n), np.zeros(n)  # 0.0 where a node has no edge inside its module
+    own_out[node[own]] = w_out[own]
+    own_in[node[own]] = w_in[own]
+
+    exit_a = exit_flow[current]
+    new_exit_a = exit_a - s_out + own_out + own_in
+    new_exit_a[new_exit_a < 0.0] = 0.0
+    new_exit_term_a = _plogp_array(new_exit_a)
+    new_circ_term_a = _plogp_array(new_exit_a + module_flow[current] - p)
+    old_exit_term_a, old_circ_term_a = plogp_exit[current], plogp_circ[current]
+
+    move = ~own
+    who, to, out_to, in_to = node[move], module[move], w_out[move], w_in[move]
+    exit_b = exit_flow[to]
+    new_exit_b = exit_b + s_out[who] - out_to - in_to
+    new_exit_b[new_exit_b < 0.0] = 0.0
+    new_sum = state.sum_exit + (new_exit_a[who] + new_exit_b) - (exit_a[who] + exit_b)
+    delta_s1 = new_exit_term_a[who] + _plogp_array(new_exit_b) - old_exit_term_a[who] - plogp_exit[to]
+    delta_s2 = (
+        new_circ_term_a[who]
+        + _plogp_array(new_exit_b + module_flow[to] + p[who])
+        - old_circ_term_a[who]
+        - plogp_circ[to]
+    )
+    delta = _plogp_array(new_sum) - _plogp(state.sum_exit) - 2.0 * delta_s1 + delta_s2
+
+    stays = delta > -GAIN_EPS + margin
+    if stays.all():
+        return True
+    if not (delta >= -GAIN_EPS - margin).all():
+        return False  # a node certainly moves, or a delta is NaN
+    return not _visit(state, np.unique(who[~stays]).tolist(), dry_run=True)
+
+
+def _sweep_until_stable(state: _MapState, rng: random.Random) -> bool:
+    """Sweep nodes in fresh seeded random order until a full sweep makes no move.
+
+    Each sweep's order is a Fisher-Yates shuffle from the top: position i swaps
+    with j = int(rng.random() * (i + 1)). Only `random()` draws, because only
+    its sequence for a seed is guaranteed across Python versions.
+
+    Where a sweep is likely to move nothing, `_still` is asked first: before a
+    first sweep from a state that is not all singletons (a fine-tune pass),
+    and after a sweep that moved at most a tenth of the nodes. A sweep it
+    certifies is skipped, and its n - 1 shuffle values are still drawn, so
+    every later draw, and so every result, is the one of the Python sweep.
+    """
+    n = state.level.size
+    draw = rng.random
     moved_any = False
+    certify = max(state.size, default=0) > 1
     while True:
-        moved_in_sweep = False
-        order = list(range(level.size))
-        for i in range(level.size - 1, 0, -1):
+        if certify and _still(state):
+            for _ in range(n - 1):
+                draw()
+            return moved_any
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
             j = int(draw() * (i + 1))
             order[i], order[j] = order[j], order[i]
-        for node in order:
-            wm_out: dict[int, float] = {}
-            for target, q in out_adj[node]:
-                module = module_of[target]
-                wm_out[module] = wm_out.get(module, 0.0) + q
-            wm_in: dict[int, float] = {}
-            for source, q in in_adj[node]:
-                module = module_of[source]
-                wm_in[module] = wm_in.get(module, 0.0) + q
-            current = module_of[node]
-            candidates = sorted((wm_out.keys() | wm_in.keys()) - {current})
-            if size[current] > 1:
-                # Leaving into a fresh module can free a misplaced node for a
-                # better merge on a later sweep or level.
-                empty = state.empty_module()
-                if empty is not None:
-                    candidates.append(empty)
-            if not candidates:
-                continue
-            p = node_flow[node]
-            node_out = s_out[node]
-            exit_a = exit_flow[current]
-            new_exit_a = exit_a - node_out + wm_out.get(current, 0.0) + wm_in.get(current, 0.0)
-            if new_exit_a < 0.0:
-                new_exit_a = 0.0  # guards float cancellation only
-            new_exit_term_a = plogp(new_exit_a)
-            old_exit_term_a = plogp_exit[current]
-            new_circ_term_a = plogp(new_exit_a + module_flow[current] - p)
-            old_circ_term_a = plogp_circ[current]
-            sum_exit = state.sum_exit
-            sum_term = plogp(sum_exit)
-            best_delta = -GAIN_EPS  # only strictly negative gains move a node
-            best = None
-            for candidate in candidates:
-                exit_b = exit_flow[candidate]
-                new_exit_b = exit_b + node_out - wm_out.get(candidate, 0.0) - wm_in.get(candidate, 0.0)
-                if new_exit_b < 0.0:
-                    new_exit_b = 0.0
-                # _plogp inlined: the call costs more than the expression.
-                exit_term_b = new_exit_b * log2(new_exit_b) if new_exit_b > 1e-15 else 0.0
-                circ_b = new_exit_b + module_flow[candidate] + p
-                circ_term_b = circ_b * log2(circ_b) if circ_b > 1e-15 else 0.0
-                new_sum = sum_exit + (new_exit_a + new_exit_b) - (exit_a + exit_b)
-                sum_term_b = new_sum * log2(new_sum) if new_sum > 1e-15 else 0.0
-                delta_s1 = new_exit_term_a + exit_term_b - old_exit_term_a - plogp_exit[candidate]
-                delta_s2 = new_circ_term_a + circ_term_b - old_circ_term_a - plogp_circ[candidate]
-                delta = sum_term_b - sum_term - 2.0 * delta_s1 + delta_s2
-                if delta < best_delta:
-                    best_delta, best = delta, (candidate, new_exit_b)
-            if best is not None:
-                state.apply(node, best[0], new_exit_a, best[1])
-                moved_in_sweep = moved_any = True
-        if not moved_in_sweep:
+        moved = _visit(state, order, dry_run=False)
+        if not moved:
             return moved_any
+        moved_any = True
+        certify = 10 * moved <= n
 
 
 def _aggregate(level: _Level, module_of: list[int]) -> tuple[_Level, list[int]]:
@@ -329,12 +500,12 @@ def _aggregate(level: _Level, module_of: list[int]) -> tuple[_Level, list[int]]:
     for node in range(level.size):
         for target, q in level.out_adj[node]:
             agg[(collapse[node], collapse[target])] += q
-    return _Level.from_edges(node_flow, agg.items()), collapse
+    pairs = np.array(list(agg), dtype=np.intp).reshape(-1, 2)
+    return _Level.from_edges(node_flow, pairs[:, 0], pairs[:, 1], list(agg.values())), collapse
 
 
 def _flat_level(g: FlowGraph, flow: StationaryFlow) -> _Level:
-    edges = zip(g.edges.tolist(), flow.edge_flows.tolist())
-    return _Level.from_edges(flow.visit_rates.tolist(), edges)
+    return _Level.from_edges(flow.visit_rates.tolist(), g.edges[:, 0], g.edges[:, 1], flow.edge_flows)
 
 
 def _compact(assignment: list[int]) -> list[int]:

@@ -136,6 +136,15 @@ class TestKMeans:
         )
         assert clustering.inertia == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_kmeans_on_a_non_finite_series_raises_value_error(self, bad):
+        # k-means++ draws its weighted rows with `random.Random.choices`, which rejects a NaN or infinite total.
+        values = np.arange(12.0).reshape(6, 2) / 12
+        values[3, 1] = bad
+        with pytest.raises(ValueError, match="Total of weights must be finite"):
+            kmeans(SeriesMatrix([f"P{i}" for i in range(6)], values), 3, seed=0)
+
 
 class TestSelectK:
     def test_sweep_script_runs(self, monkeypatch, capsys):

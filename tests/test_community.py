@@ -1,10 +1,12 @@
 """Stationary flow, map equation, and the greedy map-equation optimizer."""
 
+import copy
 import dataclasses
 import io
 import math
 import os
 import pickle
+import random
 import signal
 import sys
 import threading
@@ -310,19 +312,131 @@ class TestInfomapMatchesReference:
             assert fast.assignment == reference.assignment
             assert fast.codelength == reference.codelength
 
-    def test_synthetic_municipality_days_identical(self, checked_sweeps):
+    def test_synthetic_municipality_days_identical(self, checked_sweeps, monkeypatch):
+        still = community._still
+        certified = []  # the level size of every sweep `_still` certified
+
+        def still_and_record(state):
+            done = still(state)
+            if done:
+                certified.append(state.level.size)
+            return done
+
+        monkeypatch.setattr(community, "_still", still_and_record)
         config = synth.lockdown_scenario_config(
             seed=3, n_provinces=6, municipalities_per_province=8, n_days=2, lockdown_day=1
         )
         for od in synth.generate_plan(config).municipality_ods():
             g = FlowGraph.from_od(od)
-            checks_before = len(checked_sweeps)
+            checks_before, certified_before = len(checked_sweeps), len(certified)
             fast = infomap(g, seed=5, trials=4)
             assert len(checked_sweeps) - checks_before >= 4
+            assert len(g.nodes) in certified[certified_before:]  # a flat-level sweep took the fast path
             reference = infomap_reference(g, seed=5, trials=4)
             assert fast.module_count > 1
             assert fast.assignment == reference.assignment
             assert fast.codelength == reference.codelength
+
+
+def _copy_state(state):
+    """An independent copy of a swept state: its lists copied, its level shared."""
+    clone = copy.copy(state)
+    for name in ("module_of", "exit", "flow", "size", "plogp_exit", "plogp_circ", "_empty"):
+        setattr(clone, name, list(getattr(state, name)))
+    return clone
+
+
+def _snapshot(state):
+    return (state.module_of, state.exit, state.flow, state.size, state.plogp_exit, state.plogp_circ,
+            state._empty, state.sum_exit, state.s1, state.s2)
+
+
+def _ordered_sweep_moves(state, seed=0):
+    """How many nodes one Python sweep of a copy of `state`, in a seeded order, moves."""
+    order = list(range(state.level.size))
+    random.Random(seed).shuffle(order)
+    return community._visit(_copy_state(state), order, dry_run=False)
+
+
+def _tie_state(lean):
+    """Two 4-cliques a and b, and a node x joined to every member of both, with x in a's module.
+
+    x's edges to b weigh 1 + lean against 1 to a. At lean 0 moving x to b
+    changes the codelength by a rounding error only; every other move loses.
+    """
+    edges = {}
+    for side, w in (("a", 1.0), ("b", 1.0 + lean)):
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    edges[(f"{side}{i}", f"{side}{j}")] = 1.0
+            edges[("x", f"{side}{i}")] = w
+            edges[(f"{side}{i}", "x")] = w
+    g = flow_graph(edges)
+    level = community._flat_level(g, stationary_flow(g))
+    node_term = sum(community._plogp(p) for p in level.node_flow)
+    a, b = g.nodes.index("a0"), g.nodes.index("b0")
+    return community._MapState(level, [b if name[0] == "b" else a for name in g.nodes], node_term), g.nodes.index("x")
+
+
+class TestStillCertificate:
+    """`_still` certifies exactly the states from which a sweep, in any order, moves no node."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(flow_graphs(), st.integers(0, 2**16))
+    def test_agrees_with_an_ordered_sweep_at_every_level(self, g, seed):
+        sweep = community._sweep_until_stable
+        checked = []
+
+        def check(state):
+            before = copy.deepcopy(_snapshot(state))
+            still = community._still(state)
+            assert _snapshot(state) == before  # the certificate changes nothing
+            assert still == (_ordered_sweep_moves(state, seed) == 0)
+            checked.append(state.level.size)
+            return still
+
+        def sweep_checking_still(state, rng):
+            check(state)  # forced before every call, whatever the try rule says
+            moved = sweep(state, rng)
+            assert check(state)  # a sweep stops where no node moves
+            return moved
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(community, "_sweep_until_stable", sweep_checking_still)
+            fast = infomap(g, seed=seed, trials=2)
+        reference = infomap_reference(g, seed=seed, trials=2)
+        assert fast.assignment == reference.assignment
+        assert fast.codelength == reference.codelength
+        assert len(g.nodes) in checked
+
+    @pytest.mark.parametrize("lean, moves", [(0.0, False), (3e-11, True)])
+    def test_a_delta_inside_the_margin_is_rescored_exactly(self, monkeypatch, lean, moves):
+        state, x = _tie_state(lean)
+        visit, dry_runs = community._visit, []
+
+        def visit_and_record(state, nodes, dry_run):
+            nodes = list(nodes)
+            if dry_run:
+                dry_runs.append(nodes)
+            return visit(state, nodes, dry_run)
+
+        monkeypatch.setattr(community, "_visit", visit_and_record)
+        assert community._still(state) == (not moves)
+        assert dry_runs == [[x]]  # only x's move to b lay inside the margin
+        assert [_ordered_sweep_moves(state, seed) for seed in range(3)] == [int(moves)] * 3
+
+    def test_a_nan_flow_gets_no_certificate(self):
+        level = community._Level.from_edges([0.4, 0.4, math.nan], [0, 1, 2, 0], [1, 0, 0, 2], [0.3, 0.3, 0.1, 0.1])
+        assert math.isnan(level.margin)
+        state = community._MapState(level, [0, 0, 2], node_term=0.0)
+        assert not community._still(state)
+
+    def test_margin_is_wide_enough_and_narrow_enough(self):
+        # Far above a delta's rounding error; far below the smallest real gain on
+        # scenario days, where a wide margin would send every node to the Python path.
+        state, _ = _tie_state(0.0)
+        assert 1e-12 < state.level.margin < 1e-9
 
 
 def _od(cells, day=DAY):
