@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import json
 import numbers
+import random
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -30,11 +32,10 @@ from .ingest import DEFAULT_TIMEZONE
 from .od import DailyOD, build_daily_od
 
 GRAVITY_EXPONENT = 2.0  # distance decay of inter-province attraction
-CDR_DURATION_RANGE = (62, 180)  # minutes; start >= 62 keeps the dwell rule satisfied
+START_MINUTE_RANGE = (6 * 60, 18 * 60)  # a trip's first event, in minutes after local midnight
+CDR_DURATION_RANGE = (62, 180)  # minutes from origin to destination; a trip ends by 21:00, on its day
 VIOLATION_RETURN_RANGE = (5, 55)  # minutes back at the origin, always below the dwell
 REGIME_SCALES = ("flow_scale", "bridge_scale", "weekend_concentration")  # RegimePhase's factors, each in (0, 1]
-_WORDS_PER_FETCH = 2048  # PCG64 outputs per conversion to Python ints: a small, bounded resident set
-_MASK32 = 0xFFFFFFFF
 
 
 class ScenarioConfigError(ValueError):
@@ -399,8 +400,12 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
     CDR row (start antenna at the origin, end antenna at the destination) or a
     pair of XDR rows; a violated trip adds a third event back at the origin
     before the dwell hour has passed. Each day's times, antennas and record
-    kinds come trip by trip from one `_Draws` seeded (seed, day index, 1): the
-    values `np.random.default_rng` would give, drawn without numpy's per-call cost.
+    kinds are drawn trip by trip from `random.Random(f"{seed},{day_index},1")`,
+    only through `random()`, whose sequence for a string seed Python keeps
+    across versions. An integer in [low, high) is
+    `low + int(random() * (high - low))`, biased by at most (high - low) / 2**53.
+    These draws cannot change an OD: every trip stays on its local day, and only
+    a violation's return comes back within the dwell hour.
     """
     plan = generate_plan(config)
     territory = plan.territory
@@ -423,8 +428,7 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
     cdr_files: list[Path] = []
     xdr_files: list[Path] = []
     for day_index, day in enumerate(config.dates):
-        draws = _Draws([config.seed, day_index, 1])
-        integers = draws.integers
+        draw = random.Random(f"{config.seed},{day_index},1").random
         midnight = int(datetime(day.year, day.month, day.day, tzinfo=tz).timestamp())
         cdr_path = out_dir / "cdr" / f"{day.isoformat()}.csv"
         xdr_path = out_dir / "xdr" / f"{day.isoformat()}.csv"
@@ -434,24 +438,24 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
             trips = zip(plan.daily_trips[day].tolist(), plan.daily_violations[day].tolist())
             for i, ((origin, destination), violated) in enumerate(trips):
                 user = f"u{day_index:03d}_{i:06d}"
-                start_min = integers(6 * 60, 18 * 60)
-                gap_min = integers(*CDR_DURATION_RANGE)
+                start_min = _integer(draw, *START_MINUTE_RANGE)
+                gap_min = _integer(draw, *CDR_DURATION_RANGE)
                 t0 = midnight + start_min * 60
                 t1 = t0 + gap_min * 60
-                a_origin = _pick(antennas_of[origin], draws)
-                a_dest = _pick(antennas_of[destination], draws)
+                a_origin = _pick(antennas_of[origin], draw)
+                a_dest = _pick(antennas_of[destination], draw)
                 if violated:
-                    back_min = integers(*VIOLATION_RETURN_RANGE)
-                    a_back = _pick(antennas_of[origin], draws)
-                    kb = integers(1, 2048)
+                    back_min = _integer(draw, *VIOLATION_RETURN_RANGE)
+                    a_back = _pick(antennas_of[origin], draw)
+                    kb = _integer(draw, 1, 2048)
                     xdr_fh.write(f"{user},{t0},{a_origin},{kb}\n")
                     xdr_fh.write(f"{user},{t1},{a_dest},{kb}\n")
                     xdr_fh.write(f"{user},{t1 + back_min * 60},{a_back},{kb}\n")
-                elif draws.random() < config.cdr_fraction:
+                elif draw() < config.cdr_fraction:
                     callee = f"peer{day_index:03d}_{i:06d}"
                     cdr_fh.write(f"{user},{callee},{t0},{a_origin},{a_dest},{gap_min}\n")
                 else:
-                    kb = integers(1, 2048)
+                    kb = _integer(draw, 1, 2048)
                     xdr_fh.write(f"{user},{t0},{a_origin},{kb}\n")
                     xdr_fh.write(f"{user},{t1},{a_dest},{kb}\n")
         cdr_files.append(cdr_path)
@@ -502,59 +506,12 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
     )
 
 
-def _pick(items: list[str], draws: _Draws) -> str:
-    return items[draws.integers(0, len(items))]
+def _integer(draw: Callable[[], float], low: int, high: int) -> int:
+    return low + int(draw() * (high - low))
 
 
-def _raw_words(bits: np.random.PCG64):
-    """The bit generator's 64-bit outputs as Python ints, converted a bounded chunk at a time."""
-    while True:
-        yield from bits.random_raw(_WORDS_PER_FETCH).tolist()
-
-
-class _Draws:
-    """`np.random.default_rng(seed)`'s scalar `integers(low, high)` and `random()`, over numpy's own PCG64 outputs.
-
-    numpy computes the outputs in bulk, and writing a scenario takes a hundred
-    thousand or more draws, each cheaper in Python than a numpy call.
-    `random()` is an output's top 53 bits over 2**53. `integers` is Lemire's
-    bounded method (arXiv:1805.10941) over 32-bit draws; like numpy's PCG64, a
-    32-bit draw takes an output's low half and keeps its high half for the
-    next 32-bit draw, and `random()` leaves a kept half in place. A width of 1
-    draws nothing, as in numpy. Widths above 2**32, which numpy draws from
-    whole outputs, are rejected.
-    """
-
-    __slots__ = ("_next_word", "_half")
-
-    def __init__(self, seed) -> None:
-        self._next_word = _raw_words(np.random.PCG64(seed)).__next__
-        self._half: int | None = None
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is None:
-            word = self._next_word()
-            self._half = word >> 32
-            return word & _MASK32
-        self._half = None
-        return half
-
-    def integers(self, low: int, high: int) -> int:
-        width = high - low
-        if width == 1:
-            return low
-        if not 1 < width <= 1 << 32:
-            raise ValueError(f"integers({low}, {high}): the width must be in [1, 2**32]")
-        m = self._uint32() * width
-        if m & _MASK32 < width:
-            threshold = ((1 << 32) - width) % width  # 2**32 mod width: the low products that would bias
-            while m & _MASK32 < threshold:
-                m = self._uint32() * width
-        return low + (m >> 32)
-
-    def random(self) -> float:
-        return (self._next_word() >> 11) * (1.0 / (1 << 53))
+def _pick(items: list[str], draw: Callable[[], float]) -> str:
+    return items[int(draw() * len(items))]
 
 
 def lockdown_scenario_config(

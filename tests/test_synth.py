@@ -3,8 +3,6 @@
 import json
 import tempfile
 from datetime import date, timedelta
-from pathlib import Path
-from unittest import mock
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -15,7 +13,7 @@ from hypothesis import strategies as st
 from mobflow import synth
 from mobflow.diversity import diversity_series
 from mobflow.ingest import daily_trips, load_registry, parse_records
-from mobflow.od import aggregate_to_province, build_daily_od
+from mobflow.od import aggregate_to_province
 
 from oracles import generate_plan_reference, tree_digest
 
@@ -36,11 +34,13 @@ def small_config(seed=0, **overrides):
 def small_configs(draw):
     """Both presets on small territories, weekends included, violations on or off."""
     n_days = draw(st.integers(1, 9))
+    # a Monday in February, or the Monday of Europe/Rome's 2020 switch to or from summer time
+    monday = draw(st.sampled_from([date(2020, 2, 3), date(2020, 3, 23), date(2020, 10, 19)]))
     common = dict(
         n_provinces=draw(st.integers(2, 8)),
         municipalities_per_province=draw(st.integers(1, 4)),
         n_days=n_days,
-        start_date=date(2020, 2, 3) + timedelta(days=draw(st.integers(0, 6))),
+        start_date=monday + timedelta(days=draw(st.integers(0, 6))),
         inter_trips_per_province=draw(st.integers(0, 40)),
         communities_per_province=draw(st.integers(1, 5)),
         intra_trips_per_pair=draw(st.integers(0, 4)),
@@ -83,84 +83,28 @@ class TestDeterminism:
         assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "b")
 
 
-# A two-day lockdown scenario whose first day's draws reject one Lemire product
-# (about 3.5e-7 per trip, so random configs never do): without the rejection
-# loop its bytes would differ from numpy's.
-REJECTING_CONFIG = synth.lockdown_scenario_config(
-    3944, n_provinces=3, municipalities_per_province=3, n_days=2, lockdown_day=1, inter_trips_per_province=40,
-    intra_trips_per_pair=20, dwell_violation_rate=0.3, antennas_per_municipality=3,
-)
-
-
 class TestGeneratedBytes:
-    """`generate` draws its per-trip values from `synth._Draws`; the files are those numpy's draws write."""
-
-    @given(small_configs())
-    @example(REJECTING_CONFIG)
-    @settings(max_examples=30, deadline=None)
-    def test_replica_writes_the_bytes_of_numpys_generator(self, config):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            synth.generate(config, root / "replica")
-            with mock.patch.object(synth, "_Draws", np.random.default_rng):
-                synth.generate(config, root / "numpy")
-            assert tree_digest(root / "replica") == tree_digest(root / "numpy")
-
     @pytest.mark.parametrize(
         "config, digest",
         [
-            (REJECTING_CONFIG, "b368a0605650a1a9a93874d3bc1a297fd92cfb5b7208b4f03675a2b57e886e45"),
+            (
+                synth.lockdown_scenario_config(3944, n_provinces=3, municipalities_per_province=3, n_days=2,
+                                               lockdown_day=1, inter_trips_per_province=40, intra_trips_per_pair=20,
+                                               dwell_violation_rate=0.3, antennas_per_municipality=3),
+                "1b73e090402187408a9a236b97c36eee71097d2c12b7aca2fb47f42e86f829f8",
+            ),
             (
                 synth.planted_levels_config(4, n_provinces=8, n_days=3, municipalities_per_province=2,
                                             dwell_violation_rate=0.3),
-                "24537ba22ee262c5a6b18017a92c8c2a989895a0abb3984f19bc8a9f3cc4cd5b",
+                "14babdb2846e88121d5e5c9e0a847495ec16b4c34661dfbe580dcbf62f82305a",
             ),
         ],
         ids=["lockdown", "planted_levels"],
     )
     def test_generated_bytes_are_pinned(self, tmp_path, config, digest):
-        # written by numpy's own scalar Generator calls, so any change to the draw stream fails here
+        # any change to the plan's draws or to the writer's draw order fails here
         synth.generate(config, tmp_path)
         assert tree_digest(tmp_path) == digest
-
-
-# Widths where generate draws (antenna picks, minutes, kilobytes), anywhere up to
-# the widest range, and just above 2**31, where about half of all products are rejected.
-_WIDTHS = st.one_of(
-    st.integers(1, 3000),
-    st.integers(1, 2**32),
-    st.integers(2**31 + 1, 2**31 + 2**20),
-    st.sampled_from([2**31, 2**32 - 1, 2**32]),
-)
-_CALLS = st.lists(st.one_of(st.none(), st.tuples(st.integers(-(2**40), 2**40), _WIDTHS)), max_size=60)
-
-
-class TestDraws:
-    @given(
-        seed=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
-        calls=_CALLS,
-        fetch=st.sampled_from([1, 2, 3, 7, synth._WORDS_PER_FETCH]),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_returns_numpys_values_for_any_sequence_of_calls(self, seed, calls, fetch):
-        """`None` calls random(), (low, width) calls integers(low, low + width); small fetches cross chunk ends."""
-        rng = np.random.default_rng(seed)
-        with mock.patch.object(synth, "_WORDS_PER_FETCH", fetch):
-            draws = synth._Draws(seed)
-            for call in calls:
-                if call is None:
-                    got, want = draws.random(), rng.random()
-                    assert type(got) is float
-                else:
-                    low, width = call
-                    got, want = draws.integers(low, low + width), rng.integers(low, low + width)
-                    assert type(got) is int
-                assert got == want, call
-
-    @pytest.mark.parametrize("low, high", [(0, 0), (5, 4), (0, 2**32 + 1), (-(2**40), 2**40)])
-    def test_rejects_empty_and_over_wide_ranges(self, low, high):
-        with pytest.raises(ValueError, match="width"):
-            synth._Draws(0).integers(low, high)
 
 
 class TestConservation:
@@ -173,21 +117,31 @@ class TestConservation:
             for day_raw, totals in truth["daily_totals"].items():
                 assert counts[date.fromisoformat(day_raw)] == totals["total"]
 
-    def test_extracted_od_cells_match_plan(self, tmp_path):
-        config = small_config(seed=8, dwell_violation_rate=0.3)
-        scenario = synth.generate(config, tmp_path)
+    @given(small_configs())
+    @example(small_config(seed=8, dwell_violation_rate=0.3))
+    @example(small_config(seed=8, dwell_violation_rate=0.3, start_date=date(2020, 3, 26)))
+    @example(small_config(seed=8, dwell_violation_rate=0.3, start_date=date(2020, 10, 22)))
+    @settings(max_examples=40, deadline=None)
+    def test_records_carry_the_plan(self, config):
+        """Whatever the writer draws, the one-hour trip rule gives back each day's
+        planned rows, the violated ones reversed, on the days of a DST switch too."""
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = synth.generate(config, tmp)
+            parsed = parse_records(scenario.cdr_files, scenario.xdr_files, load_registry(scenario.registry_path))
+        assert parsed.rejected_count == 0
         plan = scenario.plan
-        registry = load_registry(scenario.registry_path)
-        parsed = parse_records(scenario.cdr_files, scenario.xdr_files, registry)
-        by_day = daily_trips(parsed, 3600, ZoneInfo(config.timezone))
-        # parsed names and users both sort in plan order here, so extraction
-        # gives back the planned rows, each violated one reversed
+        # parsed names and users both sort in plan order here, so the codes and
+        # each day's (user, arrival) order are the plan's
         assert parsed.municipalities == plan.territory.municipalities
-        for day, cells in plan.daily_cells.items():
-            got = build_daily_od(by_day[day], parsed.municipalities, day)
-            assert got.cells == cells
+        expected = {}
+        for day in config.dates:
             trips, violated = plan.daily_trips[day], plan.daily_violations[day]
-            assert np.array_equal(by_day[day], np.where(violated[:, None], trips[:, ::-1], trips))
+            if len(trips):
+                expected[day] = np.where(violated[:, None], trips[:, ::-1], trips)
+        by_day = daily_trips(parsed, 3600, ZoneInfo(config.timezone))
+        assert list(by_day) == list(expected)
+        for day, rows in expected.items():
+            assert np.array_equal(by_day[day], rows)
 
     def test_dwell_violations_reverse_trips(self, tmp_path):
         config = small_config(seed=9, dwell_violation_rate=0.3)
