@@ -13,12 +13,11 @@ calls the same stage function, so each table has one path.
 
 `build_parser` parses every option value that can be checked without reading an
 input: a bad date, --k-range or --tz, or a --from after --to, is a usage error
-before anything is read or written. Checks that need the territory (--k-range
-against its province count, --provinces membership) run in the commands, before
-any stage. `_write_csv` and `_write_json` write every result file: the stage
-modules return the tables and payloads. A file name built from a province id
-escapes `%` and `/` (`_file_name`), so that every id names one file inside its
-directory; `partitions_<provinces>.json` also escapes `_`, which joins the ids.
+before anything is read or written. The check that needs the territory
+(--k-range against its province count) runs in the commands, before any stage.
+`_write_csv` and `_write_json` write every result file: the stage modules
+return the tables and payloads. A file name built from a province id escapes
+`%` and `/` (`_file_name`), so that every id names one file inside its directory.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Every command writes into a
 fresh staging directory beside --out and publishes only on success: each
@@ -86,7 +85,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diversity", help="per-province flow diversity tables")
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--include-self-flow-in-diversity", action="store_true")
     _add_date_range(p)
 
     p = sub.add_parser("cluster", help="k-means clustering of diversity series")
@@ -94,7 +92,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--k-range", type=_k_range, default=cluster_mod.DEFAULT_K_RANGE, help="LO:HI inclusive")
-    p.add_argument("--include-self-flow-in-diversity", action="store_true")
     _add_date_range(p)
 
     p = sub.add_parser("communities", help="daily local-job-market detection")
@@ -102,7 +99,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=community_mod.DEFAULT_TRIALS)
-    p.add_argument("--provinces", help="comma list: also dump partitions filtered to these provinces")
     _add_date_range(p)
 
     p = sub.add_parser("report", help="run the whole pipeline and write summary.json")
@@ -115,7 +111,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=_int_at_least(1), default=community_mod.DEFAULT_TRIALS)
     p.add_argument("--split-date", type=_iso_date,
                    help="pre/post split; defaults to the last regime start in ground_truth.json")
-    p.add_argument("--include-self-flow-in-diversity", action="store_true")
     return parser
 
 
@@ -350,10 +345,10 @@ def cmd_flows(args, stage: Path) -> int:
 _ByDirection = dict[str, diversity_mod.ProvinceDiversity]
 
 
-def _diversity_series(cube: od.ProvinceCube, include_self: bool) -> _ByDirection:
+def _diversity_series(cube: od.ProvinceCube) -> _ByDirection:
     """Every province's diversity series, by direction."""
     return {
-        direction: diversity_mod.diversity_series(cube, direction, include_self)
+        direction: diversity_mod.diversity_series(cube, direction)
         for direction in diversity_mod.DIRECTIONS
     }
 
@@ -366,7 +361,7 @@ def _write_diversity(by_direction: _ByDirection, stage: Path, out: Path) -> None
 
 
 def cmd_diversity(args, stage: Path) -> int:
-    by_direction = _diversity_series(_province_inputs(args), args.include_self_flow_in_diversity)
+    by_direction = _diversity_series(_province_inputs(args))
     _write_diversity(by_direction, stage, Path(args.out))
     return 0
 
@@ -400,7 +395,7 @@ def cmd_cluster(args, stage: Path) -> int:
     territory = _load_territory(store)
     _check_k_range(args.k_range, territory)
     cube = od.aggregate_to_province(_load_ods(store, args.from_date, args.to_date), territory)
-    by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
+    by_direction = _diversity_series(cube)
     _write_clusters(by_direction, args.k_range, args.seed, stage, Path(args.out))
     return 0
 
@@ -412,21 +407,9 @@ def _write_communities(series: list[community_mod.DayCommunities], stage: Path, 
 
 
 def cmd_communities(args, stage: Path) -> int:
-    store = Path(args.in_dir)
-    territory = _load_territory(store)
-    wanted = set(args.provinces.split(",")) if args.provinces else set()
-    unknown = wanted - set(territory.values())
-    if unknown:
-        raise UsageError(f"--provinces: not a province of the territory: {', '.join(sorted(unknown))}")
-    ods = _load_ods(store, args.from_date, args.to_date)
+    ods = _load_ods(Path(args.in_dir), args.from_date, args.to_date)
     series = community_mod.community_count_series(ods, seed=args.seed, trials=args.trials)
     _write_communities(series, stage, Path(args.out))
-    if wanted:
-        # `_` joins the ids, so an id's own `_` is escaped: distinct sets get distinct names
-        name = "_".join(_file_name(province).replace("_", "%5F") for province in sorted(wanted))
-        keep = [muni for muni, province in territory.items() if province in wanted]
-        dumps = [community_mod.partition_dump(day, keep) for day in series]
-        _write_json(stage / f"partitions_{name}.json", dumps)
     return 0
 
 
@@ -450,7 +433,7 @@ def cmd_report(args, stage: Path) -> int:
     def tables() -> None:  # runs while a helper process, if one started, detects communities
         nonlocal by_direction, selections
         _write_flows(cube, stage, out_dir)
-        by_direction = _diversity_series(cube, args.include_self_flow_in_diversity)
+        by_direction = _diversity_series(cube)
         _write_diversity(by_direction, stage, out_dir)
         selections = _write_clusters(by_direction, args.k_range, args.seed, stage, out_dir)
 

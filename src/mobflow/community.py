@@ -758,19 +758,11 @@ def community_counts_table(days: Sequence[DayCommunities]) -> Iterator[list]:
         yield [day.date.isoformat(), day.community_count, int(day.is_sunday)]
 
 
-def partition_dump(
-    day: DayCommunities,
-    municipality_filter: Iterable[str] | None = None,
-) -> dict:
-    """JSON-ready dump of one day's partition, optionally restricted to some municipalities."""
-    keep = set(municipality_filter) if municipality_filter is not None else None
+def partition_dump(day: DayCommunities) -> dict:
+    """JSON-ready dump of one day's partition: its modules in id order, each with its municipalities."""
     modules = []
     if day.partition is not None:
         for module_id, members in sorted(day.partition.modules().items()):
-            if keep is not None:
-                members = [m for m in members if m in keep]
-                if not members:
-                    continue
             modules.append({"id": module_id, "municipalities": members})
     return {
         "date": day.date.isoformat(),

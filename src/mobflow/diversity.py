@@ -60,12 +60,10 @@ def flow_diversity(counts: Sequence[int], n_provinces: int) -> float | None:
     return entropy / math.log(n_provinces)
 
 
-def diversity_series(
-    cube: ProvinceCube, direction: str, include_self: bool = False
-) -> ProvinceDiversity:
-    """Per-day flow_diversity of every province of the cube.
+def diversity_series(cube: ProvinceCube, direction: str) -> ProvinceDiversity:
+    """Per-day flow_diversity of every province of the cube, over its partner provinces.
 
-    Self-loops are excluded unless include_self is set; absent days are NaN.
+    Self-loops are excluded; absent days are NaN.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
@@ -74,8 +72,7 @@ def diversity_series(
         raise ValueError("entropy normalization needs at least 2 provinces")
     # flows[d, i, j]: province i's flow with partner j on day d
     flows = cube.counts if direction == "out" else cube.counts.transpose(0, 2, 1)
-    if not include_self:
-        flows = flows * ~np.eye(n, dtype=bool)
+    flows = flows * ~np.eye(n, dtype=bool)
     days, rows, partners = np.nonzero(flows)  # row-major: partners ascend within a row
     cells = zip(days.tolist(), rows.tolist(), flows[days, rows, partners].tolist())
     values = np.full((n, len(cube.dates)), np.nan)

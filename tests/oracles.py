@@ -245,8 +245,8 @@ def compute_flows(ods, province):
     )
 
 
-def flow_diversity(od, province, direction, n, include_self=False):
-    """One province's normalized flow entropy on one day by scanning every cell.
+def flow_diversity(od, province, direction, n):
+    """One province's normalized flow entropy over its partners on one day by scanning every cell.
 
     Partners are visited in the cells' (origin, destination) order and the
     entropy is summed term by term, the order the library sums in, so results
@@ -254,7 +254,7 @@ def flow_diversity(od, province, direction, n, include_self=False):
     """
     flows = []
     for (origin, destination), count in od.cells.items():
-        if not include_self and origin == destination:
+        if origin == destination:
             continue
         if (destination if direction == "in" else origin) == province:
             flows.append(count)
@@ -292,12 +292,11 @@ def flow_series_reference(cube):
     ]
 
 
-def diversity_series_reference(cube, direction, include_self=False):
+def diversity_series_reference(cube, direction):
     """Every province's DiversitySeries, a list with None on absent days; reference for diversity_series."""
     n = len(cube.provinces)
     flows = cube.counts if direction == "out" else cube.counts.transpose(0, 2, 1)
-    if not include_self:
-        flows = flows * ~np.eye(n, dtype=bool)
+    flows = flows * ~np.eye(n, dtype=bool)
     values = [[None] * len(cube.dates) for _ in range(n)]
     days, rows, partners = np.nonzero(flows)
     cells = zip(days.tolist(), rows.tolist(), flows[days, rows, partners].tolist())

@@ -19,9 +19,12 @@ from mobflow import cli, community, synth
 from mobflow.cli import main
 from mobflow.od import list_od_dates, load_daily_od
 
-# Options neither `communities` nor `report` takes: detection runs on each
-# municipality day alone, at a fixed teleportation rate.
-REMOVED_OPTIONS = {"--tau", "--window", "--granularity", "--attach-registry"}
+# Options no command takes: detection runs on each municipality day alone, at a
+# fixed teleportation rate; diversity always leaves self-flows out; and
+# partitions.json is the one partition dump.
+REMOVED_OPTIONS = {
+    "--tau", "--window", "--granularity", "--attach-registry", "--include-self-flow-in-diversity", "--provinces"
+}
 
 SUMMARY_FIELDS = {
     "flow_drop_pct",
@@ -162,12 +165,8 @@ class TestSmokePath:
                      "--seed", "1", "--k-range", "2:4"]) == 0
         assert (out / "cluster_out.json").exists()
         assert main(["communities", "--in", str(store), "--out", str(out),
-                     "--seed", "1", "--trials", "2", "--provinces", "P000"]) == 0
+                     "--seed", "1", "--trials", "2"]) == 0
         assert (out / "communities.csv").exists()
-        assert (out / "partitions_P000.json").exists()
-        dump = json.loads((out / "partitions_P000.json").read_text())
-        munis = {m for entry in dump for mod in entry["modules"] for m in mod["municipalities"]}
-        assert munis and all(m.startswith("M000") for m in munis)
 
     def test_stagewise_chain_writes_the_report_tables(self, scenario_dir, tmp_path):
         report = tmp_path / "report"
@@ -181,48 +180,6 @@ class TestSmokePath:
             assert main([*command, "--in", store, "--out", str(stages)]) == 0
         (report / "summary.json").unlink()
         assert _tree_bytes(stages) == _tree_bytes(report)
-
-    def test_include_self_flow_in_diversity(self, scenario_dir, tmp_path):
-        store = tmp_path / "store"
-        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
-        default, with_self = tmp_path / "default", tmp_path / "self"
-        assert main(["diversity", "--in", str(store), "--out", str(default)]) == 0
-        assert main(["diversity", "--in", str(store), "--out", str(with_self),
-                     "--include-self-flow-in-diversity"]) == 0
-        for name in ("diversity.csv", "diversity_in_wide.csv", "diversity_out_wide.csv"):
-            assert (with_self / name).read_bytes() != (default / name).read_bytes()
-        territory = _territory(store)
-        provinces = set(territory.values())
-        ods = {
-            d: oracles.province_day(d, oracles.aggregate_cells(load_daily_od(store, d, "municipality").cells, territory))
-            for d in list_od_dates(store, "municipality")
-        }
-        rows = (with_self / "diversity.csv").read_text().splitlines()[1:]
-        assert len(rows) == 2 * len(provinces) * len(ods)
-        for row in rows:
-            day, province, direction, value = row.split(",")
-            expected = oracles.flow_diversity(
-                ods[date.fromisoformat(day)], province, direction, len(provinces), include_self=True
-            )
-            assert value == ("" if expected is None else repr(expected))
-
-    def test_province_filter_on_municipality_graphs(self, scenario_dir, tmp_path):
-        store = tmp_path / "store"
-        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
-        out = tmp_path / "muni"
-        assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "1", "--trials", "2",
-                     "--provinces", "P000,P001"]) == 0
-        wanted = {m for m, p in _territory(store).items() if p in {"P000", "P001"}}
-        dump = json.loads((out / "partitions.json").read_text())
-        filtered = json.loads((out / "partitions_P000_P001.json").read_text())
-        assert len(filtered) == len(dump)
-        for day, kept in zip(dump, filtered):
-            assert kept["modules"], f"no module kept on {kept['date']}"
-            expected = [
-                {"id": mod["id"], "municipalities": [n for n in mod["municipalities"] if n in wanted]}
-                for mod in day["modules"]
-            ]
-            assert kept["modules"] == [mod for mod in expected if mod["municipalities"]]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_report_partitions_recover_the_planted_communities(self, tmp_path, seed):
@@ -325,16 +282,6 @@ class TestExitCodes:
         assert "invalid choice: 'aggregate'" in capsys.readouterr().err
         assert _tree_bytes(store) == before
 
-    def test_unknown_province_filter_is_usage_error(self, scenario_dir, tmp_path, capsys):
-        store = tmp_path / "store"
-        assert main(["build-od", "--in", str(scenario_dir), "--out", str(store)]) == 0
-        out = tmp_path / "out"
-        rc = main(["communities", "--in", str(store), "--out", str(out), "--seed", "1",
-                   "--trials", "1", "--provinces", "P000,P999"])
-        assert rc == 1
-        assert "P999" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_bad_k_range_is_usage_error(self, scenario_dir, tmp_path, capsys):
         store = tmp_path / "store"
         main(["build-od", "--in", str(scenario_dir), "--out", str(store)])
@@ -390,6 +337,10 @@ class TestExitCodes:
             ("communities", "--granularity", "province"),
             ("communities", "--attach-registry", None),
             ("communities", "--tau", "0.2"),
+            ("diversity", "--include-self-flow-in-diversity", None),
+            ("cluster", "--include-self-flow-in-diversity", None),
+            ("report", "--include-self-flow-in-diversity", None),
+            ("communities", "--provinces", "P000"),
         ],
     )
     def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, monkeypatch, command, option, value):
@@ -402,7 +353,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_staged", ran)
         monkeypatch.setattr(cli.ingest, "parse_records", ran)
         out = tmp_path / "parent" / "out"
-        seed = [] if command in ("build-od", "flows") else ["--seed", "1"]
+        seed = [] if command in ("build-od", "flows", "diversity") else ["--seed", "1"]
         given = [option] if value is None else [option, value]
         assert main([command, "--in", str(tmp_path), "--out", str(out), *seed, *given]) == 1
         want = f"unrecognized arguments: {option}" if option in REMOVED_OPTIONS else f"argument {option}"
@@ -509,7 +460,7 @@ class TestExitCodes:
             assert f"error: {path}: not UTF-8 text" in err
             assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["flows"], ["communities", "--seed", "0", "--trials", "1"]])
+    @pytest.mark.parametrize("command", [["flows"]])
     def test_province_id_that_is_not_a_string_is_data_error(self, probe_store, tmp_path, capsys, command):
         store = shutil.copytree(probe_store, tmp_path / "store")
         path = store / "territory.json"
@@ -796,40 +747,10 @@ class TestStagedOutputs:
         before = {p for p in tmp_path.rglob("*") if p.is_file()}
         out = tmp_path / "res" / "out"
         assert main(["report", "--in", str(data), "--out", str(out), "--seed", "0", "--trials", "1"]) == 0
-        store = out / "od-store"
-        assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "0", "--trials", "1",
-                     "--provinces", "../../evil,Bolzano/Bozen"]) == 0
         assert {p for p in tmp_path.rglob("*") if p.is_file() and out not in p.parents} == before
         assert {"..%2F..%2Fevil.csv", "Bolzano%2FBozen.csv"} <= {p.name for p in (out / "flows").iterdir()}
         assert len(list((out / "flows").iterdir())) == 5
-        assert (out / "partitions_..%2F..%2Fevil_Bolzano%2FBozen.json").is_file()
         _assert_no_staging(out)
-
-    def test_province_sets_name_distinct_partition_files(self, tmp_path):
-        data = tmp_path / "data"
-        (data / "xdr").mkdir(parents=True)
-        (data / "registry.csv").write_text(
-            "antenna_id,lat,lon,municipality_id,province_id\n"
-            "A1,45.0,9.0,M1,A_B\nA2,45.1,9.1,M2,C\nA3,45.2,9.2,M3,A\nA4,45.3,9.3,M4,B_C\n"
-        )
-        # on 2020-03-02 (Europe/Rome), u1 goes M1 -> M2 and u2 goes M3 -> M4
-        (data / "xdr" / "x.csv").write_text(
-            "user_id,timestamp,antenna,kilobytes\n"
-            "u1,1583139600,A1,5\nu1,1583146800,A2,5\nu2,1583139600,A3,5\nu2,1583146800,A4,5\n"
-        )
-        store, out = tmp_path / "store", tmp_path / "out"
-        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
-        for provinces in ("A_B,C", "A,B_C"):
-            assert main(["communities", "--in", str(store), "--out", str(out), "--seed", "0", "--trials", "1",
-                         "--provinces", provinces]) == 0
-        kept = {}
-        for name in ("partitions_A%5FB_C.json", "partitions_A_B%5FC.json"):
-            dump = json.loads((out / name).read_text())
-            kept[name] = sorted(m for day in dump for mod in day["modules"] for m in mod["municipalities"])
-        assert kept == {"partitions_A%5FB_C.json": ["M1", "M2"], "partitions_A_B%5FC.json": ["M3", "M4"]}
-        assert sorted(p.name for p in out.iterdir()) == [
-            "communities.csv", "partitions.json", "partitions_A%5FB_C.json", "partitions_A_B%5FC.json"
-        ]
 
     def test_synth_rerun_replaces_the_record_directories(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -944,8 +865,11 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_report_bytes_are_pinned(self, tmp_path):
-        # Any change to a seeded stream (synth's, k-means++'s or the map-equation
-        # sweeps') or to a table's bytes fails here, on every interpreter CI runs.
+        # Any change to a seeded stream that reaches a result (synth's plan, drawn by
+        # generate_plan, k-means++'s or the map-equation sweeps') or to a table's bytes
+        # fails here, on every interpreter CI runs. synth's record writer cannot fail
+        # here, since its draws never change an OD: test_synth.py::TestGeneratedBytes
+        # pins the bytes it writes.
         # With 4 provinces of 3 municipalities both cluster labels and partitions
         # depend on the search order; with 3 x 3 every order finds the same result.
         config = write_config(tmp_path / "c.json", n_provinces=4, municipalities_per_province=3, n_days=4,
@@ -972,6 +896,16 @@ class TestDeterminism:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
         truth = json.loads((tmp_path / "d" / "ground_truth.json").read_text())
         assert truth["regimes"][1]["flow_scale"] == 0.5
+
+    def test_planted_levels_preset(self, tmp_path):
+        """README's planted_levels preset writes the levels and groups of planted_levels_config."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": "planted_levels", "seed": 7, "n_days": 2, "n_provinces": 10}))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
+        truth = json.loads((tmp_path / "d" / "ground_truth.json").read_text())
+        expected = synth.planted_levels_config(7, n_days=2, n_provinces=10)
+        assert truth["planted_cluster_levels"] == expected.planted_cluster_levels
+        assert truth["planted_cluster_groups"] == synth.generate_plan(expected).planted_cluster_groups
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -297,7 +297,7 @@ class TestMatchesOracles:
         plan = synth.generate_plan(synth.lockdown_scenario_config(0, **overrides))
         cube = od.aggregate_to_province(plan.municipality_ods(), plan.territory.muni_to_province)
         for direction in diversity.DIRECTIONS:
-            matrix = SeriesMatrix.from_diversity(diversity.diversity_series(cube, direction, False))
+            matrix = SeriesMatrix.from_diversity(diversity.diversity_series(cube, direction))
             ks = range(2, min(20, len(matrix.provinces)) + 1)
             fast = select_k(matrix, ks, seed=0)
             with monkeypatch.context() as patch:

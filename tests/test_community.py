@@ -470,8 +470,6 @@ class TestCommunityCountSeries:
         series = community_count_series([_od(cells)], seed=1, trials=4)
         dump = partition_dump(series[0])
         assert {tuple(m["municipalities"]) for m in dump["modules"]} == {("a", "b"), ("c", "d")}
-        filtered = partition_dump(series[0], municipality_filter=["a", "b"])
-        assert [m["municipalities"] for m in filtered["modules"]] == [["a", "b"]]
 
 
 def _helper_days():

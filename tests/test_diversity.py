@@ -33,14 +33,14 @@ def in_flows_od(flows: dict[str, int], target="A", day=DAY):
     return province_day(day, {(src, target): c for src, c in flows.items()})
 
 
-def series_of(ods, province, direction, provinces=TERRITORY_110, include_self=False):
+def series_of(ods, province, direction, provinces=TERRITORY_110):
     """One province's diversity on each day, None where absent."""
-    diversity = diversity_series(cube_of(ods, provinces), direction, include_self)
+    diversity = diversity_series(cube_of(ods, provinces), direction)
     return oracles.rows_with_none(diversity.values)[diversity.provinces.index(province)]
 
 
-def value_of(od, province, direction, provinces=TERRITORY_110, include_self=False):
-    return series_of([od], province, direction, provinces, include_self)[0]
+def value_of(od, province, direction, provinces=TERRITORY_110):
+    return series_of([od], province, direction, provinces)[0]
 
 
 def deltas_of(ods, split):
@@ -103,11 +103,8 @@ class TestFlowDiversity:
         od = province_day(DAY, {("A", "A"): 40, ("S000", "A"): 30, ("S001", "A"): 10})
         base = value_of(od, "A", "in")
         assert base == pytest.approx(oracles.entropy_direct([30, 10], 110), abs=1e-12)
-        with_self = value_of(od, "A", "in", include_self=True)
-        assert with_self == pytest.approx(oracles.entropy_direct([40, 30, 10], 110), abs=1e-12)
         only_self = province_day(DAY, {("A", "A"): 40})
         assert value_of(only_self, "A", "out") is None
-        assert value_of(only_self, "A", "out", include_self=True) == 0.0
 
     def test_single_province_territory_rejected(self):
         cube = cube_of([in_flows_od({})], ["A"])
@@ -197,19 +194,14 @@ class TestCubeMatchesPerProvinceScans:
             for name in FLOW_SERIES:
                 assert getattr(flows, name)[i].tolist() == getattr(expected, name)
         for direction in DIRECTIONS:
-            for include_self in (False, True):
-                diversity = diversity_series(cube, direction, include_self)
-                assert diversity.provinces == tuple(ordered)
-                assert diversity.direction == direction
-                assert list(diversity.dates) == dates
-                assert diversity.values.dtype == np.float64
-                for province, values in zip(ordered, oracles.rows_with_none(diversity.values)):
-                    expected = [
-                        oracles.flow_diversity(od, province, direction, len(provinces), include_self)
-                        for od in ods
-                    ]
-                    assert values == expected
-                    assert all(type(v) is float for v in values if v is not None)
+            diversity = diversity_series(cube, direction)
+            assert diversity.provinces == tuple(ordered)
+            assert diversity.direction == direction
+            assert list(diversity.dates) == dates
+            assert diversity.values.dtype == np.float64
+            for province, values in zip(ordered, oracles.rows_with_none(diversity.values)):
+                assert values == [oracles.flow_diversity(od, province, direction, len(provinces)) for od in ods]
+                assert all(type(v) is float for v in values if v is not None)
 
 
 class TestArraysMatchListPath:
@@ -234,22 +226,21 @@ class TestArraysMatchListPath:
                 assert getattr(flows, name)[i].tolist() == getattr(expected, name)
         split = DAY + timedelta(days=split_offset)
         for direction in DIRECTIONS:
-            for include_self in (False, True):
-                diversity = diversity_series(cube, direction, include_self)
-                reference = oracles.diversity_series_reference(cube, direction, include_self)
-                assert list(diversity.provinces) == [s.province_id for s in reference]
-                assert oracles.rows_with_none(diversity.values) == [s.values for s in reference]
-                assert weekend_deltas(diversity, split) == oracles.weekend_deltas_reference(reference, split)
-                try:
-                    expected = oracles.series_matrix_reference(reference)
-                except ValueError as exc:
-                    with pytest.raises(ValueError, match=str(exc)):
-                        SeriesMatrix.from_diversity(diversity)
-                    continue
-                matrix = SeriesMatrix.from_diversity(diversity)
-                assert (matrix.provinces, matrix.dropped) == (expected.provinces, expected.dropped)
-                assert matrix.values.tobytes() == expected.values.tobytes()
-                assert matrix.values.shape == expected.values.shape
+            diversity = diversity_series(cube, direction)
+            reference = oracles.diversity_series_reference(cube, direction)
+            assert list(diversity.provinces) == [s.province_id for s in reference]
+            assert oracles.rows_with_none(diversity.values) == [s.values for s in reference]
+            assert weekend_deltas(diversity, split) == oracles.weekend_deltas_reference(reference, split)
+            try:
+                expected = oracles.series_matrix_reference(reference)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    SeriesMatrix.from_diversity(diversity)
+                continue
+            matrix = SeriesMatrix.from_diversity(diversity)
+            assert (matrix.provinces, matrix.dropped) == (expected.provinces, expected.dropped)
+            assert matrix.values.tobytes() == expected.values.tobytes()
+            assert matrix.values.shape == expected.values.shape
 
 
 class TestDiversitySeries:
