@@ -12,9 +12,9 @@ clusters. Every other subcommand loads its inputs from an OD store and
 calls the same stage function, so each table has one path.
 
 `build_parser` parses every option value that can be checked without reading an
-input: a bad date, --k-range or --tz, or a --from after --to, is a usage error
-before anything is read or written. The check that needs the territory
-(--k-range against its province count) runs in the commands, before any stage.
+input: a bad date or --tz, or a --from after --to, is a usage error before
+anything is read or written. The trip rule's dwell (`ingest.DWELL_SECONDS`) and
+the k range searched by clustering (`cluster.K_RANGE`) are constants.
 `_write_csv` and `_write_json` write every result file: the stage modules
 return the tables and payloads. A file name built from a province id escapes
 `%` and `/` (`_file_name`), so that every id names one file inside its directory.
@@ -73,7 +73,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-od", help="records -> daily municipality OD matrices")
     p.add_argument("--in", dest="in_dir", required=True, help="scenario directory (registry.csv, cdr/, xdr/)")
     p.add_argument("--out", required=True, help="OD store directory")
-    p.add_argument("--dwell-seconds", type=_int_at_least(0), default=ingest.DEFAULT_DWELL_SECONDS)
     p.add_argument("--tz", type=_time_zone, default=ingest.DEFAULT_TIMEZONE)
     _add_date_range(p)
 
@@ -91,7 +90,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_dir", required=True, help="OD store directory")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--k-range", type=_k_range, default=cluster_mod.DEFAULT_K_RANGE, help="LO:HI inclusive")
     _add_date_range(p)
 
     p = sub.add_parser("communities", help="daily local-job-market detection")
@@ -105,9 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_dir", required=True, help="scenario directory")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
-    p.add_argument("--dwell-seconds", type=_int_at_least(0), default=ingest.DEFAULT_DWELL_SECONDS)
     p.add_argument("--tz", type=_time_zone, default=ingest.DEFAULT_TIMEZONE)
-    p.add_argument("--k-range", type=_k_range, default=cluster_mod.DEFAULT_K_RANGE, help="LO:HI inclusive")
     p.add_argument("--trials", type=_int_at_least(1), default=community_mod.DEFAULT_TRIALS)
     p.add_argument("--split-date", type=_iso_date,
                    help="pre/post split; defaults to the last regime start in ground_truth.json")
@@ -137,28 +133,11 @@ def _iso_date(raw: str) -> date:
         raise argparse.ArgumentTypeError(f"bad date {raw!r}: {exc}") from None
 
 
-def _k_range(raw: str) -> range:
-    try:
-        lo, hi = (int(part) for part in raw.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {raw!r}") from None
-    if lo < 2 or hi < lo:
-        raise argparse.ArgumentTypeError(f"needs 2 <= LO <= HI, got {raw!r}")
-    return range(lo, hi + 1)
-
-
 def _time_zone(raw: str) -> ZoneInfo:
     try:
         return ZoneInfo(raw)
     except (ZoneInfoNotFoundError, ValueError):  # a KeyError, which argparse does not catch
         raise argparse.ArgumentTypeError(f"unknown time zone {raw!r}") from None
-
-
-def _check_k_range(k_range: range, territory: dict[str, str]) -> None:
-    """Reject a k range no clustering of the territory's provinces can reach, before any stage runs."""
-    n = len(set(territory.values()))
-    if k_range.start > n:
-        raise ValueError(f"k_range must lie within [2, {n}]")
 
 
 def _in_range(day: date, lo: date | None, hi: date | None) -> bool:
@@ -289,7 +268,6 @@ def _build_od(
     registry: ingest.AntennaRegistry,
     in_dir: Path,
     store: Path,
-    dwell_seconds: int,
     tz: ZoneInfo,
     lo: date | None = None,
     hi: date | None = None,
@@ -298,7 +276,7 @@ def _build_od(
     cdr_files = sorted((in_dir / "cdr").glob("*.csv")) if (in_dir / "cdr").is_dir() else []
     xdr_files = sorted((in_dir / "xdr").glob("*.csv")) if (in_dir / "xdr").is_dir() else []
     parsed = ingest.parse_records(cdr_files, xdr_files, registry)
-    trips_by_day = ingest.daily_trips(parsed, dwell_seconds, tz)
+    trips_by_day = ingest.daily_trips(parsed, ingest.DWELL_SECONDS, tz)
     ods = [
         od.build_daily_od(trips_by_day.pop(day), parsed.municipalities, day)
         for day in sorted(trips_by_day)
@@ -324,17 +302,19 @@ def _build_od(
 def cmd_build_od(args, stage: Path) -> int:
     in_dir = Path(args.in_dir)
     registry = ingest.load_registry(in_dir / "registry.csv")
-    _build_od(registry, in_dir, stage, args.dwell_seconds, args.tz, args.from_date, args.to_date)
+    _build_od(registry, in_dir, stage, args.tz, args.from_date, args.to_date)
     return 0
 
 
 # Each _write_* helper writes under `stage` and names the paths under `out`,
 # where they appear once the command succeeds.
-def _write_flows(cube: od.ProvinceCube, stage: Path, out: Path) -> None:
+def _write_flows(cube: od.ProvinceCube, stage: Path, out: Path) -> flows_mod.ProvinceFlows:
     (stage / "flows").mkdir()
-    for province, rows in flows_mod.flow_tables(flows_mod.compute_flows(cube)):
+    flows = flows_mod.compute_flows(cube)
+    for province, rows in flows_mod.flow_tables(flows):
         _write_csv(stage / "flows" / f"{_file_name(province)}.csv", rows)
     print(f"flows: {len(cube.provinces)} provinces x {len(cube.dates)} days -> {out / 'flows'}")
+    return flows
 
 
 def cmd_flows(args, stage: Path) -> int:
@@ -367,16 +347,17 @@ def cmd_diversity(args, stage: Path) -> int:
 
 
 def _write_clusters(
-    by_direction: _ByDirection, k_range: range, seed: int, stage: Path, out: Path
+    by_direction: _ByDirection, seed: int, stage: Path, out: Path
 ) -> dict[str, cluster_mod.KSelection]:
     """Select k and cluster each direction's series; returns the selections by direction."""
     selections = {}
+    k_range = cluster_mod.K_RANGE
     for direction, diversity in by_direction.items():
         matrix = cluster_mod.SeriesMatrix.from_diversity(diversity)
         if len(matrix.provinces) < k_range.start:
             raise ValueError(
                 f"cluster[{direction}]: {len(matrix.provinces)} province(s) left to cluster, fewer than"
-                f" --k-range's start {k_range.start}; dropped as absent on more than"
+                f" the smallest k, {k_range.start} (K_RANGE); dropped as absent on more than"
                 f" {cluster_mod.MAX_ABSENT_FRACTION:.0%} of the days (MAX_ABSENT_FRACTION):"
                 f" {', '.join(matrix.dropped)}"
             )
@@ -391,12 +372,8 @@ def _write_clusters(
 
 
 def cmd_cluster(args, stage: Path) -> int:
-    store = Path(args.in_dir)
-    territory = _load_territory(store)
-    _check_k_range(args.k_range, territory)
-    cube = od.aggregate_to_province(_load_ods(store, args.from_date, args.to_date), territory)
-    by_direction = _diversity_series(cube)
-    _write_clusters(by_direction, args.k_range, args.seed, stage, Path(args.out))
+    by_direction = _diversity_series(_province_inputs(args))
+    _write_clusters(by_direction, args.seed, stage, Path(args.out))
     return 0
 
 
@@ -424,26 +401,24 @@ def cmd_report(args, stage: Path) -> int:
     if split is None:
         raise UsageError("report needs --split-date (no regime schedule found in ground_truth.json)")
     registry = ingest.load_registry(in_dir / "registry.csv")
-    _check_k_range(args.k_range, registry.muni_to_province)
 
-    territory, muni_ods = _build_od(registry, in_dir, stage / "od-store", args.dwell_seconds, args.tz)
+    territory, muni_ods = _build_od(registry, in_dir, stage / "od-store", args.tz)
     cube = od.aggregate_to_province(muni_ods, territory)
-    by_direction = selections = None
+    flows = by_direction = selections = None
 
     def tables() -> None:  # runs while a helper process, if one started, detects communities
-        nonlocal by_direction, selections
-        _write_flows(cube, stage, out_dir)
+        nonlocal flows, by_direction, selections
+        flows = _write_flows(cube, stage, out_dir)
         by_direction = _diversity_series(cube)
         _write_diversity(by_direction, stage, out_dir)
-        selections = _write_clusters(by_direction, args.k_range, args.seed, stage, out_dir)
+        selections = _write_clusters(by_direction, args.seed, stage, out_dir)
 
     communities = community_mod.community_count_series(
         muni_ods, seed=args.seed, trials=args.trials, meanwhile=tables
     )
     _write_communities(communities, stage, out_dir)
 
-    # flow drop: mean daily inter-province volume (all trips minus self-loops), post vs pre split
-    inter = (cube.counts.sum(axis=(1, 2)) - cube.counts.trace(axis1=1, axis2=2)).tolist()
+    inter = flows.out_flow.sum(axis=0).tolist()
     pre = [total for day, total in zip(cube.dates, inter) if day < split]
     post = [total for day, total in zip(cube.dates, inter) if day >= split]
     flow_drop_pct = None

@@ -28,7 +28,7 @@ from .diversity import ProvinceDiversity
 
 MAX_ITER = 300
 RESTARTS = 8
-DEFAULT_K_RANGE = range(2, 21)  # the CLI's --k-range
+K_RANGE = range(2, 21)  # the k searched, clamped to the province count
 MAX_ABSENT_FRACTION = 0.5  # a province absent on more of its days is not clustered
 _UNIT_ROUNDOFF = 2.0**-53
 

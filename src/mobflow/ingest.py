@@ -7,8 +7,7 @@ checked on load, not kept), both are reduced to rows of one columnar table of
 (user, timestamp, municipality) events, sorted by user and time. Trips are read
 off the table's runs: sequences are cut at local midnight, and a change of
 municipality is a trip only if the user then stays at the destination long
-enough (the CLI's `--dwell-seconds`, one hour by default) or is not seen
-elsewhere again that day.
+enough (`DWELL_SECONDS`, one hour) or is not seen elsewhere again that day.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_DWELL_SECONDS = 3600
+DWELL_SECONDS = 3600
 DEFAULT_TIMEZONE = "Europe/Rome"
 
 CDR_COLUMNS = ["caller_id", "callee_id", "timestamp", "antenna_start", "antenna_end", "duration_min"]

@@ -28,7 +28,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .ingest import DEFAULT_TIMEZONE
+from .ingest import CDR_COLUMNS, DEFAULT_TIMEZONE, REGISTRY_COLUMNS, XDR_COLUMNS
 from .od import DailyOD, build_daily_od
 
 GRAVITY_EXPONENT = 2.0  # distance decay of inter-province attraction
@@ -416,7 +416,7 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
     registry_rows = _registry_rows(config, territory)
     registry_path = out_dir / "registry.csv"
     with registry_path.open("w", newline="") as fh:
-        fh.write("antenna_id,lat,lon,municipality_id,province_id\n")
+        fh.write(",".join(REGISTRY_COLUMNS) + "\n")
         for antenna, lat, lon, muni, province in registry_rows:
             fh.write(f"{antenna},{lat},{lon},{muni},{province}\n")
     # registry rows list each municipality's antennas together, in municipality code order
@@ -433,8 +433,8 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
         cdr_path = out_dir / "cdr" / f"{day.isoformat()}.csv"
         xdr_path = out_dir / "xdr" / f"{day.isoformat()}.csv"
         with cdr_path.open("w", newline="") as cdr_fh, xdr_path.open("w", newline="") as xdr_fh:
-            cdr_fh.write("caller_id,callee_id,timestamp,antenna_start,antenna_end,duration_min\n")
-            xdr_fh.write("user_id,timestamp,antenna,kilobytes\n")
+            cdr_fh.write(",".join(CDR_COLUMNS) + "\n")
+            xdr_fh.write(",".join(XDR_COLUMNS) + "\n")
             trips = zip(plan.daily_trips[day].tolist(), plan.daily_violations[day].tolist())
             for i, ((origin, destination), violated) in enumerate(trips):
                 user = f"u{day_index:03d}_{i:06d}"

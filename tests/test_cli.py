@@ -20,10 +20,12 @@ from mobflow.cli import main
 from mobflow.od import list_od_dates, load_daily_od
 
 # Options no command takes: detection runs on each municipality day alone, at a
-# fixed teleportation rate; diversity always leaves self-flows out; and
-# partitions.json is the one partition dump.
+# fixed teleportation rate; diversity always leaves self-flows out;
+# partitions.json is the one partition dump; and the dwell and the k range
+# searched are constants.
 REMOVED_OPTIONS = {
-    "--tau", "--window", "--granularity", "--attach-registry", "--include-self-flow-in-diversity", "--provinces"
+    "--tau", "--window", "--granularity", "--attach-registry", "--include-self-flow-in-diversity", "--provinces",
+    "--dwell-seconds", "--k-range",
 }
 
 SUMMARY_FIELDS = {
@@ -161,8 +163,7 @@ class TestSmokePath:
         assert main(["diversity", "--in", str(store), "--out", str(out)]) == 0
         assert (out / "diversity.csv").exists()
         assert (out / "diversity_in_wide.csv").exists()
-        assert main(["cluster", "--in", str(store), "--out", str(out),
-                     "--seed", "1", "--k-range", "2:4"]) == 0
+        assert main(["cluster", "--in", str(store), "--out", str(out), "--seed", "1"]) == 0
         assert (out / "cluster_out.json").exists()
         assert main(["communities", "--in", str(store), "--out", str(out),
                      "--seed", "1", "--trials", "2"]) == 0
@@ -259,7 +260,7 @@ class TestSmokePath:
         tables = {}
         for source in (store, fresh):
             out = tmp_path / f"tables_{source.name}"
-            for command in (["flows"], ["diversity"], ["cluster", "--seed", "5", "--k-range", "2:4"]):
+            for command in (["flows"], ["diversity"], ["cluster", "--seed", "5"]):
                 assert main([*command, "--in", str(source), "--out", str(out)]) == 0
             tables[source.name] = _tree_bytes(out)
         assert tables["store"] == tables["fresh"]
@@ -282,34 +283,6 @@ class TestExitCodes:
         assert "invalid choice: 'aggregate'" in capsys.readouterr().err
         assert _tree_bytes(store) == before
 
-    def test_bad_k_range_is_usage_error(self, scenario_dir, tmp_path, capsys):
-        store = tmp_path / "store"
-        main(["build-od", "--in", str(scenario_dir), "--out", str(store)])
-        rc = main(["cluster", "--in", str(store), "--out", str(tmp_path / "o"),
-                   "--seed", "1", "--k-range", "nope"])
-        assert rc == 1
-
-    def test_k_range_above_the_provinces_fails_before_any_stage(self, three_dir, tmp_path, capsys, monkeypatch):
-        store = tmp_path / "store"
-        assert main(["build-od", "--in", str(three_dir), "--out", str(store)]) == 0
-        assert main(["cluster", "--in", str(store), "--out", str(tmp_path / "k3"), "--seed", "0",
-                     "--k-range", "3:9"]) == 0  # k reaches the 3 provinces
-        capsys.readouterr()
-
-        def stage(*args, **kwargs):
-            raise AssertionError("a stage ran")
-
-        monkeypatch.setattr(cli, "_load_ods", stage)
-        monkeypatch.setattr(cli.ingest, "parse_records", stage)
-        monkeypatch.setattr(cli.community_mod, "_start_helper", stage)
-        for argv in (["cluster", "--in", str(store)], ["report", "--in", str(three_dir), "--trials", "1"]):
-            out = tmp_path / "out"
-            assert main([*argv, "--out", str(out), "--seed", "0", "--k-range", "4:9"]) == 2
-            captured = capsys.readouterr()
-            assert "k_range must lie within [2, 3]" in captured.err
-            assert captured.out == ""
-            assert not out.exists()
-
     @pytest.mark.parametrize(
         "command, option, value",
         [
@@ -320,8 +293,6 @@ class TestExitCodes:
             ("communities", "--window", "0"),
             ("report", "--tau", "nan"),
             ("report", "--trials", "0"),
-            ("report", "--dwell-seconds", "-1"),
-            ("build-od", "--dwell-seconds", "-100"),
             ("report", "--seed", "-1"),
             ("cluster", "--seed", "-1"),
             ("communities", "--seed", "-1"),
@@ -331,8 +302,6 @@ class TestExitCodes:
             ("flows", "--to", "yesterday"),
             ("communities", "--from", "2020/03/02"),
             ("report", "--split-date", "2020-13-01"),
-            ("cluster", "--k-range", "1:5"),
-            ("report", "--k-range", "9:3"),
             ("communities", "--window", "2"),
             ("communities", "--granularity", "province"),
             ("communities", "--attach-registry", None),
@@ -341,6 +310,10 @@ class TestExitCodes:
             ("cluster", "--include-self-flow-in-diversity", None),
             ("report", "--include-self-flow-in-diversity", None),
             ("communities", "--provinces", "P000"),
+            ("report", "--dwell-seconds", "-1"),
+            ("build-od", "--dwell-seconds", "-100"),
+            ("cluster", "--k-range", "1:5"),
+            ("report", "--k-range", "9:3"),
         ],
     )
     def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, monkeypatch, command, option, value):
@@ -374,7 +347,6 @@ class TestExitCodes:
 
     def test_option_defaults_are_typed(self):
         args = cli.build_parser().parse_args(["report", "--in", "d", "--out", "o", "--seed", "0"])
-        assert args.k_range is cli.cluster_mod.DEFAULT_K_RANGE
         assert args.tz == ZoneInfo("Europe/Rome")
         assert args.split_date is None
 
@@ -514,7 +486,7 @@ class TestExitCodes:
         tables = {}
         for name, source in (("sorted", probe_store), ("reversed", store)):
             out = tmp_path / name
-            for command in (["flows"], ["diversity"], ["cluster", "--seed", "0", "--k-range", "2:3"]):
+            for command in (["flows"], ["diversity"], ["cluster", "--seed", "0"]):
                 assert main([*command, "--in", str(source), "--out", str(out)]) == 0
             tables[name] = _tree_bytes(out)
         assert tables["reversed"] == tables["sorted"]
@@ -535,27 +507,52 @@ class TestExitCodes:
         assert main(["report", "--in", str(_two_day_data(tmp_path)), "--out", str(out), "--seed", "0",
                      "--trials", "1", "--split-date", "2020-03-03"]) == 2
         err = capsys.readouterr().err
-        assert "cluster[in]: 1 province(s) left to cluster, fewer than --k-range's start 2" in err
+        assert "cluster[in]: 1 province(s) left to cluster, fewer than the smallest k, 2 (K_RANGE)" in err
         assert "absent on more than 50% of the days (MAX_ABSENT_FRACTION): P1" in err
         assert "k_range must lie within" not in err
         assert not out.exists()
 
-    def test_failed_command_removes_new_outputs(self, scenario_dir, tmp_path):
-        config = write_config(tmp_path / "three.json", n_provinces=3, n_days=4, lockdown_day=2)
-        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "three")]) == 0
-        # cluster with a k-range above the 3 provinces fails after making --out,
-        # which goes again; the store it read is left as it was
+    def test_one_province_territory_is_data_error(self, tmp_path, capsys):
+        # diversity divides by the log of the province count, 0 for one province
+        data = tmp_path / "data"
+        (data / "xdr").mkdir(parents=True)
+        (data / "registry.csv").write_text(
+            "antenna_id,lat,lon,municipality_id,province_id\n"
+            "A1,45.0,9.0,M1,P1\n"
+            "A2,45.1,9.1,M2,P1\n"
+        )
+        (data / "xdr" / "x.csv").write_text(
+            "user_id,timestamp,antenna,kilobytes\n"
+            "u1,1583139600,A1,5\n"
+            "u1,1583146800,A2,5\n"
+        )
         store = tmp_path / "store"
-        assert main(["build-od", "--in", str(tmp_path / "three"), "--out", str(store)]) == 0
+        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
+        capsys.readouterr()
+        for argv in (["cluster", "--in", str(store)], ["report", "--in", str(data), "--split-date", "2020-03-02"]):
+            out = tmp_path / "out"
+            assert main([*argv, "--out", str(out), "--seed", "0"]) == 2
+            assert "needs at least 2 provinces" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_failed_command_removes_new_outputs(self, tmp_path, capsys):
+        data = _two_day_data(tmp_path)
+        # P1 has no in-flow, so cluster[in] has one province left: cluster fails
+        # after making --out, which goes again; the store it read is left as it was
+        store = tmp_path / "store"
+        assert main(["build-od", "--in", str(data), "--out", str(store)]) == 0
         before = _tree_bytes(store)
-        cluster = ["cluster", "--in", str(store), "--seed", "0", "--k-range", "5:9"]
+        cluster = ["cluster", "--in", str(store), "--seed", "0"]
         assert main([*cluster, "--out", str(tmp_path / "tables")]) == 2
         assert not (tmp_path / "tables").exists()
         assert _tree_bytes(store) == before
         # report fails the same way in clustering, after flows/ and the store's
         # directories were made: every new directory goes, --out included
-        report = ["report", "--in", str(tmp_path / "three"), "--seed", "0", "--trials", "1", "--k-range", "5:9"]
+        capsys.readouterr()
+        report = ["report", "--in", str(data), "--seed", "0", "--trials", "1", "--split-date", "2020-03-03"]
         assert main([*report, "--out", str(tmp_path / "new")]) == 2
+        captured = capsys.readouterr()
+        assert "flows: 2 provinces" in captured.out and "cluster[in]" in captured.err
         assert not (tmp_path / "new").exists()
         existing = tmp_path / "existing"
         (existing / "flows").mkdir(parents=True)
@@ -806,15 +803,16 @@ class TestStagedOutputs:
         assert afile.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
-    def test_failed_report_leaves_the_result_tree(self, scenario_dir, three_dir, tmp_path, capsys):
+    def test_failed_report_leaves_the_result_tree(self, scenario_dir, tmp_path, capsys):
         out = tmp_path / "R"
         assert main(["report", "--in", str(scenario_dir), "--out", str(out), "--seed", "0", "--trials", "1"]) == 0
         before = oracles.tree_digest(out)
         _assert_no_staging(out, capsys.readouterr().out)
-        rc = main(["report", "--in", str(three_dir), "--out", str(out), "--seed", "0", "--trials", "1",
-                   "--k-range", "5:9"])
+        # fails in clustering: P1 has no in-flow, so cluster[in] has one province left
+        rc = main(["report", "--in", str(_two_day_data(tmp_path)), "--out", str(out), "--seed", "0", "--trials", "1",
+                   "--split-date", "2020-03-03"])
         assert rc == 2
-        assert "k_range" in capsys.readouterr().err
+        assert "cluster[in]: 1 province(s) left to cluster" in capsys.readouterr().err
         assert oracles.tree_digest(out) == before
         _assert_no_staging(out)
 
@@ -942,9 +940,8 @@ class TestNoNumpyRandom:
         assert cli.main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
         out, store = tmp_path / "out", tmp_path / "out" / "od-store"
         commands = [
-            ["report", "--in", str(tmp_path / "data"), "--out", str(out), "--seed", "0", "--k-range", "2:3",
-             "--trials", "2"],
-            ["cluster", "--in", str(store), "--out", str(tmp_path / "cluster"), "--seed", "0", "--k-range", "2:3"],
+            ["report", "--in", str(tmp_path / "data"), "--out", str(out), "--seed", "0", "--trials", "2"],
+            ["cluster", "--in", str(store), "--out", str(tmp_path / "cluster"), "--seed", "0"],
             ["communities", "--in", str(store), "--out", str(tmp_path / "comm"), "--seed", "0", "--trials", "2"],
         ]
         runs = "".join(f"assert cli.main({argv!r}) == 0\n" for argv in commands)
