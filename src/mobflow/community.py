@@ -521,15 +521,13 @@ def _compact(assignment: list[int]) -> list[int]:
 def _one_trial(flat: _Level, node_term: float, rng: random.Random) -> tuple[list[int], float]:
     """One seeded multilevel greedy run; returns (flat assignment, codelength)."""
     n = flat.size
-    flat_assignment = list(range(n))
-    current_length = _MapState(flat, flat_assignment, node_term).codelength()
+    state = _MapState(flat, list(range(n)), node_term)  # all singletons
+    current_length = state.codelength()
     while True:
         length_before = current_length
         level = flat
         to_level = list(range(n))  # flat node -> node at the current level
-        level_modules = _compact(flat_assignment)
         while True:
-            state = _MapState(level, level_modules, node_term)
             moved = _sweep_until_stable(state, rng)
             module_count = len(set(state.module_of))
             flat_assignment = [state.module_of[to_level[i]] for i in range(n)]
@@ -538,9 +536,10 @@ def _one_trial(flat: _Level, node_term: float, rng: random.Random) -> tuple[list
                 break  # aggregation would be the identity
             level, collapse = _aggregate(level, state.module_of)
             to_level = [collapse[to_level[i]] for i in range(n)]
-            level_modules = list(range(level.size))
+            state = _MapState(level, list(range(level.size)), node_term)
         if current_length >= length_before - GAIN_EPS:
             return _compact(flat_assignment), current_length
+        state = _MapState(flat, _compact(flat_assignment), node_term)  # the next pass starts from it
 
 
 def infomap(g: FlowGraph, seed: int, trials: int) -> Partition:

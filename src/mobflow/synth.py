@@ -10,8 +10,8 @@ inter-province intensity times flow_scale, intra-province community bridges
 times bridge_scale, weekend destinations concentrated when
 weekend_concentration < 1).
 
-Everything is deterministic given the config seed: two generate() calls write
-byte-identical files.
+Everything is deterministic given the config seed: every draw comes from a
+string-seeded random.Random, and two generate() calls write byte-identical files.
 """
 
 from __future__ import annotations
@@ -85,14 +85,12 @@ class ScenarioConfig:
         for name in ("inter_trips_per_province", "cdr_fraction", "dwell_violation_rate"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ScenarioConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.n_provinces < 2:
-            raise ScenarioConfigError("need at least 2 provinces")
-        if self.municipalities_per_province < 1:
-            raise ScenarioConfigError("need at least 1 municipality per province")
-        if self.n_days < 1:
-            raise ScenarioConfigError("need at least 1 day")
         for name, least in (
+            ("n_provinces", 2),
+            ("municipalities_per_province", 1),
+            ("n_days", 1),
             ("seed", 0),
+            ("communities_per_province", 1),
             ("inter_trips_per_province", 0),
             ("intra_trips_per_pair", 0),
             ("bridge_trips_per_pair", 0),
@@ -221,7 +219,7 @@ def _build_territory(config: ScenarioConfig) -> Territory:
         ]
     communities: list[list[str]] = []
     bridges_by_province: dict[str, list[tuple[str, str]]] = {}
-    n_comm = max(1, min(config.communities_per_province, config.municipalities_per_province))
+    n_comm = min(config.communities_per_province, config.municipalities_per_province)
     for province in provinces:
         munis = munis_by_province[province]
         split = [chunk.tolist() for chunk in np.array_split(munis, n_comm)]
@@ -244,7 +242,7 @@ def _build_territory(config: ScenarioConfig) -> Territory:
 
 
 def _gravity_partners(config: ScenarioConfig, territory: Territory) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per origin province index: partner province indices and gravity choice probabilities.
+    """Per origin province index: partner province indices and their gravity weights.
 
     Every province holds as many municipalities as every other, so the
     population product of the gravity law cancels and only distance weighs.
@@ -253,13 +251,9 @@ def _gravity_partners(config: ScenarioConfig, territory: Territory) -> list[tupl
     for origin, name in enumerate(territory.provinces):
         ox, oy = territory.coords[name]
         partners = [p for p in range(config.n_provinces) if p != origin]
-        weights = []
-        for partner in partners:
-            px, py = territory.coords[territory.provinces[partner]]
-            dist = max(1.0, float(np.hypot(px - ox, py - oy)))
-            weights.append(1.0 / dist**GRAVITY_EXPONENT)
-        weights = np.array(weights)
-        out.append((np.array(partners), weights / weights.sum()))
+        coords = [territory.coords[territory.provinces[partner]] for partner in partners]
+        weights = [1.0 / max(1.0, float(np.hypot(px - ox, py - oy))) ** GRAVITY_EXPONENT for px, py in coords]
+        out.append((np.array(partners), np.array(weights)))
     return out
 
 
@@ -304,10 +298,14 @@ def _local_pairs(territory: Territory) -> tuple[np.ndarray, np.ndarray]:
 def generate_plan(config: ScenarioConfig) -> ScenarioPlan:
     """Plan every trip of the scenario; no files are touched.
 
-    Each day draws from its own generator, in a fixed order: per origin
-    province, its partner allocation, then one (origin, destination)
-    municipality draw per trip to partners in name order; then one violation
-    draw per trip when violations are on.
+    Each day draws from its own `random.Random(f"{seed},{day_index},0")`, only
+    through `random()`. Per origin province in index order: its partner
+    allocation (one gravity partner per trip, at `bisect(cumulative weights,
+    draw() * total)`, or a planted even split plus one trip to a partner drawn
+    with `_integer`), then, partners in name order, each trip's origin and
+    destination municipality with `_integer`. Community and bridge trips take
+    no draws. Last, when violations are on, a trip whose draw is below the rate
+    is violated.
     """
     territory = _build_territory(config)
     n_munis = config.municipalities_per_province
@@ -325,7 +323,7 @@ def generate_plan(config: ScenarioConfig) -> ScenarioPlan:
 
     for day_index, day in enumerate(config.dates):
         regime = config.regime_for(day)
-        rng = np.random.default_rng([config.seed, day_index])
+        draw = random.Random(f"{config.seed},{day_index},0").random
         weekend = day.weekday() >= 5
         quota = round(config.inter_trips_per_province * regime.flow_scale)
         blocks = []
@@ -337,21 +335,24 @@ def generate_plan(config: ScenarioConfig) -> ScenarioPlan:
                 partners = planted_sets[origin]
                 counts[partners] = quota // len(partners)
                 counts[partners[: quota % len(partners)]] += 1
-                counts[partners[rng.integers(len(partners))]] += 1
+                counts[partners[_integer(draw, 0, len(partners))]] += 1
             else:
-                partners, probs = gravity[origin]
+                partners, weights = gravity[origin]
                 if weekend:
                     # Concentrated weekends: a (1-c) share goes to the single top
                     # partner, the rest spreads uniformly. c = 1 is the flat,
                     # slightly-more-diverse-than-gravity weekend of normal times.
                     c = regime.weekend_concentration
                     mix = np.full(len(partners), c / len(partners))
-                    mix[int(np.argmax(probs))] += 1.0 - c
-                    probs = mix
-                counts[partners] = rng.multinomial(quota, probs)
+                    mix[int(np.argmax(weights))] += 1.0 - c
+                    weights = mix
+                cumulative = np.cumsum(weights)
+                # side="right" is bisect's: the first partner whose cumulative weight exceeds draw() * total
+                picks = np.searchsorted(cumulative, _draws(draw, quota) * cumulative[-1], side="right")
+                counts[partners] = np.bincount(picks, minlength=len(partners))
             destination = np.repeat(by_name, counts[by_name])
-            # municipality m of province p has code p * n_munis + m
-            rows = rng.integers(0, n_munis, size=(len(destination), 2))
+            # municipality m of province p has code p * n_munis + m; m is _integer(draw, 0, n_munis)
+            rows = (_draws(draw, 2 * len(destination)) * n_munis).astype(np.int64).reshape(-1, 2)
             rows[:, 0] += origin * n_munis
             rows[:, 1] += destination * n_munis
             blocks.append(rows)
@@ -359,10 +360,8 @@ def generate_plan(config: ScenarioConfig) -> ScenarioPlan:
         bridge_count = round(config.bridge_trips_per_pair * regime.bridge_scale)
         local = np.repeat(local_pairs, np.where(is_bridge, bridge_count, config.intra_trips_per_pair), axis=0)
         trips = np.concatenate(blocks + [local])
-        if config.dwell_violation_rate > 0.0:
-            violated = rng.random(len(trips)) < config.dwell_violation_rate
-        else:
-            violated = np.zeros(len(trips), dtype=bool)
+        rate = config.dwell_violation_rate
+        violated = _draws(draw, len(trips)) < rate if rate > 0.0 else np.zeros(len(trips), dtype=bool)
         daily_trips[day] = trips
         daily_violations[day] = violated
         daily_totals[day] = DayTotals(
@@ -442,11 +441,11 @@ def generate(config: ScenarioConfig, out_dir: str | Path) -> GeneratedScenario:
                 gap_min = _integer(draw, *CDR_DURATION_RANGE)
                 t0 = midnight + start_min * 60
                 t1 = t0 + gap_min * 60
-                a_origin = _pick(antennas_of[origin], draw)
-                a_dest = _pick(antennas_of[destination], draw)
+                a_origin = antennas_of[origin][_integer(draw, 0, per_muni)]
+                a_dest = antennas_of[destination][_integer(draw, 0, per_muni)]
                 if violated:
                     back_min = _integer(draw, *VIOLATION_RETURN_RANGE)
-                    a_back = _pick(antennas_of[origin], draw)
+                    a_back = antennas_of[origin][_integer(draw, 0, per_muni)]
                     kb = _integer(draw, 1, 2048)
                     xdr_fh.write(f"{user},{t0},{a_origin},{kb}\n")
                     xdr_fh.write(f"{user},{t1},{a_dest},{kb}\n")
@@ -510,8 +509,9 @@ def _integer(draw: Callable[[], float], low: int, high: int) -> int:
     return low + int(draw() * (high - low))
 
 
-def _pick(items: list[str], draw: Callable[[], float]) -> str:
-    return items[int(draw() * len(items))]
+def _draws(draw: Callable[[], float], n: int) -> np.ndarray:
+    """The next n values of `draw`, as a float64 array."""
+    return np.array([draw() for _ in range(n)], dtype=np.float64)
 
 
 def lockdown_scenario_config(

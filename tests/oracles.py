@@ -8,9 +8,10 @@ dense linear algebra, exhaustive enumeration, straight-line formulas.
 import hashlib
 import math
 import random
+from bisect import bisect
 from collections import Counter, defaultdict, namedtuple
 from datetime import datetime
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -30,7 +31,7 @@ from mobflow.community import (
 from mobflow.diversity import flow_diversity as diversity_kernel
 from mobflow.ingest import ParseResult, daily_trips
 from mobflow.od import DailyOD, aggregate_to_province
-from mobflow.synth import GRAVITY_EXPONENT, DayTotals, _build_territory
+from mobflow.synth import GRAVITY_EXPONENT
 
 Event = namedtuple("Event", "user_id timestamp municipality_id")
 DictFlow = namedtuple("DictFlow", "visit_rates edge_flows")
@@ -764,120 +765,138 @@ def mean_silhouette_reference(dists, labels):
     return float(scores.mean())
 
 
-def _gravity_partners_reference(config, territory):
-    """Per origin province name: partner names and gravity choice probabilities."""
+def _territory_reference(config):
+    """Province names, their grid coordinates and municipality names, and per province
+    its planted communities (consecutive runs of its municipalities, the first runs one
+    longer) and bridges (the first two members of each run with those of the next, both
+    ways round).
+    """
+    n, m = config.n_provinces, config.municipalities_per_province
+    side = math.isqrt(n - 1) + 1  # the least square grid that holds n provinces
+    provinces = [f"P{p:03d}" for p in range(n)]
+    coords = {name: (float(p % side), float(p // side)) for p, name in enumerate(provinces)}
+    munis = {name: [f"M{p:03d}_{j:02d}" for j in range(m)] for p, name in enumerate(provinces)}
+    k = min(config.communities_per_province, m)
+    sizes = [m // k + (1 if i < m % k else 0) for i in range(k)]
+    communities, bridges = {}, {}
+    for name in provinces:
+        runs = [munis[name][sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(k)]
+        communities[name] = runs
+        bridges[name] = [
+            pair
+            for a, b in zip(runs, runs[1:])
+            for j in range(min(2, len(a), len(b)))
+            for pair in ((a[j], b[j]), (b[j], a[j]))
+        ]
+    return provinces, coords, munis, communities, bridges
+
+
+def _gravity_partners_reference(provinces, coords):
+    """Per origin province name: the other names in province order, and their gravity weights."""
     out = {}
-    for origin in territory.provinces:
-        ox, oy = territory.coords[origin]
-        partners = [p for p in territory.provinces if p != origin]
+    for origin in provinces:
+        ox, oy = coords[origin]
+        partners = [p for p in provinces if p != origin]
         weights = []
         for partner in partners:
-            px, py = territory.coords[partner]
+            px, py = coords[partner]
             dist = max(1.0, float(np.hypot(px - ox, py - oy)))
             weights.append(1.0 / dist**GRAVITY_EXPONENT)
-        weights = np.array(weights)
-        out[origin] = (partners, weights / weights.sum())
+        out[origin] = (partners, weights)
     return out
 
 
-def _planted_partner_sets_reference(config, territory):
+def _planted_partner_sets_reference(config, provinces):
     """Per province name: the partner names of its planted diversity level, and its group."""
     levels = config.planted_cluster_levels
-    n = config.n_provinces
+    n = len(provinces)
     k = len(levels)
     groups = {}
     partner_sets = {}
-    for p, province in enumerate(territory.provinces):
+    for p, province in enumerate(provinces):
         group = p * k // n
         groups[province] = group
         m = int(round(n ** levels[group]))
         m = max(1, min(m, n - 1))
-        partner_sets[province] = [territory.provinces[(p + 1 + j) % n] for j in range(m)]
+        partner_sets[province] = [provinces[(p + 1 + j) % n] for j in range(m)]
     return partner_sets, groups
 
 
 def _allocate_near_uniform_reference(total, partners, rng):
-    """Floor allocation over `partners`, the remainder to the first ones, plus one jittered extra trip."""
+    """Floor allocation over `partners`, the remainder to the first ones, plus one extra
+    trip to a uniformly drawn partner."""
     counts = Counter()
     base, remainder = divmod(total, len(partners))
     for i, partner in enumerate(partners):
         counts[partner] = base + (1 if i < remainder else 0)
-    if total > 0:
-        counts[partners[int(rng.integers(len(partners)))]] += 1
+    counts[partners[int(rng.random() * len(partners))]] += 1
     return counts
+
+
+def _allocate_gravity_reference(total, partners, weights, rng):
+    """`total` independent partner choices, each with chance proportional to its weight:
+    the first partner whose cumulative weight exceeds random() times their sum."""
+    cumulative = list(accumulate(weights))
+    return Counter(partners[bisect(cumulative, rng.random() * cumulative[-1])] for _ in range(total))
 
 
 def generate_plan_reference(config):
     """`synth.generate_plan` trip by trip, with names: a ReferencePlan whose days hold
     (origin, destination, violated) triples in planning order, the post-violation
-    cells counted with a Counter, and the day totals.
+    cells counted with a Counter, and the (total, inter-province, intra-province)
+    trip counts.
+
+    Day d draws from `random.Random(f"{seed},{d},0")`, through random() alone: per
+    origin province, its partner allocation, then each trip's origin and destination
+    municipality, partners in name order; after every trip is planned, one violation
+    draw per trip when the rate is above 0. An index below n is int(random() * n).
     """
-    territory = _build_territory(config)
+    provinces, coords, munis, communities, bridges = _territory_reference(config)
     planted_sets = planted_groups = None
     if config.planted_cluster_levels is not None:
-        planted_sets, planted_groups = _planted_partner_sets_reference(config, territory)
+        planted_sets, planted_groups = _planted_partner_sets_reference(config, provinces)
     else:
-        gravity = _gravity_partners_reference(config, territory)
+        gravity = _gravity_partners_reference(provinces, coords)
 
     daily_trips, daily_cells, daily_totals = {}, {}, {}
     for day_index, day in enumerate(config.dates):
         regime = config.regime_for(day)
-        rng = np.random.default_rng([config.seed, day_index])
-        weekend = day.weekday() >= 5
+        rng = random.Random(f"{config.seed},{day_index},0")
+        quota = round(config.inter_trips_per_province * regime.flow_scale)
         trips = []
-
-        inter = 0
-        for origin in territory.provinces:
-            quota = round(config.inter_trips_per_province * regime.flow_scale)
-            if quota <= 0:
-                continue
+        for origin in provinces if quota > 0 else []:
             if planted_sets is not None:
                 counts = _allocate_near_uniform_reference(quota, planted_sets[origin], rng)
             else:
-                partners, probs = gravity[origin]
-                if weekend:
+                partners, weights = gravity[origin]
+                if day.weekday() >= 5:
+                    # the weekend mix: a 1 - c share to the heaviest partner, c spread evenly
                     c = regime.weekend_concentration
-                    mix = np.full(len(partners), c / len(partners))
-                    mix[int(np.argmax(probs))] += 1.0 - c
-                    drawn = rng.multinomial(quota, mix)
-                else:
-                    drawn = rng.multinomial(quota, probs)
-                counts = Counter({partner: int(cnt) for partner, cnt in zip(partners, drawn) if cnt})
-            origin_munis = territory.munis_by_province[origin]
+                    top = weights.index(max(weights))
+                    weights = [c / len(partners)] * len(partners)
+                    weights[top] += 1.0 - c
+                counts = _allocate_gravity_reference(quota, partners, weights, rng)
             for partner in sorted(counts):
-                dest_munis = territory.munis_by_province[partner]
                 for _ in range(counts[partner]):
-                    o_muni = origin_munis[int(rng.integers(len(origin_munis)))]
-                    d_muni = dest_munis[int(rng.integers(len(dest_munis)))]
+                    o_muni = munis[origin][int(rng.random() * len(munis[origin]))]
+                    d_muni = munis[partner][int(rng.random() * len(munis[partner]))]
                     trips.append((o_muni, d_muni, False))
-                    inter += 1
+        inter = len(trips)
 
-        intra = 0
-        for province in territory.provinces:
-            munis = set(territory.munis_by_province[province])
-            for community in territory.communities:
-                if community[0] not in munis or len(community) < 2:
-                    continue
+        bridge_count = round(config.bridge_trips_per_pair * regime.bridge_scale)
+        for province in provinces:
+            for community in communities[province]:
                 for a in community:
                     for b in community:
                         if a != b:
-                            for _ in range(config.intra_trips_per_pair):
-                                trips.append((a, b, False))
-                                intra += 1
-            bridge_count = round(config.bridge_trips_per_pair * regime.bridge_scale)
-            for a, b in territory.bridges_by_province[province]:
-                for _ in range(bridge_count):
-                    trips.append((a, b, False))
-                    intra += 1
+                            trips.extend([(a, b, False)] * config.intra_trips_per_pair)
+            for a, b in bridges[province]:
+                trips.extend([(a, b, False)] * bridge_count)
 
         if config.dwell_violation_rate > 0.0:
-            flags = rng.random(len(trips)) < config.dwell_violation_rate
-            trips = [(o, d, bool(flag)) for (o, d, _), flag in zip(trips, flags)]
-
-        cells = Counter()
-        for o, d, violated in trips:
-            cells[(d, o) if violated else (o, d)] += 1
+            trips = [(o, d, rng.random() < config.dwell_violation_rate) for o, d, _ in trips]
+        cells = Counter((d, o) if violated else (o, d) for o, d, violated in trips)
         daily_trips[day] = trips
         daily_cells[day] = dict(cells)
-        daily_totals[day] = DayTotals(total=inter + intra, inter_province=inter, intra_province=intra)
+        daily_totals[day] = (len(trips), inter, len(trips) - inter)
     return ReferencePlan(daily_trips, daily_cells, daily_totals, planted_groups)

@@ -91,12 +91,12 @@ class TestGeneratedBytes:
                 synth.lockdown_scenario_config(3944, n_provinces=3, municipalities_per_province=3, n_days=2,
                                                lockdown_day=1, inter_trips_per_province=40, intra_trips_per_pair=20,
                                                dwell_violation_rate=0.3, antennas_per_municipality=3),
-                "1b73e090402187408a9a236b97c36eee71097d2c12b7aca2fb47f42e86f829f8",
+                "ac11f66dba40329dc99eb28a640a0da15e5504f82f0beeee171b3035b47a5889",
             ),
             (
                 synth.planted_levels_config(4, n_provinces=8, n_days=3, municipalities_per_province=2,
                                             dwell_violation_rate=0.3),
-                "14babdb2846e88121d5e5c9e0a847495ec16b4c34661dfbe580dcbf62f82305a",
+                "f787f1a2138de0bd7688d0297085ded8f58644510c300b565cb0d5f803defea3",
             ),
         ],
         ids=["lockdown", "planted_levels"],
@@ -168,13 +168,15 @@ def _assert_plan_matches_reference(config):
         assert violated.dtype == bool and violated.shape == (len(expected),)
         rows = zip(trips.tolist(), violated.tolist())
         assert [(names[o], names[d], v) for (o, d), v in rows] == expected
-    assert plan.daily_totals == reference.daily_totals
+    assert {day: (t.total, t.inter_province, t.intra_province) for day, t in plan.daily_totals.items()} == (
+        reference.daily_totals
+    )
     assert plan.daily_cells == reference.daily_cells
     assert plan.planted_cluster_groups == reference.planted_cluster_groups
 
 
 class TestPlanMatchesReference:
-    """The coded planner against the trip-by-trip generator it replaced."""
+    """The array planner against an independent trip-by-trip generator with names."""
 
     @given(small_configs())
     @example(synth.lockdown_scenario_config(0, n_provinces=2, municipalities_per_province=101, n_days=2,
@@ -187,6 +189,37 @@ class TestPlanMatchesReference:
         # P1000 sorts before P991, so province codes leave name order here
         config = synth.planted_levels_config(seed=0, n_provinces=1001, n_days=1, inter_trips_per_province=40)
         _assert_plan_matches_reference(config)
+
+
+class TestPlanShape:
+    @given(small_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_each_origin_sends_its_quota_to_its_partners_in_name_order(self, config):
+        """Whatever is drawn: per day, origins in province order, each with exactly its
+        quota of inter-province trips (one more when planted), to its partners only, in
+        partner name order; and no violation at rate 0."""
+        plan = synth.generate_plan(config)
+        provinces, n = plan.territory.provinces, config.n_provinces
+        province_of = [p for p in range(n) for _ in range(config.municipalities_per_province)]
+        partners = {p: set(range(n)) - {p} for p in range(n)}
+        levels = config.planted_cluster_levels
+        if levels is not None:
+            for p in range(n):
+                size = max(1, min(round(n ** levels[p * len(levels) // n]), n - 1))
+                partners[p] = {(p + 1 + j) % n for j in range(size)}
+        for day in config.dates:
+            quota = round(config.inter_trips_per_province * config.regime_for(day).flow_scale)
+            per_origin = quota + (levels is not None) if quota > 0 else 0
+            inter = plan.daily_trips[day][: plan.daily_totals[day].inter_province].tolist()
+            origins = [province_of[o] for o, _ in inter]
+            assert origins == [p for p in range(n) for _ in range(per_origin)]
+            for p in range(n):
+                destinations = [province_of[d] for o, d in inter if province_of[o] == p]
+                assert set(destinations) <= partners[p]
+                names = [provinces[d] for d in destinations]
+                assert names == sorted(names)
+            if config.dwell_violation_rate == 0.0:
+                assert not plan.daily_violations[day].any()
 
 
 class TestPlantedEffects:
@@ -273,6 +306,8 @@ class TestConfigValidation:
             ("intra_trips_per_pair", -3),
             ("bridge_trips_per_pair", -1),
             ("antennas_per_municipality", 0),
+            ("communities_per_province", 0),
+            ("communities_per_province", -3),
             ("cdr_fraction", 7),
             ("cdr_fraction", -0.1),
             ("dwell_violation_rate", 1.5),
